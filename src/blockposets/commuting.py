@@ -9,9 +9,12 @@ nontrivial elementary abelian first component:
     expand:   (Q, e) -> (order-p subgroups of Q, e)
     collapse: (kappa, e) -> (product of kappa, e)
 
-Cliques are enumerated depth-first in vertex order with the Brauer filter
-applied as a prune: once the product of a clique has zero Brauer image, every
-superset does too (truncations compose), so the cut is exact.
+Cliques are enumerated depth-first in vertex order by one generator,
+`iter_cliques`, with the Brauer filter applied as a prune: once the product of
+a clique has zero Brauer image, every superset does too (truncations compose),
+so the cut is exact.  The order of the commuting poset is built from masks:
+the up-set of (kappa, e) is "elements at a pair above e" ANDed with "elements
+whose kappa contains v" over v in kappa.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded, TheoryViolation
 from .perms import PermGroup, order_p_subgroups, subgroup_orbit_transversal
-from .topology import GPoset
+from .topology import GPoset, iter_bits
 
 MAX_POSET_ELEMENTS = 100_000
 
@@ -31,37 +34,55 @@ class CommutingGraph:
     adjacency: list       # bitmask per vertex
 
     def edges(self):
-        out = []
-        for i, mask in enumerate(self.adjacency):
-            m = mask >> (i + 1)
-            j = i + 1
-            while m:
-                if m & 1:
-                    out.append((i, j))
-                m >>= 1
-                j += 1
-        return out
+        return [(i, j) for i, mask in enumerate(self.adjacency)
+                for j in iter_bits(mask & ~((2 << i) - 1))]
 
     def num_edges(self):
         return len(self.edges())
 
 
-def commuting_graph(G, p):
-    """All order-p subgroups of G, joined when they commute elementwise.
+def commuting_adjacency(vertices):
+    """Adjacency bitmasks joining the order-p subgroups that commute elementwise.
 
     Two order-p subgroups commute elementwise iff their generators commute.
     """
-    vertices = order_p_subgroups(G, p)
-    n = len(vertices)
-    adjacency = [0] * n
-    for i in range(n):
-        gi = vertices[i].generators[0]
-        for j in range(i + 1, n):
-            gj = vertices[j].generators[0]
+    gens = [Q.generators[0] for Q in vertices]
+    adjacency = [0] * len(gens)
+    for i, gi in enumerate(gens):
+        for j in range(i + 1, len(gens)):
+            gj = gens[j]
             if gi * gj == gj * gi:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return CommutingGraph(list(vertices), adjacency)
+    return adjacency
+
+
+def commuting_graph(G, p):
+    """All order-p subgroups of G, joined when they commute elementwise."""
+    vertices = order_p_subgroups(G, p)
+    return CommutingGraph(list(vertices), commuting_adjacency(vertices))
+
+
+def iter_cliques(adjacency, grow=lambda state, v: state, state=True):
+    """Nonempty cliques of a graph on adjacency bitmasks, depth first.
+
+    Yields (clique, state): clique is a tuple of increasing vertex ids, and
+    each clique comes before its extensions, which come in increasing order
+    of the added vertex.  grow(state, v) gives the state of clique + (v,)
+    from that of clique; returning None prunes that clique together with
+    every clique containing it.
+    """
+    def walk(clique, state, candidates):
+        for v in iter_bits(candidates):
+            state_v = grow(state, v)
+            if state_v is None:
+                continue
+            clique_v = clique + (v,)
+            yield clique_v, state_v
+            yield from walk(clique_v, state_v,
+                            candidates & ~((2 << v) - 1) & adjacency[v])
+
+    yield from walk((), state, (1 << len(adjacency)) - 1)
 
 
 def product_subgroup(members, label=""):
@@ -132,59 +153,51 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     aposet = apairs.poset
     # subgroup -> indices of pairs sitting at it
     pairs_by_subgroup = {}
-    family_sets = set()
     for i, pr in enumerate(apairs.pairs):
-        key = pr.subgroup.element_set
-        pairs_by_subgroup.setdefault(key, []).append(i)
-        family_sets.add(key)
+        pairs_by_subgroup.setdefault(pr.subgroup.element_set, []).append(i)
     # vertices: the order-p members of the family
     vertices = sorted(
         {pr.subgroup.element_set: pr.subgroup for pr in apairs.pairs
          if pr.subgroup.order == ctx.p}.values(),
         key=PermGroup.key)
     vindex = {Q.element_set: i for i, Q in enumerate(vertices)}
-    n = len(vertices)
-    adj = [0] * n
-    for i in range(n):
-        gi = vertices[i].generators[0]
-        for j in range(i + 1, n):
-            gj = vertices[j].generators[0]
-            if gi * gj == gj * gi:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    # clique enumeration with the Brauer prune
+    adj = commuting_adjacency(vertices)
+
+    def brauer_prune(prod, v):
+        gens = vertices[v].generators if prod is None \
+            else tuple(prod.generators) + vertices[v].generators
+        new_prod = PermGroup.from_generators(ctx.G.degree, gens)
+        return new_prod if new_prod.element_set in pairs_by_subgroup else None
+
     elements = []
-
-    def extend(kappa, prod, candidates):
-        m = candidates
-        v = 0
-        while m:
-            if m & 1:
-                new_prod_gens = tuple(prod.generators) + vertices[v].generators \
-                    if prod is not None else vertices[v].generators
-                new_prod = PermGroup.from_generators(ctx.G.degree, new_prod_gens)
-                if new_prod.element_set in family_sets:
-                    kappa2 = kappa + (v,)
-                    for pid in pairs_by_subgroup[new_prod.element_set]:
-                        elements.append((frozenset(kappa2), pid))
-                        if len(elements) > max_elements:
-                            raise SizeLimitExceeded(
-                                f"commuting poset exceeded {max_elements} elements")
-                    higher = candidates & ~((1 << (v + 1)) - 1)
-                    extend(kappa2, new_prod, higher & adj[v])
-            m >>= 1
-            v += 1
-
-    extend((), None, (1 << n) - 1)
+    for kappa, prod in iter_cliques(adj, brauer_prune, None):
+        for pid in pairs_by_subgroup[prod.element_set]:
+            elements.append((frozenset(kappa), pid))
+            if len(elements) > max_elements:
+                raise SizeLimitExceeded(
+                    f"commuting poset exceeded {max_elements} elements")
     elements.sort(key=lambda ke: (sorted(ke[0]), ke[1]))
     kindex = {ke: i for i, ke in enumerate(elements)}
     # order: subset on kappa, pair containment on the decorations
-    nk = len(elements)
-    up = [0] * nk
-    for i, (ki, pi) in enumerate(elements):
-        for j, (kj, pj) in enumerate(elements):
-            if ki <= kj and aposet.leq(pi, pj):
-                up[i] |= 1 << j
+    at_pair = [0] * aposet.n
+    containing = [0] * len(vertices)
+    for i, (kappa, pid) in enumerate(elements):
+        bit = 1 << i
+        at_pair[pid] |= bit
+        for v in kappa:
+            containing[v] |= bit
+    above_pair = []
+    for pid in range(aposet.n):
+        mask = 0
+        for above in iter_bits(aposet.up[pid]):
+            mask |= at_pair[above]
+        above_pair.append(mask)
+    up = []
+    for kappa, pid in elements:
+        mask = above_pair[pid]
+        for v in kappa:
+            mask &= containing[v]
+        up.append(mask)
     # action of the generators
     action = []
     apair_action = aposet.action if isinstance(aposet, GPoset) else None
@@ -202,7 +215,7 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
         names = sorted(vertices[v].generators[0].cycle_string() for v in vids)
         return "{" + ",".join(names) + "}|" + apairs.pairs[pid].label()
 
-    kposet = GPoset([label_of(i) for i in range(nk)], up, action)
+    kposet = GPoset([label_of(i) for i in range(len(elements))], up, action)
     # expand: (Q, e) -> (order-p subgroups of Q, e); collapse: drop kappa
     expand_map = []
     for pid, pr in enumerate(apairs.pairs):
@@ -225,6 +238,34 @@ class Obstruction:
     brauer_vanishes: bool
 
 
+def uncovered_minimal_clique(poset):
+    """The first clique of minimal elements with no common upper bound.
+
+    Two minimal elements are joined when their up-sets meet, i.e. some
+    element lies above both, so every clique of size <= 2 is covered.  The
+    search carries down the clique DFS the AND of the chosen elements' up-sets;
+    a clique is covered iff that AND is nonzero.  Returns the clique as a
+    tuple of element indices, or None when every clique is covered.
+    """
+    down = poset.down_masks()
+    minimal = [i for i in range(poset.n) if down[i] == 1 << i]
+    ups = [poset.up[m] for m in minimal]
+    gadj = [0] * len(minimal)
+    for a, up_a in enumerate(ups):
+        for b in range(a + 1, len(ups)):
+            if up_a & ups[b]:
+                gadj[a] |= 1 << b
+                gadj[b] |= 1 << a
+
+    def cover_and(cover, t):
+        return cover & ups[t]
+
+    for clique, cover in iter_cliques(gadj, cover_and, -1):
+        if not cover:
+            return tuple(minimal[t] for t in clique)
+    return None
+
+
 def clique_witness(geom):
     """Search for a clique of minimal elements with no common upper bound cover.
 
@@ -236,51 +277,9 @@ def clique_witness(geom):
     clique is covered.
     """
     kposet = geom.kposet
-    if kposet.n == 0:
+    kidx = uncovered_minimal_clique(kposet)
+    if kidx is None:
         return None
-    minimal = kposet.minimal_elements()
-    down = kposet.down_masks()
-    pos = {m: t for t, m in enumerate(minimal)}
-    min_sets = []
-    for i in range(kposet.n):
-        mins = frozenset(pos[m] for m in minimal if (down[i] >> m) & 1)
-        min_sets.append(mins)
-    nv = len(minimal)
-    gadj = [0] * nv
-    for ms in min_sets:
-        for a in ms:
-            for b in ms:
-                if a != b:
-                    gadj[a] |= 1 << b
-
-    def covered(clique_set):
-        return any(clique_set <= ms for ms in min_sets)
-
-    found = None
-
-    def extend(clique, candidates):
-        nonlocal found
-        if found is not None:
-            return
-        m = candidates
-        v = 0
-        while m:
-            if m & 1:
-                new_clique = clique + (v,)
-                if len(new_clique) >= 3 and not covered(frozenset(new_clique)):
-                    found = new_clique
-                    return
-                higher = candidates & ~((1 << (v + 1)) - 1)
-                extend(new_clique, higher & gadj[v])
-                if found is not None:
-                    return
-            m >>= 1
-            v += 1
-
-    extend((), (1 << nv) - 1)
-    if found is None:
-        return None
-    kidx = [minimal[t] for t in found]
     subgroups = []
     for i in kidx:
         vids, _pid = geom.elements[i]
@@ -288,7 +287,7 @@ def clique_witness(geom):
         subgroups.append(geom.vertices[vid])
     generated = product_subgroup(subgroups, label="<obstruction>")
     return Obstruction(
-        minimal_indices=tuple(kidx),
+        minimal_indices=kidx,
         pair_labels=tuple(kposet.labels[i] for i in kidx),
         subgroups=tuple(subgroups),
         generated_subgroup=generated,

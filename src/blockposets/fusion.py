@@ -12,7 +12,7 @@ classes a partial order.
 
 from __future__ import annotations
 
-from .commuting import product_subgroup
+from .commuting import commuting_adjacency, iter_cliques, product_subgroup
 from .errors import TheoryViolation
 from .perms import all_subgroups, order_p_subgroups
 from .topology import Poset
@@ -133,30 +133,8 @@ class CommutingCategory:
         self.ctx = fusion.ctx
         p = self.ctx.p
         self.vertices = order_p_subgroups(fusion.P, p)
-        n = len(self.vertices)
-        adj = [0] * n
-        for i in range(n):
-            gi = self.vertices[i].generators[0]
-            for j in range(i + 1, n):
-                gj = self.vertices[j].generators[0]
-                if gi * gj == gj * gi:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        objects = []
-
-        def extend(kappa, candidates):
-            m = candidates
-            v = 0
-            while m:
-                if m & 1:
-                    kappa2 = kappa + (v,)
-                    objects.append(frozenset(kappa2))
-                    higher = candidates & ~((1 << (v + 1)) - 1)
-                    extend(kappa2, higher & adj[v])
-                m >>= 1
-                v += 1
-
-        extend((), (1 << n) - 1)
+        adj = commuting_adjacency(self.vertices)
+        objects = [frozenset(kappa) for kappa, _ in iter_cliques(adj)]
         objects.sort(key=sorted)
         self.objects = objects
         self.products = [product_subgroup([self.vertices[v] for v in obj])

@@ -1,11 +1,15 @@
 """Finite posets with group actions, order complexes, and integral homology.
 
 Posets keep their relation as per-element up-set bitmasks, so the axioms and
-transitive closures are cheap int operations.  Homology of a simplicial
-complex is unreduced integral homology computed from Smith normal forms of
-the boundary matrices; the Smith reduction is a sparse elimination over
-Python ints (no overflow), with pivots chosen by least absolute value and
-least fill.
+transitive closures are cheap int operations.  Every walk over a mask goes
+through one set-bit kernel, `iter_bits`, which steps from one set bit to the
+next (``mask & -mask``) instead of shifting past every clear bit, so a row
+costs its number of set bits rather than the size of the poset.
+
+Homology of a simplicial complex is unreduced integral homology computed
+from Smith normal forms of the boundary matrices; the Smith reduction is a
+sparse elimination over Python ints (no overflow), with pivots chosen by
+least absolute value and least fill.
 """
 
 from __future__ import annotations
@@ -18,6 +22,14 @@ from fractions import Fraction
 from .errors import SizeLimitExceeded, TheoryViolation
 
 MAX_SIMPLICES = 1_000_000
+
+
+def iter_bits(mask):
+    """Indices of the set bits of a nonnegative int, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Poset:
@@ -36,18 +48,13 @@ class Poset:
                 raise TheoryViolation("relation not reflexive", witness=i)
         for i in range(self.n):
             mask = self.up[i]
-            j = 0
-            m = mask
-            while m:
-                if m & 1:
-                    if j != i and (self.up[j] >> i) & 1:
-                        raise TheoryViolation("relation not antisymmetric",
-                                              witness=(self.labels[i], self.labels[j]))
-                    if self.up[j] & ~mask:
-                        raise TheoryViolation("relation not transitive",
-                                              witness=(self.labels[i], self.labels[j]))
-                m >>= 1
-                j += 1
+            for j in iter_bits(mask):
+                if j != i and (self.up[j] >> i) & 1:
+                    raise TheoryViolation("relation not antisymmetric",
+                                          witness=(self.labels[i], self.labels[j]))
+                if self.up[j] & ~mask:
+                    raise TheoryViolation("relation not transitive",
+                                          witness=(self.labels[i], self.labels[j]))
 
     @classmethod
     def from_leq_pairs(cls, labels, pairs, check=True):
@@ -71,13 +78,8 @@ class Poset:
             for i in range(n):
                 mask = up[i]
                 acc = mask
-                j = 0
-                m = mask
-                while m:
-                    if m & 1:
-                        acc |= up[j]
-                    m >>= 1
-                    j += 1
+                for j in iter_bits(mask):
+                    acc |= up[j]
                 if acc != mask:
                     up[i] = acc
                     changed = True
@@ -87,27 +89,14 @@ class Poset:
         return (self.up[i] >> j) & 1 == 1
 
     def leq_pairs(self):
-        out = []
-        for i in range(self.n):
-            m = self.up[i]
-            j = 0
-            while m:
-                if m & 1:
-                    out.append((i, j))
-                m >>= 1
-                j += 1
-        return out
+        return [(i, j) for i in range(self.n) for j in iter_bits(self.up[i])]
 
     def down_masks(self):
         down = [0] * self.n
         for i in range(self.n):
-            m = self.up[i]
-            j = 0
-            while m:
-                if m & 1:
-                    down[j] |= 1 << i
-                m >>= 1
-                j += 1
+            bit = 1 << i
+            for j in iter_bits(self.up[i]):
+                down[j] |= bit
         return down
 
     def covering_pairs(self):
@@ -116,13 +105,9 @@ class Poset:
         out = []
         for i in range(self.n):
             strict = self.up[i] & ~(1 << i)
-            m = strict
-            j = 0
-            while m:
-                if m & 1 and not (strict & down[j] & ~(1 << j)):
+            for j in iter_bits(strict):
+                if not (strict & down[j] & ~(1 << j)):
                     out.append((i, j))
-                m >>= 1
-                j += 1
         return out
 
     def minimal_elements(self):
@@ -183,15 +168,11 @@ class GPoset(Poset):
             if sorted(a) != list(range(self.n)):
                 raise TheoryViolation("generator does not permute poset elements")
             for i in range(self.n):
-                m = self.up[i]
-                j = 0
-                while m:
-                    if m & 1 and not self.leq(a[i], a[j]):
+                for j in iter_bits(self.up[i]):
+                    if not self.leq(a[i], a[j]):
                         raise TheoryViolation(
                             "generator action is not an order-automorphism",
                             witness=(self.labels[i], self.labels[j]))
-                    m >>= 1
-                    j += 1
 
     def orbits(self):
         """Orbits of the generated group, each a sorted tuple, in order of min."""
@@ -233,13 +214,8 @@ def orbit_poset(X):
     m = len(orbits)
     up = [1 << i for i in range(m)]
     for i in range(X.n):
-        mask = X.up[i]
-        j = 0
-        while mask:
-            if mask & 1:
-                up[orbit_of[i]] |= 1 << orbit_of[j]
-            mask >>= 1
-            j += 1
+        for j in iter_bits(X.up[i]):
+            up[orbit_of[i]] |= 1 << orbit_of[j]
     labels = [f"[{X.labels[orb[0]]}] x{len(orb)}" for orb in orbits]
     return Poset(labels, up), orbit_of
 
@@ -316,13 +292,8 @@ def order_complex(X, max_simplices=MAX_SIMPLICES):
                 f"order complex exceeded {max_simplices} simplices")
         new = []
         for chain, mask in frontier:
-            m = mask
-            j = 0
-            while m:
-                if m & 1:
-                    new.append((chain + (j,), mask & strict_up[j]))
-                m >>= 1
-                j += 1
+            for j in iter_bits(mask):
+                new.append((chain + (j,), mask & strict_up[j]))
         frontier = new
     return SimplicialComplex(by_dim)
 
@@ -718,14 +689,10 @@ class EquivalenceCertificate:
 def _order_preserving(X, Y, fmap, failures, tag):
     ok = True
     for i in range(X.n):
-        m = X.up[i]
-        j = 0
-        while m:
-            if m & 1 and not Y.leq(fmap[i], fmap[j]):
+        for j in iter_bits(X.up[i]):
+            if not Y.leq(fmap[i], fmap[j]):
                 failures.append((tag, "order", X.labels[i], X.labels[j]))
                 ok = False
-            m >>= 1
-            j += 1
     return ok
 
 

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from . import __version__
 from .blocks import blocks, brute_force_central_idempotents, class_sum_algebra
 from .brauer import BlockContext
-from .commuting import block_geometry, clique_witness, commuting_graph
+from .commuting import (
+    block_geometry,
+    clique_witness,
+    commuting_graph,
+    iter_cliques,
+    product_subgroup,
+)
 from .errors import SizeLimitExceeded
 from .fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from .topology import (
@@ -329,22 +335,8 @@ def check_principal_clique_complex(ctx, geom=None):
                            details={"reason": "block is not principal"},
                            elapsed=time.monotonic() - start)
     graph = commuting_graph(ctx.G, ctx.p)
-    faces = []
+    faces = [clique for clique, _ in iter_cliques(graph.adjacency)]
     n = len(graph.vertices)
-    adj = graph.adjacency
-
-    def extend(clique, candidates):
-        m = candidates
-        v = 0
-        while m:
-            if m & 1:
-                c2 = clique + (v,)
-                faces.append(c2)
-                extend(c2, (candidates & ~((1 << (v + 1)) - 1)) & adj[v])
-            m >>= 1
-            v += 1
-
-    extend((), (1 << n) - 1)
     complex_ = SimplicialComplex.from_faces(faces) if faces \
         else SimplicialComplex([])
     fposet = face_poset(complex_)
@@ -358,7 +350,6 @@ def check_principal_clique_complex(ctx, geom=None):
         pairs_by_subgroup.setdefault(pr.subgroup.element_set, []).append(i)
     fmap = []
     face_list = [f for fs in complex_.faces_by_dim for f in fs]
-    from .commuting import product_subgroup
     for f in face_list:
         members = [graph.vertices[v] for v in f]
         try:
@@ -393,19 +384,38 @@ CHECKS_BY_NAME = {
 
 
 def run_block_checks(block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
-    """Run the named suites on one block, sharing one geometry build."""
+    """Run the named suites on one block, sharing one geometry build.
+
+    A check that hits a resource bound is recorded as skipped, with the bound
+    as its reason, and the other checks still run.  A bound hit while
+    building the shared geometry skips each check that needs it.
+    """
     ctx = BlockContext(block)
-    geom = None
+    geom = geom_bound = None
     results = []
     for name in names:
         if name not in CHECKS_BY_NAME:
             raise ValueError(f"unknown check {name!r}")
-        if name != "principal-type" and geom is None:
-            geom = block_geometry(ctx)
-        if name == "homology":
-            results.append(check_homology(ctx, geom, max_simplices))
-        elif name == "principal-type":
-            results.append(check_principal_type(ctx))
-        else:
-            results.append(CHECKS_BY_NAME[name](ctx, geom))
+        start = time.monotonic()
+        try:
+            if name == "principal-type":
+                results.append(check_principal_type(ctx))
+                continue
+            if geom_bound is not None:
+                raise geom_bound
+            if geom is None:
+                try:
+                    geom = block_geometry(ctx)
+                except SizeLimitExceeded as exc:
+                    geom_bound = exc
+                    raise
+            if name == "homology":
+                results.append(check_homology(ctx, geom, max_simplices))
+            else:
+                results.append(CHECKS_BY_NAME[name](ctx, geom))
+        except SizeLimitExceeded as exc:
+            results.append(CheckResult(
+                name, _target(ctx.G, ctx.F, ctx.block), "skipped",
+                details={"reason": f"resource bound: {exc}"},
+                elapsed=time.monotonic() - start))
     return results

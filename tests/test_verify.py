@@ -1,8 +1,10 @@
 import pytest
 
+from blockposets import verify
 from blockposets.blocks import blocks
 from blockposets.brauer import BlockContext
 from blockposets.commuting import block_geometry
+from blockposets.errors import SizeLimitExceeded
 from blockposets.gf import PrimeField
 from blockposets.perms import symmetric_group
 from blockposets.verify import (
@@ -77,3 +79,34 @@ class TestCheckResults:
         b = blocks(G, GF2)[0]
         with pytest.raises(ValueError):
             run_block_checks(b, ["nonsense"])
+
+
+class TestResourceBoundContainment:
+    def test_oversized_homology_skips_only_that_check(self, monkeypatch):
+        def too_big(poset, max_simplices=None):
+            raise SizeLimitExceeded("order complex exceeded 3 simplices")
+
+        monkeypatch.setattr(verify, "order_complex", too_big)
+        (b,) = blocks(symmetric_group(4), GF2)
+        results = run_block_checks(
+            b, ["theorem1", "homology", "nonclique", "principal-type"])
+        assert [r.status for r in results] == ["pass", "skipped", "pass",
+                                               "pass"]
+        skipped = results[1]
+        assert skipped.name == "homology"
+        assert "order complex exceeded" in skipped.details["reason"]
+        assert skipped.target["group"] == "S4"
+
+    def test_geometry_bound_skips_its_checks_once(self, monkeypatch):
+        calls = []
+
+        def too_big(ctx):
+            calls.append(ctx)
+            raise SizeLimitExceeded("commuting poset exceeded 3 elements")
+
+        monkeypatch.setattr(verify, "block_geometry", too_big)
+        (b,) = blocks(symmetric_group(4), GF2)
+        results = run_block_checks(
+            b, ["theorem1", "principal-type", "nonclique"])
+        assert [r.status for r in results] == ["skipped", "pass", "skipped"]
+        assert len(calls) == 1
