@@ -12,9 +12,9 @@ transitive closure along subnormal chains; existence and uniqueness of the
 pair below a given one at each subgroup is asserted on the computed data
 rather than assumed.
 
-A BlockContext caches, per block: centralizers, centralizer blocks (computed
-once per conjugacy representative and transported along an orbit
-transversal), Brauer images, and the pairs at each subgroup.
+A BlockContext caches, per block: centralizers, centralizer blocks, Brauer
+images, and the pairs at each subgroup.  Sites and pairs are computed once
+per orbit and transported along conjugation (see BlockContext).
 """
 
 from __future__ import annotations
@@ -129,7 +129,18 @@ class BrauerPairPoset:
 
 
 class BlockContext:
-    """Per-block machinery with caching and conjugation transport."""
+    """Per-block machinery with caching and conjugation transport.
+
+    The first subgroup of each G-orbit asked for is its representative R:
+    C_G(R) and the blocks of kC_G(R) are computed there, and the pairs at R
+    come from testing e * Br_R(b) == e for each of those blocks.  Any other
+    Q = R^g in the orbit gets its site by conjugating R's along the orbit
+    transversal, so its i-th block is the i-th block at R conjugated by g.
+    The pairs at Q are those at R conjugated by the same g (b is central, so
+    Br_Q(b) = Br_R(b)^g): the blocks at R's pair indices, in R's order, with
+    no e * Br_Q(b) product formed.  The transported pairs must still sum to
+    Br_Q(b), which is asserted.
+    """
 
     def __init__(self, block, subgroup_classes=None, all_blocks=None):
         self.block = block
@@ -138,6 +149,8 @@ class BlockContext:
         self.p = self.F.p
         self._sites = {}
         self._rep_orbits = []  # list of (site-of-representative, orbit transversal)
+        self._rep_of = {}      # transported site -> its orbit representative
+        self._pair_slots = {}  # representative -> indices of its pair blocks
         self._brauer = {}
         self._pairs = {}
         self._subgroup_classes = subgroup_classes
@@ -162,6 +175,7 @@ class BlockContext:
             if g is not None:
                 site = rep_site.conjugate(g, subgroup=Q)
                 self._sites[key] = site
+                self._rep_of[key] = rep_site.subgroup
                 return site
         C = centralizer(self.G, Q, label=f"C({Q.label})")
         site = _Site(Q, C, [b.element for b in blocks(C, self.F)])
@@ -198,11 +212,18 @@ class BlockContext:
         br = self.brauer_image(Q)
         out = []
         if br:
+            R = self._rep_of.get(key)
+            if R is None:
+                slots = [i for i, e in enumerate(site.blocks) if e * br == e]
+                self._pair_slots[key] = slots
+            else:
+                self.pairs_at(R)
+                slots = self._pair_slots.get(R.element_set, ())
             total = GroupAlgebraElement.zero(self.G, self.F)
-            for e in site.blocks:
-                if e * br == e:
-                    out.append(BrauerPair(Q, e, site.centralizer))
-                    total = total + e
+            for i in slots:
+                e = site.blocks[i]
+                out.append(BrauerPair(Q, e, site.centralizer))
+                total = total + e
             if total != br:
                 raise TheoryViolation(
                     "Brauer image of the block is not the sum of its pair blocks",
@@ -329,7 +350,7 @@ class BlockContext:
             if not br:
                 witnesses.append((Q, "zero"))
                 continue
-            hits = [e for e in self.blocks_at(Q) if e * br == e]
+            hits = [pr.idempotent for pr in self.pairs_at(Q)]
             if len(hits) == 1 and hits[0] == br:
                 witnesses.append((Q, "block"))
             else:
@@ -442,16 +463,6 @@ def _center_seeded_chain(R, Q):
 
 # ---------------------------------------------------------------------------
 # spec-level convenience wrappers
-
-
-def brauer_pairs_for(block, Q, ctx=None):
-    ctx = ctx or BlockContext(block)
-    return ctx.pairs_at(Q)
-
-
-def normal_containment(lo, hi, block, ctx=None):
-    ctx = ctx or BlockContext(block)
-    return ctx.normal_containment(lo, hi)
 
 
 def containment_poset(block, family, ctx=None):

@@ -164,9 +164,14 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     adj = commuting_adjacency(vertices)
 
     def brauer_prune(prod, v):
-        gens = vertices[v].generators if prod is None \
-            else tuple(prod.generators) + vertices[v].generators
-        new_prod = PermGroup.from_generators(ctx.G.degree, gens)
+        # v commutes with every member (adjacency), so the product is a set product
+        V = vertices[v]
+        if prod is None:
+            gens, elems = V.generators, V.elements
+        else:
+            gens = tuple(prod.generators) + V.generators
+            elems = {x * y for x in prod.elements for y in V.elements}
+        new_prod = PermGroup(ctx.G.degree, gens, elems)
         return new_prod if new_prod.element_set in pairs_by_subgroup else None
 
     elements = []

@@ -90,6 +90,7 @@ class FusionSystem:
         for S in self.family:
             self.sub_pair[S.element_set] = ctx.unique_subpair(top_pair, S)
         self._homs = {}
+        self._maps = {}
 
     @classmethod
     def from_block_context(cls, ctx):
@@ -103,11 +104,29 @@ class FusionSystem:
             return hit
         if Q.element_set not in self.sub_pair or R.element_set not in self.sub_pair:
             raise ValueError("hom requested outside the subgroup family of P")
+        rset = R.element_set
+        out = [FusionMorphism(Q, R, mapping, g)
+               for mapping, g, image in self._maps_from(Q) if image <= rset]
+        self._homs[key] = out
+        return out
+
+    def _maps_from(self, Q):
+        """Every fusion map out of Q into P as (mapping, g, image), in key order.
+
+        One scan of G per domain serves hom(Q, R) for every R: the maps into
+        R are those whose image lies in R.  For each set map the witness is
+        the first g in G that passes the idempotent test, exactly as a scan
+        restricted to R would find it.
+        """
+        hit = self._maps.get(Q.element_set)
+        if hit is not None:
+            return hit
         eQ = self.sub_pair[Q.element_set].idempotent
+        pset = self.P.element_set
         found = {}
         for g in self.ctx.G.elements:
             ginv = g.inverse()
-            if any(ginv * x * g not in R.element_set for x in Q.generators):
+            if any(ginv * x * g not in pset for x in Q.generators):
                 continue
             mapping = {x: ginv * x * g for x in Q.elements}
             mkey = tuple(mapping[x].images for x in Q.elements)
@@ -117,11 +136,11 @@ class FusionSystem:
             target = self.sub_pair.get(image)
             if target is None:
                 raise TheoryViolation("image subgroup missing from family",
-                                      witness=(Q.label, R.label))
+                                      witness=Q.label)
             if eQ.conjugate(g) == target.idempotent:
-                found[mkey] = FusionMorphism(Q, R, mapping, g)
+                found[mkey] = (mapping, g, image)
         out = [found[k] for k in sorted(found)]
-        self._homs[key] = out
+        self._maps[Q.element_set] = out
         return out
 
 
@@ -234,10 +253,3 @@ class IsoClassPoset:
     def n(self):
         return self.poset.n
 
-
-def commuting_category(fusion):
-    return CommutingCategory(fusion)
-
-
-def iso_class_poset(category):
-    return IsoClassPoset(category)

@@ -269,11 +269,6 @@ def _lcm(a, b):
     return a * b // math.gcd(a, b)
 
 
-def compose(a, b):
-    """Apply a first, then b."""
-    return a * b
-
-
 @dataclass(frozen=True)
 class ConjugacyClass:
     representative: Permutation

@@ -278,6 +278,24 @@ class SimplicialComplex:
         return not self.faces_by_dim
 
 
+def chain_counts(X):
+    """Face counts of the order complex of X by dimension, listing no chain.
+
+    With c_k[x] the number of k-simplices x = x_0 < ... < x_k starting at x,
+    c_0[x] = 1 and c_k[x] is the sum of c_{k-1}[y] over y > x; the k-th face
+    count is the sum of c_k over x.  This equals
+    order_complex(X).face_counts() at a cost per dimension of one pass over
+    the strict relation.
+    """
+    strict_up = [X.up[i] & ~(1 << i) for i in range(X.n)]
+    counts = []
+    c = [1] * X.n
+    while any(c):
+        counts.append(sum(c))
+        c = [sum(c[j] for j in iter_bits(m)) for m in strict_up]
+    return counts
+
+
 def order_complex(X, max_simplices=MAX_SIMPLICES):
     """Chains of the poset X as simplices (x_0 < ... < x_n)."""
     strict_up = [X.up[i] & ~(1 << i) for i in range(X.n)]

@@ -37,6 +37,7 @@ from .errors import SizeLimitExceeded
 from .fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from .topology import (
     SimplicialComplex,
+    chain_counts,
     face_poset,
     homology,
     orbit_poset,
@@ -139,25 +140,36 @@ def check_theorem1(ctx, geom=None):
 
 
 def check_homology(ctx, geom=None, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
-    """Homology of the two order complexes agrees degree by degree."""
+    """Homology of the two order complexes agrees degree by degree.
+
+    Face counts and Euler characteristics come from the chain count, so the
+    size bound is checked before any complex is built; the complexes are
+    built only within the bound, and their face counts must match the count.
+    """
     start = time.monotonic()
     if geom is None:
         geom = block_geometry(ctx)
-    ca = order_complex(geom.aposet)
-    ck = order_complex(geom.kposet)
+    counts_a, counts_k = chain_counts(geom.aposet), chain_counts(geom.kposet)
     target = _target(ctx.G, ctx.F, ctx.block)
-    chi_a, chi_k = ca.euler_characteristic(), ck.euler_characteristic()
+    chi_a, chi_k = _euler(counts_a), _euler(counts_k)
+    size_a, size_k = sum(counts_a), sum(counts_k)
     details = {
-        "simplices": [ca.num_simplices(), ck.num_simplices()],
+        "simplices": [size_a, size_k],
         "euler_characteristics": [chi_a, chi_k],
     }
     if chi_a != chi_k:
         return CheckResult("homology", target, "fail", details=details,
                            witnesses=["euler characteristic mismatch"],
                            elapsed=time.monotonic() - start)
-    if max(ca.num_simplices(), ck.num_simplices()) > max_simplices:
+    if max(size_a, size_k) > max_simplices:
         details["reason"] = "complex exceeds homology bound; Euler check only"
         return CheckResult("homology", target, "skipped", details=details,
+                           elapsed=time.monotonic() - start)
+    ca = order_complex(geom.aposet)
+    ck = order_complex(geom.kposet)
+    if ca.face_counts() != counts_a or ck.face_counts() != counts_k:
+        return CheckResult("homology", target, "fail", details=details,
+                           witnesses=["face counts disagree with the chain count"],
                            elapsed=time.monotonic() - start)
     ha, hk = homology(ca), homology(ck)
     details["homology"] = [repr(ha), repr(hk)]
@@ -165,6 +177,10 @@ def check_homology(ctx, geom=None, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     return CheckResult("homology", target, status, details=details,
                        witnesses=[] if status == "pass" else [repr(ha), repr(hk)],
                        elapsed=time.monotonic() - start)
+
+
+def _euler(counts):
+    return sum((-1) ** n * c for n, c in enumerate(counts))
 
 
 def check_nonclique(ctx, geom=None):
@@ -249,8 +265,20 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     the orbit must not depend on the member chosen in the class (asserted).
 
     eta: a commuting-poset element conjugates into P by some g aligning its
-    pair with the one below the maximal pair; independence of g is asserted
-    on orbit representatives by scanning every admissible g.
+    pair with the one below the maximal pair; the class of the image object
+    is eta of its orbit.  The scan and the transport divide the work:
+
+    * on each orbit's representative, its least element index, every g in G
+      is tried; the admissible ones must all give one class (independence of
+      g, asserted), and the first admissible g0 is kept;
+    * the other members are reached by walking the orbit along the poset
+      action, one generator at a time, carrying h with el = rep^h.  Each gets
+      the single candidate h^-1 g0, which must pass the same admissibility
+      test as the scan and give the representative's class.
+
+    A candidate that fails the test or gives another class raises
+    TheoryViolation, so every element's class is still read off a conjugation
+    checked on its own data, whatever the action says.
     """
     from .errors import TheoryViolation
 
@@ -279,47 +307,73 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
     pset = fs.P.element_set
 
-    def eta_of_element(el_idx, scan_all):
+    def class_through(el_idx, g):
+        """The class of the element conjugated by g, or None if g is not
+        admissible: Q^g <= P, the idempotent matches the pair below the
+        maximal pair, and the conjugated members form an object."""
         vids, pid = geom.elements[el_idx]
-        members = [geom.vertices[v] for v in vids]
         pair = geom.apairs.pairs[pid]
-        prod_gens = pair.subgroup.generators
+        ginv = g.inverse()
+        if any(ginv * x * g not in pset for x in pair.subgroup.generators):
+            return None
+        image = frozenset(ginv * x * g for x in pair.subgroup.elements)
+        if pair.idempotent.conjugate(g) != fs.sub_pair[image].idempotent:
+            return None
+        obj = frozenset(
+            cat_vertex.get(frozenset(ginv * x * g
+                                     for x in geom.vertices[v].elements))
+            for v in vids)
+        obj_idx = object_index.get(obj)
+        return None if obj_idx is None else icp.class_of[obj_idx]
+
+    def scan(el_idx):
+        """(class, first admissible g) over every g in G."""
         results = set()
+        g0 = None
         for g in ctx.G.elements:
-            ginv = g.inverse()
-            if any(ginv * x * g not in pset for x in prod_gens):
+            cls = class_through(el_idx, g)
+            if cls is None:
                 continue
-            image = frozenset(ginv * x * g
-                              for x in pair.subgroup.elements)
-            target_pair = fs.sub_pair[image]
-            if pair.idempotent.conjugate(g) != target_pair.idempotent:
-                continue
-            obj = frozenset(
-                cat_vertex[frozenset(ginv * x * g for x in Q.elements)]
-                for Q in members)
-            results.add(icp.class_of[object_index[obj]])
-            if not scan_all:
-                break
+            results.add(cls)
+            if g0 is None:
+                g0 = g
         if not results:
             raise TheoryViolation("no conjugation into the maximal pair found",
                                   witness=geom.kposet.labels[el_idx])
         if len(results) > 1:
             raise TheoryViolation("eta depends on the chosen conjugation",
                                   witness=geom.kposet.labels[el_idx])
-        return results.pop()
+        return results.pop(), g0
 
+    kposet = geom.kposet
+    steps = list(zip(ctx.G.generators, kposet.action))
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []
-    seen_orbit_rep = set()
-    for el_idx in range(geom.kposet.n):
-        orbit = orbit_of[el_idx]
-        scan_all = orbit not in seen_orbit_rep
-        seen_orbit_rep.add(orbit)
-        cls = eta_of_element(el_idx, scan_all)
-        if eta[orbit] is None:
-            eta[orbit] = cls
-        elif eta[orbit] != cls:
-            raise TheoryViolation("eta differs across an orbit",
-                                  witness=geom.kposet.labels[el_idx])
+    conj = {}                       # element -> h with element = rep^h
+    for rep in range(kposet.n):
+        if rep in conj:
+            continue
+        orbit = orbit_of[rep]
+        eta[orbit], g0 = scan(rep)
+        conj[rep] = ctx.G.identity()
+        frontier = [rep]
+        while frontier:
+            new = []
+            for x in frontier:
+                for gen, perm in steps:
+                    y = perm[x]
+                    if y in conj:
+                        continue
+                    h = conj[y] = conj[x] * gen
+                    new.append(y)
+                    cls = class_through(y, h.inverse() * g0)
+                    if cls is None:
+                        raise TheoryViolation(
+                            "transported conjugation is not admissible",
+                            witness=kposet.labels[y])
+                    if cls != eta[orbit]:
+                        raise TheoryViolation("eta differs across an orbit",
+                                              witness=kposet.labels[y])
+            frontier = new
     return forward, eta
 
 

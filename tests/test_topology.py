@@ -10,6 +10,7 @@ from blockposets.topology import (
     Poset,
     SimplicialComplex,
     boundary_matrices,
+    chain_counts,
     face_poset,
     homology,
     homology_betti_rational,
@@ -79,6 +80,23 @@ class TestOrderComplex:
     def test_simplex_cap(self):
         with pytest.raises(SizeLimitExceeded):
             order_complex(chain_poset(8), max_simplices=10)
+
+
+class TestChainCounts:
+    def test_chain(self):
+        assert chain_counts(chain_poset(4)) == [4, 6, 4, 1]
+
+    def test_empty_poset(self):
+        assert chain_counts(Poset([], [])) == []
+
+    def test_matches_order_complex_on_random_posets(self):
+        rng = random.Random(2011)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.35]
+            P = Poset.from_edges_closure(list(range(n)), edges)
+            assert chain_counts(P) == order_complex(P).face_counts()
 
 
 class TestHomology:

@@ -1,12 +1,17 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from blockposets import verify
 from blockposets.blocks import blocks
 from blockposets.brauer import BlockContext
+from blockposets.cli import main
 from blockposets.commuting import block_geometry
 from blockposets.errors import SizeLimitExceeded
 from blockposets.gf import PrimeField
 from blockposets.perms import symmetric_group
+from blockposets.topology import order_complex
 from blockposets.verify import (
     check_blocks_oracle,
     check_homology,
@@ -51,6 +56,30 @@ class TestCheckResults:
         # Euler characteristics still compared before skipping
         chis = result.details["euler_characteristics"]
         assert chis[0] == chis[1]
+
+    def test_homology_bound_checked_before_building_complexes(
+            self, s4_setup, monkeypatch):
+        def never(poset, max_simplices=None):
+            raise AssertionError("order complex built past the bound")
+
+        monkeypatch.setattr(verify, "order_complex", never)
+        _b, ctx, geom = s4_setup
+        result = check_homology(ctx, geom, max_simplices=3)
+        assert result.status == "skipped"
+        assert result.details["reason"] == \
+            "complex exceeds homology bound; Euler check only"
+        assert result.details["simplices"] == [
+            order_complex(geom.aposet).num_simplices(),
+            order_complex(geom.kposet).num_simplices()]
+
+    def test_s6_principal_homology_skips_with_euler_characteristics(self):
+        b = next(x for x in blocks(symmetric_group(6), GF2) if x.principal)
+        ctx = BlockContext(b)
+        result = check_homology(ctx, block_geometry(ctx))
+        # the K complex has 2.84M simplices, past both size bounds
+        assert result.status == "skipped"
+        assert result.details["euler_characteristics"] == [-15, -15]
+        assert result.details["simplices"][1] > 1_000_000
 
     def test_nonclique_pass_details(self, s4_setup):
         _b, ctx, geom = s4_setup
@@ -110,3 +139,24 @@ class TestResourceBoundContainment:
             b, ["theorem1", "principal-type", "nonclique"])
         assert [r.status for r in results] == ["skipped", "pass", "skipped"]
         assert len(calls) == 1
+
+
+class TestReportDrift:
+    def test_corpus_reports_match_recorded(self, tmp_path):
+        """Every non-slow corpus entry is byte-identical to the recorded run."""
+        recorded = Path(__file__).resolve().parents[1] / \
+            "perfbench" / "expected" / "corpus" / "0.json"
+        expected = json.loads(recorded.read_text())
+        out = tmp_path / "corpus.json"
+        main(["verify", "--corpus", "--out", str(out)])
+        got = json.loads(out.read_text())
+        assert got["checks_requested"] == expected["checks_requested"]
+        assert got["version"] == expected["version"]
+
+        def fast_entries(report):
+            return {e["entry"]: json.dumps(e, indent=2, sort_keys=True)
+                    for e in report["entries"]
+                    if not e["entry"].startswith("S7")}
+
+        assert len(fast_entries(got)) == 5
+        assert fast_entries(got) == fast_entries(expected)
