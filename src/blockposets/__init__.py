@@ -40,10 +40,6 @@ from .brauer import (                                       # noqa: F401
     BlockContext,
     BrauerPair,
     brauer_hom,
-    containment_poset,
-    defect_groups,
-    is_principal_type,
-    unique_subpair,
 )
 from .commuting import (                                    # noqa: F401
     block_geometry,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blocks import GroupAlgebraElement, blocks
+from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
 from .errors import TheoryViolation
 from .perms import (
     PermGroup,
@@ -83,20 +83,23 @@ class BrauerPair:
 
 
 class _Site:
-    """Everything attached to one subgroup Q: C_G(Q) and the blocks of kC_G(Q)."""
+    """Everything attached to one subgroup Q: C_G(Q), the blocks of kC_G(Q),
+    and the slots (indices into those blocks) of the pairs of b at Q."""
 
-    __slots__ = ("subgroup", "centralizer", "blocks")
+    __slots__ = ("subgroup", "centralizer", "blocks", "slots")
 
-    def __init__(self, subgroup, centralizer_group, block_elements):
+    def __init__(self, subgroup, centralizer_group, block_elements, slots):
         self.subgroup = subgroup
         self.centralizer = centralizer_group
         self.blocks = block_elements
+        self.slots = slots
 
     def conjugate(self, g, subgroup=None):
+        """The site at Q^g; it shares this site's slot list."""
         return _Site(subgroup if subgroup is not None
                      else self.subgroup.conjugate_subgroup(g),
                      self.centralizer.conjugate_subgroup(g),
-                     [e.conjugate(g) for e in self.blocks])
+                     [e.conjugate(g) for e in self.blocks], self.slots)
 
 
 @dataclass
@@ -132,33 +135,44 @@ class BlockContext:
     """Per-block machinery with caching and conjugation transport.
 
     The first subgroup of each G-orbit asked for is its representative R:
-    C_G(R) and the blocks of kC_G(R) are computed there, and the pairs at R
-    come from testing e * Br_R(b) == e for each of those blocks.  Any other
-    Q = R^g in the orbit gets its site by conjugating R's along the orbit
-    transversal, so its i-th block is the i-th block at R conjugated by g.
-    The pairs at Q are those at R conjugated by the same g (b is central, so
-    Br_Q(b) = Br_R(b)^g): the blocks at R's pair indices, in R's order, with
-    no e * Br_Q(b) product formed.  The transported pairs must still sum to
-    Br_Q(b), which is asserted.
+    C_G(R), the class-sum algebra A = Z(kC_G(R)) and the blocks of kC_G(R)
+    are computed there, and the pairs at R are decided inside A.  Br_R(b) is
+    central in kC_G(R), so it is read off as its coefficients at the
+    C_G(R)-class representatives, and expanding those coordinates must give
+    back Br_R(b) exactly (else TheoryViolation).  Block i of kC_G(R) is a
+    pair iff e_i * Br_R(b) == e_i as coordinate vectors in A, which costs
+    about dim^2 field operations instead of |supp|^2 permutation products.
+    Only the resulting slot list is kept on the site, not A.
+
+    Any other Q = R^g in the orbit gets its site by conjugating R's along the
+    orbit transversal, so its i-th block is the i-th block at R conjugated by
+    g, and it reads R's slots (b is central, so Br_Q(b) = Br_R(b)^g).  The
+    pairs at every subgroup must sum to Br_Q(b), which is asserted.
+
+    When all_blocks (the blocks of kG) is given, the trivial subgroup's site
+    is seeded from it and from algebra, the class-sum algebra of G they were
+    computed in (rebuilt when not given); subgroup_classes may likewise be
+    shared by every block of one group.
     """
 
-    def __init__(self, block, subgroup_classes=None, all_blocks=None):
+    def __init__(self, block, subgroup_classes=None, all_blocks=None,
+                 algebra=None):
         self.block = block
         self.G = block.group
         self.F = block.field
         self.p = self.F.p
         self._sites = {}
         self._rep_orbits = []  # list of (site-of-representative, orbit transversal)
-        self._rep_of = {}      # transported site -> its orbit representative
-        self._pair_slots = {}  # representative -> indices of its pair blocks
         self._brauer = {}
         self._pairs = {}
         self._subgroup_classes = subgroup_classes
         self._defect = None
         if all_blocks is not None:
             # seed the trivial site so kG blocks are not recomputed per context
+            A = algebra if algebra is not None else \
+                class_sum_algebra(self.G, self.F)
             trivial = PermGroup.trivial(self.G.degree)
-            site = _Site(trivial, self.G, [b.element for b in all_blocks])
+            site = self._representative_site(trivial, A, all_blocks)
             self._sites[trivial.element_set] = site
             self._rep_orbits.append(
                 (site, {trivial.element_set: self.G.identity()}))
@@ -175,14 +189,31 @@ class BlockContext:
             if g is not None:
                 site = rep_site.conjugate(g, subgroup=Q)
                 self._sites[key] = site
-                self._rep_of[key] = rep_site.subgroup
                 return site
         C = centralizer(self.G, Q, label=f"C({Q.label})")
-        site = _Site(Q, C, [b.element for b in blocks(C, self.F)])
+        A = class_sum_algebra(C, self.F)
+        site = self._representative_site(Q, A, blocks(C, self.F, algebra=A))
         orbit = subgroup_orbit_transversal(self.G, Q)
         self._rep_orbits.append((site, orbit))
         self._sites[key] = site
         return site
+
+    def _representative_site(self, R, A, block_list):
+        """R's site, its pair slots decided in A = Z(kC_G(R))."""
+        br = self.block.element.truncate(A.group.element_set)
+        self._brauer[R.element_set] = br
+        zero = self.F.zero
+        brc = [br.support.get(cls.representative, zero) for cls in A.classes]
+        if A.expand(brc) != br:
+            raise TheoryViolation(
+                "Brauer image of the block is not central in the centralizer",
+                witness=R.label)
+        slots = []
+        for i, blk in enumerate(block_list):
+            coords = list(blk.coords)
+            if A.mult(coords, brc) == coords:
+                slots.append(i)
+        return _Site(R, A.group, [blk.element for blk in block_list], slots)
 
     def centralizer_of(self, Q):
         return self.site(Q).centralizer
@@ -212,15 +243,8 @@ class BlockContext:
         br = self.brauer_image(Q)
         out = []
         if br:
-            R = self._rep_of.get(key)
-            if R is None:
-                slots = [i for i, e in enumerate(site.blocks) if e * br == e]
-                self._pair_slots[key] = slots
-            else:
-                self.pairs_at(R)
-                slots = self._pair_slots.get(R.element_set, ())
             total = GroupAlgebraElement.zero(self.G, self.F)
-            for i in slots:
+            for i in site.slots:
                 e = site.blocks[i]
                 out.append(BrauerPair(Q, e, site.centralizer))
                 total = total + e
@@ -459,27 +483,3 @@ def _center_seeded_chain(R, Q):
     seed = PermGroup.from_generators(
         R.degree, tuple(Q.generators) + tuple(centre), max_elements=R.order)
     return [Q] + _normalizer_chain(R, seed)
-
-
-# ---------------------------------------------------------------------------
-# spec-level convenience wrappers
-
-
-def containment_poset(block, family, ctx=None):
-    ctx = ctx or BlockContext(block)
-    return ctx.pair_poset(family)
-
-
-def defect_groups(block, ctx=None):
-    ctx = ctx or BlockContext(block)
-    return ctx.defect_data()
-
-
-def is_principal_type(block, ctx=None):
-    ctx = ctx or BlockContext(block)
-    return ctx.principal_type()
-
-
-def unique_subpair(top, Q, block, ctx=None):
-    ctx = ctx or BlockContext(block)
-    return ctx.unique_subpair(top, Q)

@@ -148,11 +148,12 @@ def _fingerprint_text(fp):
 def cmd_blocks(args):
     G = build_group(parse_group_spec(args.group), args.max_elements)
     F = field_for(args, G)
-    _algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
+    algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
     classes = p_subgroups_up_to_conjugacy(G, F.p)
     rows = []
     for b in block_list:
-        ctx = BlockContext(b, subgroup_classes=classes, all_blocks=block_list)
+        ctx = BlockContext(b, subgroup_classes=classes, all_blocks=block_list,
+                           algebra=algebra)
         dd = ctx.defect_data()
         rows.append({
             "index": b.index,
@@ -185,10 +186,13 @@ def cmd_blocks(args):
 def _verify_entry(entry, checks, max_simplices, cache_dir):
     G = build_group(entry.spec)
     F = field_context(entry.p, entry.d)
-    _algebra, block_list = class_algebra_and_blocks(G, F, cache_dir)
+    algebra, block_list = class_algebra_and_blocks(G, F, cache_dir)
+    classes = p_subgroups_up_to_conjugacy(G, F.p)
     results = []
     for b in select_blocks(block_list, entry.selector):
-        results.extend(run_block_checks(b, checks, max_simplices))
+        results.extend(run_block_checks(
+            b, checks, max_simplices, subgroup_classes=classes,
+            all_blocks=block_list, algebra=algebra))
     return results
 
 
@@ -272,13 +276,13 @@ def cmd_verify(args):
 def cmd_poset(args):
     G = build_group(parse_group_spec(args.group), args.max_elements)
     F = field_for(args, G)
-    _algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
+    algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
     selected = select_blocks(block_list, args.block)
     if len(selected) != 1:
         raise SystemExit("poset export needs exactly one block; "
                          "use --block principal|nonprincipal|<index>")
     block = selected[0]
-    ctx = BlockContext(block, all_blocks=block_list)
+    ctx = BlockContext(block, all_blocks=block_list, algebra=algebra)
     orbit_of = None
     if args.which in ("A", "K", "K-orbit"):
         geom = block_geometry(ctx, max_elements=args.max_elements)
@@ -319,13 +323,13 @@ def cmd_find_dihedral_block(args):
     for n in range(args.min, args.max + 1):
         G = symmetric_group(n)
         F = field_context(2, 1)
-        _algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
+        algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
         classes = p_subgroups_up_to_conjugacy(G, 2)
         for b in block_list:
             if b.principal:
                 continue
             ctx = BlockContext(b, subgroup_classes=classes,
-                               all_blocks=block_list)
+                               all_blocks=block_list, algebra=algebra)
             dd = ctx.defect_data()
             if dd.order == 8 and dd.is_dihedral_order_8():
                 doc = {"n": n, "block_index": b.index,

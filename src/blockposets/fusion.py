@@ -48,12 +48,6 @@ class FusionMorphism:
         return FusionMorphism(self.codomain, self.domain, inv,
                               self.witness_g.inverse())
 
-    def then(self, other):
-        """Composite: self followed by other (domains must chain)."""
-        mapping = {x: other.mapping[y] for x, y in self.mapping.items()}
-        return FusionMorphism(self.domain, other.codomain, mapping,
-                              self.witness_g * other.witness_g)
-
     def __eq__(self, other):
         return (isinstance(other, FusionMorphism)
                 and self.domain == other.domain
@@ -196,18 +190,22 @@ class CommutingCategory:
                     raise TheoryViolation(
                         "endomorphism is not invertible (EI failure)",
                         witness=(self.object_label(i), psi.key()))
-        # closure under composition
+        # closure under composition: the composite's key, built directly
+        homs = [[self.hom(i, j) for j in range(n)] for i in range(n)]
+        hom_keys = [[{psi.key() for psi in hs} for hs in row] for row in homs]
         for i in range(n):
+            domain = self.products[i].elements
             for j in range(n):
-                if not self.hom(i, j):
+                if not homs[i][j]:
                     continue
+                mids = [[psi.mapping[x] for x in domain] for psi in homs[i][j]]
                 for k in range(n):
-                    if not self.hom(j, k):
-                        continue
-                    target_keys = {psi.key() for psi in self.hom(i, k)}
-                    for psi in self.hom(i, j):
-                        for chi in self.hom(j, k):
-                            if psi.then(chi).key() not in target_keys:
+                    target_keys = hom_keys[i][k]
+                    for chi in homs[j][k]:
+                        mapping = chi.mapping
+                        for mid in mids:
+                            key = tuple(mapping[y].images for y in mid)
+                            if key not in target_keys:
                                 raise TheoryViolation(
                                     "composite escapes its hom set",
                                     witness=(self.object_label(i),

@@ -437,14 +437,19 @@ CHECKS_BY_NAME = {
 }
 
 
-def run_block_checks(block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
+def run_block_checks(block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND,
+                     subgroup_classes=None, all_blocks=None, algebra=None):
     """Run the named suites on one block, sharing one geometry build.
 
     A check that hits a resource bound is recorded as skipped, with the bound
     as its reason, and the other checks still run.  A bound hit while
-    building the shared geometry skips each check that needs it.
+    building the shared geometry skips each check that needs it.  The
+    p-subgroup classes of G, the blocks of kG and the class-sum algebra
+    they were computed in may be passed in, to be shared by every block of
+    the group (see BlockContext).
     """
-    ctx = BlockContext(block)
+    ctx = BlockContext(block, subgroup_classes=subgroup_classes,
+                       all_blocks=all_blocks, algebra=algebra)
     geom = geom_bound = None
     results = []
     for name in names:

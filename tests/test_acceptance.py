@@ -259,3 +259,27 @@ def test_criterion_9_infrastructure_oracles():
         assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
     _report(9, "infrastructure oracles", True,
             "100 complexes, 1000 factorizations, 10^4 Frobenius samples")
+
+
+@pytest.mark.slow
+def test_s7_p3_verify_every_block(tmp_path):
+    # S7 at p=3: every check on all three blocks, the block 2 homology
+    # pinned to the values recorded before the class-coordinate Brauer pairs
+    # and the unit-pivot Smith form
+    out = tmp_path / "s7p3.json"
+    start = time.monotonic()
+    rc = main(["verify", "--group", "S7", "--prime", "3", "--out", str(out)])
+    elapsed = time.monotonic() - start
+    (entry,) = json.loads(out.read_text())["entries"]
+    checks = entry["checks"]
+    assert rc == 0 and entry["status"] == "pass"
+    assert sorted({c["target"]["block"] for c in checks}) == [0, 1, 2]
+    assert all(c["status"] == "pass" for c in checks)
+    assert len(checks) == 15
+    (hom,) = [c for c in checks
+              if c["name"] == "homology" and c["target"]["block"] == 2]
+    assert hom["details"]["simplices"] == [525, 10325]
+    assert hom["details"]["euler_characteristics"] == [-35, -35]
+    assert hom["details"]["homology"] == \
+        ["HomologyResult(H0=Z^1, H1=Z^36)"] * 2
+    _report("S7p3", "verify S7 p=3", True, f"15 checks in {elapsed:.1f}s")

@@ -5,10 +5,6 @@ from blockposets.brauer import (
     BlockContext,
     BrauerPair,
     brauer_hom,
-    containment_poset,
-    defect_groups,
-    is_principal_type,
-    unique_subpair,
 )
 from blockposets.errors import TheoryViolation
 from blockposets.gf import PrimeField
@@ -123,7 +119,7 @@ class TestNormalContainment:
 class TestContainmentPoset:
     def test_single_point(self, s3_blocks):
         G, principal, _ = s3_blocks
-        pp = containment_poset(principal, [PermGroup.trivial(3)])
+        pp = BlockContext(principal).pair_poset([PermGroup.trivial(3)])
         assert pp.n == 1
 
     def test_s3_principal_all_2_subgroups(self, s3_blocks):
@@ -135,7 +131,7 @@ class TestContainmentPoset:
         for rep in family:
             for g in subgroup_orbit_transversal(G, rep).values():
                 full.append(rep.conjugate_subgroup(g))
-        pp = containment_poset(principal, full)
+        pp = BlockContext(principal).pair_poset(full)
         assert pp.n == 4  # (1, b) below three transposition pairs
         assert len(pp.poset.minimal_elements()) == 1
         assert len(pp.poset.maximal_elements()) == 3
@@ -147,7 +143,7 @@ class TestContainmentPoset:
         for rep in p_subgroups_up_to_conjugacy(G, 2):
             for g in subgroup_orbit_transversal(G, rep).values():
                 family.append(rep.conjugate_subgroup(g))
-        pp = containment_poset(principal, family)
+        pp = BlockContext(principal).pair_poset(family)
         # GPoset construction validates the action; reaching here suffices,
         # but check the orbit structure explicitly
         orbits = pp.poset.orbits()
@@ -157,26 +153,26 @@ class TestContainmentPoset:
 class TestDefectGroups:
     def test_s3_principal(self, s3_blocks):
         G, principal, _ = s3_blocks
-        dd = defect_groups(principal)
+        dd = BlockContext(principal).defect_data()
         assert dd.order == 2
         assert dd.num_conjugates == 3
 
     def test_s3_defect_zero(self, s3_blocks):
         G, _, other = s3_blocks
-        dd = defect_groups(other)
+        dd = BlockContext(other).defect_data()
         assert dd.order == 1
 
     def test_s4_principal_full_defect(self):
         G = symmetric_group(4)
         (b,) = blocks(G, GF2)
-        dd = defect_groups(b)
+        dd = BlockContext(b).defect_data()
         assert dd.order == 8
         assert dd.is_dihedral_order_8()
 
     def test_d8_principal(self):
         G = dihedral_group(8)
         (b,) = blocks(G, GF2)
-        dd = defect_groups(b)
+        dd = BlockContext(b).defect_data()
         assert dd.order == 8
         assert dd.is_dihedral_order_8()
 
@@ -186,7 +182,7 @@ class TestDefectGroups:
         # which is why the dihedral-defect scan passes over it
         G = symmetric_group(6)
         bl = blocks(G, GF2)
-        orders = sorted(defect_groups(b).order for b in bl)
+        orders = sorted(BlockContext(b).defect_data().order for b in bl)
         assert orders == [1, 16]
 
 
@@ -194,13 +190,13 @@ class TestPrincipalType:
     def test_s4_principal(self):
         G = symmetric_group(4)
         (b,) = blocks(G, GF2)
-        ok, witnesses, first_failure = is_principal_type(b)
+        ok, witnesses, first_failure = BlockContext(b).principal_type()
         assert ok and first_failure is None
         assert len(witnesses) == 7  # the 7 classes of 2-subgroups
 
     def test_defect_zero(self, s3_blocks):
         G, _, other = s3_blocks
-        ok, witnesses, _ = is_principal_type(other)
+        ok, witnesses, _ = BlockContext(other).principal_type()
         assert ok
         # only the trivial subgroup survives
         survivors = [w for w in witnesses if w[1] == "block"]

@@ -1,0 +1,227 @@
+"""Differential tests of the exact kernels against the paths they replaced.
+
+The oracles are the kG filter e * Br_R(b) == e for the Brauer pairs at each
+representative site (decided in Z(kC_G(R)) by the library), and, for the
+Smith form with its unit-pivot sweep, the gcds of k x k minors, the rank over
+the rationals and the explicit product U M V.
+"""
+
+import itertools
+import math
+import random
+from types import SimpleNamespace
+
+import pytest
+
+from blockposets.blocks import GroupAlgebraElement, blocks, class_sum_algebra
+from blockposets.brauer import BlockContext
+from blockposets.cli import CORPUS, build_group
+from blockposets.errors import TheoryViolation
+from blockposets.gf import field_context
+from blockposets.perms import PermGroup, conjugacy_classes, symmetric_group
+from blockposets.topology import (
+    SimplicialComplex,
+    boundary_matrices,
+    homology,
+    rank_over_rationals,
+    smith_normal_form,
+)
+
+GF2 = field_context(2)
+
+
+def block_contexts():
+    """Contexts for every block of the non-slow corpus and of S6 at p=2.
+
+    The corpus contexts share the group's blocks and class algebra, as
+    verify builds them; the S6 ones compute their trivial site themselves.
+    """
+    for entry in CORPUS:
+        if entry.slow:
+            continue
+        G = build_group(entry.spec)
+        F = field_context(entry.p, entry.d)
+        A = class_sum_algebra(G, F)
+        all_blocks = blocks(G, F, algebra=A)
+        for b in all_blocks:
+            yield f"{entry.name}/{b.index}", BlockContext(
+                b, all_blocks=all_blocks, algebra=A)
+    for b in blocks(symmetric_group(6), GF2):
+        yield f"S6-p2/{b.index}", BlockContext(b)
+
+
+def slots_by_kg_filter(ctx, site):
+    """The pair slots at a site by products in kG (the replaced path)."""
+    br = ctx.brauer_image(site.subgroup)
+    if not br:
+        return []
+    return [i for i, e in enumerate(site.blocks) if e * br == e]
+
+
+class TestPairSlots:
+    def test_slots_match_kg_filter_at_every_representative_site(self):
+        checked = nonempty = 0
+        for name, ctx in block_contexts():
+            for Q in ctx.subgroup_classes():
+                ctx.pairs_at(Q)
+            for site, _orbit in ctx._rep_orbits:
+                assert site.slots == slots_by_kg_filter(ctx, site), \
+                    (name, site.subgroup.label)
+                checked += 1
+                nonempty += bool(site.slots)
+        assert checked > 50 and nonempty > 20
+
+    def test_seeded_trivial_site_matches_computed_one(self):
+        G = symmetric_group(4)
+        A = class_sum_algebra(G, GF2)
+        all_blocks = blocks(G, GF2, algebra=A)
+        trivial = PermGroup.trivial(G.degree)
+        for b in all_blocks:
+            seeded = BlockContext(b, all_blocks=all_blocks, algebra=A)
+            rebuilt = BlockContext(b, all_blocks=all_blocks)
+            fresh = BlockContext(b)
+            want = [pr.idempotent for pr in fresh.pairs_at(trivial)]
+            assert want == [b.element]
+            for ctx in (seeded, rebuilt):
+                assert [pr.idempotent for pr in ctx.pairs_at(trivial)] == want
+
+    def test_non_central_brauer_image_is_rejected(self):
+        G = symmetric_group(3)
+        b = next(blk for blk in blocks(G, GF2) if blk.principal)
+        # move one coefficient of b off its class: x, in a class of size > 1,
+        # loses it and z, outside that class and the support, gains it
+        cls = next(c for c in conjugacy_classes(G) if len(c.members) > 1
+                   and c.members[0] in b.element.support)
+        x = cls.members[0]
+        z = next(y for y in G.elements
+                 if y not in cls.members and y not in b.element.support)
+        support = dict(b.element.support)
+        support[z] = support.pop(x)
+        moved = GroupAlgebraElement(G, GF2, support)
+        fake = SimpleNamespace(group=G, field=GF2, element=moved)
+        with pytest.raises(TheoryViolation, match="not central"):
+            BlockContext(fake).pairs_at(PermGroup.trivial(G.degree))
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form
+
+
+def unit_rich_matrix(rng, max_rows=5, max_cols=5):
+    rows, cols = rng.randrange(1, max_rows + 1), rng.randrange(1, max_cols + 1)
+    pool = [-1, -1, 0, 0, 0, 1, 1, 1, 2, -2, 3, -4, 6]
+    entries = {(i, j): rng.choice(pool)
+               for i in range(rows) for j in range(cols)}
+    return {k: v for k, v in entries.items() if v}, rows, cols
+
+
+def _det(M):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    M = [list(row) for row in M]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def invariant_factors_by_minors(entries, rows, cols):
+    """d_k / d_(k-1), d_k the gcd of all k x k minors (an independent oracle)."""
+    M = [[entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+    out = []
+    prev = 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                g = math.gcd(g, _det([[M[i][j] for j in cs] for i in rs]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+def random_complex(rng, max_vertices=7):
+    n = rng.randrange(2, max_vertices + 1)
+    faces = [tuple(rng.sample(range(n), rng.randrange(1, min(n, 4) + 1)))
+             for _ in range(rng.randrange(1, 2 * n))]
+    return SimplicialComplex.from_faces(faces)
+
+
+def _mat_mul(A, B):
+    return [[sum(a * B[t][j] for t, a in enumerate(row) if a)
+             for j in range(len(B[0]))] for row in A]
+
+
+class TestSmithNormalForm:
+    def test_matches_gcd_of_minors_on_unit_rich_matrices(self):
+        rng = random.Random(0x5F1)
+        units = 0
+        for _ in range(80):
+            entries, rows, cols = unit_rich_matrix(rng)
+            units += sum(1 for v in entries.values() if v in (1, -1))
+            assert smith_normal_form(entries, rows, cols).diagonal == \
+                invariant_factors_by_minors(entries, rows, cols), entries
+        assert units > 200
+
+    def test_matches_gcd_of_minors_without_units(self):
+        rng = random.Random(0x5F2)
+        for _ in range(30):
+            rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
+            entries = {(i, j): rng.choice([0, 2, -2, 3, 4, -6, 9])
+                       for i in range(rows) for j in range(cols)}
+            entries = {k: v for k, v in entries.items() if v}
+            assert smith_normal_form(entries, rows, cols).diagonal == \
+                invariant_factors_by_minors(entries, rows, cols), entries
+
+    def test_rank_matches_rational_on_boundary_matrices(self):
+        rng = random.Random(0xB0D)
+        checked = 0
+        for _ in range(60):
+            C = random_complex(rng)
+            counts = C.face_counts()
+            for n, m in enumerate(boundary_matrices(C)):
+                assert smith_normal_form(m, counts[n], counts[n + 1]).rank \
+                    == rank_over_rationals(m, counts[n], counts[n + 1])
+                checked += 1
+        assert checked > 60
+
+    def test_projective_plane_torsion_stays_z2(self):
+        faces = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+                 (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
+        C = SimplicialComplex.from_faces(faces)
+        assert homology(C).groups == [(1, ()), (0, (2,))]
+        counts = C.face_counts()
+        d2 = boundary_matrices(C)[1]
+        assert smith_normal_form(d2, counts[1], counts[2]).diagonal == \
+            [1] * 9 + [2]
+
+    def test_transforms_reconstruct_on_unit_rich_matrices(self):
+        rng = random.Random(0x7AB)
+        matrices = [unit_rich_matrix(rng) for _ in range(40)]
+        C = random_complex(random.Random(3), max_vertices=6)
+        counts = C.face_counts()
+        matrices += [(m, counts[n], counts[n + 1])
+                     for n, m in enumerate(boundary_matrices(C))]
+        for entries, rows, cols in matrices:
+            snf = smith_normal_form(entries, rows, cols, need_transforms=True)
+            M = [[entries.get((i, j), 0) for j in range(cols)]
+                 for i in range(rows)]
+            UMV = _mat_mul(_mat_mul(snf.U, M), snf.V)
+            nonzero = [(i, j, v) for i, row in enumerate(UMV)
+                       for j, v in enumerate(row) if v]
+            # one positive entry per used row and column, the diagonal in order
+            assert len({i for i, _j, _v in nonzero}) == len(nonzero)
+            assert len({j for _i, j, _v in nonzero}) == len(nonzero)
+            assert sorted(v for _i, _j, v in nonzero) == snf.diagonal
+            assert abs(_det(snf.U)) == 1 and abs(_det(snf.V)) == 1
