@@ -39,6 +39,7 @@ from .blocks import (                                       # noqa: F401
 from .brauer import (                                       # noqa: F401
     BlockContext,
     BrauerPair,
+    GroupContext,
     brauer_hom,
 )
 from .commuting import (                                    # noqa: F401

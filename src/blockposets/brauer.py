@@ -12,9 +12,13 @@ transitive closure along subnormal chains; existence and uniqueness of the
 pair below a given one at each subgroup is asserted on the computed data
 rather than assumed.
 
-A BlockContext caches, per block: centralizers, centralizer blocks, Brauer
-images, and the pairs at each subgroup.  Sites and pairs are computed once
-per orbit and transported along conjugation (see BlockContext).
+The work splits the way the definitions do.  C_G(Q), the blocks of kC_G(Q)
+and the G-orbit of Q depend only on G and Q: a GroupContext holds them once
+per (G, F), together with the blocks of kG and the p-subgroup classes, and
+is shared by every block of a run.  The block b only chooses which blocks of
+kC_G(Q) are pairs: a BlockContext holds b's choice at each class
+representative, the Brauer images and the pairs, and reaches every other
+subgroup of the class by conjugation.
 """
 
 from __future__ import annotations
@@ -22,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
+from .cache import class_algebra_and_blocks
 from .errors import TheoryViolation
 from .perms import (
     PermGroup,
     centralizer,
+    normalizer,
     p_subgroups_up_to_conjugacy,
-    subgroup_orbit_transversal,
 )
 from .topology import GPoset, Poset
 
@@ -83,23 +88,25 @@ class BrauerPair:
 
 
 class _Site:
-    """Everything attached to one subgroup Q: C_G(Q), the blocks of kC_G(Q),
-    and the slots (indices into those blocks) of the pairs of b at Q."""
+    """What G says about one p-subgroup Q: C_G(Q) and the blocks of kC_G(Q).
 
-    __slots__ = ("subgroup", "centralizer", "blocks", "slots")
+    index is Q's class; every site of a class lists its blocks in the order
+    of the representative's, so a slot means the same block up to
+    conjugation anywhere in the class.
+    """
 
-    def __init__(self, subgroup, centralizer_group, block_elements, slots):
+    __slots__ = ("subgroup", "centralizer", "blocks", "index")
+
+    def __init__(self, subgroup, centralizer_group, block_elements, index):
         self.subgroup = subgroup
         self.centralizer = centralizer_group
         self.blocks = block_elements
-        self.slots = slots
+        self.index = index
 
-    def conjugate(self, g, subgroup=None):
-        """The site at Q^g; it shares this site's slot list."""
-        return _Site(subgroup if subgroup is not None
-                     else self.subgroup.conjugate_subgroup(g),
-                     self.centralizer.conjugate_subgroup(g),
-                     [e.conjugate(g) for e in self.blocks], self.slots)
+    def conjugate(self, g, subgroup):
+        """The site at subgroup = Q^g."""
+        return _Site(subgroup, self.centralizer.conjugate_subgroup(g),
+                     [e.conjugate(g) for e in self.blocks], self.index)
 
 
 @dataclass
@@ -131,75 +138,133 @@ class BrauerPairPoset:
         return len(self.pairs)
 
 
-class BlockContext:
-    """Per-block machinery with caching and conjugation transport.
+class GroupContext:
+    """Everything about (G, F) that does not depend on the block.
 
-    The first subgroup of each G-orbit asked for is its representative R:
-    C_G(R), the class-sum algebra A = Z(kC_G(R)) and the blocks of kC_G(R)
-    are computed there, and the pairs at R are decided inside A.  Br_R(b) is
-    central in kC_G(R), so it is read off as its coefficients at the
-    C_G(R)-class representatives, and expanding those coordinates must give
-    back Br_R(b) exactly (else TheoryViolation).  Block i of kC_G(R) is a
-    pair iff e_i * Br_R(b) == e_i as coordinate vectors in A, which costs
-    about dim^2 field operations instead of |supp|^2 permutation products.
-    Only the resulting slot list is kept on the site, not A.
+    Built once and shared by every block of a run:
 
-    Any other Q = R^g in the orbit gets its site by conjugating R's along the
-    orbit transversal, so its i-th block is the i-th block at R conjugated by
-    g, and it reads R's slots (b is central, so Br_Q(b) = Br_R(b)^g).  The
-    pairs at every subgroup must sum to Br_Q(b), which is asserted.
-
-    When all_blocks (the blocks of kG) is given, the trivial subgroup's site
-    is seeded from it and from algebra, the class-sum algebra of G they were
-    computed in (rebuilt when not given); subgroup_classes may likewise be
-    shared by every block of one group.
+    * the class-sum algebra of G and the blocks of kG, through the cache
+      when cache_dir is given;
+    * the G-classes of p-subgroups, as (R, orbit) with orbit mapping the
+      element set of each conjugate Q to one g with Q = R^g, and the lookup
+      Q -> (class, g) read off those orbits;
+    * per class representative R, on first request: C_G(R), the class-sum
+      algebra Z(kC_G(R)) and the blocks of kC_G(R) (at the trivial subgroup
+      these are G, the algebra and the blocks of kG).  The site of any other
+      Q = R^g is R's conjugated by g, so its i-th block is the i-th block at
+      R conjugated by g.
     """
 
-    def __init__(self, block, subgroup_classes=None, all_blocks=None,
-                 algebra=None):
-        self.block = block
-        self.G = block.group
-        self.F = block.field
-        self.p = self.F.p
+    def __init__(self, G, F, cache_dir=None):
+        self.G = G
+        self.F = F
+        self.p = F.p
+        self.algebra, self.blocks = class_algebra_and_blocks(G, F, cache_dir)
+        self._classes = None
+        self._where = None
         self._sites = {}
-        self._rep_orbits = []  # list of (site-of-representative, orbit transversal)
-        self._brauer = {}
-        self._pairs = {}
-        self._subgroup_classes = subgroup_classes
-        self._defect = None
-        if all_blocks is not None:
-            # seed the trivial site so kG blocks are not recomputed per context
-            A = algebra if algebra is not None else \
-                class_sum_algebra(self.G, self.F)
-            trivial = PermGroup.trivial(self.G.degree)
-            site = self._representative_site(trivial, A, all_blocks)
-            self._sites[trivial.element_set] = site
-            self._rep_orbits.append(
-                (site, {trivial.element_set: self.G.identity()}))
+        self._centers = {}  # class index -> (Z(kC_G(R)), blocks of kC_G(R))
 
-    # -- sites ----------------------------------------------------------
+    @property
+    def classes(self):
+        """[(R, orbit)] per G-class of p-subgroups, the trivial class first."""
+        if self._classes is None:
+            self._classes = p_subgroups_up_to_conjugacy(self.G, self.p)
+        return self._classes
 
-    def site(self, Q):
+    def locate(self, Q):
+        """(i, g) with Q = R^g for the representative R of class i.
+
+        Raises ValueError when Q is not a p-subgroup of G.
+        """
+        if self._where is None:
+            self._where = {elems: (i, g)
+                           for i, (_R, orbit) in enumerate(self.classes)
+                           for elems, g in orbit.items()}
+        hit = self._where.get(Q.element_set)
+        if hit is None:
+            raise ValueError(f"not a {self.p}-subgroup of {self.G.label}: "
+                             f"{Q.label or Q!r}")
+        return hit
+
+    def _site(self, Q):
         key = Q.element_set
         hit = self._sites.get(key)
         if hit is not None:
             return hit
-        for rep_site, orbit in self._rep_orbits:
-            g = orbit.get(key)
-            if g is not None:
-                site = rep_site.conjugate(g, subgroup=Q)
-                self._sites[key] = site
-                return site
-        C = centralizer(self.G, Q, label=f"C({Q.label})")
-        A = class_sum_algebra(C, self.F)
-        site = self._representative_site(Q, A, blocks(C, self.F, algebra=A))
-        orbit = subgroup_orbit_transversal(self.G, Q)
-        self._rep_orbits.append((site, orbit))
-        self._sites[key] = site
+        i, g = self.locate(Q)
+        R = self.classes[i][0]
+        site = self._sites.get(R.element_set)
+        if site is None:
+            site = self._representative_site(i, R)
+            self._sites[R.element_set] = site
+        if key != R.element_set:
+            site = site.conjugate(g, Q)
+            self._sites[key] = site
         return site
 
-    def _representative_site(self, R, A, block_list):
-        """R's site, its pair slots decided in A = Z(kC_G(R))."""
+    def _representative_site(self, i, R):
+        if R.order == 1:
+            A, block_list = self.algebra, self.blocks
+        else:
+            C = centralizer(self.G, R, label=f"C({R.label})")
+            A = class_sum_algebra(C, self.F)
+            block_list = blocks(C, self.F, algebra=A)
+        self._centers[i] = (A, block_list)
+        return _Site(R, A.group, [blk.element for blk in block_list], i)
+
+    def _conjugate_into(self, i, T):
+        """Is some G-conjugate of class i's representative contained in T?"""
+        R, orbit = self.classes[i]
+        if R.order > T.order:
+            return False
+        return any(elems <= T.element_set for elems in orbit)
+
+
+class BlockContext:
+    """The pairs of one block b, over a GroupContext of its group.
+
+    b's pairs at a class representative R are decided inside
+    A = Z(kC_G(R)).  Br_R(b) is central in kC_G(R), so it is read off as its
+    coefficients at the C_G(R)-class representatives, and expanding those
+    coordinates must give back Br_R(b) exactly (else TheoryViolation).
+    Block i of kC_G(R) is a pair iff e_i * Br_R(b) == e_i as coordinate
+    vectors in A, which costs about dim^2 field operations instead of
+    |supp|^2 permutation products.  Only the resulting slot list is kept.
+
+    Any other Q = R^g reads R's slots against its own site, whose i-th block
+    is the i-th block at R conjugated by g (b is central, so
+    Br_Q(b) = Br_R(b)^g).  The pairs at every subgroup must sum to Br_Q(b),
+    which is asserted.
+    """
+
+    def __init__(self, group, block):
+        if block.group is not group.G:
+            raise ValueError("the block is not a block of the context's group")
+        self.group = group
+        self.block = block
+        self.G = group.G
+        self.F = group.F
+        self.p = group.p
+        self._slots = {}  # class index -> pair slots at its representative
+        self._brauer = {}
+        self._pairs = {}
+        self._defect = None
+
+    # -- sites ----------------------------------------------------------
+
+    def site(self, Q):
+        """Q's site, with b's pair slots decided for Q's class."""
+        site = self.group._site(Q)
+        if site.index not in self._slots:
+            self._slots[site.index] = self._decide_slots(site.index)
+        return site
+
+    def _decide_slots(self, i):
+        """b's pair slots at class i's representative R, decided in
+        A = Z(kC_G(R))."""
+        R = self.group.classes[i][0]
+        A, block_list = self.group._centers[i]
         br = self.block.element.truncate(A.group.element_set)
         self._brauer[R.element_set] = br
         zero = self.F.zero
@@ -209,11 +274,11 @@ class BlockContext:
                 "Brauer image of the block is not central in the centralizer",
                 witness=R.label)
         slots = []
-        for i, blk in enumerate(block_list):
+        for s, blk in enumerate(block_list):
             coords = list(blk.coords)
             if A.mult(coords, brc) == coords:
-                slots.append(i)
-        return _Site(R, A.group, [blk.element for blk in block_list], slots)
+                slots.append(s)
+        return slots
 
     def centralizer_of(self, Q):
         return self.site(Q).centralizer
@@ -244,8 +309,8 @@ class BlockContext:
         out = []
         if br:
             total = GroupAlgebraElement.zero(self.G, self.F)
-            for i in site.slots:
-                e = site.blocks[i]
+            for s in self._slots[site.index]:
+                e = site.blocks[s]
                 out.append(BrauerPair(Q, e, site.centralizer))
                 total = total + e
             if total != br:
@@ -331,35 +396,33 @@ class BlockContext:
 
     # -- defect groups ----------------------------------------------------
 
-    def subgroup_classes(self):
-        if self._subgroup_classes is None:
-            self._subgroup_classes = p_subgroups_up_to_conjugacy(self.G, self.p)
-        return self._subgroup_classes
-
     def defect_data(self):
         """Maximal p-subgroups with nonzero Brauer image; one class asserted."""
         if self._defect is not None:
             return self._defect
-        survivors = [Q for Q in self.subgroup_classes() if self.brauer_nonzero(Q)]
+        classes = self.group.classes
+        survivors = [i for i, (Q, _orbit) in enumerate(classes)
+                     if self.brauer_nonzero(Q)]
         maximal = []
-        for Q in survivors:
-            if any(R.order > Q.order and _conjugate_into(self, Q, R)
-                   for R in survivors):
+        for i in survivors:
+            Q = classes[i][0]
+            if any(classes[j][0].order > Q.order
+                   and self.group._conjugate_into(i, classes[j][0])
+                   for j in survivors):
                 continue
-            maximal.append(Q)
+            maximal.append(i)
         if len(maximal) != 1:
             raise TheoryViolation(
                 "defect groups do not form a single conjugacy class",
-                witness=[Q.label for Q in maximal])
-        rep = maximal[0]
+                witness=[classes[i][0].label for i in maximal])
+        rep, orbit = classes[maximal[0]]
         # nonzero Brauer image must be exactly "conjugate into the defect class"
-        for Q in self.subgroup_classes():
-            embeds = _conjugate_into(self, Q, rep)
+        for i, (Q, _orbit) in enumerate(classes):
+            embeds = self.group._conjugate_into(i, rep)
             if self.brauer_nonzero(Q) != embeds:
                 raise TheoryViolation(
                     "Brauer image vanishing disagrees with defect containment",
                     witness=Q.label)
-        orbit = subgroup_orbit_transversal(self.G, rep)
         self._defect = DefectData(self.block, rep, rep.order,
                                   rep.fingerprint(), len(orbit))
         return self._defect
@@ -369,7 +432,7 @@ class BlockContext:
         witnesses = []
         ok = True
         first_failure = None
-        for Q in self.subgroup_classes():
+        for Q, _orbit in self.group.classes:
             br = self.brauer_image(Q)
             if not br:
                 witnesses.append((Q, "zero"))
@@ -436,31 +499,12 @@ def _dedup_subgroups(family):
     return sorted(seen.values(), key=PermGroup.key)
 
 
-def _conjugate_into(ctx, S, T):
-    """Is some G-conjugate of S contained in T?"""
-    if S.order > T.order:
-        return False
-    orbit = subgroup_orbit_transversal(ctx.G, S)
-    return any(elems <= T.element_set for elems in orbit)
-
-
-def _normalizer_in(R, H):
-    """N_R(H) for small R, by scanning the elements of R."""
-    elems = []
-    hset = H.element_set
-    for g in R.elements:
-        ginv = g.inverse()
-        if all(ginv * x * g in hset for x in H.generators):
-            elems.append(g)
-    return PermGroup.from_elements(R.degree, elems, label=f"N_{R.label}")
-
-
 def _normalizer_chain(R, Q):
     """Q normal-in N_R(Q) normal-in ... up to R (p-groups never stall)."""
     chain = [Q]
     current = Q
     while current.element_set != R.element_set:
-        nxt = _normalizer_in(R, current)
+        nxt = normalizer(R, current, label=f"N_{R.label}")
         if nxt.order == current.order:
             raise TheoryViolation("normalizer chain stalled inside a p-group",
                                   witness=(R.label, current.label))

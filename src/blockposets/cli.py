@@ -14,15 +14,13 @@ embedded with --timings (they would break byte-for-byte reproducibility).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .brauer import BlockContext
-from .cache import class_algebra_and_blocks
+from .brauer import BlockContext, GroupContext
 from .commuting import block_geometry
 from .errors import SizeLimitExceeded, TheoryViolation
 from .fusion import CommutingCategory, FusionSystem, IsoClassPoset
@@ -33,8 +31,6 @@ from .perms import (
     Permutation,
     dihedral_group,
     exponent_p_part_complement,
-    p_subgroups_up_to_conjugacy,
-    subgroup_orbit_transversal,
     symmetric_group,
 )
 from .topology import GPoset, orbit_poset
@@ -148,13 +144,11 @@ def _fingerprint_text(fp):
 def cmd_blocks(args):
     G = build_group(parse_group_spec(args.group), args.max_elements)
     F = field_for(args, G)
-    algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
-    classes = p_subgroups_up_to_conjugacy(G, F.p)
+    group = GroupContext(G, F, args.cache_dir)
+    block_list = group.blocks
     rows = []
     for b in block_list:
-        ctx = BlockContext(b, subgroup_classes=classes, all_blocks=block_list,
-                           algebra=algebra)
-        dd = ctx.defect_data()
+        dd = BlockContext(group, b).defect_data()
         rows.append({
             "index": b.index,
             "principal": b.principal,
@@ -184,15 +178,11 @@ def cmd_blocks(args):
 
 
 def _verify_entry(entry, checks, max_simplices, cache_dir):
-    G = build_group(entry.spec)
-    F = field_context(entry.p, entry.d)
-    algebra, block_list = class_algebra_and_blocks(G, F, cache_dir)
-    classes = p_subgroups_up_to_conjugacy(G, F.p)
+    group = GroupContext(build_group(entry.spec),
+                         field_context(entry.p, entry.d), cache_dir)
     results = []
-    for b in select_blocks(block_list, entry.selector):
-        results.extend(run_block_checks(
-            b, checks, max_simplices, subgroup_classes=classes,
-            all_blocks=block_list, algebra=algebra))
+    for b in select_blocks(group.blocks, entry.selector):
+        results.extend(run_block_checks(group, b, checks, max_simplices))
     return results
 
 
@@ -213,24 +203,8 @@ def cmd_verify(args):
         entries = [CorpusEntry("target", spec, args.prime, d, args.block)]
     report_entries = []
     statuses = []
-
-    def run_one(entry):
+    for entry in entries:
         if entry.slow and not args.slow:
-            return entry, None
-        try:
-            return entry, _verify_entry(entry, checks, args.max_simplices,
-                                        args.cache_dir)
-        except (SizeLimitExceeded,) as exc:
-            return entry, exc
-
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            outcomes = list(ex.map(run_one, entries))
-    else:
-        outcomes = [run_one(e) for e in entries]
-
-    for entry, outcome in outcomes:
-        if outcome is None:
             report_entries.append({
                 "entry": entry.name,
                 "status": "skipped",
@@ -239,11 +213,14 @@ def cmd_verify(args):
             })
             statuses.append("skipped")
             continue
-        if isinstance(outcome, Exception):
+        try:
+            outcome = _verify_entry(entry, checks, args.max_simplices,
+                                    args.cache_dir)
+        except SizeLimitExceeded as exc:
             report_entries.append({
                 "entry": entry.name,
                 "status": "skipped",
-                "reason": f"resource bound: {outcome}",
+                "reason": f"resource bound: {exc}",
                 "checks": [],
             })
             statuses.append("skipped")
@@ -275,14 +252,12 @@ def cmd_verify(args):
 
 def cmd_poset(args):
     G = build_group(parse_group_spec(args.group), args.max_elements)
-    F = field_for(args, G)
-    algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
-    selected = select_blocks(block_list, args.block)
+    group = GroupContext(G, field_for(args, G), args.cache_dir)
+    selected = select_blocks(group.blocks, args.block)
     if len(selected) != 1:
         raise SystemExit("poset export needs exactly one block; "
                          "use --block principal|nonprincipal|<index>")
-    block = selected[0]
-    ctx = BlockContext(block, all_blocks=block_list, algebra=algebra)
+    ctx = BlockContext(group, selected[0])
     orbit_of = None
     if args.which in ("A", "K", "K-orbit"):
         geom = block_geometry(ctx, max_elements=args.max_elements)
@@ -293,10 +268,8 @@ def cmd_poset(args):
         else:
             poset, _ = orbit_poset(geom.kposet)
     elif args.which == "brauer-pairs":
-        family = []
-        for rep in p_subgroups_up_to_conjugacy(G, F.p):
-            for g in subgroup_orbit_transversal(G, rep).values():
-                family.append(rep.conjugate_subgroup(g))
+        family = [rep.conjugate_subgroup(g)
+                  for rep, orbit in group.classes for g in orbit.values()]
         poset = ctx.pair_poset(family).poset
     elif args.which == "iso-classes":
         fs = FusionSystem.from_block_context(ctx)
@@ -321,16 +294,12 @@ def cmd_find_dihedral_block(args):
     """First symmetric group in range with a nonprincipal block of dihedral
     defect of order 8."""
     for n in range(args.min, args.max + 1):
-        G = symmetric_group(n)
-        F = field_context(2, 1)
-        algebra, block_list = class_algebra_and_blocks(G, F, args.cache_dir)
-        classes = p_subgroups_up_to_conjugacy(G, 2)
-        for b in block_list:
+        group = GroupContext(symmetric_group(n), field_context(2, 1),
+                             args.cache_dir)
+        for b in group.blocks:
             if b.principal:
                 continue
-            ctx = BlockContext(b, subgroup_classes=classes,
-                               all_blocks=block_list, algebra=algebra)
-            dd = ctx.defect_data()
+            dd = BlockContext(group, b).defect_data()
             if dd.order == 8 and dd.is_dihedral_order_8():
                 doc = {"n": n, "block_index": b.index,
                        "defect_order": dd.order,
@@ -365,7 +334,6 @@ def _common_flags(sub, with_block=True):
     sub.add_argument("--max-elements", type=int, default=MAX_GROUP_ORDER)
     sub.add_argument("--max-simplices", type=int,
                      default=HOMOLOGY_SIMPLEX_BOUND)
-    sub.add_argument("--jobs", type=int, default=1)
 
 
 def main(argv=None):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitExceeded, TheoryViolation
-from .perms import PermGroup, order_p_subgroups, subgroup_orbit_transversal
+from .perms import PermGroup, order_p_subgroups
 from .topology import GPoset, iter_bits
 
 MAX_POSET_ELEMENTS = 100_000
@@ -101,25 +101,16 @@ def product_subgroup(members, label=""):
     return PermGroup.from_generators(degree, gens, label=label)
 
 
-def order_p_subgroups_of(Q, p):
-    """The order-p subgroups of an abelian p-group."""
-    if not Q.is_abelian():
-        raise ValueError("expected an abelian group")
-    return order_p_subgroups(Q, p)
-
-
 def elementary_abelian_family(ctx):
     """Every nontrivial elementary abelian subgroup with nonzero Brauer image."""
     family = []
-    for rep in ctx.subgroup_classes():
+    for rep, orbit in ctx.group.classes:
         if rep.order == 1:
             continue
         flag, _rank = rep.is_elementary_abelian(ctx.p)
         if not flag or not ctx.brauer_nonzero(rep):
             continue
-        orbit = subgroup_orbit_transversal(ctx.G, rep)
-        for g in orbit.values():
-            family.append(rep.conjugate_subgroup(g))
+        family.extend(rep.conjugate_subgroup(g) for g in orbit.values())
     return family
 
 

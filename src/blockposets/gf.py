@@ -199,111 +199,11 @@ def field_context(p, d=1):
     return PrimeField(p) if d == 1 else ExtensionField(p, d)
 
 
-# ---------------------------------------------------------------------------
-# polynomials over GF(p) with int coefficients (used for moduli)
-
-
-def _int_poly_trim(f, p):
-    f = [c % p for c in f]
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _int_poly_mod(f, g, p):
-    f = _int_poly_trim(f, p)
-    g = _int_poly_trim(g, p)
-    if not g:
-        raise ZeroDivisionError("mod by zero polynomial")
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg:
-        c = (f[-1] * inv_lead) % p
-        shift = len(f) - 1 - dg
-        for i, gc in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * gc) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return f
-
-
-def _int_poly_gcd(f, g, p):
-    f = _int_poly_trim(f, p)
-    g = _int_poly_trim(g, p)
-    while g:
-        f, g = g, _int_poly_mod(f, g, p)
-    if f:
-        inv = pow(f[-1], p - 2, p)
-        f = [(c * inv) % p for c in f]
-    return f
-
-
-def _int_poly_powmod(base, n, mod, p):
-    result = [1]
-    base = _int_poly_mod(base, mod, p)
-    while n:
-        if n & 1:
-            result = _int_poly_mod(_int_poly_mul(result, base, p), mod, p)
-        base = _int_poly_mod(_int_poly_mul(base, base, p), mod, p)
-        n >>= 1
-    return result
-
-
-def _int_poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return out
-
-
-def _is_irreducible_int(f, p):
-    """Rabin test for a monic polynomial over GF(p) with int coefficients."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    # x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for prime r | n
-    x = [0, 1]
-    xq = _int_poly_powmod(x, p ** n, f, p)
-    diff = _int_poly_sub(xq, x, p)
-    if any(c % p for c in diff):
-        return False
-    for r in _prime_divisors(n):
-        xq = _int_poly_powmod(x, p ** (n // r), f, p)
-        g = _int_poly_gcd(f, _int_poly_sub(xq, x, p), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _int_poly_sub(f, g, p):
-    out = [0] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return out
-
-
-def _prime_divisors(n):
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            while n % k == 0:
-                n //= k
-        k += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def least_irreducible(p, d):
     """The monic irreducible of degree d over GF(p) least under integer encoding."""
     if d < 2:
         raise ValueError("degree must be >= 2")
+    F = PrimeField(p)
     # monic: leading coefficient 1; scan lower coefficients by encoding order
     for n in range(p ** d):
         coeffs = []
@@ -312,7 +212,7 @@ def least_irreducible(p, d):
             coeffs.append(m % p)
             m //= p
         f = coeffs + [1]
-        if _is_irreducible_int(f, p):
+        if poly_is_irreducible(f, F):
             return tuple(f)
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 

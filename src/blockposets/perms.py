@@ -406,30 +406,24 @@ def subgroup_orbit_transversal(G, H):
     return orbit
 
 
-def are_conjugate(G, A, B):
-    """g with A^g = B, or None. Uses the orbit of A, so cost is one orbit scan."""
-    if A.order != B.order:
-        return None
-    orbit = subgroup_orbit_transversal(G, A)
-    return orbit.get(B.element_set)
-
-
 def p_subgroups_up_to_conjugacy(G, p):
-    """Representatives of G-classes of p-subgroups (trivial group included).
+    """The G-classes of p-subgroups, as (R, orbit) with R the representative
+    and orbit = subgroup_orbit_transversal(G, R); the trivial class first.
 
     Every p-subgroup is conjugate into a fixed Sylow p-subgroup, so the class
     list is the subgroup list of one Sylow, deduplicated by G-conjugacy via
     orbit scans.
     """
     P = sylow_p(G, p)
-    reps = []
+    classes = []
     seen = set()
     for H in all_subgroups(P):
         if H.element_set in seen:
             continue
-        reps.append(H)
-        seen |= set(subgroup_orbit_transversal(G, H).keys())
-    return reps
+        orbit = subgroup_orbit_transversal(G, H)
+        classes.append((H, orbit))
+        seen.update(orbit)
+    return classes
 
 
 def symmetric_group(n, label=None):

@@ -106,11 +106,9 @@ def check_blocks_oracle(G, F, algebra=None, oracle_bound=1 << 20):
                        elapsed=time.monotonic() - start)
 
 
-def check_theorem1(ctx, geom=None):
+def check_theorem1(ctx, geom):
     """Inverse equivariant order maps between the two posets of the block."""
     start = time.monotonic()
-    if geom is None:
-        geom = block_geometry(ctx)
     A, K = geom.aposet, geom.kposet
     cert = quillen_pair_check(A, K, geom.expand_map, geom.collapse_map)
     collapse_expand_identity = all(
@@ -139,7 +137,7 @@ def check_theorem1(ctx, geom=None):
                        elapsed=time.monotonic() - start)
 
 
-def check_homology(ctx, geom=None, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
+def check_homology(ctx, geom, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     """Homology of the two order complexes agrees degree by degree.
 
     Face counts and Euler characteristics come from the chain count, so the
@@ -147,8 +145,6 @@ def check_homology(ctx, geom=None, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     built only within the bound, and their face counts must match the count.
     """
     start = time.monotonic()
-    if geom is None:
-        geom = block_geometry(ctx)
     counts_a, counts_k = chain_counts(geom.aposet), chain_counts(geom.kposet)
     target = _target(ctx.G, ctx.F, ctx.block)
     chi_a, chi_k = _euler(counts_a), _euler(counts_k)
@@ -183,11 +179,9 @@ def _euler(counts):
     return sum((-1) ** n * c for n, c in enumerate(counts))
 
 
-def check_nonclique(ctx, geom=None):
+def check_nonclique(ctx, geom):
     """Obstruction search; a principal block finding one is a failure."""
     start = time.monotonic()
-    if geom is None:
-        geom = block_geometry(ctx)
     witness = clique_witness(geom)
     target = _target(ctx.G, ctx.F, ctx.block)
     if witness is None:
@@ -224,11 +218,9 @@ def check_principal_type(ctx):
                        witnesses=witnesses, elapsed=time.monotonic() - start)
 
 
-def check_theorem2(ctx, geom=None):
+def check_theorem2(ctx, geom):
     """Iso-class poset of the commuting category vs the orbit poset."""
     start = time.monotonic()
-    if geom is None:
-        geom = block_geometry(ctx)
     target = _target(ctx.G, ctx.F, ctx.block)
     fs = FusionSystem.from_block_context(ctx)
     cat = CommutingCategory(fs)
@@ -377,12 +369,10 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     return forward, eta
 
 
-def check_principal_clique_complex(ctx, geom=None):
+def check_principal_clique_complex(ctx, geom):
     """For a principal block: the commuting poset is the face poset of the
     clique complex of the commuting graph on all order-p subgroups."""
     start = time.monotonic()
-    if geom is None:
-        geom = block_geometry(ctx)
     target = _target(ctx.G, ctx.F, ctx.block)
     if not ctx.block.principal:
         return CheckResult("principal-clique", target, "skipped",
@@ -432,24 +422,20 @@ CHECKS_BY_NAME = {
     "theorem1": check_theorem1,
     "theorem2": check_theorem2,
     "nonclique": check_nonclique,
-    "principal-type": lambda ctx, geom=None: check_principal_type(ctx),
+    "principal-type": check_principal_type,
     "homology": check_homology,
 }
 
 
-def run_block_checks(block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND,
-                     subgroup_classes=None, all_blocks=None, algebra=None):
-    """Run the named suites on one block, sharing one geometry build.
+def run_block_checks(group, block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
+    """Run the named suites on one block of group, sharing one geometry build.
 
-    A check that hits a resource bound is recorded as skipped, with the bound
-    as its reason, and the other checks still run.  A bound hit while
-    building the shared geometry skips each check that needs it.  The
-    p-subgroup classes of G, the blocks of kG and the class-sum algebra
-    they were computed in may be passed in, to be shared by every block of
-    the group (see BlockContext).
+    group is the GroupContext of the block's group, shared by every block of
+    a run.  A check that hits a resource bound is recorded as skipped, with
+    the bound as its reason, and the other checks still run.  A bound hit
+    while building the shared geometry skips each check that needs it.
     """
-    ctx = BlockContext(block, subgroup_classes=subgroup_classes,
-                       all_blocks=all_blocks, algebra=algebra)
+    ctx = BlockContext(group, block)
     geom = geom_bound = None
     results = []
     for name in names:

@@ -15,7 +15,7 @@ from blockposets.blocks import (
     brute_force_central_idempotents,
     class_sum_algebra,
 )
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group, main, select_blocks
 from blockposets.commuting import block_geometry, clique_witness
 from blockposets.gf import (
@@ -55,13 +55,15 @@ def _report(criterion, name, ok, extra=""):
 
 @pytest.fixture(scope="module")
 def corpus_blocks():
-    """Resolved corpus: entry name -> (group, field, selected blocks)."""
+    """Resolved corpus: entry name -> (entry, G, F, group context, selected
+    blocks)."""
     out = {}
     for entry in CORPUS:
         G = build_group(entry.spec)
         F = field_context(entry.p, entry.d)
-        bl = blocks(G, F)
-        out[entry.name] = (entry, G, F, bl, select_blocks(bl, entry.selector))
+        group = GroupContext(G, F)
+        out[entry.name] = (entry, G, F, group,
+                           select_blocks(group.blocks, entry.selector))
     return out
 
 
@@ -69,10 +71,10 @@ def corpus_blocks():
 def corpus_geometries(corpus_blocks):
     """Shared BlockContext + geometry per selected corpus block."""
     out = {}
-    for name, (entry, G, F, all_blocks, selected) in corpus_blocks.items():
+    for name, (entry, G, F, group, selected) in corpus_blocks.items():
         per_block = []
         for b in selected:
-            ctx = BlockContext(b, all_blocks=all_blocks)
+            ctx = BlockContext(group, b)
             geom = block_geometry(ctx)
             per_block.append((b, ctx, geom))
         out[name] = per_block
@@ -82,7 +84,7 @@ def corpus_geometries(corpus_blocks):
 @pytest.mark.slow
 def test_criterion_1_block_counts_match_oracle(corpus_blocks):
     details = []
-    for name, (entry, G, F, all_blocks, _sel) in sorted(corpus_blocks.items()):
+    for name, (entry, G, F, _group, _sel) in sorted(corpus_blocks.items()):
         budget = 300.0 if entry.name.startswith("S7") else 5.0
         start = time.monotonic()
         A = class_sum_algebra(G, F)
@@ -123,11 +125,11 @@ def test_criterion_3_principal_type_s7(corpus_geometries):
 @pytest.mark.slow
 def test_criterion_4_theorem1_every_corpus_block(corpus_blocks):
     details = []
-    for name, (entry, G, F, all_blocks, selected) in sorted(corpus_blocks.items()):
+    for name, (entry, G, F, group, selected) in sorted(corpus_blocks.items()):
         budget = 600.0 if entry.name.startswith("S7") else 60.0
         for b in selected:
             start = time.monotonic()
-            ctx = BlockContext(b, all_blocks=all_blocks)
+            ctx = BlockContext(group, b)
             geom = block_geometry(ctx)
             result = check_theorem1(ctx, geom)
             elapsed = time.monotonic() - start

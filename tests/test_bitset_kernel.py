@@ -9,8 +9,7 @@ import random
 
 import pytest
 
-from blockposets.blocks import blocks
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group
 from blockposets.commuting import (
     block_geometry,
@@ -88,8 +87,10 @@ def corpus_geometries():
             continue
         G = build_group(entry.spec)
         F = field_context(entry.p, entry.d)
-        for b in blocks(G, F):
-            yield f"{entry.name}/{b.index}", block_geometry(BlockContext(b))
+        group = GroupContext(G, F)
+        for b in group.blocks:
+            yield (f"{entry.name}/{b.index}",
+                   block_geometry(BlockContext(group, b)))
 
 
 @pytest.fixture(scope="module")

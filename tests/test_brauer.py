@@ -1,9 +1,10 @@
 import pytest
 
-from blockposets.blocks import GroupAlgebraElement, blocks
+from blockposets.blocks import GroupAlgebraElement
 from blockposets.brauer import (
     BlockContext,
     BrauerPair,
+    GroupContext,
     brauer_hom,
 )
 from blockposets.errors import TheoryViolation
@@ -26,33 +27,34 @@ def cyc(degree, *cycles):
 
 @pytest.fixture(scope="module")
 def s3_blocks():
-    G = symmetric_group(3)
-    out = blocks(G, GF2)
-    principal = next(b for b in out if b.principal)
-    other = next(b for b in out if not b.principal)
-    return G, principal, other
+    group = GroupContext(symmetric_group(3), GF2)
+    principal = next(b for b in group.blocks if b.principal)
+    other = next(b for b in group.blocks if not b.principal)
+    return group, principal, other
 
 
 class TestBrauerHom:
     def test_trivial_subgroup_identity(self, s3_blocks):
-        G, principal, _ = s3_blocks
+        group, principal, _ = s3_blocks
         Q = PermGroup.trivial(3)
         assert brauer_hom(Q, principal.element) == principal.element
 
     def test_three_cycle_sum_dies(self, s3_blocks):
-        G, _, other = s3_blocks
+        group, _, other = s3_blocks
         # other = C = sum of the 3-cycles; no 3-cycle centralizes (1 2)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         assert not brauer_hom(Q, other.element)
 
     def test_principal_truncates_to_identity(self, s3_blocks):
-        G, principal, _ = s3_blocks
+        group, principal, _ = s3_blocks
+        G = group.G
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         out = brauer_hom(Q, principal.element)
         assert out == GroupAlgebraElement.one(G, GF2)
 
     def test_rejects_unstable_input(self, s3_blocks):
-        G, _, _ = s3_blocks
+        group, _, _ = s3_blocks
+        G = group.G
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         a = GroupAlgebraElement(G, GF2, {cyc(3, [1, 2, 3]): 1})
         with pytest.raises(ValueError):
@@ -78,38 +80,39 @@ class TestBrauerHom:
 
 class TestPairsAt:
     def test_trivial_site(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        ctx = BlockContext(principal)
+        group, principal, _ = s3_blocks
+        ctx = BlockContext(group, principal)
         pairs = ctx.pairs_at(PermGroup.trivial(3))
         assert len(pairs) == 1
         assert pairs[0].idempotent == principal.element
 
     def test_principal_at_transposition(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        ctx = BlockContext(principal)
+        group, principal, _ = s3_blocks
+        ctx = BlockContext(group, principal)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         pairs = ctx.pairs_at(Q)
         assert len(pairs) == 1  # kC2 is local: only the identity block
 
     def test_defect_zero_block_has_no_pairs_above_one(self, s3_blocks):
-        G, _, other = s3_blocks
-        ctx = BlockContext(other)
+        group, _, other = s3_blocks
+        ctx = BlockContext(group, other)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         assert ctx.pairs_at(Q) == []
 
 
 class TestNormalContainment:
     def test_bottom_pair_below_everything(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        ctx = BlockContext(principal)
+        group, principal, _ = s3_blocks
+        ctx = BlockContext(group, principal)
         bottom = ctx.pairs_at(PermGroup.trivial(3))[0]
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         top = ctx.pairs_at(Q)[0]
         assert ctx.normal_containment(bottom, top)
 
     def test_defect_zero_not_below(self, s3_blocks):
-        G, principal, other = s3_blocks
-        ctx = BlockContext(principal)
+        group, principal, other = s3_blocks
+        G = group.G
+        ctx = BlockContext(group, principal)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         top = ctx.pairs_at(Q)[0]
         fake_bottom = BrauerPair(PermGroup.trivial(3), other.element, G)
@@ -118,32 +121,27 @@ class TestNormalContainment:
 
 class TestContainmentPoset:
     def test_single_point(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        pp = BlockContext(principal).pair_poset([PermGroup.trivial(3)])
+        group, principal, _ = s3_blocks
+        pp = BlockContext(group, principal).pair_poset([PermGroup.trivial(3)])
         assert pp.n == 1
 
     def test_s3_principal_all_2_subgroups(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        family = p_subgroups_up_to_conjugacy(G, 2)
-        # expand to all conjugates
-        from blockposets.perms import subgroup_orbit_transversal
+        group, principal, _ = s3_blocks
+        # expand the class representatives to all conjugates
         full = []
-        for rep in family:
-            for g in subgroup_orbit_transversal(G, rep).values():
+        for rep, orbit in p_subgroups_up_to_conjugacy(group.G, 2):
+            for g in orbit.values():
                 full.append(rep.conjugate_subgroup(g))
-        pp = BlockContext(principal).pair_poset(full)
+        pp = BlockContext(group, principal).pair_poset(full)
         assert pp.n == 4  # (1, b) below three transposition pairs
         assert len(pp.poset.minimal_elements()) == 1
         assert len(pp.poset.maximal_elements()) == 3
 
     def test_action_preserves_order(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        from blockposets.perms import subgroup_orbit_transversal
-        family = []
-        for rep in p_subgroups_up_to_conjugacy(G, 2):
-            for g in subgroup_orbit_transversal(G, rep).values():
-                family.append(rep.conjugate_subgroup(g))
-        pp = BlockContext(principal).pair_poset(family)
+        group, principal, _ = s3_blocks
+        family = [rep.conjugate_subgroup(g)
+                  for rep, orbit in group.classes for g in orbit.values()]
+        pp = BlockContext(group, principal).pair_poset(family)
         # GPoset construction validates the action; reaching here suffices,
         # but check the orbit structure explicitly
         orbits = pp.poset.orbits()
@@ -152,27 +150,29 @@ class TestContainmentPoset:
 
 class TestDefectGroups:
     def test_s3_principal(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        dd = BlockContext(principal).defect_data()
+        group, principal, _ = s3_blocks
+        dd = BlockContext(group, principal).defect_data()
         assert dd.order == 2
         assert dd.num_conjugates == 3
 
     def test_s3_defect_zero(self, s3_blocks):
-        G, _, other = s3_blocks
-        dd = BlockContext(other).defect_data()
+        group, _, other = s3_blocks
+        dd = BlockContext(group, other).defect_data()
         assert dd.order == 1
 
     def test_s4_principal_full_defect(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        dd = BlockContext(b).defect_data()
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        dd = BlockContext(group, b).defect_data()
         assert dd.order == 8
         assert dd.is_dihedral_order_8()
 
     def test_d8_principal(self):
         G = dihedral_group(8)
-        (b,) = blocks(G, GF2)
-        dd = BlockContext(b).defect_data()
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        dd = BlockContext(group, b).defect_data()
         assert dd.order == 8
         assert dd.is_dihedral_order_8()
 
@@ -181,22 +181,24 @@ class TestDefectGroups:
         # degree 6 at p=2 has only a full-defect and a defect-zero block,
         # which is why the dihedral-defect scan passes over it
         G = symmetric_group(6)
-        bl = blocks(G, GF2)
-        orders = sorted(BlockContext(b).defect_data().order for b in bl)
+        group = GroupContext(G, GF2)
+        bl = group.blocks
+        orders = sorted(BlockContext(group, b).defect_data().order for b in bl)
         assert orders == [1, 16]
 
 
 class TestPrincipalType:
     def test_s4_principal(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        ok, witnesses, first_failure = BlockContext(b).principal_type()
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        ok, witnesses, first_failure = BlockContext(group, b).principal_type()
         assert ok and first_failure is None
         assert len(witnesses) == 7  # the 7 classes of 2-subgroups
 
     def test_defect_zero(self, s3_blocks):
-        G, _, other = s3_blocks
-        ok, witnesses, _ = BlockContext(other).principal_type()
+        group, _, other = s3_blocks
+        ok, witnesses, _ = BlockContext(group, other).principal_type()
         assert ok
         # only the trivial subgroup survives
         survivors = [w for w in witnesses if w[1] == "block"]
@@ -210,8 +212,9 @@ class TestInclusionDiagram:
         # x=(1 2), y=(3 4), z=(5 6) gives three Klein-four pairs, each above
         # exactly the two singleton pairs inside it, all above (1, b)
         G = symmetric_group(7)
-        b = next(blk for blk in blocks(G, GF2) if not blk.principal)
-        ctx = BlockContext(b)
+        group = GroupContext(G, GF2)
+        b = next(blk for blk in group.blocks if not blk.principal)
+        ctx = BlockContext(group, b)
         x, y, z = cyc(7, [1, 2]), cyc(7, [3, 4]), cyc(7, [5, 6])
         singles = [PermGroup.from_generators(7, [t]) for t in (x, y, z)]
         kleins = [PermGroup.from_generators(7, [a, c])
@@ -233,15 +236,15 @@ class TestInclusionDiagram:
 
 class TestUniqueSubpair:
     def test_reflexive(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        ctx = BlockContext(principal)
+        group, principal, _ = s3_blocks
+        ctx = BlockContext(group, principal)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         top = ctx.pairs_at(Q)[0]
         assert ctx.unique_subpair(top, Q) == top
 
     def test_down_to_trivial(self, s3_blocks):
-        G, principal, _ = s3_blocks
-        ctx = BlockContext(principal)
+        group, principal, _ = s3_blocks
+        ctx = BlockContext(group, principal)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         top = ctx.pairs_at(Q)[0]
         bottom = ctx.unique_subpair(top, PermGroup.trivial(3))
@@ -249,8 +252,9 @@ class TestUniqueSubpair:
 
     def test_chain_inside_d8(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        ctx = BlockContext(b)
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        ctx = BlockContext(group, b)
         dd = ctx.defect_data()
         P = dd.representative
         top = ctx.pairs_at(P)[0]

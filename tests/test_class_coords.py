@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from blockposets.blocks import GroupAlgebraElement, blocks, class_sum_algebra
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group
 from blockposets.errors import TheoryViolation
 from blockposets.gf import field_context
@@ -33,21 +33,16 @@ GF2 = field_context(2)
 def block_contexts():
     """Contexts for every block of the non-slow corpus and of S6 at p=2.
 
-    The corpus contexts share the group's blocks and class algebra, as
-    verify builds them; the S6 ones compute their trivial site themselves.
+    The blocks of each group share one GroupContext, as verify builds them.
     """
-    for entry in CORPUS:
-        if entry.slow:
-            continue
-        G = build_group(entry.spec)
-        F = field_context(entry.p, entry.d)
-        A = class_sum_algebra(G, F)
-        all_blocks = blocks(G, F, algebra=A)
-        for b in all_blocks:
-            yield f"{entry.name}/{b.index}", BlockContext(
-                b, all_blocks=all_blocks, algebra=A)
-    for b in blocks(symmetric_group(6), GF2):
-        yield f"S6-p2/{b.index}", BlockContext(b)
+    groups = [(entry.name, build_group(entry.spec),
+               field_context(entry.p, entry.d))
+              for entry in CORPUS if not entry.slow]
+    groups.append(("S6-p2", symmetric_group(6), GF2))
+    for name, G, F in groups:
+        group = GroupContext(G, F)
+        for b in group.blocks:
+            yield f"{name}/{b.index}", BlockContext(group, b)
 
 
 def slots_by_kg_filter(ctx, site):
@@ -62,28 +57,32 @@ class TestPairSlots:
     def test_slots_match_kg_filter_at_every_representative_site(self):
         checked = nonempty = 0
         for name, ctx in block_contexts():
-            for Q in ctx.subgroup_classes():
-                ctx.pairs_at(Q)
-            for site, _orbit in ctx._rep_orbits:
-                assert site.slots == slots_by_kg_filter(ctx, site), \
-                    (name, site.subgroup.label)
+            for R, _orbit in ctx.group.classes:
+                ctx.pairs_at(R)
+                site = ctx.site(R)
+                assert site.subgroup is R
+                slots = ctx._slots[site.index]
+                assert slots == slots_by_kg_filter(ctx, site), (name, R.label)
                 checked += 1
-                nonempty += bool(site.slots)
+                nonempty += bool(slots)
         assert checked > 50 and nonempty > 20
 
     def test_seeded_trivial_site_matches_computed_one(self):
-        G = symmetric_group(4)
-        A = class_sum_algebra(G, GF2)
-        all_blocks = blocks(G, GF2, algebra=A)
+        G = symmetric_group(3)
+        group = GroupContext(G, GF2)
         trivial = PermGroup.trivial(G.degree)
-        for b in all_blocks:
-            seeded = BlockContext(b, all_blocks=all_blocks, algebra=A)
-            rebuilt = BlockContext(b, all_blocks=all_blocks)
-            fresh = BlockContext(b)
-            want = [pr.idempotent for pr in fresh.pairs_at(trivial)]
+        # the trivial site as any other site is computed: C_G(1) = G, its
+        # class algebra and blocks, and the kG filter e * Br_1(b) == e
+        A = class_sum_algebra(G, GF2)
+        computed = [blk.element for blk in blocks(G, GF2, algebra=A)]
+        for b in group.blocks:
+            ctx = BlockContext(group, b)
+            site = ctx.site(trivial)
+            assert site.centralizer is G
+            assert site.blocks == computed
+            want = [e for e in computed if e * b.element == e]
             assert want == [b.element]
-            for ctx in (seeded, rebuilt):
-                assert [pr.idempotent for pr in ctx.pairs_at(trivial)] == want
+            assert [pr.idempotent for pr in ctx.pairs_at(trivial)] == want
 
     def test_non_central_brauer_image_is_rejected(self):
         G = symmetric_group(3)
@@ -99,8 +98,9 @@ class TestPairSlots:
         support[z] = support.pop(x)
         moved = GroupAlgebraElement(G, GF2, support)
         fake = SimpleNamespace(group=G, field=GF2, element=moved)
+        ctx = BlockContext(GroupContext(G, GF2), fake)
         with pytest.raises(TheoryViolation, match="not central"):
-            BlockContext(fake).pairs_at(PermGroup.trivial(G.degree))
+            ctx.pairs_at(PermGroup.trivial(G.degree))
 
 
 # ---------------------------------------------------------------------------

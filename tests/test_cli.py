@@ -103,13 +103,6 @@ class TestVerifyCommand:
         assert (tmp_path / "r1.json").read_bytes() == \
             (tmp_path / "r2.json").read_bytes()
 
-    def test_jobs_flag_same_report(self, tmp_path, capsys):
-        base = ["verify", "--corpus", "--checks", "principal-type"]
-        main(base + ["--out", str(tmp_path / "serial.json")])
-        main(base + ["--jobs", "3", "--out", str(tmp_path / "parallel.json")])
-        assert (tmp_path / "serial.json").read_bytes() == \
-            (tmp_path / "parallel.json").read_bytes()
-
 
 class TestPosetCommand:
     def test_k_json_s3(self, capsys):

@@ -1,13 +1,11 @@
 import pytest
 
-from blockposets.blocks import blocks
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.commuting import (
     block_geometry,
     clique_witness,
     commuting_graph,
     elementary_abelian_poset,
-    order_p_subgroups_of,
     product_subgroup,
 )
 from blockposets.gf import PrimeField
@@ -16,6 +14,7 @@ from blockposets.perms import (
     Permutation,
     cyclic_group,
     dihedral_group,
+    order_p_subgroups,
     symmetric_group,
 )
 from blockposets.topology import homology, order_complex, orbit_poset
@@ -34,10 +33,11 @@ def sub(degree, *cycles):
 @pytest.fixture(scope="module")
 def s3_ctx():
     G = symmetric_group(3)
-    out = blocks(G, GF2)
+    group = GroupContext(G, GF2)
+    out = group.blocks
     principal = next(b for b in out if b.principal)
     other = next(b for b in out if not b.principal)
-    return BlockContext(principal), BlockContext(other)
+    return BlockContext(group, principal), BlockContext(group, other)
 
 
 class TestProductSubgroup:
@@ -62,19 +62,15 @@ class TestProductSubgroup:
 class TestOrderPSubgroupsOf:
     def test_order_p(self):
         Q = sub(3, [1, 2])
-        assert order_p_subgroups_of(Q, 2) == [Q]
+        assert order_p_subgroups(Q, 2) == [Q]
 
     def test_klein_four(self):
         V = product_subgroup([sub(4, [1, 2]), sub(4, [3, 4])])
-        assert len(order_p_subgroups_of(V, 2)) == 3
+        assert len(order_p_subgroups(V, 2)) == 3
 
     def test_rank_three(self):
         E = product_subgroup([sub(6, [1, 2]), sub(6, [3, 4]), sub(6, [5, 6])])
-        assert len(order_p_subgroups_of(E, 2)) == 7
-
-    def test_nonabelian_rejected(self):
-        with pytest.raises(ValueError):
-            order_p_subgroups_of(symmetric_group(3), 2)
+        assert len(order_p_subgroups(E, 2)) == 7
 
 
 class TestCommutingGraph:
@@ -119,9 +115,10 @@ class TestPairPosets:
 
     def test_s5_principal_pair_count(self):
         G = symmetric_group(5)
-        bl = blocks(G, GF2)
+        group = GroupContext(G, GF2)
+        bl = group.blocks
         principal = next(b for b in bl if b.principal)
-        ctx = BlockContext(principal)
+        ctx = BlockContext(group, principal)
         ap = elementary_abelian_poset(ctx)
         # 25 order-2 subgroups + 15 + 5 Klein fours, one pair each
         assert ap.n == 45
@@ -144,16 +141,18 @@ class TestBlockGeometry:
 
     def test_s4_counts(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        geom = block_geometry(BlockContext(b))
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        geom = block_geometry(BlockContext(group, b))
         assert len(geom.vertices) == 9
         assert geom.aposet.n == 13   # 9 singletons + 4 Klein fours
         assert geom.kposet.n == 25   # 9 + 12 edges + 4 triangles
 
     def test_expand_collapse_identities(self):
         for G in (symmetric_group(4), dihedral_group(8)):
-            (b,) = blocks(G, GF2)
-            geom = block_geometry(BlockContext(b))
+            group = GroupContext(G, GF2)
+            (b,) = group.blocks
+            geom = block_geometry(BlockContext(group, b))
             n_a = geom.aposet.n
             # collapse(expand(x)) == x for every pair
             for i in range(n_a):
@@ -164,16 +163,18 @@ class TestBlockGeometry:
 
     def test_singleton_kappa_fixed_point(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        geom = block_geometry(BlockContext(b))
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        geom = block_geometry(BlockContext(group, b))
         for j, (vids, pid) in enumerate(geom.elements):
             if len(vids) == 1:
                 assert geom.expand_map[geom.collapse_map[j]] == j
 
     def test_euler_characteristics_agree(self):
         for G in (symmetric_group(4), symmetric_group(3), dihedral_group(8)):
-            for b in blocks(G, GF2):
-                geom = block_geometry(BlockContext(b))
+            group = GroupContext(G, GF2)
+            for b in group.blocks:
+                geom = block_geometry(BlockContext(group, b))
                 ca = order_complex(geom.aposet)
                 ck = order_complex(geom.kposet)
                 assert ca.euler_characteristic() == ck.euler_characteristic()
@@ -182,8 +183,9 @@ class TestBlockGeometry:
         # a nontrivial normal 2-subgroup cones off both posets, so their
         # order complexes have the homology of a point
         for G in (symmetric_group(4), dihedral_group(8)):
-            b = next(x for x in blocks(G, GF2) if x.principal)
-            geom = block_geometry(BlockContext(b))
+            group = GroupContext(G, GF2)
+            b = next(x for x in group.blocks if x.principal)
+            geom = block_geometry(BlockContext(group, b))
             for poset in (geom.aposet, geom.kposet):
                 H = homology(order_complex(poset))
                 assert H.groups == [(1, ())], (G.label, H)
@@ -193,8 +195,9 @@ class TestBlockGeometry:
         # the commuting poset 105 elements, 240 two-chains, 120 three-chains;
         # both give 45 - 60 = 105 - 240 + 120 = -15
         G = symmetric_group(5)
-        b = next(x for x in blocks(G, GF2) if x.principal)
-        geom = block_geometry(BlockContext(b))
+        group = GroupContext(G, GF2)
+        b = next(x for x in group.blocks if x.principal)
+        geom = block_geometry(BlockContext(group, b))
         ca = order_complex(geom.aposet)
         ck = order_complex(geom.kposet)
         assert ca.face_counts() == [45, 60]
@@ -211,8 +214,9 @@ class TestOrbitPoset:
 
     def test_trivial_action(self):
         G = dihedral_group(8)
-        (b,) = blocks(G, GF2)
-        geom = block_geometry(BlockContext(b))
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        geom = block_geometry(BlockContext(group, b))
         q, orbit_of = orbit_poset(geom.kposet)
         # D8 acting on its own 13-element commuting poset: 9 orbits
         assert q.n == 9
@@ -226,8 +230,9 @@ class TestPrincipalCliqueComplex:
                  (dihedral_group(8), 2)]
         for G, p in cases:
             F = PrimeField(p)
-            b = next(x for x in blocks(G, F) if x.principal)
-            ctx = BlockContext(b)
+            group = GroupContext(G, F)
+            b = next(x for x in group.blocks if x.principal)
+            ctx = BlockContext(group, b)
             result = check_principal_clique_complex(ctx, block_geometry(ctx))
             assert result.passed, (G.label, p, result.witnesses)
 
@@ -235,8 +240,9 @@ class TestPrincipalCliqueComplex:
 class TestCliqueWitness:
     def test_none_on_principal_s4(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        geom = block_geometry(BlockContext(b))
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        geom = block_geometry(BlockContext(group, b))
         assert clique_witness(geom) is None
 
     def test_none_on_empty(self, s3_ctx):
@@ -246,7 +252,8 @@ class TestCliqueWitness:
 
     def test_none_on_principal_s5(self):
         G = symmetric_group(5)
-        bl = blocks(G, GF2)
+        group = GroupContext(G, GF2)
+        bl = group.blocks
         principal = next(b for b in bl if b.principal)
-        geom = block_geometry(BlockContext(principal))
+        geom = block_geometry(BlockContext(group, principal))
         assert clique_witness(geom) is None

@@ -1,7 +1,6 @@
 import pytest
 
-from blockposets.blocks import blocks
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.fusion import (
     CommutingCategory,
     FusionSystem,
@@ -26,10 +25,11 @@ def cyc(degree, *cycles):
 @pytest.fixture(scope="module")
 def s3_contexts():
     G = symmetric_group(3)
-    out = blocks(G, GF2)
+    group = GroupContext(G, GF2)
+    out = group.blocks
     principal = next(b for b in out if b.principal)
     other = next(b for b in out if not b.principal)
-    return BlockContext(principal), BlockContext(other)
+    return BlockContext(group, principal), BlockContext(group, other)
 
 
 class TestMaxBrauerPair:
@@ -63,8 +63,9 @@ class TestFusionSystem:
 
     def test_s4_hom_counts_by_g_scan(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        ctx = BlockContext(b)
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        ctx = BlockContext(group, b)
         fs = FusionSystem.from_block_context(ctx)
         P = fs.P
         Z = next(S for S in fs.family
@@ -84,8 +85,9 @@ class TestFusionSystem:
     def test_inner_fusion_present(self):
         # maps induced by conjugation inside P itself are always morphisms
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        fs = FusionSystem.from_block_context(BlockContext(b))
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        fs = FusionSystem.from_block_context(BlockContext(group, b))
         P = fs.P
         for S in fs.family:
             if S.order != 2:
@@ -113,8 +115,9 @@ class TestCommutingCategory:
         # the Klein group as its own ambient group: trivial fusion
         V = PermGroup.from_generators(4, [cyc(4, [1, 2]), cyc(4, [3, 4])],
                                       label="V4")
-        (b,) = blocks(V, GF2)
-        fs = FusionSystem.from_block_context(BlockContext(b))
+        group = GroupContext(V, GF2)
+        (b,) = group.blocks
+        fs = FusionSystem.from_block_context(BlockContext(group, b))
         cat = CommutingCategory(fs)
         assert len(cat.objects) == 7  # nonempty subsets of 3 subgroups
         icp = IsoClassPoset(cat)
@@ -130,8 +133,9 @@ class TestCommutingCategory:
 
     def test_s4_category_shape(self):
         G = symmetric_group(4)
-        (b,) = blocks(G, GF2)
-        fs = FusionSystem.from_block_context(BlockContext(b))
+        group = GroupContext(G, GF2)
+        (b,) = group.blocks
+        fs = FusionSystem.from_block_context(BlockContext(group, b))
         cat = CommutingCategory(fs)          # EI and closure assertions run here
         assert len(cat.objects) == 13        # 5 + 6 + 2 inside a dihedral Sylow
         assert max(len(o) for o in cat.objects) == 3

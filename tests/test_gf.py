@@ -97,6 +97,83 @@ class TestLeastIrreducible:
             F = PrimeField(p)
             assert poly_is_irreducible(list(mod), F)
 
+    def test_matches_rabin_scan_over_int_coefficients(self):
+        cases = [(2, d) for d in range(2, 11)] + [(3, d) for d in range(2, 7)]
+        cases += [(5, 2), (5, 3), (5, 4), (7, 2), (7, 3), (11, 2), (13, 3)]
+        assert len(cases) == 21
+        for p, d in cases:
+            assert least_irreducible(p, d) == least_irreducible_by_rabin(p, d)
+
+
+# The integer-coefficient Rabin test least_irreducible used before it moved
+# onto the generic polynomial layer; kept as its oracle.
+
+
+def _int_poly_mod(f, g, p):
+    f = [c % p for c in f]
+    while f and f[-1] == 0:
+        f.pop()
+    inv_lead = pow(g[-1], p - 2, p)
+    while len(f) >= len(g):
+        c = (f[-1] * inv_lead) % p
+        shift = len(f) - len(g)
+        for i, gc in enumerate(g):
+            f[shift + i] = (f[shift + i] - c * gc) % p
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
+def _int_poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _int_poly_powmod(base, n, mod, p):
+    result = [1]
+    base = _int_poly_mod(base, mod, p)
+    while n:
+        if n & 1:
+            result = _int_poly_mod(_int_poly_mul(result, base, p), mod, p)
+        base = _int_poly_mod(_int_poly_mul(base, base, p), mod, p)
+        n >>= 1
+    return result
+
+
+def _int_poly_x_power_minus_x(n, f, p):
+    """x^(p^n) - x mod f."""
+    xq = _int_poly_powmod([0, 1], p ** n, f, p) + [0, 0]
+    xq[1] -= 1
+    return _int_poly_mod(xq, f, p)
+
+
+def _is_irreducible_int(f, p):
+    """Rabin: x^(p^n) = x mod f, and gcd(x^(p^(n/r)) - x, f) = 1 for each
+    prime r dividing n = deg f."""
+    n = len(f) - 1
+    if _int_poly_x_power_minus_x(n, f, p):
+        return False
+    for r in range(2, n + 1):
+        if n % r or any(r % q == 0 for q in range(2, r)):
+            continue
+        a, b = list(f), _int_poly_x_power_minus_x(n // r, f, p)
+        while b:
+            a, b = b, _int_poly_mod(a, b, p)
+        if len(a) > 1:
+            return False
+    return True
+
+
+def least_irreducible_by_rabin(p, d):
+    for n in range(p ** d):
+        f = [(n // p ** i) % p for i in range(d)] + [1]
+        if _is_irreducible_int(f, p):
+            return tuple(f)
+    return None
+
 
 class TestPolyFactor:
     def test_square_in_char_2(self):

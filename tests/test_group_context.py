@@ -1,0 +1,117 @@
+"""The per-group context: one GroupContext shared by every block of a group.
+
+The oracle for sharing is a fresh GroupContext per block: whatever one block
+builds in the shared context (sites, orbits, centralizer blocks) must not
+change what another block reads from it, in either query order.
+"""
+
+import pytest
+
+from blockposets import brauer, perms
+from blockposets.brauer import BlockContext, GroupContext
+from blockposets.cli import PRESETS, build_group, main
+from blockposets.gf import PrimeField
+from blockposets.perms import PermGroup, Permutation, symmetric_group
+
+# (group, p, number of blocks)
+CASES = [("S4", 2, 1), ("S5", 2, 2), ("D8", 2, 1), ("S6", 2, 2), ("S7", 3, 3)]
+
+
+def every_p_subgroup(group):
+    return [R.conjugate_subgroup(g)
+            for R, orbit in group.classes for g in orbit.values()]
+
+
+def summary(ctx, subgroups):
+    """What a block context answers: pairs everywhere, defect, principal type."""
+    pairs = [frozenset(pr.ident() for pr in ctx.pairs_at(Q)) for Q in subgroups]
+    dd = ctx.defect_data()
+    ok, outcomes, first_failure = ctx.principal_type()
+    return (pairs,
+            (dd.representative.element_set, dd.order, dd.fingerprint,
+             dd.num_conjugates),
+            (ok, [(Q.element_set, o) for Q, o in outcomes],
+             None if first_failure is None else first_failure.element_set))
+
+
+class TestSharedAgainstFresh:
+    @pytest.mark.parametrize("name, p, n", CASES,
+                             ids=[f"{name}-p{p}" for name, p, _n in CASES])
+    def test_shared_context_matches_fresh_ones(self, name, p, n):
+        G, F = build_group(PRESETS[name]), PrimeField(p)
+        shared = GroupContext(G, F)
+        subgroups = every_p_subgroup(shared)
+        assert len(shared.blocks) == n
+        forward = [summary(BlockContext(shared, b), subgroups)
+                   for b in shared.blocks]
+        backward_group = GroupContext(G, F)
+        backward = [summary(BlockContext(backward_group, b), subgroups)
+                    for b in reversed(backward_group.blocks)][::-1]
+        fresh = []
+        for k in range(n):
+            group = GroupContext(G, F)
+            fresh.append(summary(BlockContext(group, group.blocks[k]),
+                                 subgroups))
+        assert forward == fresh
+        assert backward == fresh
+
+
+class TestLookup:
+    def test_locate_gives_the_conjugating_element(self):
+        group = GroupContext(symmetric_group(4), PrimeField(2))
+        for i, (R, orbit) in enumerate(group.classes):
+            for elems, g in orbit.items():
+                Q = R.conjugate_subgroup(g)
+                assert Q.element_set == elems
+                assert group.locate(Q) == (i, g)
+
+    def test_non_p_subgroup_raises_value_error(self):
+        G = symmetric_group(4)
+        group = GroupContext(G, PrimeField(2))
+        three = PermGroup.from_generators(
+            4, [Permutation.from_cycles(4, [[1, 2, 3]])])
+        with pytest.raises(ValueError, match="not a 2-subgroup"):
+            group.locate(three)
+        ctx = BlockContext(group, group.blocks[0])
+        with pytest.raises(ValueError, match="not a 2-subgroup"):
+            ctx.pairs_at(three)
+
+    def test_block_of_another_group_is_rejected(self):
+        F = PrimeField(2)
+        group = GroupContext(symmetric_group(3), F)
+        other = GroupContext(symmetric_group(3), F)
+        with pytest.raises(ValueError):
+            BlockContext(group, other.blocks[0])
+
+
+class TestGroupWorkDoneOnce:
+    def test_s7_p3_orbits_and_centralizers_once_per_class(
+            self, monkeypatch, tmp_path):
+        calls = {"orbit": 0, "centralizer": 0}
+        classes = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recorded(G, p):
+            out = p_subgroups(G, p)
+            classes.append(len(out))
+            return out
+
+        p_subgroups = perms.p_subgroups_up_to_conjugacy
+        monkeypatch.setattr(perms, "subgroup_orbit_transversal",
+                            counted("orbit", perms.subgroup_orbit_transversal))
+        monkeypatch.setattr(brauer, "centralizer",
+                            counted("centralizer", brauer.centralizer))
+        monkeypatch.setattr(brauer, "p_subgroups_up_to_conjugacy", recorded)
+        rc = main(["verify", "--group", "S7", "--prime", "3",
+                   "--out", str(tmp_path / "s7p3.json")])
+        assert rc == 0
+        # one class list for the three blocks: 1, <(123)>, <(123)(456)>, 3^2
+        assert classes == [4]
+        assert calls["orbit"] == 4
+        # the trivial class's site is kG itself; the other three once each
+        assert calls["centralizer"] == 3

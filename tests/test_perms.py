@@ -5,7 +5,6 @@ import pytest
 from blockposets.perms import (
     Permutation,
     PermGroup,
-    are_conjugate,
     centralizer,
     conjugacy_classes,
     cyclic_group,
@@ -82,7 +81,7 @@ class TestGroupFromGenerators:
 
     def test_lagrange_on_subgroups(self):
         G = symmetric_group(4)
-        for H in p_subgroups_up_to_conjugacy(G, 2):
+        for H, _orbit in p_subgroups_up_to_conjugacy(G, 2):
             assert G.order % H.order == 0
 
 
@@ -179,15 +178,15 @@ class TestOrderPSubgroups:
 class TestSubgroupClassification:
     def test_s4_p2_classes(self):
         reps = p_subgroups_up_to_conjugacy(symmetric_group(4), 2)
-        assert sorted(H.order for H in reps) == [1, 2, 2, 4, 4, 4, 8]
+        assert sorted(H.order for H, _orbit in reps) == [1, 2, 2, 4, 4, 4, 8]
 
     def test_c2(self):
         reps = p_subgroups_up_to_conjugacy(cyclic_group(2), 2)
-        assert sorted(H.order for H in reps) == [1, 2]
+        assert sorted(H.order for H, _orbit in reps) == [1, 2]
 
     def test_s3_p3(self):
         reps = p_subgroups_up_to_conjugacy(symmetric_group(3), 3)
-        assert sorted(H.order for H in reps) == [1, 3]
+        assert sorted(H.order for H, _orbit in reps) == [1, 3]
 
     def test_transversal_conjugates(self):
         G = symmetric_group(4)
@@ -202,8 +201,23 @@ class TestSubgroupClassification:
         A = PermGroup.from_generators(4, [cyc(4, [1, 2])])
         B = PermGroup.from_generators(4, [cyc(4, [3, 4])])
         Z = PermGroup.from_generators(4, [cyc(4, [1, 2], [3, 4])])
-        assert are_conjugate(G, A, B) is not None
-        assert are_conjugate(G, A, Z) is None
+        orbit = subgroup_orbit_transversal(G, A)
+        assert B.element_set in orbit
+        assert Z.element_set not in orbit
+
+    def test_classes_carry_their_orbits(self):
+        G = symmetric_group(4)
+        classes = p_subgroups_up_to_conjugacy(G, 2)
+        seen = set()
+        for H, orbit in classes:
+            assert orbit == subgroup_orbit_transversal(G, H)
+            assert seen.isdisjoint(orbit)
+            seen.update(orbit)
+        # every 2-subgroup of S4 once, over 7 classes of sizes
+        # 1, 6, 3 (order 2), 3, 1, 3 (order 4) and 3 (Sylow)
+        assert sorted(len(orbit) for _H, orbit in classes) == \
+            [1, 1, 3, 3, 3, 3, 6]
+        assert len(seen) == 20
 
 
 class TestElementaryAbelian:

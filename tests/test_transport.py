@@ -7,8 +7,7 @@ and the per-(Q, R) scan of G for the fusion maps Q -> R.
 
 import pytest
 
-from blockposets.blocks import blocks
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group
 from blockposets.commuting import block_geometry, elementary_abelian_family
 from blockposets.errors import TheoryViolation
@@ -25,10 +24,10 @@ def corpus_contexts():
     for entry in CORPUS:
         if entry.slow:
             continue
-        G = build_group(entry.spec)
-        F = field_context(entry.p, entry.d)
-        for b in blocks(G, F):
-            yield f"{entry.name}/{b.index}", BlockContext(b)
+        group = GroupContext(build_group(entry.spec),
+                             field_context(entry.p, entry.d))
+        for b in group.blocks:
+            yield f"{entry.name}/{b.index}", BlockContext(group, b)
 
 
 def theorem2_inputs(ctx):
@@ -89,16 +88,15 @@ def hom_by_scan(fs, Q, R):
 
 
 def principal_context(G):
-    return BlockContext(next(b for b in blocks(G, GF2) if b.principal))
+    group = GroupContext(G, GF2)
+    return BlockContext(group, next(b for b in group.blocks if b.principal))
 
 
 def representative_of(ctx, Q):
-    """The orbit representative whose site Q's was transported from, or None."""
-    for rep_site, orbit in ctx._rep_orbits:
-        if Q.element_set in orbit:
-            R = rep_site.subgroup
-            return None if R.element_set == Q.element_set else R
-    return None
+    """The class representative whose site Q's was transported from, or None."""
+    i, _g = ctx.group.locate(Q)
+    R = ctx.group.classes[i][0]
+    return None if R.element_set == Q.element_set else R
 
 
 class TestEta:
@@ -152,7 +150,7 @@ class TestPairs:
                  and representative_of(ctx, S) is not None)
         R = representative_of(ctx, Q)
         assert ctx.pairs_at(R)
-        ctx.site(R).slots.clear()  # Q's transported site reads R's slots
+        ctx._slots[ctx.site(R).index].clear()  # Q's site reads R's slots
         with pytest.raises(TheoryViolation):
             ctx.pairs_at(Q)
 

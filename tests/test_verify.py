@@ -1,11 +1,9 @@
-import json
 from pathlib import Path
 
 import pytest
 
 from blockposets import verify
-from blockposets.blocks import blocks
-from blockposets.brauer import BlockContext
+from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import main
 from blockposets.commuting import block_geometry
 from blockposets.errors import SizeLimitExceeded
@@ -27,8 +25,9 @@ GF2 = PrimeField(2)
 @pytest.fixture(scope="module")
 def s4_setup():
     G = symmetric_group(4)
-    (b,) = blocks(G, GF2)
-    ctx = BlockContext(b)
+    group = GroupContext(G, GF2)
+    (b,) = group.blocks
+    ctx = BlockContext(group, b)
     return b, ctx, block_geometry(ctx)
 
 
@@ -73,8 +72,9 @@ class TestCheckResults:
             order_complex(geom.kposet).num_simplices()]
 
     def test_s6_principal_homology_skips_with_euler_characteristics(self):
-        b = next(x for x in blocks(symmetric_group(6), GF2) if x.principal)
-        ctx = BlockContext(b)
+        group = GroupContext(symmetric_group(6), GF2)
+        b = next(x for x in group.blocks if x.principal)
+        ctx = BlockContext(group, b)
         result = check_homology(ctx, block_geometry(ctx))
         # the K complex has 2.84M simplices, past both size bounds
         assert result.status == "skipped"
@@ -89,25 +89,29 @@ class TestCheckResults:
 
     def test_theorem2_empty_case(self):
         G = symmetric_group(3)
-        b = next(x for x in blocks(G, GF2) if not x.principal)
-        ctx = BlockContext(b)
+        group = GroupContext(G, GF2)
+        b = next(x for x in group.blocks if not x.principal)
+        ctx = BlockContext(group, b)
         result = check_theorem2(ctx, block_geometry(ctx))
         assert result.passed
         assert result.details["iso_classes"] == 0
 
     def test_run_block_checks_dispatch(self):
         G = symmetric_group(3)
-        b = next(x for x in blocks(G, GF2) if x.principal)
-        results = run_block_checks(b, ["principal-type", "theorem1", "homology"])
+        group = GroupContext(G, GF2)
+        b = next(x for x in group.blocks if x.principal)
+        results = run_block_checks(
+            group, b, ["principal-type", "theorem1", "homology"])
         assert [r.name for r in results] == ["principal-type", "theorem1",
                                              "homology"]
         assert all(r.passed for r in results)
 
     def test_run_block_checks_rejects_unknown(self):
         G = symmetric_group(3)
-        b = blocks(G, GF2)[0]
+        group = GroupContext(G, GF2)
+        b = group.blocks[0]
         with pytest.raises(ValueError):
-            run_block_checks(b, ["nonsense"])
+            run_block_checks(group, b, ["nonsense"])
 
 
 class TestResourceBoundContainment:
@@ -116,9 +120,10 @@ class TestResourceBoundContainment:
             raise SizeLimitExceeded("order complex exceeded 3 simplices")
 
         monkeypatch.setattr(verify, "order_complex", too_big)
-        (b,) = blocks(symmetric_group(4), GF2)
+        group = GroupContext(symmetric_group(4), GF2)
+        (b,) = group.blocks
         results = run_block_checks(
-            b, ["theorem1", "homology", "nonclique", "principal-type"])
+            group, b, ["theorem1", "homology", "nonclique", "principal-type"])
         assert [r.status for r in results] == ["pass", "skipped", "pass",
                                                "pass"]
         skipped = results[1]
@@ -134,29 +139,41 @@ class TestResourceBoundContainment:
             raise SizeLimitExceeded("commuting poset exceeded 3 elements")
 
         monkeypatch.setattr(verify, "block_geometry", too_big)
-        (b,) = blocks(symmetric_group(4), GF2)
+        group = GroupContext(symmetric_group(4), GF2)
+        (b,) = group.blocks
         results = run_block_checks(
-            b, ["theorem1", "principal-type", "nonclique"])
+            group, b, ["theorem1", "principal-type", "nonclique"])
         assert [r.status for r in results] == ["skipped", "pass", "skipped"]
         assert len(calls) == 1
 
 
 class TestReportDrift:
+    """Seed-0 reports of the benchmark workloads, byte for byte.
+
+    Each invocation is the one `perfbench/workloads.py` runs on seed 0, and
+    its report must equal the one recorded in `perfbench/expected/`.
+    """
+
+    EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+    def assert_recorded(self, workload, argv, tmp_path):
+        out = tmp_path / "report.json"
+        main(argv + ["--out", str(out)])
+        assert out.read_bytes() == \
+            (self.EXPECTED / workload / "0.json").read_bytes()
+
+    @pytest.mark.slow
     def test_corpus_reports_match_recorded(self, tmp_path):
-        """Every non-slow corpus entry is byte-identical to the recorded run."""
-        recorded = Path(__file__).resolve().parents[1] / \
-            "perfbench" / "expected" / "corpus" / "0.json"
-        expected = json.loads(recorded.read_text())
-        out = tmp_path / "corpus.json"
-        main(["verify", "--corpus", "--out", str(out)])
-        got = json.loads(out.read_text())
-        assert got["checks_requested"] == expected["checks_requested"]
-        assert got["version"] == expected["version"]
+        """The whole corpus, the slow S7 entry included."""
+        self.assert_recorded("corpus", ["verify", "--corpus", "--slow"],
+                             tmp_path)
 
-        def fast_entries(report):
-            return {e["entry"]: json.dumps(e, indent=2, sort_keys=True)
-                    for e in report["entries"]
-                    if not e["entry"].startswith("S7")}
-
-        assert len(fast_entries(got)) == 5
-        assert fast_entries(got) == fast_entries(expected)
+    @pytest.mark.parametrize("workload, argv", [
+        ("s6_p2_principal", ["verify", "--group", "S6", "--prime", "2",
+                             "--block", "principal",
+                             "--checks", "theorem1,nonclique"]),
+        ("s6_p5_all", ["verify", "--group", "S6", "--prime", "5",
+                       "--block", "all"]),
+    ])
+    def test_s6_reports_match_recorded(self, workload, argv, tmp_path):
+        self.assert_recorded(workload, argv, tmp_path)
