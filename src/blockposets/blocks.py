@@ -243,7 +243,9 @@ def class_sum_algebra(G, field, cached=None):
     """Structure constants of Z(kG) by the fixed-representative count.
 
     a[i][j][k] = #{x in C_i : x^-1 z in C_j} for the fixed representative z of
-    C_k, so the total cost is (#classes) * |G| products.
+    C_k.  Since x^-1 z = (z^-1 x)^-1 and inversion permutes the classes, one
+    left column of z^-1 over G's element index gives every x^-1 z, so the
+    total cost is (#classes) * |G| list lookups and no products.
 
     cached, when given, is a dict with keys 'classes' and 'const' produced by
     a previous run (see cache.py); it is trusted only after its checksum was
@@ -260,19 +262,23 @@ def class_sum_algebra(G, field, cached=None):
         if len(const) != len(classes):
             raise ValueError("cached structure constants have wrong shape")
         return CentralAlgebra(G, F, classes, const)
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for x in cls.members:
-            class_of[x] = idx
+    index = G.element_index()
+    pos = index.pos
+    members = [[pos[x.images] for x in cls.members] for cls in classes]
+    class_of = [0] * G.order
+    for c, ids in enumerate(members):
+        for x in ids:
+            class_of[x] = c
+    inverse_class = [class_of[index.id(cls.representative.inverse())]
+                     for cls in classes]
     dim = len(classes)
     counts = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for k, cls in enumerate(classes):
-        z = cls.representative
-        for i, ci in enumerate(classes):
+        col = index.left_column(index.id(cls.representative.inverse()))
+        for i, ids in enumerate(members):
             row = counts[i]
-            for x in ci.members:
-                j = class_of[x.inverse() * z]
-                row[j][k] += 1
+            for x in ids:  # col[x] is z^-1 x, the inverse of x^-1 z
+                row[inverse_class[class_of[col[x]]]][k] += 1
     const = [[[F.from_int(counts[i][j][k]) for k in range(dim)]
               for j in range(dim)] for i in range(dim)]
     return CentralAlgebra(G, F, classes, const)

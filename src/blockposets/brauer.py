@@ -68,11 +68,6 @@ class BrauerPair:
         """Hashable identity (subgroup elements, idempotent support)."""
         return (self.subgroup.element_set, self.idempotent.key())
 
-    def conjugate(self, g):
-        return BrauerPair(self.subgroup.conjugate_subgroup(g),
-                          self.idempotent.conjugate(g),
-                          self.centralizer.conjugate_subgroup(g))
-
     def label(self):
         gens = ",".join(x.cycle_string() for x in self.subgroup.generators) or "1"
         return f"(<{gens}>, e[{len(self.idempotent.support)}])"
@@ -361,12 +356,18 @@ class BlockContext:
                     edges.append((i, j))
         labels = [pr.label() for pr in pairs]
         base = Poset.from_edges_closure(labels, edges)
+        # a pair's image under a generator, read as its ident: the subgroup
+        # through the generator's conjugation table, the idempotent by g
+        gindex = self.G.element_index()
+        pos, elements = gindex.pos, gindex.elements
         action = []
         closed = True
-        for g in self.G.generators:
+        for g, table in zip(self.G.generators, gindex.conj):
             perm = []
             for pr in pairs:
-                target = index.get(pr.conjugate(g).ident())
+                image = frozenset([elements[table[pos[x.images]]]
+                                   for x in pr.subgroup.elements])
+                target = index.get((image, pr.idempotent.conjugate(g).key()))
                 if target is None:
                     closed = False
                     break

@@ -34,7 +34,12 @@ from .perms import (
     symmetric_group,
 )
 from .topology import GPoset, orbit_poset
-from .verify import HOMOLOGY_SIMPLEX_BOUND, run_block_checks
+from .verify import (
+    CHECKS_BY_NAME,
+    DEFAULT_CHECKS,
+    HOMOLOGY_SIMPLEX_BOUND,
+    run_block_checks,
+)
 
 PRESETS = {
     "S3": {"type": "symmetric", "n": 3},
@@ -44,8 +49,6 @@ PRESETS = {
     "S7": {"type": "symmetric", "n": 7},
     "D8": {"type": "dihedral", "order": 8},
 }
-
-CHECK_NAMES = ("theorem1", "theorem2", "nonclique", "principal-type", "homology")
 
 
 @dataclass(frozen=True)
@@ -187,10 +190,11 @@ def _verify_entry(entry, checks, max_simplices, cache_dir):
 
 
 def cmd_verify(args):
-    checks = args.checks.split(",") if args.checks else list(CHECK_NAMES)
+    checks = args.checks.split(",") if args.checks else list(DEFAULT_CHECKS)
     for c in checks:
-        if c not in CHECK_NAMES:
-            raise SystemExit(f"unknown check {c!r}; choose from {CHECK_NAMES}")
+        if c not in CHECKS_BY_NAME:
+            raise SystemExit(f"unknown check {c!r}; choose from "
+                             f"{', '.join(CHECKS_BY_NAME)}")
     if args.corpus:
         entries = list(CORPUS)
     else:
@@ -354,7 +358,8 @@ def main(argv=None):
     p_verify.add_argument("--corpus", action="store_true",
                           help="run the shipped corpus instead of a single group")
     p_verify.add_argument("--checks",
-                          help="comma list from: " + ",".join(CHECK_NAMES))
+                          help="comma list from: " + ",".join(CHECKS_BY_NAME)
+                          + " (default: " + ",".join(DEFAULT_CHECKS) + ")")
     p_verify.add_argument("--slow", action="store_true",
                           help="include entries marked slow (degree 7)")
     p_verify.add_argument("--timings", action="store_true",

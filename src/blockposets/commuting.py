@@ -206,10 +206,12 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
             perm.append(kindex[(kimg, pimg)])
         action.append(perm)
 
+    names = [V.generators[0].cycle_string() for V in vertices]
+
     def label_of(i):
         vids, pid = elements[i]
-        names = sorted(vertices[v].generators[0].cycle_string() for v in vids)
-        return "{" + ",".join(names) + "}|" + apairs.pairs[pid].label()
+        return ("{" + ",".join(sorted(names[v] for v in vids)) + "}|"
+                + aposet.labels[pid])
 
     kposet = GPoset([label_of(i) for i in range(len(elements))], up, action)
     # expand: (Q, e) -> (order-p subgroups of Q, e); collapse: drop kappa

@@ -108,20 +108,19 @@ class FusionSystem:
         """Every fusion map out of Q into P as (mapping, g, image), in key order.
 
         One scan of G per domain serves hom(Q, R) for every R: the maps into
-        R are those whose image lies in R.  For each set map the witness is
-        the first g in G that passes the idempotent test, exactly as a scan
-        restricted to R would find it.
+        R are those whose image lies in R.  G is first narrowed, on its
+        element index, to the g that conjugate Q's generators into P; for
+        each set map the witness is the first of those g that passes the
+        idempotent test, exactly as a scan restricted to R would find it.
         """
         hit = self._maps.get(Q.element_set)
         if hit is not None:
             return hit
         eQ = self.sub_pair[Q.element_set].idempotent
-        pset = self.P.element_set
         found = {}
-        for g in self.ctx.G.elements:
+        index = self.ctx.G.element_index()
+        for g in index.conjugators(Q.generators, self.P.elements):
             ginv = g.inverse()
-            if any(ginv * x * g not in pset for x in Q.generators):
-                continue
             mapping = {x: ginv * x * g for x in Q.elements}
             mkey = tuple(mapping[x].images for x in Q.elements)
             if mkey in found:
@@ -146,6 +145,7 @@ class CommutingCategory:
         self.ctx = fusion.ctx
         p = self.ctx.p
         self.vertices = order_p_subgroups(fusion.P, p)
+        self._names = [Q.generators[0].cycle_string() for Q in self.vertices]
         adj = commuting_adjacency(self.vertices)
         objects = [frozenset(kappa) for kappa, _ in iter_cliques(adj)]
         objects.sort(key=sorted)
@@ -158,9 +158,8 @@ class CommutingCategory:
         self._check_category()
 
     def object_label(self, i):
-        names = sorted(self.vertices[v].generators[0].cycle_string()
-                       for v in self.objects[i])
-        return "{" + ",".join(names) + "}"
+        return "{" + ",".join(sorted(self._names[v]
+                                     for v in self.objects[i])) + "}"
 
     def hom(self, i, j):
         key = (i, j)

@@ -319,14 +319,6 @@ def poly_powmod(base, n, mod, F):
     return result
 
 
-def poly_eval(f, x, F):
-    """Horner evaluation at a field point."""
-    acc = F.zero
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
 def poly_deriv(f, F):
     out = []
     for i in range(1, len(f)):
@@ -481,17 +473,6 @@ def mat_mul(A, B, F):
     return out
 
 
-def mat_vec(A, v, F):
-    out = []
-    for row in A:
-        s = F.zero
-        for a, x in zip(row, v):
-            if a != F.zero and x != F.zero:
-                s = F.add(s, F.mul(a, x))
-        out.append(s)
-    return out
-
-
 def mat_pow(A, n, F):
     size = len(A)
     result = identity_matrix(size, F)
@@ -551,23 +532,6 @@ def solve(A, b, F):
         if c < cols:
             x[c] = M[r][cols]
     return x
-
-
-def nullspace_basis(A, F):
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M, pivots = rref(A, F)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [F.zero] * cols
-        v[free] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(M[r][free])
-        basis.append(v)
-    return basis
 
 
 def image_basis(A, F):

@@ -12,8 +12,15 @@ Conventions, fixed once and used everywhere:
   (classes, subgroup lists, reports) reproducible.
 
 Target scale is groups of order up to a few thousand (the largest shipped
-corpus group has order 5040), so everything here scans elements instead of
-using stabilizer chains.
+corpus group has order 5040), so questions about every g in G are answered
+by scanning G, not through stabilizer chains.  The scans run on integers:
+each group numbers its elements once (its ElementIndex, built on the first
+scan), with the conjugation and right-multiplication tables of its
+generators and a spanning tree of G along right multiplication.  Walking
+the tree fills a column of |G| positions (x^g, or w g, for every g) by list
+lookups instead of products (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, section 4.1).  Permutation stays the
+public and printed type.
 """
 
 from __future__ import annotations
@@ -143,11 +150,89 @@ def _closure(degree, gens, max_elements):
     return elements
 
 
+class ElementIndex:
+    """One numbering of a group's elements, with int tables for its generators.
+
+    * pos maps an element's image tuple to its position in the sorted
+      G.elements; root is the identity's position.
+    * conj[t][i] is the position of t^-1 x_i t and right[t][i] that of x_i t,
+      for the t-th generator.
+    * tree lists (child, parent, t) with x_child = x_parent t, in BFS order
+      from the identity: a spanning tree of G along right multiplication.
+
+    A column walk down the tree sets col[child] from col[parent] by one
+    table lookup, so a question about every g in G costs |G| lookups.
+    """
+
+    __slots__ = ("elements", "pos", "root", "conj", "right", "tree")
+
+    def __init__(self, G):
+        elements = G.elements
+        pos = {x.images: i for i, x in enumerate(elements)}
+        self.elements = elements
+        self.pos = pos
+        self.root = pos[tuple(range(G.degree))]
+        self.conj, self.right = [], []
+        for t in G.generators:
+            ti, tinv = t.images, t.inverse().images
+            self.right.append([pos[tuple([ti[k] for k in x.images])]
+                               for x in elements])
+            self.conj.append([pos[tuple([ti[x.images[k]] for k in tinv])]
+                              for x in elements])
+        seen = bytearray(len(elements))
+        seen[self.root] = 1
+        self.tree = []
+        frontier = [self.root]
+        while frontier:
+            new = []
+            for parent in frontier:
+                for t, table in enumerate(self.right):
+                    child = table[parent]
+                    if not seen[child]:
+                        seen[child] = 1
+                        self.tree.append((child, parent, t))
+                        new.append(child)
+            frontier = new
+        if len(self.tree) != len(elements) - 1:
+            raise ValueError("the generators do not generate the element list")
+
+    def id(self, perm):
+        """Position of perm; ValueError when it is not an element."""
+        hit = self.pos.get(perm.images)
+        if hit is None:
+            raise ValueError(f"{perm!r} is not an element of the group")
+        return hit
+
+    def _walk(self, tables, start):
+        col = [0] * len(self.elements)
+        col[self.root] = start
+        for child, parent, t in self.tree:
+            col[child] = tables[t][col[parent]]
+        return col
+
+    def conj_column(self, i):
+        """col[g] = position of x_i^g, for every position g."""
+        return self._walk(self.conj, i)
+
+    def left_column(self, i):
+        """col[g] = position of x_i x_g, for every position g."""
+        return self._walk(self.right, i)
+
+    def conjugators(self, xs, target):
+        """The g in G with x^g in target for every x in xs, in G's order."""
+        inside = {self.pos[y.images] for y in target}
+        keep = range(len(self.elements))
+        for x in xs:
+            col = self.conj_column(self.id(x))
+            keep = [g for g in keep if col[g] in inside]
+        return [self.elements[g] for g in keep]
+
+
 class PermGroup:
     """A finite permutation group with its full, sorted element list."""
 
     __slots__ = ("degree", "generators", "elements", "label", "element_set",
-                 "_index", "_key")
+                 "_element_index", "_key")
 
     def __init__(self, degree, generators, elements, label=""):
         self.degree = degree
@@ -155,7 +240,7 @@ class PermGroup:
         self.elements = tuple(sorted(elements))
         self.label = label
         self.element_set = frozenset(self.elements)
-        self._index = None
+        self._element_index = None
         self._key = None
 
     @classmethod
@@ -211,10 +296,11 @@ class PermGroup:
             self._key = (self.order, tuple(x.images for x in self.elements))
         return self._key
 
-    def index_of(self, perm):
-        if self._index is None:
-            self._index = {x: i for i, x in enumerate(self.elements)}
-        return self._index[perm]
+    def element_index(self):
+        """The group's ElementIndex, built on first request."""
+        if self._element_index is None:
+            self._element_index = ElementIndex(self)
+        return self._element_index
 
     def identity(self):
         return Permutation.identity(self.degree)
@@ -277,24 +363,28 @@ class ConjugacyClass:
 
 def conjugacy_classes(G):
     """Classes ordered by their minimal member under the fixed element order."""
-    seen = set()
+    index = G.element_index()
+    elements = G.elements
+    seen = bytearray(G.order)
     classes = []
-    for x in G.elements:  # already sorted, so representatives are minimal
-        if x in seen:
+    for x in range(G.order):  # elements are sorted, so representatives are minimal
+        if seen[x]:
             continue
         orbit = {x}
         frontier = [x]
         while frontier:
             new = []
             for y in frontier:
-                for g in G.generators:
-                    z = y.conjugate(g)
+                for table in index.conj:
+                    z = table[y]
                     if z not in orbit:
                         orbit.add(z)
                         new.append(z)
             frontier = new
-        seen |= orbit
-        classes.append(ConjugacyClass(x, tuple(sorted(orbit))))
+        for y in orbit:
+            seen[y] = 1
+        classes.append(ConjugacyClass(elements[x],
+                                      tuple(elements[i] for i in sorted(orbit))))
     return classes
 
 
@@ -310,16 +400,18 @@ def centralizer(G, S, label=""):
         pins = tuple(S)
     if all(s.is_identity() for s in pins):
         return G
-    elems = [g for g in G.elements if all(g * s == s * g for s in pins)]
+    index = G.element_index()
+    keep = range(G.order)
+    for s in pins:
+        i = index.id(s)
+        col = index.conj_column(i)
+        keep = [g for g in keep if col[g] == i]
+    elems = [G.elements[g] for g in keep]
     return PermGroup.from_elements(G.degree, elems, label or f"C({G.label})")
 
 
 def normalizer(G, H, label=""):
-    elems = []
-    for g in G.elements:
-        ginv = g.inverse()
-        if all(ginv * h * g in H.element_set for h in H.generators):
-            elems.append(g)
+    elems = G.element_index().conjugators(H.generators, H.elements)
     return PermGroup.from_elements(G.degree, elems, label or f"N({G.label})")
 
 
@@ -388,22 +480,29 @@ def all_subgroups(P, max_count=10_000):
 
 
 def subgroup_orbit_transversal(G, H):
-    """Map each G-conjugate of H (as an element frozenset) to one g with H^g = it."""
-    identity = G.identity()
-    orbit = {H.element_set: identity}
-    frontier = [(H.element_set, identity)]
+    """Map each G-conjugate of H (as an element frozenset) to one g with H^g = it.
+
+    The BFS runs on position sets: the conjugate of a set by the t-th
+    generator is read off its conjugation table, and g s off its
+    right-multiplication table.
+    """
+    index = G.element_index()
+    start = frozenset([index.pos[x.images] for x in H.elements])
+    orbit = {start: index.root}
+    frontier = [start]
     while frontier:
         new = []
-        for elems, g in frontier:
-            for s in G.generators:
-                sinv = s.inverse()
-                conj = frozenset(sinv * x * s for x in elems)
-                if conj not in orbit:
-                    gs = g * s
-                    orbit[conj] = gs
-                    new.append((conj, gs))
+        for ids in frontier:
+            g = orbit[ids]
+            for conj, right in zip(index.conj, index.right):
+                image = frozenset([conj[i] for i in ids])
+                if image not in orbit:
+                    orbit[image] = right[g]
+                    new.append(image)
         frontier = new
-    return orbit
+    elements = G.elements
+    return {frozenset([elements[i] for i in ids]): elements[g]
+            for ids, g in orbit.items()}
 
 
 def p_subgroups_up_to_conjugacy(G, p):

@@ -16,6 +16,9 @@ format of the command line interface.  The suites:
 * theorem2:        the isomorphism-class poset of the commuting category is
                    isomorphic to the orbit poset of the commuting poset, with
                    the explicit mutually inverse maps.
+* principal-clique: for a principal block, the commuting poset is the face
+                   poset of the clique complex of the commuting graph
+                   (skipped on other blocks; not in DEFAULT_CHECKS).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .commuting import (
     iter_cliques,
     product_subgroup,
 )
-from .errors import SizeLimitExceeded
+from .errors import SizeLimitExceeded, TheoryViolation
 from .fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from .topology import (
     SimplicialComplex,
@@ -261,8 +264,9 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     is eta of its orbit.  The scan and the transport divide the work:
 
     * on each orbit's representative, its least element index, every g in G
-      is tried; the admissible ones must all give one class (independence of
-      g, asserted), and the first admissible g0 is kept;
+      that conjugates the pair's subgroup into P is tried (_eta_scan); the
+      admissible ones must all give one class (independence of g, asserted),
+      and the first admissible g0 is kept;
     * the other members are reached by walking the orbit along the poset
       action, one generator at a time, carrying h with el = rep^h.  Each gets
       the single candidate h^-1 g0, which must pass the same admissibility
@@ -272,8 +276,6 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     TheoryViolation, so every element's class is still read off a conjugation
     checked on its own data, whatever the action says.
     """
-    from .errors import TheoryViolation
-
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
     aindex = {pr.ident(): i for i, pr in enumerate(geom.apairs.pairs)}
     kindex = {ke: i for i, ke in enumerate(geom.elements)}
@@ -295,48 +297,7 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
             raise TheoryViolation("class members land in different orbits",
                                   witness=cat.object_label(obj_idx))
 
-    object_index = {obj: i for i, obj in enumerate(cat.objects)}
-    cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
-    pset = fs.P.element_set
-
-    def class_through(el_idx, g):
-        """The class of the element conjugated by g, or None if g is not
-        admissible: Q^g <= P, the idempotent matches the pair below the
-        maximal pair, and the conjugated members form an object."""
-        vids, pid = geom.elements[el_idx]
-        pair = geom.apairs.pairs[pid]
-        ginv = g.inverse()
-        if any(ginv * x * g not in pset for x in pair.subgroup.generators):
-            return None
-        image = frozenset(ginv * x * g for x in pair.subgroup.elements)
-        if pair.idempotent.conjugate(g) != fs.sub_pair[image].idempotent:
-            return None
-        obj = frozenset(
-            cat_vertex.get(frozenset(ginv * x * g
-                                     for x in geom.vertices[v].elements))
-            for v in vids)
-        obj_idx = object_index.get(obj)
-        return None if obj_idx is None else icp.class_of[obj_idx]
-
-    def scan(el_idx):
-        """(class, first admissible g) over every g in G."""
-        results = set()
-        g0 = None
-        for g in ctx.G.elements:
-            cls = class_through(el_idx, g)
-            if cls is None:
-                continue
-            results.add(cls)
-            if g0 is None:
-                g0 = g
-        if not results:
-            raise TheoryViolation("no conjugation into the maximal pair found",
-                                  witness=geom.kposet.labels[el_idx])
-        if len(results) > 1:
-            raise TheoryViolation("eta depends on the chosen conjugation",
-                                  witness=geom.kposet.labels[el_idx])
-        return results.pop(), g0
-
+    class_through = _admissible_class(geom, fs, cat, icp)
     kposet = geom.kposet
     steps = list(zip(ctx.G.generators, kposet.action))
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []
@@ -345,7 +306,7 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
         if rep in conj:
             continue
         orbit = orbit_of[rep]
-        eta[orbit], g0 = scan(rep)
+        eta[orbit], g0 = _eta_scan(ctx.G, geom, fs, class_through, rep)
         conj[rep] = ctx.G.identity()
         frontier = [rep]
         while frontier:
@@ -367,6 +328,61 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
                                               witness=kposet.labels[y])
             frontier = new
     return forward, eta
+
+
+def _admissible_class(geom, fs, cat, icp):
+    """class_through(el_idx, g): the class of the commuting-poset element
+    conjugated by g, or None if g is not admissible: Q^g <= P, the idempotent
+    matches the pair below the maximal pair, and the conjugated members form
+    an object."""
+    object_index = {obj: i for i, obj in enumerate(cat.objects)}
+    cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
+    pset = fs.P.element_set
+
+    def class_through(el_idx, g):
+        vids, pid = geom.elements[el_idx]
+        pair = geom.apairs.pairs[pid]
+        ginv = g.inverse()
+        if any(ginv * x * g not in pset for x in pair.subgroup.generators):
+            return None
+        image = frozenset(ginv * x * g for x in pair.subgroup.elements)
+        if pair.idempotent.conjugate(g) != fs.sub_pair[image].idempotent:
+            return None
+        obj = frozenset(
+            cat_vertex.get(frozenset(ginv * x * g
+                                     for x in geom.vertices[v].elements))
+            for v in vids)
+        obj_idx = object_index.get(obj)
+        return None if obj_idx is None else icp.class_of[obj_idx]
+
+    return class_through
+
+
+def _eta_scan(G, geom, fs, class_through, el_idx):
+    """(class, first admissible g) of a commuting-poset element over G.
+
+    G is narrowed on its element index to the g that conjugate the
+    generators of the element's subgroup into P, the first test of
+    class_through; the admissibility test then runs on those in G's order.
+    """
+    pair = geom.apairs.pairs[geom.elements[el_idx][1]]
+    results = set()
+    g0 = None
+    for g in G.element_index().conjugators(pair.subgroup.generators,
+                                           fs.P.elements):
+        cls = class_through(el_idx, g)
+        if cls is None:
+            continue
+        results.add(cls)
+        if g0 is None:
+            g0 = g
+    if not results:
+        raise TheoryViolation("no conjugation into the maximal pair found",
+                              witness=geom.kposet.labels[el_idx])
+    if len(results) > 1:
+        raise TheoryViolation("eta depends on the chosen conjugation",
+                              witness=geom.kposet.labels[el_idx])
+    return results.pop(), g0
 
 
 def check_principal_clique_complex(ctx, geom):
@@ -424,7 +440,12 @@ CHECKS_BY_NAME = {
     "nonclique": check_nonclique,
     "principal-type": check_principal_type,
     "homology": check_homology,
+    "principal-clique": check_principal_clique_complex,
 }
+
+# What verify runs when no checks are named; principal-clique runs on request.
+DEFAULT_CHECKS = ("theorem1", "theorem2", "nonclique", "principal-type",
+                  "homology")
 
 
 def run_block_checks(group, block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):

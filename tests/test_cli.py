@@ -13,6 +13,7 @@ from blockposets.cli import (
 )
 from blockposets.gf import PrimeField, field_context
 from blockposets.perms import symmetric_group
+from blockposets.verify import CHECKS_BY_NAME, DEFAULT_CHECKS
 
 
 class TestGroupSpecs:
@@ -92,6 +93,35 @@ class TestVerifyCommand:
     def test_unknown_check_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "--group", "S3", "--checks", "nonsense"])
+
+    def test_principal_clique_on_request(self, tmp_path):
+        rc = main(["verify", "--group", "S4", "--prime", "2",
+                   "--checks", "principal-clique",
+                   "--out", str(tmp_path / "s4.json")])
+        doc = json.loads((tmp_path / "s4.json").read_text())
+        assert rc == 0
+        (check,) = doc["entries"][0]["checks"]
+        assert (check["name"], check["status"]) == ("principal-clique", "pass")
+        assert check["details"]["cliques"] == check["details"]["commuting_elements"]
+        # S3 at p=2: block 0 has defect zero and is not principal
+        rc = main(["verify", "--group", "S3", "--prime", "2",
+                   "--checks", "principal-clique",
+                   "--out", str(tmp_path / "s3.json")])
+        doc = json.loads((tmp_path / "s3.json").read_text())
+        assert rc == 2
+        statuses = [(c["target"]["principal"], c["status"])
+                    for c in doc["entries"][0]["checks"]]
+        assert statuses == [(False, "skipped"), (True, "pass")]
+        skipped = doc["entries"][0]["checks"][0]
+        assert skipped["details"]["reason"] == "block is not principal"
+
+    def test_default_checks_leave_out_principal_clique(self, tmp_path):
+        main(["verify", "--group", "S3", "--prime", "2",
+              "--out", str(tmp_path / "r.json")])
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["checks_requested"] == list(DEFAULT_CHECKS)
+        assert "principal-clique" not in DEFAULT_CHECKS
+        assert set(DEFAULT_CHECKS) < set(CHECKS_BY_NAME)
 
     def test_report_deterministic_with_cache(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

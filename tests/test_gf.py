@@ -12,9 +12,6 @@ from blockposets.gf import (
     in_span,
     least_irreducible,
     mat_mul,
-    mat_vec,
-    nullspace_basis,
-    poly_eval,
     poly_factor,
     poly_is_irreducible,
     poly_mul,
@@ -24,6 +21,45 @@ from blockposets.gf import (
     solve,
     stable_image,
 )
+
+
+# Test-only helpers: evaluation and matrix routines the library does not need.
+
+
+def poly_eval(f, x, F):
+    """Horner evaluation at a field point."""
+    acc = F.zero
+    for c in reversed(f):
+        acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def mat_vec(A, v, F):
+    out = []
+    for row in A:
+        s = F.zero
+        for a, x in zip(row, v):
+            if a != F.zero and x != F.zero:
+                s = F.add(s, F.mul(a, x))
+        out.append(s)
+    return out
+
+
+def nullspace_basis(A, F):
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    M, pivots = rref(A, F)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v = [F.zero] * cols
+        v[free] = F.one
+        for r, c in enumerate(pivots):
+            v[c] = F.neg(M[r][free])
+        basis.append(v)
+    return basis
 
 
 class TestFieldArithmetic:
