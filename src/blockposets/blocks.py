@@ -49,7 +49,7 @@ class GroupAlgebraElement:
 
     def key(self):
         if self._key is None:
-            self._key = tuple(sorted((x.images, self.field.encode(c))
+            self._key = tuple(sorted((x, self.field.encode(c))
                                      for x, c in self.support.items()))
         return self._key
 
@@ -85,7 +85,8 @@ class GroupAlgebraElement:
         """Support-wise x -> g^-1 x g."""
         ginv = g.inverse()
         return GroupAlgebraElement(self.group, self.field,
-                                   {ginv * x * g: c for x, c in self.support.items()})
+                                   {x.conjugate(g, ginv): c
+                                    for x, c in self.support.items()})
 
     def is_fixed_by(self, gens):
         return all(self.conjugate(g) == self for g in gens)
@@ -255,7 +256,7 @@ def class_sum_algebra(G, field, cached=None):
     F = field
     if cached is not None:
         reps = [tuple(r) for r in cached["class_reps"]]
-        if reps != [cls.representative.images for cls in classes]:
+        if reps != [cls.representative for cls in classes]:
             raise ValueError("cached class list does not match the group")
         const = [[[F.decode(v) for v in row] for row in plane]
                  for plane in cached["const"]]
@@ -264,7 +265,7 @@ def class_sum_algebra(G, field, cached=None):
         return CentralAlgebra(G, F, classes, const)
     index = G.element_index()
     pos = index.pos
-    members = [[pos[x.images] for x in cls.members] for cls in classes]
+    members = [[pos[x] for x in cls.members] for cls in classes]
     class_of = [0] * G.order
     for c, ids in enumerate(members):
         for x in ids:

@@ -320,12 +320,13 @@ class BlockContext:
     def normal_containment(self, lo, hi):
         """One-step containment (Q, e) normal-in (R, f)."""
         Q, R = lo.subgroup, hi.subgroup
-        if not Q.element_set <= R.element_set:
+        qset = Q.element_set
+        if not qset <= R.element_set:
             return False
         rgens = R.generators
         for g in rgens:
             ginv = g.inverse()
-            if any(ginv * x * g not in Q.element_set for x in Q.generators):
+            if any(x.conjugate(g, ginv) not in qset for x in Q.generators):
                 return False  # Q not normal in R
         e = lo.idempotent
         if not e.is_fixed_by(rgens):
@@ -336,6 +337,13 @@ class BlockContext:
     def pair_poset(self, family, check_uniqueness=True):
         """Pairs over the family with the closure of normal containment.
 
+        Only pairs whose subgroups are strictly contained can be related, so
+        normal containment is tested on those alone.  They are found by
+        subset on int bitsets: each subgroup of the family is the mask of
+        its elements' positions in G's ElementIndex, and Q <= R iff
+        mask(Q) & ~mask(R) == 0.  The family is sorted by order, so only
+        the subgroups before R need testing.
+
         The G-action is attached only when the family is closed under
         conjugation (every conjugated pair must land back in the poset).
         """
@@ -345,27 +353,45 @@ class BlockContext:
             pairs.extend(self.pairs_at(Q))
         pairs.sort(key=BrauerPair.key)
         index = {pr.ident(): i for i, pr in enumerate(pairs)}
+        gindex = self.G.element_index()
+        pos, elements = gindex.pos, gindex.elements
+        slot = {}                    # element set -> index in subgroups
+        masks = []
+        for r, R in enumerate(subgroups):
+            slot[R.element_set] = r
+            mask = 0
+            for x in R.elements:
+                mask |= 1 << pos[x]
+            masks.append(mask)
+        # subsets[r]: the family's subgroups of R, R itself last
+        subsets = []
+        for r, mask in enumerate(masks):
+            outside = ~mask
+            subsets.append([q for q in range(r + 1)
+                            if not masks[q] & outside])
+        at = [[] for _ in subgroups]  # subgroup index -> its pair indices
+        for i, pr in enumerate(pairs):
+            at[slot[pr.subgroup.element_set]].append(i)
         edges = []
-        for i, lo in enumerate(pairs):
-            for j, hi in enumerate(pairs):
-                if i == j:
+        for j, hi in enumerate(pairs):
+            r = slot[hi.subgroup.element_set]
+            for q in subsets[r]:
+                if q == r:
                     continue
-                if lo.subgroup.order >= hi.subgroup.order:
-                    continue
-                if self.normal_containment(lo, hi):
-                    edges.append((i, j))
+                for i in at[q]:
+                    if self.normal_containment(pairs[i], hi):
+                        edges.append((i, j))
+        edges.sort()
         labels = [pr.label() for pr in pairs]
         base = Poset.from_edges_closure(labels, edges)
         # a pair's image under a generator, read as its ident: the subgroup
         # through the generator's conjugation table, the idempotent by g
-        gindex = self.G.element_index()
-        pos, elements = gindex.pos, gindex.elements
         action = []
         closed = True
         for g, table in zip(self.G.generators, gindex.conj):
             perm = []
             for pr in pairs:
-                image = frozenset([elements[table[pos[x.images]]]
+                image = frozenset([elements[table[pos[x]]]
                                    for x in pr.subgroup.elements])
                 target = index.get((image, pr.idempotent.conjugate(g).key()))
                 if target is None:
@@ -377,23 +403,20 @@ class BlockContext:
             action.append(perm)
         poset = GPoset(labels, base.up, action) if closed else base
         if check_uniqueness:
-            self._assert_unique_subpairs(pairs, poset, subgroups)
+            self._assert_unique_subpairs(pairs, poset, subgroups, subsets,
+                                         slot, at)
         return BrauerPairPoset(pairs, edges, poset)
 
-    def _assert_unique_subpairs(self, pairs, poset, subgroups):
-        by_subgroup = {}
-        for i, pr in enumerate(pairs):
-            by_subgroup.setdefault(pr.subgroup.element_set, []).append(i)
+    def _assert_unique_subpairs(self, pairs, poset, subgroups, subsets, slot,
+                                at):
+        """Below each pair, exactly one pair at each subgroup of its own."""
         for j, hi in enumerate(pairs):
-            for Q in subgroups:
-                if not Q.element_set <= hi.subgroup.element_set:
-                    continue
-                below = [i for i in by_subgroup.get(Q.element_set, ())
-                         if poset.leq(i, j)]
+            for q in subsets[slot[hi.subgroup.element_set]]:
+                below = [i for i in at[q] if poset.leq(i, j)]
                 if len(below) != 1:
                     raise TheoryViolation(
                         "subpair existence/uniqueness failed",
-                        witness=(hi.label(), Q.label, len(below)))
+                        witness=(hi.label(), subgroups[q].label, len(below)))
 
     # -- defect groups ----------------------------------------------------
 

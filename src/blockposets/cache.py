@@ -22,7 +22,7 @@ def group_fingerprint(G):
     h = hashlib.sha256()
     h.update(str(G.degree).encode())
     for x in G.elements:
-        h.update(bytes(x.images))
+        h.update(bytes(x))
     return h.hexdigest()
 
 
@@ -88,7 +88,7 @@ def class_algebra_and_blocks(G, F, cache_dir=None):
     payload = {
         "const": [[[F.encode(v) for v in row] for row in plane]
                   for plane in A.const],
-        "class_reps": [list(c.representative.images) for c in A.classes],
+        "class_reps": [list(c.representative) for c in A.classes],
         "class_sizes": [len(c.members) for c in A.classes],
         "blocks": [[F.encode(c) for c in b.coords] for b in out],
     }

@@ -7,8 +7,11 @@ Group specs are preset names (S3..S7, D8) or JSON records:
     {"type": "generators", "degree": 4, "gens": [[[1,2],[3,4]], [[1,3]]]}
 
 Exit status of `verify`: 0 all pass, 1 at least one failure, 2 skips but no
-failure.  Reports are deterministic JSON; wall-clock timings are only
-embedded with --timings (they would break byte-for-byte reproducibility).
+failure.  Every command exits with status 2 and one line on stderr when its
+input is bad (a malformed group spec, a prime that is not prime, an unknown
+check or block selector).  Reports are deterministic JSON; wall-clock timings
+are only embedded with --timings (they would break byte-for-byte
+reproducibility).
 """
 
 from __future__ import annotations
@@ -72,49 +75,69 @@ CORPUS = (
 )
 
 
+def _bad_input(message):
+    """Stop on bad input: one line on stderr, exit status 2."""
+    print(f"blockposets: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def parse_group_spec(text):
     if text in PRESETS:
         return PRESETS[text]
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"unrecognized group spec {text!r}: {exc}")
+        _bad_input(f"unrecognized group spec {text!r}: {exc}")
     if not isinstance(spec, dict) or "type" not in spec:
-        raise SystemExit("group spec must be a preset name or a JSON record")
+        _bad_input("group spec must be a preset name or a JSON record")
     return spec
 
 
 def build_group(spec, max_elements=MAX_GROUP_ORDER):
     kind = spec["type"]
-    if kind == "symmetric":
-        n = int(spec["n"])
-        if math.factorial(n) > max_elements:
-            raise SizeLimitExceeded(
-                f"symmetric group of degree {n} exceeds {max_elements} elements")
-        return symmetric_group(n)
-    if kind == "dihedral":
-        order = int(spec["order"])
-        if order > max_elements:
-            raise SizeLimitExceeded(
-                f"dihedral group of order {order} exceeds {max_elements} elements")
-        return dihedral_group(order)
-    if kind == "generators":
-        degree = int(spec["degree"])
-        gens = [Permutation.from_cycles(degree, cycles)
-                for cycles in spec["gens"]]
-        return PermGroup.from_generators(degree, gens, label="custom",
-                                         max_elements=max_elements)
-    raise SystemExit(f"unknown group type {kind!r}")
+    try:
+        if kind == "symmetric":
+            n = int(spec["n"])
+            if math.factorial(n) > max_elements:
+                raise SizeLimitExceeded(f"symmetric group of degree {n} "
+                                        f"exceeds {max_elements} elements")
+            return symmetric_group(n)
+        if kind == "dihedral":
+            order = int(spec["order"])
+            if order > max_elements:
+                raise SizeLimitExceeded(f"dihedral group of order {order} "
+                                        f"exceeds {max_elements} elements")
+            return dihedral_group(order)
+        if kind == "generators":
+            degree = int(spec["degree"])
+            gens = [Permutation.from_cycles(degree, cycles)
+                    for cycles in spec["gens"]]
+            return PermGroup.from_generators(degree, gens, label="custom",
+                                             max_elements=max_elements)
+    except KeyError as exc:
+        _bad_input(f"{kind} group spec needs the field {exc.args[0]!r}")
+    except (TypeError, ValueError) as exc:
+        _bad_input(f"bad {kind} group spec: {exc}")
+    _bad_input(f"unknown group type {kind!r}")
+
+
+def _field(p, d):
+    """GF(p^d), with a bad p or d reported as bad input."""
+    try:
+        return field_context(p, d)
+    except ValueError as exc:
+        _bad_input(f"no field GF({p}^{d}): {exc}")
 
 
 def field_for(args, G):
     if getattr(args, "auto_split", False):
+        _field(args.prime, 1)        # reject a bad prime before using it
         m = exponent_p_part_complement(G, args.prime)
         d = 1
         while m > 1 and pow(args.prime, d, m) != 1:
             d += 1
-        return field_context(args.prime, d)
-    return field_context(args.prime, args.field_degree)
+        return _field(args.prime, d)
+    return _field(args.prime, args.field_degree)
 
 
 def select_blocks(block_list, selector):
@@ -127,9 +150,9 @@ def select_blocks(block_list, selector):
     try:
         index = int(selector)
     except ValueError:
-        raise SystemExit(f"bad block selector {selector!r}")
+        _bad_input(f"bad block selector {selector!r}")
     if not 0 <= index < len(block_list):
-        raise SystemExit(f"block index {index} out of range")
+        _bad_input(f"block index {index} out of range")
     return [block_list[index]]
 
 
@@ -181,8 +204,8 @@ def cmd_blocks(args):
 
 
 def _verify_entry(entry, checks, max_simplices, cache_dir):
-    group = GroupContext(build_group(entry.spec),
-                         field_context(entry.p, entry.d), cache_dir)
+    group = GroupContext(build_group(entry.spec), _field(entry.p, entry.d),
+                         cache_dir)
     results = []
     for b in select_blocks(group.blocks, entry.selector):
         results.extend(run_block_checks(group, b, checks, max_simplices))
@@ -193,13 +216,13 @@ def cmd_verify(args):
     checks = args.checks.split(",") if args.checks else list(DEFAULT_CHECKS)
     for c in checks:
         if c not in CHECKS_BY_NAME:
-            raise SystemExit(f"unknown check {c!r}; choose from "
-                             f"{', '.join(CHECKS_BY_NAME)}")
+            _bad_input(f"unknown check {c!r}; choose from "
+                      f"{', '.join(CHECKS_BY_NAME)}")
     if args.corpus:
         entries = list(CORPUS)
     else:
         if not args.group:
-            raise SystemExit("need --group or --corpus")
+            _bad_input("need --group or --corpus")
         spec = parse_group_spec(args.group)
         d = args.field_degree
         if args.auto_split:
@@ -259,8 +282,8 @@ def cmd_poset(args):
     group = GroupContext(G, field_for(args, G), args.cache_dir)
     selected = select_blocks(group.blocks, args.block)
     if len(selected) != 1:
-        raise SystemExit("poset export needs exactly one block; "
-                         "use --block principal|nonprincipal|<index>")
+        _bad_input("poset export needs exactly one block; "
+                  "use --block principal|nonprincipal|<index>")
     ctx = BlockContext(group, selected[0])
     orbit_of = None
     if args.which in ("A", "K", "K-orbit"):
@@ -279,7 +302,7 @@ def cmd_poset(args):
         fs = FusionSystem.from_block_context(ctx)
         poset = IsoClassPoset(CommutingCategory(fs)).poset
     else:
-        raise SystemExit(f"unknown poset kind {args.which!r}")
+        _bad_input(f"unknown poset kind {args.which!r}")
     if isinstance(poset, GPoset):
         orbits = poset.orbits()
         orbit_of = [0] * poset.n

@@ -33,7 +33,8 @@ class FusionMorphism:
     def key(self):
         """Image tuple over the sorted domain elements: the set-map identity."""
         if self._key is None:
-            self._key = tuple(self.mapping[x].images for x in self.domain.elements)
+            self._key = tuple(map(self.mapping.__getitem__,
+                                  self.domain.elements))
         return self._key
 
     def image_of(self, S):
@@ -121,11 +122,11 @@ class FusionSystem:
         index = self.ctx.G.element_index()
         for g in index.conjugators(Q.generators, self.P.elements):
             ginv = g.inverse()
-            mapping = {x: ginv * x * g for x in Q.elements}
-            mkey = tuple(mapping[x].images for x in Q.elements)
+            mkey = tuple([x.conjugate(g, ginv) for x in Q.elements])
             if mkey in found:
                 continue
-            image = frozenset(mapping.values())
+            mapping = dict(zip(Q.elements, mkey))
+            image = frozenset(mkey)
             target = self.sub_pair.get(image)
             if target is None:
                 raise TheoryViolation("image subgroup missing from family",
@@ -180,8 +181,7 @@ class CommutingCategory:
         for i in range(n):
             endos = self.hom(i, i)
             keys = {psi.key() for psi in endos}
-            identity_key = tuple(x.images for x in self.products[i].elements)
-            if identity_key not in keys:
+            if self.products[i].elements not in keys:
                 raise TheoryViolation("identity morphism missing",
                                       witness=self.object_label(i))
             for psi in endos:
@@ -203,7 +203,7 @@ class CommutingCategory:
                     for chi in homs[j][k]:
                         mapping = chi.mapping
                         for mid in mids:
-                            key = tuple(mapping[y].images for y in mid)
+                            key = tuple(map(mapping.__getitem__, mid))
                             if key not in target_keys:
                                 raise TheoryViolation(
                                     "composite escapes its hom set",

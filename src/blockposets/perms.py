@@ -10,6 +10,12 @@ Conventions, fixed once and used everywhere:
 * Element enumeration is closed under products and inverses and is sorted
   lexicographically by image tuple, which makes every downstream ordering
   (classes, subgroup lists, reports) reproducible.
+* A Permutation is its image tuple: a tuple subclass with no fields of its
+  own, so hashing, equality and ordering run in C.  Its hash is the hash of
+  the plain image tuple, so sets and dicts of permutations iterate in the
+  same order as sets and dicts of image tuples would, and that is what
+  keeps set-derived orders and the reports stable.  A product or a
+  conjugate is built in one pass over the images.
 
 Target scale is groups of order up to a few thousand (the largest shipped
 corpus group has order 5040), so questions about every g in G are answered
@@ -33,17 +39,18 @@ from .errors import SizeLimitExceeded
 MAX_GROUP_ORDER = 100_000
 
 
-class Permutation:
-    """A bijection of {0..degree-1}, stored as its image tuple."""
+class Permutation(tuple):
+    """A bijection of {0..degree-1}: the tuple of its images.
 
-    __slots__ = ("images",)
+    Hashing, equality and ordering are the tuple's own, so they run in C and
+    a Permutation hashes and compares equal to its plain image tuple.
+    """
 
-    def __init__(self, images):
-        self.images = tuple(images)
+    __slots__ = ()
 
     @property
     def degree(self):
-        return len(self.images)
+        return len(self)
 
     @classmethod
     def identity(cls, degree):
@@ -51,7 +58,11 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree, cycles):
-        """Build from 1-based disjoint-or-not cycles, applied left to right."""
+        """Build from 1-based cycles, applied left to right.
+
+        The cycles need not be disjoint, but no point may repeat inside one
+        cycle (that would not be a bijection).
+        """
         result = cls.identity(degree)
         for cycle in cycles:
             images = list(range(degree))
@@ -60,30 +71,38 @@ class Permutation:
                 if not 1 <= point <= degree:
                     raise ValueError(f"cycle point {point} outside 1..{degree}")
                 images[point - 1] = cycle[(k + 1) % m] - 1
+            if len(set(cycle)) != m:
+                raise ValueError(f"cycle {list(cycle)} repeats a point")
             result = result * cls(images)
         return result
 
     def __mul__(self, other):
-        if len(self.images) != len(other.images):
+        if len(self) != len(other):
             raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation(o[i] for i in self.images)
+        return tuple.__new__(Permutation, [other[i] for i in self])
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Permutation(inv)
+        return tuple.__new__(Permutation, inv)
 
-    def conjugate(self, g):
-        """self ** g = g^-1 * self * g."""
-        return g.inverse() * self * g
+    def conjugate(self, g, ginv=None):
+        """self ** g = g^-1 * self * g, in one pass over g^-1.
+
+        Pass ginv = g.inverse() when conjugating many elements by one g.
+        """
+        if len(g) != len(self):
+            raise ValueError("degree mismatch")
+        if ginv is None:
+            ginv = g.inverse()
+        return tuple.__new__(Permutation, [g[self[i]] for i in ginv])
 
     def __call__(self, point):
-        return self.images[point]
+        return self[point]
 
     def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
+        return self == tuple(range(len(self)))
 
     def order(self):
         n = 1
@@ -95,19 +114,19 @@ class Permutation:
 
     def cycles(self):
         """Nontrivial cycles as 0-based tuples, each starting at its least point."""
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         out = []
-        for start in range(len(self.images)):
-            if seen[start] or self.images[start] == start:
+        for start in range(len(self)):
+            if seen[start] or self[start] == start:
                 seen[start] = True
                 continue
             cyc = [start]
             seen[start] = True
-            point = self.images[start]
+            point = self[start]
             while point != start:
                 cyc.append(point)
                 seen[point] = True
-                point = self.images[point]
+                point = self[point]
             out.append(tuple(cyc))
         return out
 
@@ -116,15 +135,6 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __lt__(self, other):
-        return self.images < other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation[{self.cycle_string()}]"
@@ -153,8 +163,9 @@ def _closure(degree, gens, max_elements):
 class ElementIndex:
     """One numbering of a group's elements, with int tables for its generators.
 
-    * pos maps an element's image tuple to its position in the sorted
-      G.elements; root is the identity's position.
+    * pos maps an element (or its plain image tuple, which hashes and
+      compares equal) to its position in the sorted G.elements; root is
+      the identity's position.
     * conj[t][i] is the position of t^-1 x_i t and right[t][i] that of x_i t,
       for the t-th generator.
     * tree lists (child, parent, t) with x_child = x_parent t, in BFS order
@@ -168,16 +179,17 @@ class ElementIndex:
 
     def __init__(self, G):
         elements = G.elements
-        pos = {x.images: i for i, x in enumerate(elements)}
+        pos = {x: i for i, x in enumerate(elements)}
         self.elements = elements
         self.pos = pos
         self.root = pos[tuple(range(G.degree))]
         self.conj, self.right = [], []
         for t in G.generators:
-            ti, tinv = t.images, t.inverse().images
-            self.right.append([pos[tuple([ti[k] for k in x.images])]
+            tinv = t.inverse()
+            # x t and t^-1 x t as plain image tuples, which index pos too
+            self.right.append([pos[tuple([t[k] for k in x])]
                                for x in elements])
-            self.conj.append([pos[tuple([ti[x.images[k]] for k in tinv])]
+            self.conj.append([pos[tuple([t[x[k]] for k in tinv])]
                               for x in elements])
         seen = bytearray(len(elements))
         seen[self.root] = 1
@@ -198,7 +210,7 @@ class ElementIndex:
 
     def id(self, perm):
         """Position of perm; ValueError when it is not an element."""
-        hit = self.pos.get(perm.images)
+        hit = self.pos.get(perm)
         if hit is None:
             raise ValueError(f"{perm!r} is not an element of the group")
         return hit
@@ -220,7 +232,7 @@ class ElementIndex:
 
     def conjugators(self, xs, target):
         """The g in G with x^g in target for every x in xs, in G's order."""
-        inside = {self.pos[y.images] for y in target}
+        inside = {self.pos[y] for y in target}
         keep = range(len(self.elements))
         for x in xs:
             col = self.conj_column(self.id(x))
@@ -293,7 +305,7 @@ class PermGroup:
     def key(self):
         """Canonical sort key: (order, sorted element image tuples)."""
         if self._key is None:
-            self._key = (self.order, tuple(x.images for x in self.elements))
+            self._key = (self.order, self.elements)
         return self._key
 
     def element_index(self):
@@ -337,8 +349,8 @@ class PermGroup:
 
     def conjugate_subgroup(self, g, label=""):
         ginv = g.inverse()
-        elems = {ginv * x * g for x in self.elements}
-        gens = tuple(ginv * x * g for x in self.generators)
+        elems = {x.conjugate(g, ginv) for x in self.elements}
+        gens = tuple(x.conjugate(g, ginv) for x in self.generators)
         return PermGroup(self.degree, gens, elems, label or self.label)
 
     def fingerprint(self):
@@ -422,12 +434,12 @@ def sylow_p(G, p):
     while n % p == 0:
         target *= p
         n //= p
+    index = G.element_index()
     H = PermGroup.trivial(G.degree)
     while H.order < target:
-        N = normalizer(G, H)
         ext = None
-        # any x in N(H)\H whose coset has order p extends H to a p-group
-        for x in N.elements:
+        # any x in N_G(H)\H whose coset has order p extends H to a p-group
+        for x in index.conjugators(H.generators, H.elements):
             if x not in H.element_set and _power(x, p) in H.element_set:
                 ext = x
                 break
@@ -487,7 +499,7 @@ def subgroup_orbit_transversal(G, H):
     right-multiplication table.
     """
     index = G.element_index()
-    start = frozenset([index.pos[x.images] for x in H.elements])
+    start = frozenset([index.pos[x] for x in H.elements])
     orbit = {start: index.root}
     frontier = [start]
     while frontier:

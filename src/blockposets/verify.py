@@ -343,14 +343,16 @@ def _admissible_class(geom, fs, cat, icp):
         vids, pid = geom.elements[el_idx]
         pair = geom.apairs.pairs[pid]
         ginv = g.inverse()
-        if any(ginv * x * g not in pset for x in pair.subgroup.generators):
+        if any(x.conjugate(g, ginv) not in pset
+               for x in pair.subgroup.generators):
             return None
-        image = frozenset(ginv * x * g for x in pair.subgroup.elements)
+        image = frozenset([x.conjugate(g, ginv)
+                           for x in pair.subgroup.elements])
         if pair.idempotent.conjugate(g) != fs.sub_pair[image].idempotent:
             return None
         obj = frozenset(
-            cat_vertex.get(frozenset(ginv * x * g
-                                     for x in geom.vertices[v].elements))
+            cat_vertex.get(frozenset([x.conjugate(g, ginv)
+                                      for x in geom.vertices[v].elements]))
             for v in vids)
         obj_idx = object_index.get(obj)
         return None if obj_idx is None else icp.class_of[obj_idx]

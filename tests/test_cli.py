@@ -39,11 +39,48 @@ class TestGroupSpecs:
                    "--max-elements", "100"])
         assert rc == 2  # resource bound, not a verification failure
 
+    def test_bad_spec_exits_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_group_spec("not json at all {{")
+        assert exc.value.code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_select_blocks(self):
         bl = blocks(symmetric_group(3), PrimeField(2))
         assert len(select_blocks(bl, "all")) == 2
         assert len(select_blocks(bl, "principal")) == 1
         assert select_blocks(bl, "0")[0].index == 0
+
+
+class TestBadInput:
+    """Bad input ends with one line on stderr and exit status 2."""
+
+    GENS = '{"type": "generators", "degree": 3, "gens": %s}'
+
+    @pytest.mark.parametrize("argv", [
+        ["blocks", "--group", "S3", "--prime", "4"],
+        ["blocks", "--group", "S3", "--prime", "0"],
+        ["blocks", "--group", "S3", "--prime", "1"],
+        ["blocks", "--group", "S3", "--prime", "1", "--auto-split"],
+        ["verify", "--group", "S3", "--prime", "4"],
+        ["blocks", "--group", GENS % "[[[1, 2, 1, 3]]]"],
+        ["blocks", "--group", GENS % "[[[1, 5]]]"],
+        ["blocks", "--group", '{"type": "generators", "degree": 3}'],
+        ["blocks", "--group", '{"type": "generators", "gens": []}'],
+        ["verify", "--group", '{"type": "symmetric"}'],
+        ["verify", "--group", "S3", "--checks", "nonsense"],
+        ["poset", "--group", "S3", "--which", "A", "--block", "9"],
+    ], ids=["prime-4", "prime-0", "prime-1", "prime-1-auto-split",
+            "verify-prime-4", "repeated-point", "point-out-of-range",
+            "no-gens", "no-degree", "no-n", "unknown-check", "bad-block"])
+    def test_one_line_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
 
 
 class TestBlocksCommand:

@@ -128,7 +128,7 @@ def maps_from_by_products(fs, Q):
         if any(ginv * x * g not in pset for x in Q.generators):
             continue
         mapping = {x: ginv * x * g for x in Q.elements}
-        mkey = tuple(mapping[x].images for x in Q.elements)
+        mkey = tuple(tuple(mapping[x]) for x in Q.elements)
         if mkey in found:
             continue
         image = frozenset(mapping.values())

@@ -78,7 +78,7 @@ def hom_by_scan(fs, Q, R):
         if any(ginv * x * g not in R.element_set for x in Q.generators):
             continue
         mapping = {x: ginv * x * g for x in Q.elements}
-        mkey = tuple(mapping[x].images for x in Q.elements)
+        mkey = tuple(tuple(mapping[x]) for x in Q.elements)
         if mkey in found:
             continue
         target = fs.sub_pair[frozenset(mapping.values())]

@@ -1,0 +1,230 @@
+"""Differential tests of the image-tuple Permutation, the subset-indexed pair
+poset and the direct Sylow search against the paths they replaced.
+
+* Permutation arithmetic is checked against plain image-tuple arithmetic on
+  random permutations: products, inverses, one-pass conjugation, hashes
+  and order.
+* BlockContext.pair_poset tests normal containment only on strictly
+  contained subgroups, found by subset on position bitsets.  The oracle is
+  the all-pairs build it replaced; both must give the same pairs, normal
+  edges, up masks and G-action.
+* sylow_p walks N_G(H) straight off the element index; the oracle builds
+  each normalizer as a PermGroup first.
+"""
+
+import random
+
+import pytest
+
+from blockposets.brauer import BlockContext, BrauerPair, GroupContext
+from blockposets.cli import CORPUS, PRESETS, build_group
+from blockposets.commuting import elementary_abelian_family
+from blockposets.gf import field_context
+from blockposets.perms import (
+    PermGroup,
+    Permutation,
+    _power,
+    normalizer,
+    symmetric_group,
+    sylow_p,
+)
+from blockposets.topology import GPoset, Poset
+
+# -- plain image-tuple arithmetic -----------------------------------------
+
+
+def ref_mul(a, b):
+    """(a * b)(i) = b(a(i)): apply a first."""
+    return tuple(b[a[i]] for i in range(len(a)))
+
+
+def ref_inverse(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def random_tuples(rng, count):
+    out = []
+    for _ in range(count):
+        images = list(range(rng.randint(1, 9)))
+        rng.shuffle(images)
+        out.append(tuple(images))
+    return out
+
+
+class TestPermutationKernel:
+    def test_products_inverses_conjugates(self):
+        rng = random.Random(7)
+        checked = 0
+        for a in random_tuples(rng, 300):
+            n = len(a)
+            b, g = (tuple(rng.sample(range(n), n)) for _ in range(2))
+            x, y, h = Permutation(a), Permutation(b), Permutation(g)
+            assert type(x * y) is Permutation
+            assert x * y == ref_mul(a, b)
+            assert type(x.inverse()) is Permutation
+            assert x.inverse() == ref_inverse(a)
+            expect = ref_mul(ref_mul(ref_inverse(g), a), g)
+            assert type(x.conjugate(h)) is Permutation
+            assert x.conjugate(h) == expect
+            assert x.conjugate(h) == h.inverse() * x * h
+            assert x.conjugate(h, h.inverse()) == expect
+            checked += 1
+        assert checked == 300
+
+    def test_hash_equality_and_order_are_the_tuples(self):
+        rng = random.Random(11)
+        tuples = random_tuples(rng, 400)
+        perms = [Permutation(t) for t in tuples]
+        for t, x in zip(tuples, perms):
+            assert hash(x) == hash(t)
+            assert x == t and t == x
+        assert [tuple(x) for x in sorted(perms)] == sorted(tuples)
+        # equal hashes and the same insertions: the same set order
+        assert [tuple(x) for x in set(perms)] == list(set(tuples))
+
+    def test_degree_mismatch(self):
+        x, y = Permutation((1, 0)), Permutation((0, 2, 1))
+        with pytest.raises(ValueError):
+            x * y
+        with pytest.raises(ValueError):
+            x.conjugate(y)
+
+    def test_from_cycles_rejects_a_repeated_point(self):
+        with pytest.raises(ValueError, match="repeats"):
+            Permutation.from_cycles(3, [[1, 2, 1, 3]])
+        # a point may recur across cycles: they are applied left to right
+        x = Permutation.from_cycles(3, [[1, 2], [2, 3]])
+        assert x == ref_mul((1, 0, 2), (0, 2, 1))
+
+
+# -- the all-pairs pair poset ---------------------------------------------
+
+
+def pair_poset_all_pairs(ctx, family):
+    """(pairs, normal edges, up masks, action) from every ordered pair."""
+    subgroups = {}
+    for Q in family:
+        subgroups.setdefault(Q.element_set, Q)
+    pairs = []
+    for Q in sorted(subgroups.values(), key=PermGroup.key):
+        pairs.extend(ctx.pairs_at(Q))
+    pairs.sort(key=BrauerPair.key)
+    edges = []
+    for i, lo in enumerate(pairs):
+        for j, hi in enumerate(pairs):
+            if i != j and lo.subgroup.order < hi.subgroup.order \
+                    and ctx.normal_containment(lo, hi):
+                edges.append((i, j))
+    up = Poset.from_edges_closure([pr.label() for pr in pairs], edges).up
+    index = {pr.ident(): i for i, pr in enumerate(pairs)}
+    action = []
+    for g in ctx.G.generators:
+        perm = [index.get((pr.subgroup.conjugate_subgroup(g).element_set,
+                           pr.idempotent.conjugate(g).key()))
+                for pr in pairs]
+        if None in perm:
+            return pairs, edges, up, None
+        action.append(perm)
+    return pairs, edges, up, action
+
+
+def all_conjugates(group):
+    """The `poset --which brauer-pairs` family: every p-subgroup."""
+    return [R.conjugate_subgroup(g)
+            for R, orbit in group.classes for g in orbit.values()]
+
+
+def block_contexts(entries):
+    for name, spec, p in entries:
+        group = GroupContext(build_group(spec), field_context(p, 1))
+        for b in group.blocks:
+            yield f"{name}/{b.index}", group, BlockContext(group, b)
+
+
+SMALL = [(e.name, e.spec, e.p) for e in CORPUS if not e.slow]
+S6_P2 = [("S6_p2", PRESETS["S6"], 2)]
+
+
+def assert_same_as_all_pairs(name, ctx, family):
+    calls = []
+    plain = ctx.normal_containment
+
+    def recording(lo, hi):
+        calls.append((lo.subgroup.element_set, hi.subgroup.element_set))
+        return plain(lo, hi)
+
+    ctx.normal_containment = recording
+    try:
+        pp = ctx.pair_poset(family)
+    finally:
+        del ctx.normal_containment
+    pairs, edges, up, action = pair_poset_all_pairs(ctx, family)
+    assert [pr.ident() for pr in pp.pairs] == [pr.ident() for pr in pairs], \
+        name
+    assert pp.normal_edges == edges, name
+    assert pp.poset.up == up, name
+    if action is None:
+        assert not isinstance(pp.poset, GPoset), name
+    else:
+        assert pp.poset.action == action, name
+    # only strictly contained subgroups were tested, each pair once
+    assert all(q < r for q, r in calls), name
+    strict = sum(1 for lo in pairs for hi in pairs
+                 if lo.subgroup.element_set < hi.subgroup.element_set)
+    assert len(calls) == strict, name
+    return len(pairs)
+
+
+class TestSubsetPairPoset:
+    def test_elementary_abelian_family_small_corpus(self):
+        seen = 0
+        for name, _group, ctx in block_contexts(SMALL):
+            seen += assert_same_as_all_pairs(
+                name, ctx, elementary_abelian_family(ctx))
+        assert seen > 30
+
+    def test_brauer_pairs_family_small_corpus(self):
+        seen = 0
+        for name, group, ctx in block_contexts(SMALL):
+            seen += assert_same_as_all_pairs(name, ctx, all_conjugates(group))
+        assert seen > 30
+
+    def test_elementary_abelian_family_s6_p2(self):
+        seen = []
+        for name, _group, ctx in block_contexts(S6_P2):
+            seen.append(assert_same_as_all_pairs(
+                name, ctx, elementary_abelian_family(ctx)))
+        assert len(seen) == 2 and max(seen) == 270
+
+
+# -- Sylow subgroups through normalizer groups ---------------------------
+
+
+def sylow_by_normalizers(G, p):
+    target = 1
+    n = G.order
+    while n % p == 0:
+        target *= p
+        n //= p
+    H = PermGroup.trivial(G.degree)
+    while H.order < target:
+        N = normalizer(G, H)
+        ext = next(x for x in N.elements
+                   if x not in H.element_set
+                   and _power(x, p) in H.element_set)
+        H = PermGroup.from_generators(G.degree, tuple(H.generators) + (ext,),
+                                      max_elements=target)
+    return H
+
+
+class TestSylow:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_same_as_normalizer_groups(self, n):
+        G = symmetric_group(n)
+        for p in (2, 3, 5):
+            P, Q = sylow_p(G, p), sylow_by_normalizers(G, p)
+            assert P.generators == Q.generators, (n, p)
+            assert P.elements == Q.elements, (n, p)
