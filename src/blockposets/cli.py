@@ -203,9 +203,9 @@ def cmd_blocks(args):
     return 0
 
 
-def _verify_entry(entry, checks, max_simplices, cache_dir):
-    group = GroupContext(build_group(entry.spec), _field(entry.p, entry.d),
-                         cache_dir)
+def _verify_entry(entry, checks, max_simplices, max_elements, cache_dir):
+    group = GroupContext(build_group(entry.spec, max_elements),
+                         _field(entry.p, entry.d), cache_dir)
     results = []
     for b in select_blocks(group.blocks, entry.selector):
         results.extend(run_block_checks(group, b, checks, max_simplices))
@@ -226,7 +226,10 @@ def cmd_verify(args):
         spec = parse_group_spec(args.group)
         d = args.field_degree
         if args.auto_split:
-            d = field_for(args, build_group(spec)).d
+            try:
+                d = field_for(args, build_group(spec, args.max_elements)).d
+            except SizeLimitExceeded:
+                pass    # the entry reports the bound as skipped
         entries = [CorpusEntry("target", spec, args.prime, d, args.block)]
     report_entries = []
     statuses = []
@@ -242,7 +245,7 @@ def cmd_verify(args):
             continue
         try:
             outcome = _verify_entry(entry, checks, args.max_simplices,
-                                    args.cache_dir)
+                                    args.max_elements, args.cache_dir)
         except SizeLimitExceeded as exc:
             report_entries.append({
                 "entry": entry.name,

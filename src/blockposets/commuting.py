@@ -12,9 +12,21 @@ nontrivial elementary abelian first component:
 Cliques are enumerated depth-first in vertex order by one generator,
 `iter_cliques`, with the Brauer filter applied as a prune: once the product of
 a clique has zero Brauer image, every superset does too (truncations compose),
-so the cut is exact.  The order of the commuting poset is built from masks:
-the up-set of (kappa, e) is "elements at a pair above e" ANDed with "elements
-whose kappa contains v" over v in kappa.
+so the cut is exact.
+
+The prune runs on the subgroup lattice of the family (every elementary
+abelian subgroup with nonzero Brauer image), with no permutation product.
+Each family subgroup carries the mask of the vertices inside it, and the
+walk carries the product A of the clique, as a family subgroup, together
+with the mask of the family subgroups holding every member.  Adding a
+vertex v keeps A when v lies in A.  Otherwise v commutes with A, so
+<A, v> = A x <v> has order p|A|, and it is the one family subgroup of that
+order holding both; when there is none the product has zero Brauer image
+and the clique is cut.
+
+The order of the commuting poset is built from masks: the up-set of
+(kappa, e) is "elements at a pair above e" ANDed with "elements whose kappa
+contains v" over v in kappa.
 """
 
 from __future__ import annotations
@@ -142,32 +154,68 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     """Build the pair poset, the commuting poset, and the two maps."""
     apairs = elementary_abelian_poset(ctx)
     aposet = apairs.poset
-    # subgroup -> indices of pairs sitting at it
-    pairs_by_subgroup = {}
+    # the family: the subgroups with a pair, each with the pairs at it
+    family_index = {}
+    family = []
+    pairs_at = []
+    family_of_pair = []
     for i, pr in enumerate(apairs.pairs):
-        pairs_by_subgroup.setdefault(pr.subgroup.element_set, []).append(i)
+        f = family_index.setdefault(pr.subgroup.element_set, len(family))
+        if f == len(family):
+            family.append(pr.subgroup)
+            pairs_at.append([])
+        pairs_at[f].append(i)
+        family_of_pair.append(f)
     # vertices: the order-p members of the family
-    vertices = sorted(
-        {pr.subgroup.element_set: pr.subgroup for pr in apairs.pairs
-         if pr.subgroup.order == ctx.p}.values(),
-        key=PermGroup.key)
+    vertices = sorted((S for S in family if S.order == ctx.p),
+                      key=PermGroup.key)
     vindex = {Q.element_set: i for i, Q in enumerate(vertices)}
     adj = commuting_adjacency(vertices)
+    # the vertices inside each family subgroup, read off its elements
+    identity = ctx.G.identity()
+    vertex_of = {x: v for v, V in enumerate(vertices)
+                 for x in V.elements if x != identity}
+    vmask = []
+    for S in family:
+        mask = 0
+        for x in S.elements:
+            if x != identity:
+                v = vertex_of.get(x)
+                if v is None:
+                    raise TheoryViolation(
+                        "element of a family subgroup lies in no vertex",
+                        witness=x.cycle_string())
+                mask |= 1 << v
+        vmask.append(mask)
+    # family subgroups by order, and those containing each vertex
+    of_order = {}
+    holding = [0] * len(vertices)
+    for f, S in enumerate(family):
+        of_order[S.order] = of_order.get(S.order, 0) | 1 << f
+        for v in iter_bits(vmask[f]):
+            holding[v] |= 1 << f
 
-    def brauer_prune(prod, v):
-        # v commutes with every member (adjacency), so the product is a set product
-        V = vertices[v]
-        if prod is None:
-            gens, elems = V.generators, V.elements
-        else:
-            gens = tuple(prod.generators) + V.generators
-            elems = {x * y for x in prod.elements for y in V.elements}
-        new_prod = PermGroup(ctx.G.degree, gens, elems)
-        return new_prod if new_prod.element_set in pairs_by_subgroup else None
+    def brauer_prune(state, v):
+        # state: (the product A as a family index, the family subgroups
+        # holding every member); <A, v> is the family subgroup of order
+        # p|A| holding A and v, if any
+        A, above = state
+        if A is not None and (vmask[A] >> v) & 1:
+            return state
+        above &= holding[v]
+        order = ctx.p * (family[A].order if A is not None else 1)
+        hit = above & of_order.get(order, 0)
+        if not hit:
+            return None
+        if hit & (hit - 1):
+            raise TheoryViolation("two family subgroups generated by a clique",
+                                  witness=vertices[v].generators[0].cycle_string())
+        return hit.bit_length() - 1, above
 
     elements = []
-    for kappa, prod in iter_cliques(adj, brauer_prune, None):
-        for pid in pairs_by_subgroup[prod.element_set]:
+    start = (None, (1 << len(family)) - 1)
+    for kappa, (A, _above) in iter_cliques(adj, brauer_prune, start):
+        for pid in pairs_at[A]:
             elements.append((frozenset(kappa), pid))
             if len(elements) > max_elements:
                 raise SizeLimitExceeded(
@@ -215,11 +263,8 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
 
     kposet = GPoset([label_of(i) for i in range(len(elements))], up, action)
     # expand: (Q, e) -> (order-p subgroups of Q, e); collapse: drop kappa
-    expand_map = []
-    for pid, pr in enumerate(apairs.pairs):
-        cq = order_p_subgroups(pr.subgroup, ctx.p)
-        vids = frozenset(vindex[c.element_set] for c in cq)
-        expand_map.append(kindex[(vids, pid)])
+    expand_map = [kindex[(frozenset(iter_bits(vmask[f])), pid)]
+                  for pid, f in enumerate(family_of_pair)]
     collapse_map = [pi for _k, pi in elements]
     return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
                          expand_map, collapse_map)
@@ -245,8 +290,7 @@ def uncovered_minimal_clique(poset):
     a clique is covered iff that AND is nonzero.  Returns the clique as a
     tuple of element indices, or None when every clique is covered.
     """
-    down = poset.down_masks()
-    minimal = [i for i in range(poset.n) if down[i] == 1 << i]
+    minimal = poset.minimal_elements()
     ups = [poset.up[m] for m in minimal]
     gadj = [0] * len(minimal)
     for a, up_a in enumerate(ups):

@@ -184,13 +184,15 @@ class ElementIndex:
         self.pos = pos
         self.root = pos[tuple(range(G.degree))]
         self.conj, self.right = [], []
+        # subscripts run on plain tuples, which CPython specialises (a
+        # tuple subclass it does not); the image tuples index pos too
+        plain = [tuple(x) for x in elements]
         for t in G.generators:
-            tinv = t.inverse()
-            # x t and t^-1 x t as plain image tuples, which index pos too
+            t, tinv = tuple(t), tuple(t.inverse())
             self.right.append([pos[tuple([t[k] for k in x])]
-                               for x in elements])
+                               for x in plain])
             self.conj.append([pos[tuple([t[x[k]] for k in tinv])]
-                              for x in elements])
+                              for x in plain])
         seen = bytearray(len(elements))
         seen[self.root] = 1
         self.tree = []

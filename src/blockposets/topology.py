@@ -1,10 +1,28 @@
 """Finite posets with group actions, order complexes, and integral homology.
 
-Posets keep their relation as per-element up-set bitmasks, so the axioms and
-transitive closures are cheap int operations.  Every walk over a mask goes
-through one set-bit kernel, `iter_bits`, which steps from one set bit to the
-next (``mask & -mask``) instead of shifting past every clear bit, so a row
-costs its number of set bits rather than the size of the poset.
+Posets keep their relation as per-element up-set bitmasks.  Every walk over
+a mask goes through one set-bit kernel, `iter_bits`, which peels the top bit
+(``b = mask.bit_length() - 1; mask ^= 1 << b``) and returns the row as an
+increasing list.  The mask narrows as its top bits go, where the low-bit
+step ``mask & -mask`` works on the full width for every bit.
+
+The checks read each row's set bits once and cost per relation pair, with
+no per-pair bit test on a wide int:
+
+* transitivity is one OR per row: the up-sets of the elements above i,
+  ORed together, must give back the up-set of i;
+* given reflexivity and transitivity, i <= j <= i makes the up-sets of i and
+  j equal, and equal up-sets give i <= j <= i, so antisymmetry holds iff
+  the up-set masks are pairwise distinct;
+* a permutation a of the elements is an order-automorphism iff a maps each
+  row i onto the row of a(i), and a bijection is an order isomorphism iff
+  it maps each row onto the row of the image;
+* a map f is order-preserving iff each up-set of x lies inside the
+  preimage of the up-set of f(x), one mask test per x;
+* down-sets come from transposed index lists, one mask each.
+
+On a failure the first offending row is scanned pair by pair, so the
+witness is the first offending pair in row order.
 
 Homology of a simplicial complex is unreduced integral homology computed
 from Smith normal forms of the boundary matrices; the Smith reduction is a
@@ -25,11 +43,22 @@ MAX_SIMPLICES = 1_000_000
 
 
 def iter_bits(mask):
-    """Indices of the set bits of a nonnegative int, in increasing order."""
+    """Indices of the set bits of a nonnegative int, as an increasing list."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
+
+
+def _row_or(up, row):
+    """The OR of the up-sets of the elements listed in row."""
+    acc = 0
+    for j in row:
+        acc |= up[j]
+    return acc
 
 
 class Poset:
@@ -40,19 +69,30 @@ class Poset:
         self.labels = list(labels)
         self.up = list(up_masks)  # bit j of up[i] set iff i <= j
         if check:
-            self._check_axioms()
+            self._check([iter_bits(m) for m in self.up])
 
-    def _check_axioms(self):
+    def _check(self, rows):
+        """Raise TheoryViolation unless the relation is a partial order.
+
+        rows[i] lists the set bits of up[i]; subclasses check more on them.
+        """
+        up = self.up
         for i in range(self.n):
-            if not (self.up[i] >> i) & 1:
+            if not (up[i] >> i) & 1:
                 raise TheoryViolation("relation not reflexive", witness=i)
-        for i in range(self.n):
-            mask = self.up[i]
-            for j in iter_bits(mask):
-                if j != i and (self.up[j] >> i) & 1:
+        if len(set(up)) == self.n and all(
+                _row_or(up, row) == up[i] for i, row in enumerate(rows)):
+            return
+        # the first row holding an offending pair, then the pair in it
+        down = self.down_masks()
+        for i, row in enumerate(rows):
+            if _row_or(up, row) == up[i] and up[i] & down[i] == 1 << i:
+                continue
+            for j in row:
+                if j != i and (down[i] >> j) & 1:
                     raise TheoryViolation("relation not antisymmetric",
                                           witness=(self.labels[i], self.labels[j]))
-                if self.up[j] & ~mask:
+                if up[j] & ~up[i]:
                     raise TheoryViolation("relation not transitive",
                                           witness=(self.labels[i], self.labels[j]))
 
@@ -92,11 +132,16 @@ class Poset:
         return [(i, j) for i in range(self.n) for j in iter_bits(self.up[i])]
 
     def down_masks(self):
-        down = [0] * self.n
-        for i in range(self.n):
-            bit = 1 << i
-            for j in iter_bits(self.up[i]):
-                down[j] |= bit
+        below = [[] for _ in range(self.n)]
+        for i, m in enumerate(self.up):
+            for j in iter_bits(m):
+                below[j].append(i)
+        down = []
+        for lst in below:
+            mask = 0
+            for i in lst:
+                mask |= 1 << i
+            down.append(mask)
         return down
 
     def covering_pairs(self):
@@ -111,8 +156,10 @@ class Poset:
         return out
 
     def minimal_elements(self):
-        down = self.down_masks()
-        return [i for i in range(self.n) if down[i] == (1 << i)]
+        above = 0   # the elements strictly above some element
+        for i, m in enumerate(self.up):
+            above |= m ^ (1 << i)
+        return iter_bits(~above & ((1 << self.n) - 1))
 
     def maximal_elements(self):
         return [i for i in range(self.n) if self.up[i] == (1 << i)]
@@ -158,18 +205,23 @@ class GPoset(Poset):
     """
 
     def __init__(self, labels, up_masks, action, check=True):
-        super().__init__(labels, up_masks, check=check)
         self.action = [list(a) for a in action]
-        if check:
-            self._check_action()
+        super().__init__(labels, up_masks, check=check)
 
-    def _check_action(self):
+    def _check(self, rows):
+        super()._check(rows)
+        everything = list(range(self.n))
         for a in self.action:
-            if sorted(a) != list(range(self.n)):
+            if sorted(a) != everything:
                 raise TheoryViolation("generator does not permute poset elements")
-            for i in range(self.n):
-                for j in iter_bits(self.up[i]):
-                    if not self.leq(a[i], a[j]):
+            if all(sorted([a[j] for j in row]) == rows[a[i]]
+                   for i, row in enumerate(rows)):
+                continue
+            # the first pair whose image is not a relation
+            for i, row in enumerate(rows):
+                target = set(rows[a[i]])
+                for j in row:
+                    if a[j] not in target:
                         raise TheoryViolation(
                             "generator action is not an order-automorphism",
                             witness=(self.labels[i], self.labels[j]))
@@ -319,13 +371,16 @@ def order_complex(X, max_simplices=MAX_SIMPLICES):
 def face_poset(C):
     """Nonempty faces of a complex, ordered by inclusion."""
     faces = [f for fs in C.faces_by_dim for f in fs]
-    sets = [frozenset(f) for f in faces]
-    n = len(faces)
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if sets[i] <= sets[j]:
-                up[i] |= 1 << j
+    containing = defaultdict(int)   # vertex -> mask of the faces holding it
+    for i, f in enumerate(faces):
+        for v in f:
+            containing[v] |= 1 << i
+    up = []
+    for f in faces:
+        mask = -1
+        for v in f:
+            mask &= containing[v]
+        up.append(mask)
     return Poset([str(tuple(v for v in f)) for f in faces], up)
 
 
@@ -730,12 +785,20 @@ class EquivalenceCertificate:
 
 
 def _order_preserving(X, Y, fmap, failures, tag):
+    """Is fmap order-preserving?  Failing pairs go on failures in row order."""
+    fibre = [0] * Y.n
+    for i in range(X.n):
+        fibre[fmap[i]] |= 1 << i
+    preimage_up = {}
     ok = True
     for i in range(X.n):
-        for j in iter_bits(X.up[i]):
-            if not Y.leq(fmap[i], fmap[j]):
-                failures.append((tag, "order", X.labels[i], X.labels[j]))
-                ok = False
+        y = fmap[i]
+        allowed = preimage_up.get(y)
+        if allowed is None:
+            allowed = preimage_up[y] = _row_or(fibre, iter_bits(Y.up[y]))
+        for j in iter_bits(X.up[i] & ~allowed):
+            failures.append((tag, "order", X.labels[i], X.labels[j]))
+            ok = False
     return ok
 
 
@@ -803,6 +866,9 @@ def poset_iso_check(X, Y, fmap):
     if sorted(fmap) != list(range(Y.n)):
         return False, ("not a bijection",)
     for i in range(X.n):
+        if sorted([fmap[j] for j in iter_bits(X.up[i])]) \
+                == iter_bits(Y.up[fmap[i]]):
+            continue
         for j in range(X.n):
             if X.leq(i, j) != Y.leq(fmap[i], fmap[j]):
                 return False, ("order", X.labels[i], X.labels[j])

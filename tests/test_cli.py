@@ -131,6 +131,19 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "--group", "S3", "--checks", "nonsense"])
 
+    @pytest.mark.parametrize("extra", [[], ["--auto-split"]],
+                             ids=["fixed-field", "auto-split"])
+    def test_element_bound_skips_the_entry(self, extra, tmp_path):
+        rc = main(["verify", "--group", "S5", "--prime", "2",
+                   "--max-elements", "10", "--out", str(tmp_path / "r.json")]
+                  + extra)
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert rc == 2
+        (entry,) = doc["entries"]
+        assert (entry["status"], entry["checks"]) == ("skipped", [])
+        assert entry["reason"] == ("resource bound: symmetric group of "
+                                   "degree 5 exceeds 10 elements")
+
     def test_principal_clique_on_request(self, tmp_path):
         rc = main(["verify", "--group", "S4", "--prime", "2",
                    "--checks", "principal-clique",
