@@ -88,8 +88,22 @@ class GroupAlgebraElement:
                                    {x.conjugate(g, ginv): c
                                     for x, c in self.support.items()})
 
+    def conjugates_to(self, g, other):
+        """self ** g == other, decided term by term without building self ** g.
+
+        The supports must have one size; then each conjugated term is looked
+        up in other, stopping at the first mismatch.
+        """
+        target = other.support
+        if len(self.support) != len(target):
+            return False
+        ginv = g.inverse()
+        get = target.get
+        return all(get(x.conjugate(g, ginv)) == c
+                   for x, c in self.support.items())
+
     def is_fixed_by(self, gens):
-        return all(self.conjugate(g) == self for g in gens)
+        return all(self.conjugates_to(g, self) for g in gens)
 
     def truncate(self, member_set):
         """Keep only the support inside member_set (a frozenset of permutations)."""

@@ -19,6 +19,14 @@ is shared by every block of a run.  The block b only chooses which blocks of
 kC_G(Q) are pairs: a BlockContext holds b's choice at each class
 representative, the Brauer images and the pairs, and reaches every other
 subgroup of the class by conjugation.
+
+Conjugation runs once per orbit step or once per coset.  The orbit of a
+class is a BFS tree along G's generators, and a site is carried from parent
+to child through one generator's conjugation table.  A block e of kC_G(Q)
+is a sum of C_G(Q)-class sums, so e^(cg) = e^g for c in C_G(Q): whatever
+conjugating by g does to Q and its blocks depends only on the coset
+C_G(Q) g.  This is asserted at each representative site (every block fixed
+by the generators of the centralizer) and inherited by its conjugates.
 """
 
 from __future__ import annotations
@@ -98,11 +106,6 @@ class _Site:
         self.blocks = block_elements
         self.index = index
 
-    def conjugate(self, g, subgroup):
-        """The site at subgroup = Q^g."""
-        return _Site(subgroup, self.centralizer.conjugate_subgroup(g),
-                     [e.conjugate(g) for e in self.blocks], self.index)
-
 
 @dataclass
 class DefectData:
@@ -140,14 +143,21 @@ class GroupContext:
 
     * the class-sum algebra of G and the blocks of kG, through the cache
       when cache_dir is given;
-    * the G-classes of p-subgroups, as (R, orbit) with orbit mapping the
-      element set of each conjugate Q to one g with Q = R^g, and the lookup
-      Q -> (class, g) read off those orbits;
+    * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit
+      mapping the element set of each conjugate Q to one g with Q = R^g, and
+      the lookup Q -> (class, g) read off those orbits;
     * per class representative R, on first request: C_G(R), the class-sum
       algebra Z(kC_G(R)) and the blocks of kC_G(R) (at the trivial subgroup
-      these are G, the algebra and the blocks of kG).  The site of any other
-      Q = R^g is R's conjugated by g, so its i-th block is the i-th block at
-      R conjugated by g.
+      these are G, the algebra and the blocks of kG).  Every block of
+      kC_G(R) must be fixed by the generators of C_G(R), which is asserted
+      (else TheoryViolation): the coset scans of the fusion maps, of eta
+      and of pair stability rest on e^(cg) = e^g for c in C_G(R).
+    * the site of any other Q in the class, carried down the orbit tree:
+      Q's parent site conjugated by the one generator t that links them,
+      every element and every block's support through t's conjugation
+      table.  The tree's conjugators compose to Q's g, so the i-th block at
+      Q is the i-th block at R conjugated by g, and the sites at conjugates
+      inherit the centrality of R's.  Every site reached is memoised.
     """
 
     def __init__(self, G, F, cache_dir=None):
@@ -182,21 +192,53 @@ class GroupContext:
                              f"{Q.label or Q!r}")
         return hit
 
+    def conjugates(self, i):
+        """Every subgroup of class i, in orbit order: the subgroups of their
+        sites, each built down the orbit tree."""
+        return [self._site_at(i, elems).subgroup
+                for elems in self.classes[i][1]]
+
     def _site(self, Q):
-        key = Q.element_set
-        hit = self._sites.get(key)
-        if hit is not None:
-            return hit
-        i, g = self.locate(Q)
-        R = self.classes[i][0]
-        site = self._sites.get(R.element_set)
+        site = self._sites.get(Q.element_set)
         if site is None:
-            site = self._representative_site(i, R)
-            self._sites[R.element_set] = site
-        if key != R.element_set:
-            site = site.conjugate(g, Q)
-            self._sites[key] = site
+            i, _g = self.locate(Q)
+            site = self._site_at(i, Q.element_set)
         return site
+
+    def _site_at(self, i, key):
+        """The site at the subgroup of class i whose element set is key."""
+        R, orbit = self.classes[i]
+        path = []                       # (conjugate, t), from key upwards
+        while key not in self._sites and key != R.element_set:
+            parent, t = orbit.links[key]
+            path.append((key, t))
+            key = parent
+        site = self._sites.get(key)
+        if site is None:
+            site = self._sites[key] = self._representative_site(i, R)
+        for key, t in reversed(path):
+            site = self._sites[key] = self._carry(site, t)
+        return site
+
+    def _carry(self, site, t):
+        """The site at Q^t from the site at Q, t the t-th generator of G."""
+        index = self.G.element_index()
+        pos, elements, table = index.pos, index.elements, index.conj[t]
+
+        def image(xs):
+            return [elements[table[pos[x]]] for x in xs]
+
+        Q, C = site.subgroup, site.centralizer
+        blocks_t = []
+        for e in site.blocks:
+            terms = e.support
+            blocks_t.append(GroupAlgebraElement(
+                e.group, e.field, dict(zip(image(terms), terms.values()))))
+        return _Site(PermGroup(Q.degree, image(Q.generators),
+                               image(Q.elements), Q.label),
+                     PermGroup(C.degree, image(C.generators),
+                               image(C.elements), C.label),
+                     blocks_t, site.index)
 
     def _representative_site(self, i, R):
         if R.order == 1:
@@ -206,7 +248,9 @@ class GroupContext:
             A = class_sum_algebra(C, self.F)
             block_list = blocks(C, self.F, algebra=A)
         self._centers[i] = (A, block_list)
-        return _Site(R, A.group, [blk.element for blk in block_list], i)
+        site = _Site(R, A.group, [blk.element for blk in block_list], i)
+        _assert_central(site)
+        return site
 
     def _conjugate_into(self, i, T):
         """Is some G-conjugate of class i's representative contained in T?"""
@@ -214,6 +258,26 @@ class GroupContext:
         if R.order > T.order:
             return False
         return any(elems <= T.element_set for elems in orbit)
+
+
+def _assert_central(site):
+    """Every block at the site is fixed by the generators of C_G(Q).
+
+    Read on the centralizer's own conjugation tables: e is fixed by the
+    t-th generator iff each term x of e has the coefficient of x at the
+    image of x.
+    """
+    C = site.centralizer
+    index = C.element_index()
+    pos, elements = index.pos, index.elements
+    for s, e in enumerate(site.blocks):
+        terms = e.support
+        for table in index.conj:
+            if any(terms.get(elements[table[pos[x]]]) != c
+                   for x, c in terms.items()):
+                raise TheoryViolation(
+                    "block of the centralizer is not fixed by the centralizer",
+                    witness=(site.subgroup.label, s))
 
 
 class BlockContext:
@@ -244,6 +308,7 @@ class BlockContext:
         self._slots = {}  # class index -> pair slots at its representative
         self._brauer = {}
         self._pairs = {}
+        self._stable = {}  # (Q, e, Q's generators conjugated by r) -> e^r == e
         self._defect = None
 
     # -- sites ----------------------------------------------------------
@@ -318,19 +383,33 @@ class BlockContext:
     # -- containment ------------------------------------------------------
 
     def normal_containment(self, lo, hi):
-        """One-step containment (Q, e) normal-in (R, f)."""
+        """One-step containment (Q, e) normal-in (R, f).
+
+        R-stability of e is tested per generator r of R.  Once Q is normal
+        in R, e^r depends only on the coset C_G(Q) r (e is a block of
+        kC_G(Q), fixed by C_G(Q)), that is on the images of Q's generators
+        under r, which the normality test has just computed; the verdict is
+        memoised under them.
+        """
         Q, R = lo.subgroup, hi.subgroup
         qset = Q.element_set
         if not qset <= R.element_set:
             return False
-        rgens = R.generators
-        for g in rgens:
-            ginv = g.inverse()
-            if any(x.conjugate(g, ginv) not in qset for x in Q.generators):
+        moves = []
+        for r in R.generators:
+            rinv = r.inverse()
+            images = tuple([x.conjugate(r, rinv) for x in Q.generators])
+            if any(y not in qset for y in images):
                 return False  # Q not normal in R
+            moves.append((r, images))
         e = lo.idempotent
-        if not e.is_fixed_by(rgens):
-            return False
+        for r, images in moves:
+            key = (qset, e, images)
+            fixed = self._stable.get(key)
+            if fixed is None:
+                fixed = self._stable[key] = e.conjugates_to(r, e)
+            if not fixed:
+                return False
         br = e.truncate(hi.centralizer.element_set)
         return br * hi.idempotent == hi.idempotent
 
@@ -341,34 +420,41 @@ class BlockContext:
         normal containment is tested on those alone.  They are found by
         subset on int bitsets: each subgroup of the family is the mask of
         its elements' positions in G's ElementIndex, and Q <= R iff
-        mask(Q) & ~mask(R) == 0.  The family is sorted by order, so only
-        the subgroups before R need testing.
+        mask(Q) & ~mask(R) == 0.  Each subgroup is filed under its least
+        non-identity position (the trivial one under the identity's), and
+        only the subgroups filed under an element of R are tested against R.
 
         The G-action is attached only when the family is closed under
         conjugation (every conjugated pair must land back in the poset).
+        A pair's image under a generator is read off the generator's
+        conjugation table, for the subgroup and the idempotent alike.
         """
         subgroups = _dedup_subgroups(family)
         pairs = []
         for Q in subgroups:
             pairs.extend(self.pairs_at(Q))
         pairs.sort(key=BrauerPair.key)
-        index = {pr.ident(): i for i, pr in enumerate(pairs)}
         gindex = self.G.element_index()
-        pos, elements = gindex.pos, gindex.elements
+        pos, elements, root = gindex.pos, gindex.elements, gindex.root
         slot = {}                    # element set -> index in subgroups
         masks = []
+        filed = {}                   # least non-identity position -> subgroups
         for r, R in enumerate(subgroups):
             slot[R.element_set] = r
+            ids = [pos[x] for x in R.elements]
             mask = 0
-            for x in R.elements:
-                mask |= 1 << pos[x]
+            for k in ids:
+                mask |= 1 << k
             masks.append(mask)
-        # subsets[r]: the family's subgroups of R, R itself last
+            least = min((k for k in ids if k != root), default=root)
+            filed.setdefault(least, []).append(r)
+        # subsets[r]: the family's subgroups of R, sorted, R itself last
         subsets = []
-        for r, mask in enumerate(masks):
-            outside = ~mask
-            subsets.append([q for q in range(r + 1)
-                            if not masks[q] & outside])
+        for r, R in enumerate(subgroups):
+            outside = ~masks[r]
+            subsets.append(sorted(
+                q for x in R.elements for q in filed.get(pos[x], ())
+                if not masks[q] & outside))
         at = [[] for _ in subgroups]  # subgroup index -> its pair indices
         for i, pr in enumerate(pairs):
             at[slot[pr.subgroup.element_set]].append(i)
@@ -384,16 +470,18 @@ class BlockContext:
         edges.sort()
         labels = [pr.label() for pr in pairs]
         base = Poset.from_edges_closure(labels, edges)
-        # a pair's image under a generator, read as its ident: the subgroup
-        # through the generator's conjugation table, the idempotent by g
         action = []
         closed = True
-        for g, table in zip(self.G.generators, gindex.conj):
+        for table in gindex.conj:
             perm = []
             for pr in pairs:
-                image = frozenset([elements[table[pos[x]]]
-                                   for x in pr.subgroup.elements])
-                target = index.get((image, pr.idempotent.conjugate(g).key()))
+                image = slot.get(frozenset([elements[table[pos[x]]]
+                                            for x in pr.subgroup.elements]))
+                terms = pr.idempotent.support
+                moved = {elements[table[pos[x]]]: c for x, c in terms.items()}
+                target = None if image is None else next(
+                    (k for k in at[image]
+                     if pairs[k].idempotent.support == moved), None)
                 if target is None:
                     closed = False
                     break

@@ -203,9 +203,12 @@ def cmd_blocks(args):
     return 0
 
 
-def _verify_entry(entry, checks, max_simplices, max_elements, cache_dir):
-    group = GroupContext(build_group(entry.spec, max_elements),
-                         _field(entry.p, entry.d), cache_dir)
+def _verify_entry(entry, checks, max_simplices, max_elements, cache_dir,
+                  G=None):
+    """The entry's check results; G, when given, is its group already built."""
+    if G is None:
+        G = build_group(entry.spec, max_elements)
+    group = GroupContext(G, _field(entry.p, entry.d), cache_dir)
     results = []
     for b in select_blocks(group.blocks, entry.selector):
         results.extend(run_block_checks(group, b, checks, max_simplices))
@@ -218,6 +221,7 @@ def cmd_verify(args):
         if c not in CHECKS_BY_NAME:
             _bad_input(f"unknown check {c!r}; choose from "
                       f"{', '.join(CHECKS_BY_NAME)}")
+    built = None                # the target's group, once built
     if args.corpus:
         entries = list(CORPUS)
     else:
@@ -227,9 +231,11 @@ def cmd_verify(args):
         d = args.field_degree
         if args.auto_split:
             try:
-                d = field_for(args, build_group(spec, args.max_elements)).d
+                built = build_group(spec, args.max_elements)
             except SizeLimitExceeded:
                 pass    # the entry reports the bound as skipped
+            else:
+                d = field_for(args, built).d
         entries = [CorpusEntry("target", spec, args.prime, d, args.block)]
     report_entries = []
     statuses = []
@@ -245,7 +251,7 @@ def cmd_verify(args):
             continue
         try:
             outcome = _verify_entry(entry, checks, args.max_simplices,
-                                    args.max_elements, args.cache_dir)
+                                    args.max_elements, args.cache_dir, built)
         except SizeLimitExceeded as exc:
             report_entries.append({
                 "entry": entry.name,
@@ -298,8 +304,8 @@ def cmd_poset(args):
         else:
             poset, _ = orbit_poset(geom.kposet)
     elif args.which == "brauer-pairs":
-        family = [rep.conjugate_subgroup(g)
-                  for rep, orbit in group.classes for g in orbit.values()]
+        family = [Q for i in range(len(group.classes))
+                  for Q in group.conjugates(i)]
         poset = ctx.pair_poset(family).poset
     elif args.which == "iso-classes":
         fs = FusionSystem.from_block_context(ctx)

@@ -56,14 +56,15 @@ class CommutingGraph:
 def commuting_adjacency(vertices):
     """Adjacency bitmasks joining the order-p subgroups that commute elementwise.
 
-    Two order-p subgroups commute elementwise iff their generators commute.
+    Two order-p subgroups commute elementwise iff their generators commute,
+    and a b = b a iff b(a(k)) = a(b(k)) for every point k.
     """
     gens = [Q.generators[0] for Q in vertices]
     adjacency = [0] * len(gens)
     for i, gi in enumerate(gens):
         for j in range(i + 1, len(gens)):
             gj = gens[j]
-            if gi * gj == gj * gi:
+            if [gj[k] for k in gi] == [gi[k] for k in gj]:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return adjacency
@@ -116,13 +117,13 @@ def product_subgroup(members, label=""):
 def elementary_abelian_family(ctx):
     """Every nontrivial elementary abelian subgroup with nonzero Brauer image."""
     family = []
-    for rep, orbit in ctx.group.classes:
+    for i, (rep, _orbit) in enumerate(ctx.group.classes):
         if rep.order == 1:
             continue
         flag, _rank = rep.is_elementary_abelian(ctx.p)
         if not flag or not ctx.brauer_nonzero(rep):
             continue
-        family.extend(rep.conjugate_subgroup(g) for g in orbit.values())
+        family.extend(ctx.group.conjugates(i))
     return family
 
 
@@ -242,11 +243,15 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
         for v in kappa:
             mask &= containing[v]
         up.append(mask)
-    # action of the generators
+    # action of the generators, the vertices through their conjugation tables
     action = []
     apair_action = aposet.action if isinstance(aposet, GPoset) else None
-    for gi, g in enumerate(ctx.G.generators):
-        vperm = [vindex[v.conjugate_subgroup(g).element_set] for v in vertices]
+    gindex = ctx.G.element_index()
+    pos, gelements = gindex.pos, gindex.elements
+    for gi, table in enumerate(gindex.conj):
+        vperm = [vindex[frozenset([gelements[table[pos[x]]]
+                                   for x in V.elements])]
+                 for V in vertices]
         perm = []
         for ki, pi in elements:
             kimg = frozenset(vperm[v] for v in ki)

@@ -109,10 +109,14 @@ class FusionSystem:
         """Every fusion map out of Q into P as (mapping, g, image), in key order.
 
         One scan of G per domain serves hom(Q, R) for every R: the maps into
-        R are those whose image lies in R.  G is first narrowed, on its
-        element index, to the g that conjugate Q's generators into P; for
-        each set map the witness is the first of those g that passes the
-        idempotent test, exactly as a scan restricted to R would find it.
+        R are those whose image lies in R.  Conjugation by g acts on Q, and
+        on the block e_Q of kC_G(Q), only through the coset C_G(Q) g:
+        e_Q^(cg) = e_Q^g for c in C_G(Q), since e_Q is a sum of
+        C_G(Q)-class sums.  So one g per coset decides the whole coset, and
+        distinct cosets give distinct set maps.  The scan takes, on G's
+        element index, the first g in G's order of each coset that sends
+        Q's generators into P; that g is the witness, exactly the first g
+        of a scan over all of G that passes the idempotent test.
         """
         hit = self._maps.get(Q.element_set)
         if hit is not None:
@@ -120,19 +124,16 @@ class FusionSystem:
         eQ = self.sub_pair[Q.element_set].idempotent
         found = {}
         index = self.ctx.G.element_index()
-        for g in index.conjugators(Q.generators, self.P.elements):
+        for g in index.coset_conjugators(Q.generators, self.P.elements):
             ginv = g.inverse()
             mkey = tuple([x.conjugate(g, ginv) for x in Q.elements])
-            if mkey in found:
-                continue
-            mapping = dict(zip(Q.elements, mkey))
             image = frozenset(mkey)
             target = self.sub_pair.get(image)
             if target is None:
                 raise TheoryViolation("image subgroup missing from family",
                                       witness=Q.label)
-            if eQ.conjugate(g) == target.idempotent:
-                found[mkey] = (mapping, g, image)
+            if eQ.conjugates_to(g, target.idempotent):
+                found[mkey] = (dict(zip(Q.elements, mkey)), g, image)
         out = [found[k] for k in sorted(found)]
         self._maps[Q.element_set] = out
         return out

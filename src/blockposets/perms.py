@@ -232,14 +232,36 @@ class ElementIndex:
         """col[g] = position of x_i x_g, for every position g."""
         return self._walk(self.right, i)
 
-    def conjugators(self, xs, target):
-        """The g in G with x^g in target for every x in xs, in G's order."""
+    def _narrow(self, xs, target):
+        """(positions g with x^g in target for every x in xs, in G's order;
+        the conjugation column of each x)."""
         inside = {self.pos[y] for y in target}
         keep = range(len(self.elements))
+        cols = []
         for x in xs:
             col = self.conj_column(self.id(x))
             keep = [g for g in keep if col[g] in inside]
+            cols.append(col)
+        return keep, cols
+
+    def conjugators(self, xs, target):
+        """The g in G with x^g in target for every x in xs, in G's order."""
+        keep, _cols = self._narrow(xs, target)
         return [self.elements[g] for g in keep]
+
+    def coset_conjugators(self, xs, target):
+        """The first g, in G's order, of each right coset C_G(xs) g whose
+        members send every x in xs into target.
+
+        g and g' lie in one coset iff x^g = x^g' for every x in xs, so the
+        cosets are read off the columns of the xs: one g per distinct tuple
+        of images.
+        """
+        keep, cols = self._narrow(xs, target)
+        first = {}
+        for g in keep:
+            first.setdefault(tuple([col[g] for col in cols]), g)
+        return [self.elements[g] for g in first.values()]
 
 
 class PermGroup:
@@ -493,30 +515,48 @@ def all_subgroups(P, max_count=10_000):
     return sorted(found.values(), key=PermGroup.key)
 
 
+class SubgroupOrbit(dict):
+    """The G-conjugates of a subgroup H, each (an element frozenset) mapped
+    to one g with H^g = it, in BFS order from H.
+
+    links maps every conjugate but H to (parent, t): it is the parent
+    conjugated by the t-th generator of G, and its g is the parent's g times
+    that generator.  Following the links from H conjugates by g one
+    generator table at a time.
+    """
+
+    __slots__ = ("links",)
+
+
 def subgroup_orbit_transversal(G, H):
-    """Map each G-conjugate of H (as an element frozenset) to one g with H^g = it.
+    """The SubgroupOrbit of H: each G-conjugate of H with one g, H^g = it.
 
     The BFS runs on position sets: the conjugate of a set by the t-th
-    generator is read off its conjugation table, and g s off its
+    generator is read off its conjugation table, and g t off its
     right-multiplication table.
     """
     index = G.element_index()
     start = frozenset([index.pos[x] for x in H.elements])
     orbit = {start: index.root}
+    links = {}
     frontier = [start]
     while frontier:
         new = []
         for ids in frontier:
             g = orbit[ids]
-            for conj, right in zip(index.conj, index.right):
+            for t, (conj, right) in enumerate(zip(index.conj, index.right)):
                 image = frozenset([conj[i] for i in ids])
                 if image not in orbit:
                     orbit[image] = right[g]
+                    links[image] = (ids, t)
                     new.append(image)
         frontier = new
     elements = G.elements
-    return {frozenset([elements[i] for i in ids]): elements[g]
-            for ids, g in orbit.items()}
+    named = {ids: frozenset([elements[i] for i in ids]) for ids in orbit}
+    out = SubgroupOrbit((named[ids], elements[g]) for ids, g in orbit.items())
+    out.links = {named[ids]: (named[parent], t)
+                 for ids, (parent, t) in links.items()}
+    return out
 
 
 def p_subgroups_up_to_conjugacy(G, p):

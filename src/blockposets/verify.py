@@ -261,12 +261,17 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
 
     eta: a commuting-poset element conjugates into P by some g aligning its
     pair with the one below the maximal pair; the class of the image object
-    is eta of its orbit.  The scan and the transport divide the work:
+    is eta of its orbit.  For the element's pair (Q, e), conjugation by g
+    acts on Q, on the members of kappa (which lie in Q) and on e only
+    through the coset C_G(Q) g, since e^(cg) = e^g for c in C_G(Q).  So both
+    admissibility and the class are constant on each coset.  The scan and
+    the transport divide the work:
 
-    * on each orbit's representative, its least element index, every g in G
-      that conjugates the pair's subgroup into P is tried (_eta_scan); the
-      admissible ones must all give one class (independence of g, asserted),
-      and the first admissible g0 is kept;
+    * on each orbit's representative, its least element index, the first g
+      of every coset C_G(Q) g that conjugates Q into P is tried
+      (_eta_scan); the admissible ones must all give one class, which by
+      the coset argument covers every g in G (independence of g, asserted),
+      and the first admissible g0 is kept: the first admissible g of G;
     * the other members are reached by walking the orbit along the poset
       action, one generator at a time, carrying h with el = rep^h.  Each gets
       the single candidate h^-1 g0, which must pass the same admissibility
@@ -334,7 +339,8 @@ def _admissible_class(geom, fs, cat, icp):
     """class_through(el_idx, g): the class of the commuting-poset element
     conjugated by g, or None if g is not admissible: Q^g <= P, the idempotent
     matches the pair below the maximal pair, and the conjugated members form
-    an object."""
+    an object.  The members lie in Q, so their images are read off the map
+    x -> x^g on Q's elements."""
     object_index = {obj: i for i, obj in enumerate(cat.objects)}
     cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
     pset = fs.P.element_set
@@ -342,16 +348,16 @@ def _admissible_class(geom, fs, cat, icp):
     def class_through(el_idx, g):
         vids, pid = geom.elements[el_idx]
         pair = geom.apairs.pairs[pid]
+        Q = pair.subgroup
         ginv = g.inverse()
-        if any(x.conjugate(g, ginv) not in pset
-               for x in pair.subgroup.generators):
+        image_of = {x: x.conjugate(g, ginv) for x in Q.elements}
+        if any(image_of[x] not in pset for x in Q.generators):
             return None
-        image = frozenset([x.conjugate(g, ginv)
-                           for x in pair.subgroup.elements])
-        if pair.idempotent.conjugate(g) != fs.sub_pair[image].idempotent:
+        image = frozenset(image_of.values())
+        if not pair.idempotent.conjugates_to(g, fs.sub_pair[image].idempotent):
             return None
         obj = frozenset(
-            cat_vertex.get(frozenset([x.conjugate(g, ginv)
+            cat_vertex.get(frozenset([image_of[x]
                                       for x in geom.vertices[v].elements]))
             for v in vids)
         obj_idx = object_index.get(obj)
@@ -363,15 +369,17 @@ def _admissible_class(geom, fs, cat, icp):
 def _eta_scan(G, geom, fs, class_through, el_idx):
     """(class, first admissible g) of a commuting-poset element over G.
 
-    G is narrowed on its element index to the g that conjugate the
-    generators of the element's subgroup into P, the first test of
-    class_through; the admissibility test then runs on those in G's order.
+    class_through is constant on each coset C_G(Q) g of the element's
+    subgroup Q (see _theorem2_maps), so it runs once per coset: on the first
+    g, in G's order, of each coset that conjugates Q's generators into P,
+    read off G's element index.  The first admissible one of these is the
+    first admissible g of G.
     """
     pair = geom.apairs.pairs[geom.elements[el_idx][1]]
     results = set()
     g0 = None
-    for g in G.element_index().conjugators(pair.subgroup.generators,
-                                           fs.P.elements):
+    for g in G.element_index().coset_conjugators(pair.subgroup.generators,
+                                                 fs.P.elements):
         cls = class_through(el_idx, g)
         if cls is None:
             continue

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blockposets import cache
+from blockposets import cache, cli
 from blockposets.blocks import blocks, class_sum_algebra
 from blockposets.cli import (
     CORPUS,
@@ -283,3 +283,22 @@ class TestCorpusDefinition:
             F = field_context(entry.p, entry.d)
             bl = blocks(G, F)
             assert select_blocks(bl, entry.selector)
+
+
+class TestAutoSplitBuildsOnce:
+    def test_verify_builds_the_group_once(self, monkeypatch, tmp_path):
+        built = []
+        plain = cli.build_group
+
+        def counted(spec, max_elements=cli.MAX_GROUP_ORDER):
+            built.append(spec)
+            return plain(spec, max_elements)
+
+        monkeypatch.setattr(cli, "build_group", counted)
+        spec = '{"type": "generators", "degree": 3, "gens": [[[1,2,3]]]}'
+        rc = main(["verify", "--group", spec, "--prime", "2", "--auto-split",
+                   "--out", str(tmp_path / "c3.json")])
+        assert rc == 0
+        assert len(built) == 1
+        doc = json.loads((tmp_path / "c3.json").read_text())
+        assert {c["target"]["d"] for c in doc["entries"][0]["checks"]} == {2}

@@ -231,6 +231,13 @@ class TestScansAgainstProducts:
             assert list(orbit.items()) == list(expect.items())
             assert list(subgroup_orbit_transversal(G, R).items()) == \
                 list(expect.items())
+            # the tree: each conjugate but R is its parent conjugated by one
+            # generator, and its g is the parent's times that generator
+            assert set(orbit.links) == set(orbit) - {R.element_set}
+            for child, (parent, t) in orbit.links.items():
+                s = G.generators[t]
+                assert child == frozenset(x.conjugate(s) for x in parent)
+                assert orbit[child] == orbit[parent] * s
 
     def test_conjugacy_classes(self, name, p):
         G = group_of(name)

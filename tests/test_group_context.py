@@ -8,10 +8,17 @@ change what another block reads from it, in either query order.
 import pytest
 
 from blockposets import brauer, perms
+from blockposets.blocks import GroupAlgebraElement
 from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import PRESETS, build_group, main
+from blockposets.errors import TheoryViolation
 from blockposets.gf import PrimeField
-from blockposets.perms import PermGroup, Permutation, symmetric_group
+from blockposets.perms import (
+    PermGroup,
+    Permutation,
+    centralizer,
+    symmetric_group,
+)
 
 # (group, p, number of blocks)
 CASES = [("S4", 2, 1), ("S5", 2, 2), ("D8", 2, 1), ("S6", 2, 2), ("S7", 3, 3)]
@@ -115,3 +122,78 @@ class TestGroupWorkDoneOnce:
         assert calls["orbit"] == 4
         # the trivial class's site is kG itself; the other three once each
         assert calls["centralizer"] == 3
+
+
+# -- sites carried down the orbit tree -------------------------------------
+
+
+def site_by_conjugation(site, g):
+    """(subgroup, centralizer, blocks) at Q^g, conjugating the site at Q
+    element by element (the replaced _Site.conjugate)."""
+    return (site.subgroup.conjugate_subgroup(g),
+            site.centralizer.conjugate_subgroup(g),
+            [e.conjugate(g) for e in site.blocks])
+
+
+def same_group(H, K):
+    return (H.elements == K.elements and H.generators == K.generators
+            and H.label == K.label)
+
+
+TREE_CASES = [("S5", 2), ("S6", 2), ("S7", 3)]
+
+
+class TestSitesOnTheOrbitTree:
+    @pytest.mark.parametrize("name, p", TREE_CASES,
+                             ids=[f"{name}-p{p}" for name, p in TREE_CASES])
+    def test_carried_sites_match_conjugated_ones(self, name, p):
+        group = GroupContext(build_group(PRESETS[name]), PrimeField(p))
+        carried = 0
+        for i, (R, orbit) in enumerate(group.classes):
+            rep = group._site(R)
+            assert rep.subgroup is R and rep.index == i
+            # the last conjugates first: their walks up the tree are longest
+            for elems, g in reversed(list(orbit.items())):
+                Q, C, block_list = site_by_conjugation(rep, g)
+                site = group._site(Q)
+                assert site.index == i
+                assert site.subgroup.element_set == elems
+                assert same_group(site.subgroup, Q), (name, i)
+                assert same_group(site.centralizer, C), (name, i)
+                assert [list(e.support.items()) for e in site.blocks] == \
+                    [list(e.support.items()) for e in block_list], (name, i)
+                carried += 1
+        assert carried == len(group._sites)
+
+    @pytest.mark.parametrize("name, p", [("S5", 2), ("S6", 3)])
+    def test_conjugates_match_conjugated_representatives(self, name, p):
+        group = GroupContext(build_group(PRESETS[name]), PrimeField(p))
+        for i, (R, orbit) in enumerate(group.classes):
+            got = group.conjugates(i)
+            assert len(got) == len(orbit)
+            for Q, g in zip(got, orbit.values()):
+                assert same_group(Q, R.conjugate_subgroup(g))
+
+    def test_non_central_block_at_a_representative_is_rejected(
+            self, monkeypatch):
+        G, F = symmetric_group(5), PrimeField(2)
+        plain = brauer.blocks
+
+        def moved(C, field, algebra):
+            # move one coefficient of a block off its C-class
+            out = plain(C, field, algebra=algebra)
+            e = out[0].element
+            x = next(y for y in e.support if any(
+                y.conjugate(c) != y for c in C.generators))
+            z = next(y for y in C.elements if y not in e.support)
+            support = dict(e.support)
+            support[z] = support.pop(x)
+            out[0].element = GroupAlgebraElement(C, field, support)
+            return out
+
+        monkeypatch.setattr(brauer, "blocks", moved)
+        group = GroupContext(G, F)
+        R = next(R for R, _orbit in group.classes
+                 if R.order > 1 and not centralizer(G, R).is_abelian())
+        with pytest.raises(TheoryViolation, match="not fixed by"):
+            BlockContext(group, group.blocks[0]).pairs_at(R)

@@ -2,7 +2,9 @@
 
 The oracles below are the full scan of G for eta on every commuting-poset
 element, the direct e * Br_Q(b) == e filter for the pairs at every subgroup,
-and the per-(Q, R) scan of G for the fusion maps Q -> R.
+and the per-(Q, R) scan of G for the fusion maps Q -> R.  The scans try
+every g in G, with no coset argument; they run on the non-slow corpus and
+on both blocks of S6 at p=2.
 """
 
 import pytest
@@ -30,6 +32,12 @@ def corpus_contexts():
             yield f"{entry.name}/{b.index}", BlockContext(group, b)
 
 
+def s6_p2_contexts():
+    group = GroupContext(symmetric_group(6), GF2)
+    for b in group.blocks:
+        yield f"S6-p2/{b.index}", BlockContext(group, b)
+
+
 def theorem2_inputs(ctx):
     geom = block_geometry(ctx)
     fs = FusionSystem.from_block_context(ctx)
@@ -39,27 +47,44 @@ def theorem2_inputs(ctx):
     return geom, fs, cat, icp, orbit_of
 
 
-def eta_by_full_scan(ctx, geom, fs, cat, icp, el_idx):
-    """The class of one element, scanning every g in G (the replaced path)."""
+def eta_by_full_scan(ctx, geom, fs, cat, icp):
+    """The class of every element, scanning every g in G (the replaced path).
+
+    The admissible g of each pair, and the image of each vertex under each
+    g, are found once and shared by the elements that use them.
+    """
     object_index = {obj: i for i, obj in enumerate(cat.objects)}
     cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
     pset = fs.P.element_set
-    vids, pid = geom.elements[el_idx]
-    pair = geom.apairs.pairs[pid]
-    results = set()
-    for g in ctx.G.elements:
-        ginv = g.inverse()
-        if any(ginv * x * g not in pset for x in pair.subgroup.generators):
-            continue
-        image = frozenset(ginv * x * g for x in pair.subgroup.elements)
-        if pair.idempotent.conjugate(g) != fs.sub_pair[image].idempotent:
-            continue
-        obj = frozenset(
-            cat_vertex[frozenset(ginv * x * g for x in geom.vertices[v].elements)]
-            for v in vids)
-        results.add(icp.class_of[object_index[obj]])
-    assert len(results) == 1
-    return results.pop()
+    moves = [(g, g.inverse()) for g in ctx.G.elements]
+    admissible = {}                 # pair index -> positions of admissible g
+    vertex_image = {}               # (vertex, position of g) -> cat vertex
+    out = []
+    for vids, pid in geom.elements:
+        if pid not in admissible:
+            pair = geom.apairs.pairs[pid]
+            admissible[pid] = []
+            for k, (g, ginv) in enumerate(moves):
+                if any(ginv * x * g not in pset
+                       for x in pair.subgroup.generators):
+                    continue
+                image = frozenset(ginv * x * g for x in pair.subgroup.elements)
+                if pair.idempotent.conjugate(g) == \
+                        fs.sub_pair[image].idempotent:
+                    admissible[pid].append(k)
+        results = set()
+        for k in admissible[pid]:
+            g, ginv = moves[k]
+            members = set()
+            for v in vids:
+                if (v, k) not in vertex_image:
+                    vertex_image[v, k] = cat_vertex[frozenset(
+                        ginv * x * g for x in geom.vertices[v].elements)]
+                members.add(vertex_image[v, k])
+            results.add(icp.class_of[object_index[frozenset(members)]])
+        assert len(results) == 1
+        out.append(results.pop())
+    return out
 
 
 def pairs_by_filter(ctx, Q):
@@ -69,22 +94,34 @@ def pairs_by_filter(ctx, Q):
     return [e for e in ctx.blocks_at(Q) if e * br == e]
 
 
-def hom_by_scan(fs, Q, R):
-    """Fusion maps Q -> R by one scan of G for this pair (the replaced path)."""
+def homs_by_scan(fs, Q):
+    """Fusion maps Q -> R for every R of the family, each by a scan of G for
+    the pair (Q, R) (the replaced path).
+
+    The scans share their work per g: Q's image and the idempotent test are
+    found once, for every g with Q^g <= P, and each R keeps the first g of
+    each set map among those with Q^g <= R that pass.
+    """
     eQ = fs.sub_pair[Q.element_set].idempotent
-    found = {}
+    pset = fs.P.element_set
+    scan = []                       # (set map, image, g, passes), G's order
     for g in fs.ctx.G.elements:
         ginv = g.inverse()
-        if any(ginv * x * g not in R.element_set for x in Q.generators):
+        if any(ginv * x * g not in pset for x in Q.generators):
             continue
         mapping = {x: ginv * x * g for x in Q.elements}
         mkey = tuple(tuple(mapping[x]) for x in Q.elements)
-        if mkey in found:
-            continue
-        target = fs.sub_pair[frozenset(mapping.values())]
-        if eQ.conjugate(g) == target.idempotent:
-            found[mkey] = g
-    return [(k, found[k]) for k in sorted(found)]
+        image = frozenset(mapping.values())
+        passes = eQ.conjugate(g) == fs.sub_pair[image].idempotent
+        scan.append((mkey, image, g, passes))
+    out = {}
+    for R in fs.family:
+        found = {}
+        for mkey, image, g, passes in scan:
+            if passes and image <= R.element_set and mkey not in found:
+                found[mkey] = g
+        out[R.element_set] = [(k, found[k]) for k in sorted(found)]
+    return out
 
 
 def principal_context(G):
@@ -99,19 +136,39 @@ def representative_of(ctx, Q):
     return None if R.element_set == Q.element_set else R
 
 
+def assert_eta_matches_full_scan(contexts):
+    checked = 0
+    for name, ctx in contexts:
+        geom, fs, cat, icp, orbit_of = theorem2_inputs(ctx)
+        if icp.n == 0:
+            continue
+        _forward, eta = _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of)
+        full = eta_by_full_scan(ctx, geom, fs, cat, icp)
+        for el in range(geom.kposet.n):
+            assert eta[orbit_of[el]] == full[el], (name, el)
+            checked += 1
+    return checked
+
+
+def assert_homs_match_per_pair_scan(ctx):
+    fs = FusionSystem.from_block_context(ctx)
+    for Q in fs.family:
+        expect = homs_by_scan(fs, Q)
+        for R in fs.family:
+            homs = fs.hom(Q, R)
+            assert [(psi.key(), psi.witness_g) for psi in homs] == \
+                expect[R.element_set], (Q.label, R.label)
+            assert all(psi.domain is Q and psi.codomain is R
+                       for psi in homs)
+    return len(fs.family)
+
+
 class TestEta:
     def test_transport_matches_full_scan_on_corpus(self):
-        checked = 0
-        for name, ctx in corpus_contexts():
-            geom, fs, cat, icp, orbit_of = theorem2_inputs(ctx)
-            if icp.n == 0:
-                continue
-            _forward, eta = _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of)
-            for el in range(geom.kposet.n):
-                assert eta[orbit_of[el]] == eta_by_full_scan(
-                    ctx, geom, fs, cat, icp, el), (name, el)
-                checked += 1
-        assert checked > 50
+        assert assert_eta_matches_full_scan(corpus_contexts()) > 50
+
+    def test_transport_matches_full_scan_on_s6_p2(self):
+        assert assert_eta_matches_full_scan(s6_p2_contexts()) == 3495
 
     def test_action_sending_an_element_out_of_its_orbit_is_caught(
             self, monkeypatch):
@@ -160,11 +217,9 @@ class TestFusionMaps:
                                    dihedral_group(8)],
                              ids=["S4", "S5", "D8"])
     def test_hom_matches_per_pair_scan(self, G):
-        fs = FusionSystem.from_block_context(principal_context(G))
-        for Q in fs.family:
-            for R in fs.family:
-                homs = fs.hom(Q, R)
-                assert [(psi.key(), psi.witness_g) for psi in homs] == \
-                    hom_by_scan(fs, Q, R), (Q.label, R.label)
-                assert all(psi.domain is Q and psi.codomain is R
-                           for psi in homs)
+        assert_homs_match_per_pair_scan(principal_context(G))
+
+    def test_hom_matches_per_pair_scan_on_s6_p2(self):
+        sizes = [assert_homs_match_per_pair_scan(ctx)
+                 for _name, ctx in s6_p2_contexts()]
+        assert sorted(sizes) == [1, 35]
