@@ -20,13 +20,15 @@ kC_G(Q) are pairs: a BlockContext holds b's choice at each class
 representative, the Brauer images and the pairs, and reaches every other
 subgroup of the class by conjugation.
 
-Conjugation runs once per orbit step or once per coset.  The orbit of a
-class is a BFS tree along G's generators, and a site is carried from parent
-to child through one generator's conjugation table.  A block e of kC_G(Q)
-is a sum of C_G(Q)-class sums, so e^(cg) = e^g for c in C_G(Q): whatever
+Sites are conjugated once per orbit step.  The orbit of a class is a BFS
+tree along G's generators, and a site is carried from parent to child
+through one generator's conjugation table.  A block e of kC_G(Q) is a sum
+of C_G(Q)-class sums, so e^(cg) = e^g for c in C_G(Q): whatever
 conjugating by g does to Q and its blocks depends only on the coset
-C_G(Q) g.  This is asserted at each representative site (every block fixed
-by the generators of the centralizer) and inherited by its conjugates.
+C_G(Q) g, which lets eta and the fusion maps scan one g per coset and
+normal containment test stability only under generators outside C_G(Q).
+This is asserted at each representative site (every block fixed by the
+generators of the centralizer) and inherited by its conjugates.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ class GroupContext:
       algebra Z(kC_G(R)) and the blocks of kC_G(R) (at the trivial subgroup
       these are G, the algebra and the blocks of kG).  Every block of
       kC_G(R) must be fixed by the generators of C_G(R), which is asserted
-      (else TheoryViolation): the coset scans of the fusion maps, of eta
-      and of pair stability rest on e^(cg) = e^g for c in C_G(R).
+      (else TheoryViolation): the coset scans of the fusion maps and of
+      eta, and the stability test of normal containment, rest on
+      e^(cg) = e^g for c in C_G(R).
     * the site of any other Q in the class, carried down the orbit tree:
       Q's parent site conjugated by the one generator t that links them,
       every element and every block's support through t's conjugation
@@ -222,22 +225,17 @@ class GroupContext:
 
     def _carry(self, site, t):
         """The site at Q^t from the site at Q, t the t-th generator of G."""
-        index = self.G.element_index()
-        pos, elements, table = index.pos, index.elements, index.conj[t]
-
-        def image(xs):
-            return [elements[table[pos[x]]] for x in xs]
-
+        image = self.G.element_index().conj_image
         Q, C = site.subgroup, site.centralizer
         blocks_t = []
         for e in site.blocks:
             terms = e.support
             blocks_t.append(GroupAlgebraElement(
-                e.group, e.field, dict(zip(image(terms), terms.values()))))
-        return _Site(PermGroup(Q.degree, image(Q.generators),
-                               image(Q.elements), Q.label),
-                     PermGroup(C.degree, image(C.generators),
-                               image(C.elements), C.label),
+                e.group, e.field, dict(zip(image(t, terms), terms.values()))))
+        return _Site(PermGroup(Q.degree, image(t, Q.generators),
+                               image(t, Q.elements), Q.label),
+                     PermGroup(C.degree, image(t, C.generators),
+                               image(t, C.elements), C.label),
                      blocks_t, site.index)
 
     def _representative_site(self, i, R):
@@ -269,12 +267,11 @@ def _assert_central(site):
     """
     C = site.centralizer
     index = C.element_index()
-    pos, elements = index.pos, index.elements
     for s, e in enumerate(site.blocks):
         terms = e.support
-        for table in index.conj:
-            if any(terms.get(elements[table[pos[x]]]) != c
-                   for x, c in terms.items()):
+        for t in range(len(C.generators)):
+            if any(terms.get(y) != c for y, c in
+                   zip(index.conj_image(t, terms), terms.values())):
                 raise TheoryViolation(
                     "block of the centralizer is not fixed by the centralizer",
                     witness=(site.subgroup.label, s))
@@ -308,7 +305,6 @@ class BlockContext:
         self._slots = {}  # class index -> pair slots at its representative
         self._brauer = {}
         self._pairs = {}
-        self._stable = {}  # (Q, e, Q's generators conjugated by r) -> e^r == e
         self._defect = None
 
     # -- sites ----------------------------------------------------------
@@ -385,31 +381,25 @@ class BlockContext:
     def normal_containment(self, lo, hi):
         """One-step containment (Q, e) normal-in (R, f).
 
-        R-stability of e is tested per generator r of R.  Once Q is normal
-        in R, e^r depends only on the coset C_G(Q) r (e is a block of
-        kC_G(Q), fixed by C_G(Q)), that is on the images of Q's generators
-        under r, which the normality test has just computed; the verdict is
-        memoised under them.
+        R-stability of e is tested per generator r of R that moves Q's
+        generators.  One that fixes them centralizes Q, and e, a block of
+        kC_G(Q), is fixed by C_G(Q) (asserted at the representative site).
         """
         Q, R = lo.subgroup, hi.subgroup
         qset = Q.element_set
         if not qset <= R.element_set:
             return False
-        moves = []
+        moving = []
         for r in R.generators:
             rinv = r.inverse()
             images = tuple([x.conjugate(r, rinv) for x in Q.generators])
             if any(y not in qset for y in images):
                 return False  # Q not normal in R
-            moves.append((r, images))
+            if images != Q.generators:
+                moving.append(r)
         e = lo.idempotent
-        for r, images in moves:
-            key = (qset, e, images)
-            fixed = self._stable.get(key)
-            if fixed is None:
-                fixed = self._stable[key] = e.conjugates_to(r, e)
-            if not fixed:
-                return False
+        if not e.is_fixed_by(moving):
+            return False
         br = e.truncate(hi.centralizer.element_set)
         return br * hi.idempotent == hi.idempotent
 
@@ -435,7 +425,7 @@ class BlockContext:
             pairs.extend(self.pairs_at(Q))
         pairs.sort(key=BrauerPair.key)
         gindex = self.G.element_index()
-        pos, elements, root = gindex.pos, gindex.elements, gindex.root
+        pos, root = gindex.pos, gindex.root
         slot = {}                    # element set -> index in subgroups
         masks = []
         filed = {}                   # least non-identity position -> subgroups
@@ -472,13 +462,13 @@ class BlockContext:
         base = Poset.from_edges_closure(labels, edges)
         action = []
         closed = True
-        for table in gindex.conj:
+        for t in range(len(self.G.generators)):
             perm = []
             for pr in pairs:
-                image = slot.get(frozenset([elements[table[pos[x]]]
-                                            for x in pr.subgroup.elements]))
+                image = slot.get(frozenset(
+                    gindex.conj_image(t, pr.subgroup.elements)))
                 terms = pr.idempotent.support
-                moved = {elements[table[pos[x]]]: c for x, c in terms.items()}
+                moved = dict(zip(gindex.conj_image(t, terms), terms.values()))
                 target = None if image is None else next(
                     (k for k in at[image]
                      if pairs[k].idempotent.support == moved), None)

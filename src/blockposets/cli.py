@@ -203,11 +203,8 @@ def cmd_blocks(args):
     return 0
 
 
-def _verify_entry(entry, checks, max_simplices, max_elements, cache_dir,
-                  G=None):
-    """The entry's check results; G, when given, is its group already built."""
-    if G is None:
-        G = build_group(entry.spec, max_elements)
+def _verify_entry(entry, G, checks, max_simplices, cache_dir):
+    """The entry's check results on its group G."""
     group = GroupContext(G, _field(entry.p, entry.d), cache_dir)
     results = []
     for b in select_blocks(group.blocks, entry.selector):
@@ -250,8 +247,9 @@ def cmd_verify(args):
             statuses.append("skipped")
             continue
         try:
-            outcome = _verify_entry(entry, checks, args.max_simplices,
-                                    args.max_elements, args.cache_dir, built)
+            G = built or build_group(entry.spec, args.max_elements)
+            outcome = _verify_entry(entry, G, checks, args.max_simplices,
+                                    args.cache_dir)
         except SizeLimitExceeded as exc:
             report_entries.append({
                 "entry": entry.name,

@@ -247,10 +247,8 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     action = []
     apair_action = aposet.action if isinstance(aposet, GPoset) else None
     gindex = ctx.G.element_index()
-    pos, gelements = gindex.pos, gindex.elements
-    for gi, table in enumerate(gindex.conj):
-        vperm = [vindex[frozenset([gelements[table[pos[x]]]
-                                   for x in V.elements])]
+    for gi in range(len(ctx.G.generators)):
+        vperm = [vindex[frozenset(gindex.conj_image(gi, V.elements))]
                  for V in vertices]
         perm = []
         for ki, pi in elements:

@@ -232,6 +232,11 @@ class ElementIndex:
         """col[g] = position of x_i x_g, for every position g."""
         return self._walk(self.right, i)
 
+    def conj_image(self, t, xs):
+        """[x^t for x in xs], t the t-th generator, by table lookups."""
+        pos, elements, table = self.pos, self.elements, self.conj[t]
+        return [elements[table[pos[x]]] for x in xs]
+
     def _narrow(self, xs, target):
         """(positions g with x^g in target for every x in xs, in G's order;
         the conjugation column of each x)."""

@@ -10,12 +10,14 @@ conjugating the whole idempotent by every generator.
 
 import pytest
 
-from blockposets.brauer import BlockContext, GroupContext
+from blockposets.brauer import BlockContext, BrauerPair, GroupContext
 from blockposets.cli import CORPUS, PRESETS, build_group
 from blockposets.commuting import block_geometry
 from blockposets.fusion import FusionSystem
 from blockposets.gf import field_context
 from blockposets.perms import (
+    PermGroup,
+    Permutation,
     all_subgroups,
     p_subgroups_up_to_conjugacy,
     sylow_p,
@@ -91,7 +93,7 @@ class TestConjugatesTo:
         assert seen[True] and seen[False]
 
 
-# -- R-stability in normal containment, memoised per coset ----------------
+# -- R-stability in normal containment ------------------------------------
 
 
 def stable_by_conjugation(lo, hi):
@@ -127,9 +129,9 @@ def contexts():
             yield f"{name}/{b.index}", BlockContext(group, b)
 
 
-class TestStabilityMemo:
-    def test_every_call_matches_direct_stability(self):
-        calls = stable = tests = memo = 0
+class TestNormalContainment:
+    def test_every_call_matches_conjugation(self):
+        calls = stable = 0
         for name, ctx in contexts():
             plain = ctx.normal_containment
             verdicts = []
@@ -147,12 +149,32 @@ class TestStabilityMemo:
             for lo, hi, verdict in verdicts:
                 assert verdict == normal_containment_by_conjugation(lo, hi), \
                     (name, lo.label(), hi.label())
-                normal = stable_by_conjugation(lo, hi)
-                stable += bool(normal)
-                if normal is not None:
-                    tests += len(hi.subgroup.generators)
+                stable += bool(stable_by_conjugation(lo, hi))
             calls += len(verdicts)
-            memo += len(ctx._stable)
         assert calls > 1000 and stable > 100
-        # one verdict per (pair, coset) answers many generator tests
-        assert memo < tests
+
+    def test_block_moved_by_a_normalizing_generator(self):
+        # C_G(Q) = Q x <x> with Q = <a, b>; r swaps a and b and inverts x,
+        # so over GF(4) it swaps the two blocks of kC_G(Q) that lie over
+        # the nontrivial characters of <x>.  Those two pairs at Q are not
+        # R-stable, though their Brauer image at R = <a, b, r> is 1.
+        def perm(*cycles):
+            return Permutation.from_cycles(7, cycles)
+
+        x, a, b = perm([1, 2, 3]), perm([4, 5]), perm([6, 7])
+        r = perm([2, 3], [4, 6], [5, 7])
+        G = PermGroup.from_generators(7, [x, a, b, r])
+        Q = PermGroup.from_generators(7, [a, b])
+        R = PermGroup.from_generators(7, [a, b, r])
+        group = GroupContext(G, field_context(2, 2))
+        ctx = BlockContext(group, group.blocks[0])
+        lo_site, hi_site = group._site(Q), group._site(R)
+        (f,) = hi_site.blocks
+        hi = BrauerPair(R, f, hi_site.centralizer)
+        stable = []
+        for e in lo_site.blocks:
+            lo = BrauerPair(Q, e, lo_site.centralizer)
+            stable.append(stable_by_conjugation(lo, hi))
+            assert e.truncate(hi_site.centralizer.element_set) * f == f
+            assert ctx.normal_containment(lo, hi) == stable[-1]
+        assert sorted(stable) == [False, False, True]

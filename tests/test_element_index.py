@@ -168,6 +168,7 @@ class TestElementIndex:
             for i, x in enumerate(els):
                 assert els[index.conj[t][i]] == x.conjugate(s)
                 assert els[index.right[t][i]] == x * s
+            assert index.conj_image(t, els) == [x.conjugate(s) for x in els]
         assert len(index.tree) == G.order - 1
         for child, parent, t in index.tree:
             assert els[child] == els[parent] * G.generators[t]
