@@ -108,8 +108,8 @@ class GroupAlgebraElement:
     def truncate(self, member_set):
         """Keep only the support inside member_set (a frozenset of permutations)."""
         return GroupAlgebraElement(self.group, self.field,
-                                   {x: c for x, c in self.support.items()
-                                    if x in member_set})
+                                   {x: self.support[x] for x in member_set
+                                    if x in self.support})
 
     def augmentation(self):
         F = self.field

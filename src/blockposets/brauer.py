@@ -44,7 +44,7 @@ from .perms import (
     normalizer,
     p_subgroups_up_to_conjugacy,
 )
-from .topology import GPoset, Poset
+from .topology import GPoset, Poset, closure_masks
 
 
 def brauer_hom(Q, a):
@@ -459,7 +459,7 @@ class BlockContext:
                         edges.append((i, j))
         edges.sort()
         labels = [pr.label() for pr in pairs]
-        base = Poset.from_edges_closure(labels, edges)
+        up = closure_masks(len(labels), edges)
         action = []
         closed = True
         for t in range(len(self.G.generators)):
@@ -479,7 +479,7 @@ class BlockContext:
             if not closed:
                 break
             action.append(perm)
-        poset = GPoset(labels, base.up, action) if closed else base
+        poset = GPoset(labels, up, action) if closed else Poset(labels, up)
         if check_uniqueness:
             self._assert_unique_subpairs(pairs, poset, subgroups, subsets,
                                          slot, at)

@@ -506,9 +506,11 @@ def all_subgroups(P, max_count=10_000):
     while frontier:
         new = []
         for H in frontier:
+            tried = set(H.element_set)   # <H, hx> = <H, x>: one x per Hx
             for x in P.elements:
-                if x in H.element_set:
+                if x in tried:
                     continue
+                tried.update(h * x for h in H.elements)
                 K = PermGroup.from_generators(P.degree, tuple(H.generators) + (x,),
                                               max_elements=P.order)
                 if K.element_set not in found:

@@ -61,15 +61,33 @@ def _row_or(up, row):
     return acc
 
 
+def closure_masks(n, edges):
+    """Up masks of the reflexive-transitive closure of (i, j) arcs on 0..n-1."""
+    up = [1 << i for i in range(n)]
+    for i, j in edges:
+        up[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            mask = up[i]
+            acc = mask
+            for j in iter_bits(mask):
+                acc |= up[j]
+            if acc != mask:
+                up[i] = acc
+                changed = True
+    return up
+
+
 class Poset:
     """A finite poset on elements 0..n-1 with printable labels."""
 
-    def __init__(self, labels, up_masks, check=True):
+    def __init__(self, labels, up_masks):
         self.n = len(labels)
         self.labels = list(labels)
         self.up = list(up_masks)  # bit j of up[i] set iff i <= j
-        if check:
-            self._check([iter_bits(m) for m in self.up])
+        self._check([iter_bits(m) for m in self.up])
 
     def _check(self, rows):
         """Raise TheoryViolation unless the relation is a partial order.
@@ -97,33 +115,13 @@ class Poset:
                                           witness=(self.labels[i], self.labels[j]))
 
     @classmethod
-    def from_leq_pairs(cls, labels, pairs, check=True):
+    def from_leq_pairs(cls, labels, pairs):
         """Build from the full relation given as (i, j) pairs; reflexivity added."""
         n = len(labels)
         up = [1 << i for i in range(n)]
         for i, j in pairs:
             up[i] |= 1 << j
-        return cls(labels, up, check=check)
-
-    @classmethod
-    def from_edges_closure(cls, labels, edges, check=True):
-        """Reflexive-transitive closure of the given (i, j) arcs."""
-        n = len(labels)
-        up = [1 << i for i in range(n)]
-        for i, j in edges:
-            up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                mask = up[i]
-                acc = mask
-                for j in iter_bits(mask):
-                    acc |= up[j]
-                if acc != mask:
-                    up[i] = acc
-                    changed = True
-        return cls(labels, up, check=check)
+        return cls(labels, up)
 
     def leq(self, i, j):
         return (self.up[i] >> j) & 1 == 1
@@ -204,9 +202,9 @@ class GPoset(Poset):
     at construction.
     """
 
-    def __init__(self, labels, up_masks, action, check=True):
+    def __init__(self, labels, up_masks, action):
         self.action = [list(a) for a in action]
-        super().__init__(labels, up_masks, check=check)
+        super().__init__(labels, up_masks)
 
     def _check(self, rows):
         super()._check(rows)

@@ -19,7 +19,7 @@ from blockposets.commuting import (
 )
 from blockposets.gf import field_context
 from blockposets.perms import symmetric_group
-from blockposets.topology import Poset, iter_bits
+from blockposets.topology import Poset, closure_masks, iter_bits
 
 
 def shift_loop_bits(mask):
@@ -133,7 +133,7 @@ class TestCliqueEnumerator:
 
 def hand_poset(covers):
     """Three minimal elements 0, 1, 2 and three elements above them."""
-    return Poset.from_edges_closure([str(i) for i in range(6)], covers)
+    return Poset([str(i) for i in range(6)], closure_masks(6, covers))
 
 
 class TestCoverSearch:

@@ -8,7 +8,7 @@ from blockposets.brauer import (
     brauer_hom,
 )
 from blockposets.errors import TheoryViolation
-from blockposets.gf import PrimeField
+from blockposets.gf import PrimeField, field_context
 from blockposets.perms import (
     PermGroup,
     Permutation,
@@ -266,3 +266,22 @@ class TestUniqueSubpair:
         pair = ctx.unique_subpair(top, Z)
         assert pair.subgroup == Z
         assert pair in ctx.pairs_at(Z)
+
+
+@pytest.mark.parametrize("n, p", [(5, 2), (6, 2), (6, 3)])
+def test_truncate_matches_support_scan(n, p):
+    """truncate walks the member set; the previous form scanned the support."""
+    group = GroupContext(symmetric_group(n), field_context(p))
+    checked = 0
+    for block in group.blocks:
+        ctx = BlockContext(group, block)
+        b = block.element
+        for R, _orbit in group.classes:
+            members = ctx.site(R).centralizer.element_set
+            got = b.truncate(members)
+            expect = {x: c for x, c in b.support.items() if x in members}
+            assert got.support == expect
+            assert got.key() == GroupAlgebraElement(
+                b.group, b.field, expect).key()
+            checked += 1
+    assert checked >= 10

@@ -5,6 +5,7 @@ import pytest
 from blockposets.perms import (
     Permutation,
     PermGroup,
+    all_subgroups,
     centralizer,
     conjugacy_classes,
     cyclic_group,
@@ -239,3 +240,34 @@ class TestNormalizer:
         P = sylow_p(G, 2)
         N = normalizer(G, P)
         assert N.order == 8  # three Sylow 2-subgroups in S4
+
+
+def all_subgroups_every_extension(P):
+    """The previous all_subgroups: one closure for every (H, x), x not in H."""
+    trivial = PermGroup.trivial(P.degree)
+    found = {trivial.element_set: trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            for x in P.elements:
+                if x in H.element_set:
+                    continue
+                K = PermGroup.from_generators(
+                    P.degree, tuple(H.generators) + (x,),
+                    max_elements=P.order)
+                if K.element_set not in found:
+                    found[K.element_set] = K
+                    new.append(K)
+        frontier = new
+    return sorted(found.values(), key=PermGroup.key)
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (5, 2), (6, 2), (7, 2), (6, 3),
+                                  (7, 3)])
+def test_all_subgroups_try_each_coset_once(n, p):
+    """Skipping the x of a right coset Hx already tried keeps the list, its
+    order and every generator tuple."""
+    P = sylow_p(symmetric_group(n), p)
+    assert [(H.generators, H.elements) for H in all_subgroups(P)] == \
+        [(H.generators, H.elements) for H in all_subgroups_every_extension(P)]

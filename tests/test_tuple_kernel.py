@@ -28,7 +28,7 @@ from blockposets.perms import (
     symmetric_group,
     sylow_p,
 )
-from blockposets.topology import GPoset, Poset
+from blockposets.topology import GPoset, closure_masks
 
 # -- plain image-tuple arithmetic -----------------------------------------
 
@@ -118,7 +118,7 @@ def pair_poset_all_pairs(ctx, family):
             if i != j and lo.subgroup.order < hi.subgroup.order \
                     and ctx.normal_containment(lo, hi):
                 edges.append((i, j))
-    up = Poset.from_edges_closure([pr.label() for pr in pairs], edges).up
+    up = closure_masks(len(pairs), edges)
     index = {pr.ident(): i for i, pr in enumerate(pairs)}
     action = []
     for g in ctx.G.generators:

@@ -177,3 +177,12 @@ class TestReportDrift:
     ])
     def test_s6_reports_match_recorded(self, workload, argv, tmp_path):
         self.assert_recorded(workload, argv, tmp_path)
+
+    def test_s6_p2_all_blocks_match_recorded(self, tmp_path):
+        """Both S6 p=2 blocks, every check: theorem2 reads the 247-object
+        commuting category of the principal block.  Recorded under tests/,
+        as no benchmark workload runs it."""
+        out = tmp_path / "report.json"
+        main(["verify", "--group", "S6", "--prime", "2", "--out", str(out)])
+        assert out.read_bytes() == \
+            (Path(__file__).parent / "data" / "s6_p2_all.json").read_bytes()
