@@ -81,13 +81,6 @@ class GroupAlgebraElement:
                 out[z] = F.add(prev, F.mul(cx, cy))
         return GroupAlgebraElement(self.group, F, out)
 
-    def conjugate(self, g):
-        """Support-wise x -> g^-1 x g."""
-        ginv = g.inverse()
-        return GroupAlgebraElement(self.group, self.field,
-                                   {x.conjugate(g, ginv): c
-                                    for x, c in self.support.items()})
-
     def conjugates_to(self, g, other):
         """self ** g == other, decided term by term without building self ** g.
 
@@ -254,29 +247,16 @@ class CentralAlgebra:
                     support[x] = c
         return GroupAlgebraElement(self.group, F, support)
 
-def class_sum_algebra(G, field, cached=None):
+def class_sum_algebra(G, field):
     """Structure constants of Z(kG) by the fixed-representative count.
 
     a[i][j][k] = #{x in C_i : x^-1 z in C_j} for the fixed representative z of
     C_k.  Since x^-1 z = (z^-1 x)^-1 and inversion permutes the classes, one
     left column of z^-1 over G's element index gives every x^-1 z, so the
     total cost is (#classes) * |G| list lookups and no products.
-
-    cached, when given, is a dict with keys 'classes' and 'const' produced by
-    a previous run (see cache.py); it is trusted only after its checksum was
-    verified by the caller.
     """
     classes = conjugacy_classes(G)
     F = field
-    if cached is not None:
-        reps = [tuple(r) for r in cached["class_reps"]]
-        if reps != [cls.representative for cls in classes]:
-            raise ValueError("cached class list does not match the group")
-        const = [[[F.decode(v) for v in row] for row in plane]
-                 for plane in cached["const"]]
-        if len(const) != len(classes):
-            raise ValueError("cached structure constants have wrong shape")
-        return CentralAlgebra(G, F, classes, const)
     index = G.element_index()
     pos = index.pos
     members = [[pos[x] for x in cls.members] for cls in classes]
@@ -439,16 +419,15 @@ class Block:
         return f"Block({self.group.label}, {tag}, {len(self.element.support)} terms)"
 
 
-def blocks(G, field, algebra=None, coords=None):
+def blocks(G, field, algebra=None):
     """All blocks of kG, with structural assertions and the principal flag.
 
-    coords, when given (e.g. from a verified cache), replaces the recursive
-    splitter; all structural assertions still run, so a wrong list cannot
-    silently pass.
+    algebra, when given, is the class-sum algebra of G over field, so a
+    caller that already holds it does not build it twice.
     """
     A = algebra if algebra is not None else class_sum_algebra(G, field)
     F = field
-    prims = coords if coords is not None else primitive_idempotents(A)
+    prims = primitive_idempotents(A)
     # orthogonality, idempotency, sum to 1, centrality is built into the basis
     total = [F.zero] * A.dim
     for u in prims:

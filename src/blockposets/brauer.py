@@ -33,10 +33,7 @@ generators of the centralizer) and inherited by its conjugates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
-from .cache import class_algebra_and_blocks
 from .errors import TheoryViolation
 from .perms import (
     PermGroup,
@@ -109,15 +106,19 @@ class _Site:
         self.index = index
 
 
-@dataclass
 class DefectData:
     """The defect groups of a block: one conjugacy class of p-subgroups."""
 
-    block: object
-    representative: PermGroup
-    order: int
-    fingerprint: dict
-    num_conjugates: int
+    __slots__ = ("block", "representative", "order", "fingerprint",
+                 "num_conjugates")
+
+    def __init__(self, block, representative, order, fingerprint,
+                 num_conjugates):
+        self.block = block
+        self.representative = representative
+        self.order = order
+        self.fingerprint = fingerprint
+        self.num_conjugates = num_conjugates
 
     def is_dihedral_order_8(self):
         fp = self.fingerprint
@@ -143,8 +144,7 @@ class GroupContext:
 
     Built once and shared by every block of a run:
 
-    * the class-sum algebra of G and the blocks of kG, through the cache
-      when cache_dir is given;
+    * the class-sum algebra of G and the blocks of kG;
     * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit
       mapping the element set of each conjugate Q to one g with Q = R^g, and
       the lookup Q -> (class, g) read off those orbits;
@@ -163,11 +163,12 @@ class GroupContext:
       inherit the centrality of R's.  Every site reached is memoised.
     """
 
-    def __init__(self, G, F, cache_dir=None):
+    def __init__(self, G, F):
         self.G = G
         self.F = F
         self.p = F.p
-        self.algebra, self.blocks = class_algebra_and_blocks(G, F, cache_dir)
+        self.algebra = class_sum_algebra(G, F)
+        self.blocks = blocks(G, F, algebra=self.algebra)
         self._classes = None
         self._where = None
         self._sites = {}

@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import __version__
 from .brauer import BlockContext, GroupContext
@@ -54,14 +54,11 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    spec: dict
-    p: int
-    d: int
-    selector: str
-    slow: bool = False
+class CorpusEntry(namedtuple("CorpusEntry", "name spec p d selector slow",
+                             defaults=(False,))):
+    """One verify target: a group spec, GF(p^d) and a block selector."""
+
+    __slots__ = ()
 
 
 CORPUS = (
@@ -170,7 +167,7 @@ def _fingerprint_text(fp):
 def cmd_blocks(args):
     G = build_group(parse_group_spec(args.group), args.max_elements)
     F = field_for(args, G)
-    group = GroupContext(G, F, args.cache_dir)
+    group = GroupContext(G, F)
     block_list = group.blocks
     rows = []
     for b in block_list:
@@ -203,9 +200,9 @@ def cmd_blocks(args):
     return 0
 
 
-def _verify_entry(entry, G, checks, max_simplices, cache_dir):
+def _verify_entry(entry, G, checks, max_simplices):
     """The entry's check results on its group G."""
-    group = GroupContext(G, _field(entry.p, entry.d), cache_dir)
+    group = GroupContext(G, _field(entry.p, entry.d))
     results = []
     for b in select_blocks(group.blocks, entry.selector):
         results.extend(run_block_checks(group, b, checks, max_simplices))
@@ -248,8 +245,7 @@ def cmd_verify(args):
             continue
         try:
             G = built or build_group(entry.spec, args.max_elements)
-            outcome = _verify_entry(entry, G, checks, args.max_simplices,
-                                    args.cache_dir)
+            outcome = _verify_entry(entry, G, checks, args.max_simplices)
         except SizeLimitExceeded as exc:
             report_entries.append({
                 "entry": entry.name,
@@ -286,7 +282,7 @@ def cmd_verify(args):
 
 def cmd_poset(args):
     G = build_group(parse_group_spec(args.group), args.max_elements)
-    group = GroupContext(G, field_for(args, G), args.cache_dir)
+    group = GroupContext(G, field_for(args, G))
     selected = select_blocks(group.blocks, args.block)
     if len(selected) != 1:
         _bad_input("poset export needs exactly one block; "
@@ -328,8 +324,7 @@ def cmd_find_dihedral_block(args):
     """First symmetric group in range with a nonprincipal block of dihedral
     defect of order 8."""
     for n in range(args.min, args.max + 1):
-        group = GroupContext(symmetric_group(n), field_context(2, 1),
-                             args.cache_dir)
+        group = GroupContext(symmetric_group(n), field_context(2, 1))
         for b in group.blocks:
             if b.principal:
                 continue
@@ -364,7 +359,6 @@ def _common_flags(sub, with_block=True):
         sub.add_argument("--block", default="all",
                          help="principal | nonprincipal | all | <index>")
     sub.add_argument("--out", help="write output to a file instead of stdout")
-    sub.add_argument("--cache-dir", help="directory for the computation cache")
     sub.add_argument("--max-elements", type=int, default=MAX_GROUP_ORDER)
     sub.add_argument("--max-simplices", type=int,
                      default=HOMOLOGY_SIMPLEX_BOUND)
@@ -410,7 +404,6 @@ def main(argv=None):
     p_find.add_argument("--min", type=int, default=6)
     p_find.add_argument("--max", type=int, default=8)
     p_find.add_argument("--out")
-    p_find.add_argument("--cache-dir")
     p_find.set_defaults(fn=cmd_find_dihedral_block)
 
     args = parser.parse_args(argv)

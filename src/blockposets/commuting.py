@@ -31,8 +31,6 @@ contains v" over v in kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SizeLimitExceeded, TheoryViolation
 from .perms import PermGroup, order_p_subgroups
 from .topology import GPoset, iter_bits
@@ -40,10 +38,12 @@ from .topology import GPoset, iter_bits
 MAX_POSET_ELEMENTS = 100_000
 
 
-@dataclass
 class CommutingGraph:
-    vertices: list        # order-p subgroups, canonically sorted
-    adjacency: list       # bitmask per vertex
+    __slots__ = ("vertices", "adjacency")
+
+    def __init__(self, vertices, adjacency):
+        self.vertices = vertices      # order-p subgroups, canonically sorted
+        self.adjacency = adjacency    # bitmask per vertex
 
     def edges(self):
         return [(i, j) for i, mask in enumerate(self.adjacency)
@@ -213,6 +213,9 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
                                   witness=vertices[v].generators[0].cycle_string())
         return hit.bit_length() - 1, above
 
+    # Cliques come in depth-first preorder of increasing tuples, which is
+    # lexicographic order, and each pairs_at list is increasing: elements
+    # arrive sorted by (sorted kappa, pair index).
     elements = []
     start = (None, (1 << len(family)) - 1)
     for kappa, (A, _above) in iter_cliques(adj, brauer_prune, start):
@@ -221,7 +224,6 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
             if len(elements) > max_elements:
                 raise SizeLimitExceeded(
                     f"commuting poset exceeded {max_elements} elements")
-    elements.sort(key=lambda ke: (sorted(ke[0]), ke[1]))
     kindex = {ke: i for i, ke in enumerate(elements)}
     # order: subset on kappa, pair containment on the decorations
     at_pair = [0] * aposet.n
@@ -273,15 +275,19 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
                          expand_map, collapse_map)
 
 
-@dataclass
 class Obstruction:
     """A clique of minimal elements not covered by any single poset element."""
 
-    minimal_indices: tuple
-    pair_labels: tuple
-    subgroups: tuple              # the singleton subgroups
-    generated_subgroup: PermGroup
-    brauer_vanishes: bool
+    __slots__ = ("minimal_indices", "pair_labels", "subgroups",
+                 "generated_subgroup", "brauer_vanishes")
+
+    def __init__(self, minimal_indices, pair_labels, subgroups,
+                 generated_subgroup, brauer_vanishes):
+        self.minimal_indices = minimal_indices
+        self.pair_labels = pair_labels
+        self.subgroups = subgroups            # the singleton subgroups
+        self.generated_subgroup = generated_subgroup
+        self.brauer_vanishes = brauer_vanishes
 
 
 def uncovered_minimal_clique(poset):

@@ -32,7 +32,7 @@ public and printed type.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SizeLimitExceeded
 
@@ -376,12 +376,6 @@ class PermGroup:
             rank += 1
         return True, rank
 
-    def conjugate_subgroup(self, g, label=""):
-        ginv = g.inverse()
-        elems = {x.conjugate(g, ginv) for x in self.elements}
-        gens = tuple(x.conjugate(g, ginv) for x in self.generators)
-        return PermGroup(self.degree, gens, elems, label or self.label)
-
     def fingerprint(self):
         """Conjugation-invariant summary (order, exponent, abelian, cyclic)."""
         return {
@@ -396,10 +390,10 @@ def _lcm(a, b):
     return a * b // math.gcd(a, b)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: Permutation
-    members: tuple
+class ConjugacyClass(namedtuple("ConjugacyClass", "representative members")):
+    """A conjugacy class: its minimal member and all members, sorted."""
+
+    __slots__ = ()
 
 
 def conjugacy_classes(G):

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import SizeLimitExceeded, TheoryViolation
 
@@ -334,15 +332,15 @@ def chain_counts(X):
     With c_k[x] the number of k-simplices x = x_0 < ... < x_k starting at x,
     c_0[x] = 1 and c_k[x] is the sum of c_{k-1}[y] over y > x; the k-th face
     count is the sum of c_k over x.  This equals
-    order_complex(X).face_counts() at a cost per dimension of one pass over
-    the strict relation.
+    order_complex(X).face_counts().  The strict up-sets are listed once, and
+    each dimension costs one pass over those lists.
     """
-    strict_up = [X.up[i] & ~(1 << i) for i in range(X.n)]
+    strict_up = [iter_bits(X.up[i] & ~(1 << i)) for i in range(X.n)]
     counts = []
     c = [1] * X.n
     while any(c):
         counts.append(sum(c))
-        c = [sum(c[j] for j in iter_bits(m)) for m in strict_up]
+        c = [sum([c[j] for j in row]) for row in strict_up]
     return counts
 
 
@@ -386,13 +384,15 @@ def face_poset(C):
 # Smith normal form over the integers (sparse, arbitrary precision)
 
 
-@dataclass
 class SNFResult:
-    diagonal: list        # invariant factors d_1 | d_2 | ..., all > 0
-    rows: int
-    cols: int
-    U: list | None = None  # unimodular row transform, U M V = diag
-    V: list | None = None
+    __slots__ = ("diagonal", "rows", "cols", "U", "V")
+
+    def __init__(self, diagonal, rows, cols, U, V):
+        self.diagonal = diagonal  # invariant factors d_1 | d_2 | ..., all > 0
+        self.rows = rows
+        self.cols = cols
+        self.U = U                # unimodular row transform, U M V = diag
+        self.V = V                # (both None unless transforms were asked)
 
     @property
     def rank(self):
@@ -626,33 +626,6 @@ def _bezout(a, b):
     return old_x, old_y
 
 
-def rank_over_rationals(entries, rows, cols):
-    """Rank by dense Gaussian elimination with Fractions (independent of SNF)."""
-    M = [[Fraction(0)] * cols for _ in range(rows)]
-    for (i, j), v in entries.items():
-        M[i][j] = Fraction(v)
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if M[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def boundary_matrices(C):
     """Sparse boundary maps; entry ((row=face index in dim n-1), (col=dim n)).
 
@@ -741,29 +714,10 @@ def homology(C, snf=smith_normal_form):
     return HomologyResult(groups)
 
 
-def homology_betti_rational(C):
-    """Betti numbers by rational ranks only (oracle for the SNF route)."""
-    if C.is_empty():
-        return []
-    mats = boundary_matrices(C)
-    counts = C.face_counts()
-    ranks = [rank_over_rationals(m, counts[n], counts[n + 1])
-             for n, m in enumerate(mats)]
-    out = []
-    for n in range(len(counts)):
-        rank_dn = ranks[n - 1] if n >= 1 else 0
-        rank_dn1 = ranks[n] if n < len(ranks) else 0
-        out.append(counts[n] - rank_dn - rank_dn1)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # certificates
 
 
-@dataclass
 class EquivalenceCertificate:
     """Checkable sufficient conditions for an equivariant homotopy equivalence.
 
@@ -772,14 +726,22 @@ class EquivalenceCertificate:
     comparable to the identity pointwise in one uniform direction.
     """
 
-    ok: bool
-    forward_order_preserving: bool
-    backward_order_preserving: bool
-    forward_equivariant: bool
-    backward_equivariant: bool
-    roundtrip_x: str | None   # "id<=HF", "HF<=id", "id=HF", or None on failure
-    roundtrip_y: str | None
-    failures: list = field(default_factory=list)
+    __slots__ = ("ok", "forward_order_preserving", "backward_order_preserving",
+                 "forward_equivariant", "backward_equivariant", "roundtrip_x",
+                 "roundtrip_y", "failures")
+
+    def __init__(self, ok, forward_order_preserving, backward_order_preserving,
+                 forward_equivariant, backward_equivariant, roundtrip_x,
+                 roundtrip_y, failures):
+        self.ok = ok
+        self.forward_order_preserving = forward_order_preserving
+        self.backward_order_preserving = backward_order_preserving
+        self.forward_equivariant = forward_equivariant
+        self.backward_equivariant = backward_equivariant
+        # "id<=HF", "HF<=id", "id=HF", or None on failure
+        self.roundtrip_x = roundtrip_x
+        self.roundtrip_y = roundtrip_y
+        self.failures = failures
 
 
 def _order_preserving(X, Y, fmap, failures, tag):

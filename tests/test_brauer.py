@@ -18,6 +18,8 @@ from blockposets.perms import (
     symmetric_group,
 )
 
+from oracles import conjugate_subgroup
+
 GF2 = PrimeField(2)
 
 
@@ -131,7 +133,7 @@ class TestContainmentPoset:
         full = []
         for rep, orbit in p_subgroups_up_to_conjugacy(group.G, 2):
             for g in orbit.values():
-                full.append(rep.conjugate_subgroup(g))
+                full.append(conjugate_subgroup(rep, g))
         pp = BlockContext(group, principal).pair_poset(full)
         assert pp.n == 4  # (1, b) below three transposition pairs
         assert len(pp.poset.minimal_elements()) == 1
@@ -139,7 +141,7 @@ class TestContainmentPoset:
 
     def test_action_preserves_order(self, s3_blocks):
         group, principal, _ = s3_blocks
-        family = [rep.conjugate_subgroup(g)
+        family = [conjugate_subgroup(rep, g)
                   for rep, orbit in group.classes for g in orbit.values()]
         pp = BlockContext(group, principal).pair_poset(family)
         # GPoset construction validates the action; reaching here suffices,

@@ -23,9 +23,10 @@ from blockposets.topology import (
     SimplicialComplex,
     boundary_matrices,
     homology,
-    rank_over_rationals,
     smith_normal_form,
 )
+
+from oracles import rank_over_rationals
 
 GF2 = field_context(2)
 

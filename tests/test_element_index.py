@@ -31,6 +31,8 @@ from blockposets.perms import (
 from blockposets.topology import orbit_poset
 from blockposets.verify import _admissible_class, _eta_scan
 
+from oracles import conjugate_element, conjugate_subgroup
+
 CASES = [("S3", 2), ("S4", 2), ("S5", 2), ("D8", 2), ("S6", 2), ("S7", 3)]
 CASE_IDS = ["S3-p2", "S4-p2", "S5-p2", "D8-p2", "S6-p2", "S7-p3"]
 # a prime above every group order here, so structure constants are exact
@@ -132,7 +134,7 @@ def maps_from_by_products(fs, Q):
         if mkey in found:
             continue
         image = frozenset(mapping.values())
-        if eQ.conjugate(g) == fs.sub_pair[image].idempotent:
+        if conjugate_element(eQ, g) == fs.sub_pair[image].idempotent:
             found[mkey] = (mapping, g, image)
     return [found[k] for k in sorted(found)]
 
@@ -293,15 +295,16 @@ class TestCorpusScans:
     def test_pair_action_matches_conjugated_pairs(self):
         acted = 0
         for name, ctx in corpus_contexts():
-            family = [R.conjugate_subgroup(g)
+            family = [conjugate_subgroup(R, g)
                       for R, orbit in ctx.group.classes for g in orbit.values()]
             for apairs in (elementary_abelian_poset(ctx),
                            ctx.pair_poset(family, check_uniqueness=False)):
                 index = {pr.ident(): i for i, pr in enumerate(apairs.pairs)}
                 for g, perm in zip(ctx.G.generators, apairs.poset.action):
-                    expect = [index[(pr.subgroup.conjugate_subgroup(g).element_set,
-                                     pr.idempotent.conjugate(g).key())]
-                              for pr in apairs.pairs]
+                    expect = [
+                        index[(conjugate_subgroup(pr.subgroup, g).element_set,
+                               conjugate_element(pr.idempotent, g).key())]
+                        for pr in apairs.pairs]
                     assert perm == expect, name
                     acted += len(perm)
         assert acted > 100

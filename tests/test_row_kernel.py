@@ -42,6 +42,8 @@ from blockposets.topology import (
 )
 from blockposets.verify import check_nonclique, check_theorem1
 
+from oracles import conjugate_subgroup
+
 # -- the per-pair loops ------------------------------------------------------
 
 
@@ -389,7 +391,8 @@ def product_set_geometry(ctx):
         up.append(mask)
     action = []
     for gi, g in enumerate(ctx.G.generators):
-        vperm = [vindex[v.conjugate_subgroup(g).element_set] for v in vertices]
+        vperm = [vindex[conjugate_subgroup(v, g).element_set]
+                 for v in vertices]
         action.append([kindex[(frozenset(vperm[v] for v in ki),
                                aposet.action[gi][pi])]
                        for ki, pi in elements])

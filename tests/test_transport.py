@@ -19,6 +19,8 @@ from blockposets.perms import dihedral_group, symmetric_group
 from blockposets.topology import orbit_poset
 from blockposets.verify import _theorem2_maps
 
+from oracles import conjugate_element
+
 GF2 = field_context(2)
 
 
@@ -69,7 +71,7 @@ def eta_by_full_scan(ctx, geom, fs, cat, icp):
                        for x in pair.subgroup.generators):
                     continue
                 image = frozenset(ginv * x * g for x in pair.subgroup.elements)
-                if pair.idempotent.conjugate(g) == \
+                if conjugate_element(pair.idempotent, g) == \
                         fs.sub_pair[image].idempotent:
                     admissible[pid].append(k)
         results = set()
@@ -112,7 +114,7 @@ def homs_by_scan(fs, Q):
         mapping = {x: ginv * x * g for x in Q.elements}
         mkey = tuple(tuple(mapping[x]) for x in Q.elements)
         image = frozenset(mapping.values())
-        passes = eQ.conjugate(g) == fs.sub_pair[image].idempotent
+        passes = conjugate_element(eQ, g) == fs.sub_pair[image].idempotent
         scan.append((mkey, image, g, passes))
     out = {}
     for R in fs.family:

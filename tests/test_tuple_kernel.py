@@ -30,6 +30,8 @@ from blockposets.perms import (
 )
 from blockposets.topology import GPoset, closure_masks
 
+from oracles import conjugate_element, conjugate_subgroup
+
 # -- plain image-tuple arithmetic -----------------------------------------
 
 
@@ -122,8 +124,8 @@ def pair_poset_all_pairs(ctx, family):
     index = {pr.ident(): i for i, pr in enumerate(pairs)}
     action = []
     for g in ctx.G.generators:
-        perm = [index.get((pr.subgroup.conjugate_subgroup(g).element_set,
-                           pr.idempotent.conjugate(g).key()))
+        perm = [index.get((conjugate_subgroup(pr.subgroup, g).element_set,
+                           conjugate_element(pr.idempotent, g).key()))
                 for pr in pairs]
         if None in perm:
             return pairs, edges, up, None
@@ -133,7 +135,7 @@ def pair_poset_all_pairs(ctx, family):
 
 def all_conjugates(group):
     """The `poset --which brauer-pairs` family: every p-subgroup."""
-    return [R.conjugate_subgroup(g)
+    return [conjugate_subgroup(R, g)
             for R, orbit in group.classes for g in orbit.values()]
 
 

@@ -11,13 +11,14 @@ from blockposets.gf import PrimeField
 from blockposets.perms import symmetric_group
 from blockposets.topology import order_complex
 from blockposets.verify import (
-    check_blocks_oracle,
     check_homology,
     check_nonclique,
     check_theorem1,
     check_theorem2,
     run_block_checks,
 )
+
+from oracles import check_blocks_oracle
 
 GF2 = PrimeField(2)
 
