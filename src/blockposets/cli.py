@@ -95,6 +95,8 @@ def build_group(spec, max_elements=MAX_GROUP_ORDER):
     try:
         if kind == "symmetric":
             n = int(spec["n"])
+            if n < 1:
+                raise ValueError("n >= 1")
             if math.factorial(n) > max_elements:
                 raise SizeLimitExceeded(f"symmetric group of degree {n} "
                                         f"exceeds {max_elements} elements")
@@ -107,6 +109,8 @@ def build_group(spec, max_elements=MAX_GROUP_ORDER):
             return dihedral_group(order)
         if kind == "generators":
             degree = int(spec["degree"])
+            if degree < 1:
+                raise ValueError("degree >= 1")
             gens = [Permutation.from_cycles(degree, cycles)
                     for cycles in spec["gens"]]
             return PermGroup.from_generators(degree, gens, label="custom",

@@ -22,17 +22,23 @@ corpus group has order 5040), so questions about every g in G are answered
 by scanning G, not through stabilizer chains.  The scans run on integers:
 each group numbers its elements once (its ElementIndex, built on the first
 scan), with the conjugation and right-multiplication tables of its
-generators and a spanning tree of G along right multiplication.  Walking
-the tree fills a column of |G| positions (x^g, or w g, for every g) by list
-lookups instead of products (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, section 4.1).  Permutation stays the
-public and printed type.
+generators and a spanning tree of G along right multiplication.  These come
+from the breadth-first closure that enumerates G: it finds x t for every
+element x and generator t, so it records the right tables and the tree as
+it goes, and the index only ranks them into sorted order.  Walking the tree
+fills a column of |G| positions (x^g, or w g, for every g) by list lookups
+instead of products (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005, section 4.1).  The subgroups of a Sylow or defect group
+P are enumerated on P's own index, as bitsets over its positions, so their
+cost scales with |P| rather than |G|.  Permutation stays the public and
+printed type.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import SizeLimitExceeded
 
@@ -141,23 +147,52 @@ class Permutation(tuple):
 
 
 def _closure(degree, gens, max_elements):
+    """Breadth-first search from the identity along right multiplication by
+    gens.  Products are plain image tuples; each new element is wrapped as
+    a Permutation once.
+
+    Returns (number, right, tree): number maps each element reached to its
+    discovery number d, in discovery order; right[t][d] is the number of
+    x_d gens[t]; and tree[d - 1] = (parent, t) with x_d = x_parent gens[t].
+    These are G's right-multiplication tables and a spanning tree.
+    """
+    gens = [tuple(g) for g in gens]
     identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elements:
-                    elements.add(y)
-                    new.append(y)
-                    if len(elements) > max_elements:
-                        raise SizeLimitExceeded(
-                            f"group enumeration exceeded {max_elements} elements"
-                        )
-        frontier = new
-    return elements
+    number = {identity: 0}
+    found = [identity]
+    ids = [0]             # ids[d] is d, the int object that number holds
+    right = [[] for _ in gens]
+    steps = list(zip(gens, right, range(len(gens))))
+    tree = []
+    for x, d in zip(found, ids):            # both grow while walked
+        # x * g is g read at x's images; degree 1 has only the identity
+        take = itemgetter(*x) if degree > 1 else tuple
+        for g, row, t in steps:
+            y = take(g)
+            n = number.get(y)
+            if n is None:
+                n = len(found)
+                if n >= max_elements:
+                    raise SizeLimitExceeded(
+                        f"group enumeration exceeded {max_elements} elements")
+                y = tuple.__new__(Permutation, y)
+                number[y] = n
+                found.append(y)
+                ids.append(n)
+                tree.append((d, t))
+            row.append(n)
+    return number, right, tree
+
+
+def _positions_of(col, value):
+    """The positions g with col[g] == value, in increasing order."""
+    found, g = [], -1
+    try:
+        while True:
+            g = col.index(value, g + 1)
+            found.append(g)
+    except ValueError:
+        return found
 
 
 class ElementIndex:
@@ -171,44 +206,45 @@ class ElementIndex:
     * tree lists (child, parent, t) with x_child = x_parent t, in BFS order
       from the identity: a spanning tree of G along right multiplication.
 
-    A column walk down the tree sets col[child] from col[parent] by one
-    table lookup, so a question about every g in G costs |G| lookups.
+    The right tables and the tree are the closure's own, ranked into sorted
+    order: a group from from_generators or from_elements hands over the BFS
+    that enumerated it, and any other group runs that BFS over its
+    generators once.  The t-th conjugation table is then right[t] read at
+    the left column of t^-1.  A column walk down the tree sets col[child]
+    from col[parent] by one table lookup, so a question about every g in G
+    costs |G| lookups.
     """
 
-    __slots__ = ("elements", "pos", "root", "conj", "right", "tree")
+    __slots__ = ("elements", "pos", "root", "conj", "right", "tree",
+                 "_fixers")
 
     def __init__(self, G):
         elements = G.elements
-        pos = {x: i for i, x in enumerate(elements)}
+        n = len(elements)
+        pos = dict(zip(elements, range(n)))
+        if G._bfs is None:
+            try:
+                number, right, tree = _closure(G.degree, G.generators, n)
+            except SizeLimitExceeded:
+                number = ()
+            rank = [pos.get(x) for x in number]
+            if len(rank) != n or None in rank:
+                raise ValueError(
+                    "the generators do not generate the element list")
+            order = sorted(number.values(), key=rank.__getitem__)
+        else:
+            order, right, tree = G._bfs
+            G._bfs = None
+            rank = sorted(pos.values(), key=order.__getitem__)
         self.elements = elements
         self.pos = pos
-        self.root = pos[tuple(range(G.degree))]
-        self.conj, self.right = [], []
-        # subscripts run on plain tuples, which CPython specialises (a
-        # tuple subclass it does not); the image tuples index pos too
-        plain = [tuple(x) for x in elements]
-        for t in G.generators:
-            t, tinv = tuple(t), tuple(t.inverse())
-            self.right.append([pos[tuple([t[k] for k in x])]
-                               for x in plain])
-            self.conj.append([pos[tuple([t[x[k]] for k in tinv])]
-                              for x in plain])
-        seen = bytearray(len(elements))
-        seen[self.root] = 1
-        self.tree = []
-        frontier = [self.root]
-        while frontier:
-            new = []
-            for parent in frontier:
-                for t, table in enumerate(self.right):
-                    child = table[parent]
-                    if not seen[child]:
-                        seen[child] = 1
-                        self.tree.append((child, parent, t))
-                        new.append(child)
-            frontier = new
-        if len(self.tree) != len(elements) - 1:
-            raise ValueError("the generators do not generate the element list")
+        self.root = rank[0]
+        self.right = [[rank[row[d]] for d in order] for row in right]
+        self.tree = [(rank[d], rank[parent], t)
+                     for d, (parent, t) in enumerate(tree, 1)]
+        self.conj = [[table[i] for i in self.left_column(pos[t.inverse()])]
+                     for t, table in zip(G.generators, self.right)]
+        self._fixers = {}
 
     def id(self, perm):
         """Position of perm; ValueError when it is not an element."""
@@ -231,6 +267,14 @@ class ElementIndex:
     def left_column(self, i):
         """col[g] = position of x_i x_g, for every position g."""
         return self._walk(self.right, i)
+
+    def fixers(self, i):
+        """The positions g with x_i^g = x_i, in G's order: C_G(x_i), from
+        one conjugation column, kept for the next centralizer of x_i."""
+        found = self._fixers.get(i)
+        if found is None:
+            found = self._fixers[i] = _positions_of(self.conj_column(i), i)
+        return found
 
     def conj_image(self, t, xs):
         """[x^t for x in xs], t the t-th generator, by table lookups."""
@@ -270,10 +314,15 @@ class ElementIndex:
 
 
 class PermGroup:
-    """A finite permutation group with its full, sorted element list."""
+    """A finite permutation group with its full, sorted element list.
+
+    _bfs holds the closure's tables from from_generators or from_elements,
+    (order, right, tree) with order[k] the discovery number of the k-th
+    element, until the ElementIndex takes them over.
+    """
 
     __slots__ = ("degree", "generators", "elements", "label", "element_set",
-                 "_element_index", "_key")
+                 "_element_index", "_key", "_bfs")
 
     def __init__(self, degree, generators, elements, label=""):
         self.degree = degree
@@ -283,6 +332,7 @@ class PermGroup:
         self.element_set = frozenset(self.elements)
         self._element_index = None
         self._key = None
+        self._bfs = None
 
     @classmethod
     def from_generators(cls, degree, gens, label="", max_elements=MAX_GROUP_ORDER):
@@ -290,22 +340,34 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-        elements = _closure(degree, gens, max_elements)
-        return cls(degree, gens, elements, label)
+        bfs = _closure(degree, gens, max_elements)
+        return cls._from_closure(degree, gens, bfs, label)
+
+    @classmethod
+    def _from_closure(cls, degree, gens, bfs, label):
+        """The group that the closure bfs of gens enumerated, keeping its
+        tables for the ElementIndex."""
+        number, right, tree = bfs
+        found = list(number)
+        order = sorted(number.values(), key=found.__getitem__)
+        group = cls(degree, gens, [found[d] for d in order], label)
+        group._bfs = (order, right, tree)
+        return group
 
     @classmethod
     def from_elements(cls, degree, elements, label=""):
-        """Wrap an already-closed element set, with a reduced generating set."""
+        """Wrap an already-closed element set, with a reduced generating set;
+        the last closure, over that set, is kept for the ElementIndex."""
         elements = set(elements)
         gens = []
-        closed = {Permutation.identity(degree)}
+        bfs = ({Permutation.identity(degree): 0}, [], [])
         for x in sorted(elements):
-            if x not in closed:
+            if x not in bfs[0]:
                 gens.append(x)
-                closed = _closure(degree, gens, len(elements))
-                if len(closed) == len(elements):
+                bfs = _closure(degree, gens, len(elements))
+                if len(bfs[0]) == len(elements):
                     break
-        return cls(degree, gens, elements, label)
+        return cls._from_closure(degree, gens, bfs, label)
 
     @classmethod
     def trivial(cls, degree, label="1"):
@@ -427,21 +489,20 @@ def centralizer(G, S, label=""):
     """Elements of G commuting with every member of S.
 
     S may be a PermGroup (its generators suffice) or an iterable of
-    permutations.
+    permutations.  C_G(s) for the first non-identity s is read off the
+    index (one G-wide conjugation column per element s, kept), and every
+    other s is tested on the members of C_G(s) alone.
     """
-    if isinstance(S, PermGroup):
-        pins = S.generators if S.generators else (S.identity(),)
-    else:
-        pins = tuple(S)
-    if all(s.is_identity() for s in pins):
+    pins = S.generators if isinstance(S, PermGroup) else S
+    pins = [s for s in pins if not s.is_identity()]
+    if not pins:
         return G
     index = G.element_index()
-    keep = range(G.order)
-    for s in pins:
-        i = index.id(s)
-        col = index.conj_column(i)
-        keep = [g for g in keep if col[g] == i]
-    elems = [G.elements[g] for g in keep]
+    i = [index.id(s) for s in pins][0]     # refuses a pin outside G
+    elems = [G.elements[g] for g in index.fixers(i)]
+    for s in pins[1:]:
+        s_then = itemgetter(*s)            # s_then(x) = s * x
+        elems = [x for x in elems if s_then(x) == itemgetter(*x)(s)]
     return PermGroup.from_elements(G.degree, elems, label or f"C({G.label})")
 
 
@@ -470,7 +531,8 @@ def sylow_p(G, p):
             raise RuntimeError("Sylow extension step found no element; |G| not divisible as expected")
         H = PermGroup.from_generators(G.degree, tuple(H.generators) + (ext,),
                                       max_elements=target)
-    return PermGroup(H.degree, H.generators, H.elements, label=f"Sylow_{p}({G.label})")
+    H.label = f"Sylow_{p}({G.label})"
+    return H
 
 
 def _power(x, n):
@@ -492,28 +554,64 @@ def order_p_subgroups(G, p):
     return sorted(found.values(), key=PermGroup.key)
 
 
+_MAX_TABLE_ORDER = 2048
+
+
 def all_subgroups(P, max_count=10_000):
-    """Every subgroup of a small group P, by iterative one-element extensions."""
-    trivial = PermGroup.trivial(P.degree)
-    found = {trivial.element_set: trivial}
-    frontier = [trivial]
+    """Every subgroup of a small group P, by iterative one-element extensions.
+
+    Runs on P's own ElementIndex, with P's multiplication table as its left
+    columns.  A subgroup is the int bitset of its elements' positions.  Only
+    the first x of each right coset Hx is tried, as <H, hx> = <H, x>, and
+    <H, x> is closed one right coset of H at a time (Dimino's method, as in
+    Butler, Fundamental Algorithms for Permutation Groups, 1991): from Hx
+    on, each new representative w and generator g bring in the coset H wg
+    unless wg is already there.  A subgroup keeps the generators it was
+    first found with, H's followed by x.
+    """
+    n = P.order
+    if n > _MAX_TABLE_ORDER:
+        raise SizeLimitExceeded(f"subgroup enumeration needs the "
+                                f"multiplication table of order {n}")
+    index = P.element_index()
+    rows = [index.left_column(i) for i in range(n)]    # rows[a][b]: x_a x_b
+    bit = [1 << i for i in range(n)]
+    root = index.root
+    found = {bit[root]: ((), [root])}
+    frontier = [(bit[root], (), [root])]
     while frontier:
         new = []
-        for H in frontier:
-            tried = set(H.element_set)   # <H, hx> = <H, x>: one x per Hx
-            for x in P.elements:
-                if x in tried:
+        for hmask, gens, hs in frontier:
+            tried = hmask
+            for x in range(n):
+                if tried & bit[x]:
                     continue
-                tried.update(h * x for h in H.elements)
-                K = PermGroup.from_generators(P.degree, tuple(H.generators) + (x,),
-                                              max_elements=P.order)
-                if K.element_set not in found:
-                    found[K.element_set] = K
-                    new.append(K)
+                coset = [rows[h][x] for h in hs]
+                cmask = sum([bit[y] for y in coset])
+                tried |= cmask
+                kmask, kgens, ks = hmask | cmask, gens + (x,), hs + coset
+                reps = [x]
+                for w in reps:                  # reps grows while walked
+                    row = rows[w]
+                    for g in kgens:
+                        y = row[g]
+                        if not kmask & bit[y]:
+                            coset = [rows[h][y] for h in hs]
+                            kmask |= sum([bit[c] for c in coset])
+                            ks += coset
+                            reps.append(y)
+                if kmask not in found:
+                    found[kmask] = (kgens, ks)
+                    new.append((kmask, kgens, ks))
                     if len(found) > max_count:
                         raise SizeLimitExceeded("subgroup enumeration bound hit")
         frontier = new
-    return sorted(found.values(), key=PermGroup.key)
+    elements = P.elements
+    out = []
+    for gens, ks in found.values():
+        out.append(PermGroup(P.degree, [elements[g] for g in gens],
+                             [elements[i] for i in ks], "" if gens else "1"))
+    return sorted(out, key=PermGroup.key)
 
 
 class SubgroupOrbit(dict):

@@ -5,7 +5,11 @@
 * conjugation of a whole subgroup and of a group-algebra element, term by
   term, against the conjugation tables and orbit trees of the library;
 * the blocks of kG from the recursive splitter against the exhaustive
-  central-idempotent enumeration, as a check result.
+  central-idempotent enumeration, as a check result;
+* the index tables built from permutation products, every subgroup of a
+  small group by one closure per extension, and a centralizer narrowed by
+  one G-wide column per generator, against the tables that the closure
+  records and the bitset and in-centralizer scans of the library.
 """
 
 import time
@@ -104,3 +108,57 @@ def check_blocks_oracle(G, F, algebra=None, oracle_bound=1 << 20):
                        details={"count": len(out)},
                        witnesses=witnesses,
                        elapsed=time.monotonic() - start)
+
+
+def index_tables_by_products(G):
+    """(conj, right) of G's ElementIndex, from permutation products: the
+    t-th tables hold the positions of t^-1 x t and x t."""
+    pos = {x: i for i, x in enumerate(G.elements)}
+    conj = [[pos[x.conjugate(t)] for x in G.elements] for t in G.generators]
+    right = [[pos[x * t] for x in G.elements] for t in G.generators]
+    return conj, right
+
+
+def all_subgroups(P, max_count=10_000):
+    """Every subgroup of a small group P, by iterative one-element
+    extensions, each closed by from_generators."""
+    trivial = PermGroup.trivial(P.degree)
+    found = {trivial.element_set: trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            tried = set(H.element_set)   # <H, hx> = <H, x>: one x per Hx
+            for x in P.elements:
+                if x in tried:
+                    continue
+                tried.update(h * x for h in H.elements)
+                K = PermGroup.from_generators(P.degree,
+                                              tuple(H.generators) + (x,),
+                                              max_elements=P.order)
+                if K.element_set not in found:
+                    found[K.element_set] = K
+                    new.append(K)
+                    if len(found) > max_count:
+                        raise SizeLimitExceeded("subgroup enumeration bound hit")
+        frontier = new
+    return sorted(found.values(), key=PermGroup.key)
+
+
+def centralizer(G, S, label=""):
+    """Elements of G commuting with every member of S, narrowed by one
+    G-wide conjugation column per generator of S."""
+    if isinstance(S, PermGroup):
+        pins = S.generators if S.generators else (S.identity(),)
+    else:
+        pins = tuple(S)
+    if all(s.is_identity() for s in pins):
+        return G
+    index = G.element_index()
+    keep = range(G.order)
+    for s in pins:
+        i = index.id(s)
+        col = index.conj_column(i)
+        keep = [g for g in keep if col[g] == i]
+    elems = [G.elements[g] for g in keep]
+    return PermGroup.from_elements(G.degree, elems, label or f"C({G.label})")

@@ -70,9 +70,18 @@ class TestBadInput:
         ["verify", "--group", '{"type": "symmetric"}'],
         ["verify", "--group", "S3", "--checks", "nonsense"],
         ["poset", "--group", "S3", "--which", "A", "--block", "9"],
+        ["verify", "--group", '{"type": "generators", "degree": -3, '
+                              '"gens": []}', "--prime", "2"],
+        ["verify", "--group", '{"type": "generators", "degree": 0, '
+                              '"gens": []}', "--prime", "2"],
+        ["verify", "--group", '{"type": "symmetric", "n": -2}',
+         "--prime", "2"],
+        ["verify", "--group", '{"type": "symmetric", "n": 0}',
+         "--prime", "2"],
     ], ids=["prime-4", "prime-0", "prime-1", "prime-1-auto-split",
             "verify-prime-4", "repeated-point", "point-out-of-range",
-            "no-gens", "no-degree", "no-n", "unknown-check", "bad-block"])
+            "no-gens", "no-degree", "no-n", "unknown-check", "bad-block",
+            "degree-negative", "degree-zero", "n-negative", "n-zero"])
     def test_one_line_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -81,6 +90,15 @@ class TestBadInput:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("spec, reason", [
+        ('{"type": "generators", "degree": -3, "gens": []}', "degree >= 1"),
+        ('{"type": "symmetric", "n": -2}', "n >= 1"),
+    ])
+    def test_size_below_one_names_the_bound(self, spec, reason, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--group", spec, "--prime", "2"])
+        assert capsys.readouterr().err.strip().endswith(reason)
 
 
 class TestBlocksCommand:

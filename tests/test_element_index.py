@@ -31,7 +31,11 @@ from blockposets.perms import (
 from blockposets.topology import orbit_poset
 from blockposets.verify import _admissible_class, _eta_scan
 
-from oracles import conjugate_element, conjugate_subgroup
+from oracles import (
+    conjugate_element,
+    conjugate_subgroup,
+    index_tables_by_products,
+)
 
 CASES = [("S3", 2), ("S4", 2), ("S5", 2), ("D8", 2), ("S6", 2), ("S7", 3)]
 CASE_IDS = ["S3-p2", "S4-p2", "S5-p2", "D8-p2", "S6-p2", "S7-p3"]
@@ -152,33 +156,78 @@ def corpus_contexts():
             yield f"{entry.name}/{b.index}", BlockContext(group, b)
 
 
+# S5 on the points {1, 2, 3, 4, 6}: a generators spec whose points are not
+# 1..n, with the transposition listed first
+RELABELLED = {"type": "generators", "degree": 6,
+              "gens": [[[6, 3]], [[6, 1, 4, 3, 2]]]}
+
+
 def group_of(name):
-    return build_group(PRESETS[name])
+    return build_group(RELABELLED if name == "relabelled" else PRESETS[name])
 
 
 # -- the index itself ------------------------------------------------------
 
 
 class TestElementIndex:
-    @pytest.mark.parametrize("name", ["S3", "S4", "D8", "S5"])
+    @pytest.mark.parametrize("name", ["S3", "S4", "D8", "S5", "S6", "S7",
+                                      "relabelled"])
     def test_tables_and_tree_agree_with_products(self, name):
+        """The same tables whether the closure that enumerated G hands its
+        BFS over, or G's elements are wrapped anew and the index runs the
+        BFS itself; columns on every element up to order 120, else on a
+        spread of 12."""
         G = group_of(name)
-        index = G.element_index()
-        assert index is G.element_index()       # built once per group
+        wrapped = PermGroup(G.degree, G.generators, G.elements, G.label)
+        tables = index_tables_by_products(G)
         els = G.elements
-        for t, s in enumerate(G.generators):
-            for i, x in enumerate(els):
-                assert els[index.conj[t][i]] == x.conjugate(s)
-                assert els[index.right[t][i]] == x * s
-            assert index.conj_image(t, els) == [x.conjugate(s) for x in els]
-        assert len(index.tree) == G.order - 1
-        for child, parent, t in index.tree:
-            assert els[child] == els[parent] * G.generators[t]
-        for i, x in enumerate(els):
-            conj, left = index.conj_column(i), index.left_column(i)
-            for g, y in enumerate(els):
-                assert els[conj[g]] == x.conjugate(y)
-                assert els[left[g]] == x * y
+        for H in (G, wrapped):
+            index = H.element_index()
+            assert index is H.element_index()       # built once per group
+            assert H._bfs is None                   # the BFS tables dropped
+            assert index.elements == els
+            assert (index.conj, index.right) == tables
+            # the tree: every element but the identity is reached once, from
+            # an element reached before it, by one generator
+            reached = {index.root}
+            for child, parent, t in index.tree:
+                assert parent in reached and child not in reached
+                assert els[child] == els[parent] * G.generators[t]
+                reached.add(child)
+            assert len(reached) == G.order
+            for t, s in enumerate(G.generators):
+                assert index.conj_image(t, els) == [x.conjugate(s)
+                                                    for x in els]
+            for i in range(0, G.order, 1 if G.order <= 120 else G.order // 12):
+                conj_col, left = index.conj_column(i), index.left_column(i)
+                for g, y in enumerate(els):
+                    assert els[conj_col[g]] == els[i].conjugate(y)
+                    assert els[left[g]] == els[i] * y
+
+    def test_closure_index_makes_no_permutation_products(self, monkeypatch):
+        """The index of a from_generators or from_elements group is read off
+        the closure's tables: not one Permutation product or conjugate."""
+        calls = []
+
+        def counted(name):
+            method = getattr(Permutation, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+
+        S6 = symmetric_group(6)
+        C = PermGroup.from_elements(
+            6, centralizer_by_products(S6, [S6.generators[0]]))
+        G = group_of("relabelled")
+        monkeypatch.setattr(Permutation, "__mul__", counted("__mul__"))
+        monkeypatch.setattr(Permutation, "conjugate", counted("conjugate"))
+        for H in (S6, C, G):
+            H.element_index()
+        assert calls == []
+        assert S6.generators[0] * S6.generators[1] is not None
+        assert calls == ["__mul__"]              # the counter does count
 
     def test_element_outside_the_group_is_refused(self):
         G = symmetric_group(3)

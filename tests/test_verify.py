@@ -187,3 +187,14 @@ class TestReportDrift:
         main(["verify", "--group", "S6", "--prime", "2", "--out", str(out)])
         assert out.read_bytes() == \
             (Path(__file__).parent / "data" / "s6_p2_all.json").read_bytes()
+
+    def test_s8_p2_nonprincipal_matches_recorded(self, tmp_path):
+        """The defect-2 block of S8 (order 40,320), every check: its set-up
+        runs all_subgroups on a Sylow 2-subgroup of order 128 and a
+        centralizer for each of its p-subgroup classes.  Recorded under
+        tests/, as no benchmark workload runs it."""
+        out = tmp_path / "report.json"
+        main(["verify", "--group", '{"type":"symmetric","n":8}',
+              "--prime", "2", "--block", "nonprincipal", "--out", str(out)])
+        assert out.read_bytes() == (Path(__file__).parent / "data"
+                                    / "s8_p2_nonprincipal.json").read_bytes()
