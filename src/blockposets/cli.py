@@ -9,9 +9,10 @@ Group specs are preset names (S3..S7, D8) or JSON records:
 Exit status of `verify`: 0 all pass, 1 at least one failure, 2 skips but no
 failure.  Every command exits with status 2 and one line on stderr when its
 input is bad (a malformed group spec, a prime that is not prime, an unknown
-check or block selector).  Reports are deterministic JSON; wall-clock timings
-are only embedded with --timings (they would break byte-for-byte
-reproducibility).
+or repeated check, an unknown block selector, a field degree or
+--max-elements below 1, a negative --max-simplices).  Reports are
+deterministic JSON; wall-clock timings are only embedded with --timings
+(they would break byte-for-byte reproducibility).
 """
 
 from __future__ import annotations
@@ -215,10 +216,12 @@ def _verify_entry(entry, G, checks, max_simplices):
 
 def cmd_verify(args):
     checks = args.checks.split(",") if args.checks else list(DEFAULT_CHECKS)
-    for c in checks:
+    for k, c in enumerate(checks):
         if c not in CHECKS_BY_NAME:
             _bad_input(f"unknown check {c!r}; choose from "
                       f"{', '.join(CHECKS_BY_NAME)}")
+        if c in checks[:k]:
+            _bad_input(f"check {c!r} named twice")
     built = None                # the target's group, once built
     if args.corpus:
         entries = list(CORPUS)
@@ -345,6 +348,16 @@ def cmd_find_dihedral_block(args):
     return 1
 
 
+def _check_numeric_flags(args):
+    """Reject a numeric flag below its least meaningful value."""
+    if getattr(args, "field_degree", 1) < 1:
+        _bad_input("field degree must be >= 1")
+    if getattr(args, "max_elements", 1) < 1:
+        _bad_input("--max-elements must be >= 1")
+    if getattr(args, "max_simplices", 0) < 0:
+        _bad_input("--max-simplices must be >= 0")
+
+
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -411,6 +424,7 @@ def main(argv=None):
     p_find.set_defaults(fn=cmd_find_dihedral_block)
 
     args = parser.parse_args(argv)
+    _check_numeric_flags(args)
     try:
         return args.fn(args)
     except TheoryViolation as exc:

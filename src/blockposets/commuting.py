@@ -24,12 +24,21 @@ vertex v keeps A when v lies in A.  Otherwise v commutes with A, so
 order holding both; when there is none the product has zero Brauer image
 and the clique is cut.
 
-The order of the commuting poset is built from masks: the up-set of
-(kappa, e) is "elements at a pair above e" ANDed with "elements whose kappa
-contains v" over v in kappa.
+The commuting poset holds no Python container or string per element: an
+element is (kappa as a bitmask of vertex ids, pair index), and its label is
+formatted from that pair of ints when it is read.  The elements of one
+kappa are consecutive, so an element is found from the index of the first
+element of its kappa and the position of its pair among the pairs at the
+product of kappa.  The order is built from masks: the up-set of (kappa, e)
+is "elements at a pair above e" ANDed with "elements whose kappa contains
+v" over v in kappa.  A generator acts on kappa through the image bits of
+its vertices, read once from G's conjugation tables.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+from operator import itemgetter
 
 from .errors import SizeLimitExceeded, TheoryViolation
 from .perms import PermGroup, order_p_subgroups
@@ -57,14 +66,16 @@ def commuting_adjacency(vertices):
     """Adjacency bitmasks joining the order-p subgroups that commute elementwise.
 
     Two order-p subgroups commute elementwise iff their generators commute,
-    and a b = b a iff b(a(k)) = a(b(k)) for every point k.
+    and a b = b a iff b(a(k)) = a(b(k)) for every point k; the images of
+    b at the points a(k) are read by one itemgetter per generator a.
     """
     gens = [Q.generators[0] for Q in vertices]
+    at_images = [itemgetter(*g) for g in gens]
     adjacency = [0] * len(gens)
     for i, gi in enumerate(gens):
+        at_gi = at_images[i]
         for j in range(i + 1, len(gens)):
-            gj = gens[j]
-            if [gj[k] for k in gi] == [gi[k] for k in gj]:
+            if at_gi(gens[j]) == at_images[j](gi):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return adjacency
@@ -133,7 +144,13 @@ def elementary_abelian_poset(ctx):
 
 
 class BlockGeometry:
-    """The pair poset with abelian tops, the commuting poset, and their maps."""
+    """The pair poset with abelian tops, the commuting poset, and their maps.
+
+    elements[i] is (kmask, pid): kappa as a bitmask of indices into
+    vertices, and the index of its pair in apairs.  The elements are sorted
+    by (sorted kappa, pid), and kposet.labels formats label i from them when
+    it is read.
+    """
 
     def __init__(self, ctx, apairs, vertices, vertex_adj, elements, kposet,
                  expand_map, collapse_map):
@@ -141,7 +158,7 @@ class BlockGeometry:
         self.apairs = apairs          # BrauerPairPoset (elementary abelian)
         self.vertices = vertices      # order-p subgroups with Br != 0
         self.vertex_adj = vertex_adj
-        self.elements = elements      # list of (frozenset vertex ids, apair idx)
+        self.elements = elements      # (kappa mask, apairs index)
         self.kposet = kposet          # GPoset on the elements
         self.expand_map = expand_map  # apairs index -> kposet index
         self.collapse_map = collapse_map  # kposet index -> apairs index
@@ -151,20 +168,60 @@ class BlockGeometry:
         return self.apairs.poset
 
 
+class CommutingLabels(Sequence):
+    """The labels of the commuting poset, each formatted when it is read:
+    the generators of kappa's members, sorted, then the pair's label."""
+
+    __slots__ = ("elements", "names", "pair_labels")
+
+    def __init__(self, elements, names, pair_labels):
+        self.elements = elements
+        self.names = names            # vertex id -> its generator's cycles
+        self.pair_labels = pair_labels
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __getitem__(self, i):
+        kmask, pid = self.elements[i]
+        names = self.names
+        return ("{" + ",".join(sorted([names[v] for v in iter_bits(kmask)]))
+                + "}|" + self.pair_labels[pid])
+
+
 def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     """Build the pair poset, the commuting poset, and the two maps."""
     apairs = elementary_abelian_poset(ctx)
+    aposet = apairs.poset
+    # the build tables die with the call, before the certificate's rows
+    vertices, adj, elements, up, action, expand_map = _commuting_elements(
+        ctx, apairs, max_elements)
+    labels = CommutingLabels(
+        elements, [V.generators[0].cycle_string() for V in vertices],
+        aposet.labels)
+    kposet = GPoset(labels, up, action)
+    # collapse: (kappa, e) -> (product of kappa, e)
+    collapse_map = [pid for _kmask, pid in elements]
+    return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
+                         expand_map, collapse_map)
+
+
+def _commuting_elements(ctx, apairs, max_elements):
+    """(vertices, their adjacency, elements, up masks, action, expand map)
+    of the commuting poset over the pair poset apairs."""
     aposet = apairs.poset
     # the family: the subgroups with a pair, each with the pairs at it
     family_index = {}
     family = []
     pairs_at = []
     family_of_pair = []
+    slot = []                   # position of each pair in its pairs_at list
     for i, pr in enumerate(apairs.pairs):
         f = family_index.setdefault(pr.subgroup.element_set, len(family))
         if f == len(family):
             family.append(pr.subgroup)
             pairs_at.append([])
+        slot.append(len(pairs_at[f]))
         pairs_at[f].append(i)
         family_of_pair.append(f)
     # vertices: the order-p members of the family
@@ -198,81 +255,97 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
 
     def brauer_prune(state, v):
         # state: (the product A as a family index, the family subgroups
-        # holding every member); <A, v> is the family subgroup of order
-        # p|A| holding A and v, if any
-        A, above = state
-        if A is not None and (vmask[A] >> v) & 1:
-            return state
-        above &= holding[v]
-        order = ctx.p * (family[A].order if A is not None else 1)
-        hit = above & of_order.get(order, 0)
-        if not hit:
-            return None
-        if hit & (hit - 1):
-            raise TheoryViolation("two family subgroups generated by a clique",
-                                  witness=vertices[v].generators[0].cycle_string())
-        return hit.bit_length() - 1, above
+        # holding every member, kappa's mask); <A, v> is A when v lies in
+        # A, else the family subgroup of order p|A| holding A and v, if any
+        A, above, kmask = state
+        if A is None or not (vmask[A] >> v) & 1:
+            above &= holding[v]
+            order = ctx.p * (family[A].order if A is not None else 1)
+            hit = above & of_order.get(order, 0)
+            if not hit:
+                return None
+            if hit & (hit - 1):
+                raise TheoryViolation(
+                    "two family subgroups generated by a clique",
+                    witness=vertices[v].generators[0].cycle_string())
+            A = hit.bit_length() - 1
+        return A, above, kmask | 1 << v
 
     # Cliques come in depth-first preorder of increasing tuples, which is
     # lexicographic order, and each pairs_at list is increasing: elements
-    # arrive sorted by (sorted kappa, pair index).
+    # arrive sorted by (sorted kappa, pair index), those of one kappa
+    # consecutive.
     elements = []
-    start = (None, (1 << len(family)) - 1)
-    for kappa, (A, _above) in iter_cliques(adj, brauer_prune, start):
+    first_of = {}               # kappa mask -> index of its first element
+    containing = [0] * len(vertices)    # the elements whose kappa holds v
+    start = (None, (1 << len(family)) - 1, 0)
+    for kappa, (A, _above, kmask) in iter_cliques(adj, brauer_prune, start):
+        first = first_of[kmask] = len(elements)
         for pid in pairs_at[A]:
-            elements.append((frozenset(kappa), pid))
-            if len(elements) > max_elements:
-                raise SizeLimitExceeded(
-                    f"commuting poset exceeded {max_elements} elements")
-    kindex = {ke: i for i, ke in enumerate(elements)}
-    # order: subset on kappa, pair containment on the decorations
-    at_pair = [0] * aposet.n
-    containing = [0] * len(vertices)
-    for i, (kappa, pid) in enumerate(elements):
-        bit = 1 << i
-        at_pair[pid] |= bit
+            elements.append((kmask, pid))
+        if len(elements) > max_elements:
+            raise SizeLimitExceeded(
+                f"commuting poset exceeded {max_elements} elements")
+        run = (1 << len(elements)) - (1 << first)
         for v in kappa:
-            containing[v] |= bit
+            containing[v] |= run
+    above_pair = _above_pair_masks(aposet, elements)
+    # each generator's image of each vertex, as a bit, read once from G's
+    # conjugation tables
+    gindex = ctx.G.element_index()
+    vimage = [[1 << vindex[frozenset(gindex.conj_image(gi, V.elements))]
+               for V in vertices]
+              for gi in range(len(ctx.G.generators))]
+    # order: subset on kappa, pair containment on the decorations; action:
+    # kappa's image from its vertices' image bits, the pair's image from
+    # the pair poset's action, which must lie at the product of the image
+    up = []
+    action = [[] for _ in vimage]
+    for kmask, first in first_of.items():
+        members = iter_bits(kmask)
+        pids = pairs_at[family_of_pair[elements[first][1]]]
+        for pid in pids:
+            mask = above_pair[pid]
+            for v in members:
+                mask &= containing[v]
+            up.append(mask)
+        for bits, pair_image, perm in zip(vimage, aposet.action, action):
+            image = 0
+            for v in members:
+                image |= bits[v]
+            target = first_of[image]
+            product = family_of_pair[elements[target][1]]
+            for pid in pids:
+                pimg = pair_image[pid]
+                if family_of_pair[pimg] != product:
+                    raise TheoryViolation(
+                        "pair image does not lie at the image of kappa",
+                        witness=aposet.labels[pimg])
+                perm.append(target + slot[pimg])
+    # expand: (Q, e) -> (order-p subgroups of Q, e)
+    expand_map = []
+    for pid, f in enumerate(family_of_pair):
+        first = first_of[vmask[f]]
+        if family_of_pair[elements[first][1]] != f:
+            raise TheoryViolation(
+                "order-p subgroups of a pair's subgroup generate another",
+                witness=aposet.labels[pid])
+        expand_map.append(first + slot[pid])
+    return vertices, adj, elements, up, action, expand_map
+
+
+def _above_pair_masks(aposet, elements):
+    """Per pair, the mask of the elements at a pair above it."""
+    at_pair = [0] * aposet.n
+    for i, (_kmask, pid) in enumerate(elements):
+        at_pair[pid] |= 1 << i
     above_pair = []
     for pid in range(aposet.n):
         mask = 0
         for above in iter_bits(aposet.up[pid]):
             mask |= at_pair[above]
         above_pair.append(mask)
-    up = []
-    for kappa, pid in elements:
-        mask = above_pair[pid]
-        for v in kappa:
-            mask &= containing[v]
-        up.append(mask)
-    # action of the generators, the vertices through their conjugation tables
-    action = []
-    apair_action = aposet.action if isinstance(aposet, GPoset) else None
-    gindex = ctx.G.element_index()
-    for gi in range(len(ctx.G.generators)):
-        vperm = [vindex[frozenset(gindex.conj_image(gi, V.elements))]
-                 for V in vertices]
-        perm = []
-        for ki, pi in elements:
-            kimg = frozenset(vperm[v] for v in ki)
-            pimg = apair_action[gi][pi]
-            perm.append(kindex[(kimg, pimg)])
-        action.append(perm)
-
-    names = [V.generators[0].cycle_string() for V in vertices]
-
-    def label_of(i):
-        vids, pid = elements[i]
-        return ("{" + ",".join(sorted(names[v] for v in vids)) + "}|"
-                + aposet.labels[pid])
-
-    kposet = GPoset([label_of(i) for i in range(len(elements))], up, action)
-    # expand: (Q, e) -> (order-p subgroups of Q, e); collapse: drop kappa
-    expand_map = [kindex[(frozenset(iter_bits(vmask[f])), pid)]
-                  for pid, f in enumerate(family_of_pair)]
-    collapse_map = [pi for _k, pi in elements]
-    return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
-                         expand_map, collapse_map)
+    return above_pair
 
 
 class Obstruction:
@@ -333,8 +406,8 @@ def clique_witness(geom):
         return None
     subgroups = []
     for i in kidx:
-        vids, _pid = geom.elements[i]
-        (vid,) = tuple(vids)
+        kmask, _pid = geom.elements[i]
+        (vid,) = iter_bits(kmask)
         subgroups.append(geom.vertices[vid])
     generated = product_subgroup(subgroups, label="<obstruction>")
     return Obstruction(

@@ -1,13 +1,16 @@
 """Finite posets with group actions, order complexes, and integral homology.
 
-Posets keep their relation as per-element up-set bitmasks.  Every walk over
-a mask goes through one set-bit kernel, `iter_bits`, which peels the top bit
-(``b = mask.bit_length() - 1; mask ^= 1 << b``) and returns the row as an
-increasing list.  The mask narrows as its top bits go, where the low-bit
-step ``mask & -mask`` works on the full width for every bit.
+Posets keep their relation as per-element up-set bitmasks, and their labels
+as whatever sequence they are given: a list, or one that formats each label
+when it is read.  Every walk over a mask goes through one set-bit kernel,
+`iter_bits`, which peels the top bit (``b = mask.bit_length() - 1;
+mask ^= 1 << b``) and returns the row as an increasing list.  The mask
+narrows as its top bits go, where the low-bit step ``mask & -mask`` works
+on the full width for every bit.
 
-The checks read each row's set bits once and cost per relation pair, with
-no per-pair bit test on a wide int:
+The checks read each row's set bits once, into an array('i') of 4 bytes per
+relation, and cost per relation pair, with no per-pair bit test on a wide
+int:
 
 * transitivity is one OR per row: the up-sets of the elements above i,
   ORed together, must give back the up-set of i;
@@ -33,6 +36,7 @@ least absolute value and least fill.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 
 from .errors import SizeLimitExceeded, TheoryViolation
@@ -83,14 +87,15 @@ class Poset:
 
     def __init__(self, labels, up_masks):
         self.n = len(labels)
-        self.labels = list(labels)
+        self.labels = labels      # any sequence; kept as given
         self.up = list(up_masks)  # bit j of up[i] set iff i <= j
-        self._check([iter_bits(m) for m in self.up])
+        self._check([array("i", iter_bits(m)) for m in self.up])
 
     def _check(self, rows):
         """Raise TheoryViolation unless the relation is a partial order.
 
-        rows[i] lists the set bits of up[i]; subclasses check more on them.
+        rows[i] holds the set bits of up[i] as an array('i'); subclasses
+        check more on them.
         """
         up = self.up
         for i in range(self.n):
@@ -210,7 +215,7 @@ class GPoset(Poset):
         for a in self.action:
             if sorted(a) != everything:
                 raise TheoryViolation("generator does not permute poset elements")
-            if all(sorted([a[j] for j in row]) == rows[a[i]]
+            if all(sorted([a[j] for j in row]) == rows[a[i]].tolist()
                    for i, row in enumerate(rows)):
                 continue
             # the first pair whose image is not a relation

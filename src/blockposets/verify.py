@@ -39,6 +39,7 @@ from .topology import (
     chain_counts,
     face_poset,
     homology,
+    iter_bits,
     orbit_poset,
     order_complex,
     poset_iso_check,
@@ -264,11 +265,11 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     kindex = {ke: i for i, ke in enumerate(geom.elements)}
 
     def object_to_element(obj_idx):
-        members = [cat.vertices[v] for v in cat.objects[obj_idx]]
-        vids = frozenset(vindex[Q.element_set] for Q in members)
+        kmask = sum(1 << vindex[cat.vertices[v].element_set]
+                    for v in cat.objects[obj_idx])
         prod = cat.products[obj_idx]
         pair = fs.sub_pair[prod.element_set]
-        return kindex[(vids, aindex[pair.ident()])]
+        return kindex[(kmask, aindex[pair.ident()])]
 
     forward = [None] * icp.n
     for obj_idx in range(len(cat.objects)):
@@ -324,7 +325,7 @@ def _admissible_class(geom, fs, cat, icp):
     pset = fs.P.element_set
 
     def class_through(el_idx, g):
-        vids, pid = geom.elements[el_idx]
+        kmask, pid = geom.elements[el_idx]
         pair = geom.apairs.pairs[pid]
         Q = pair.subgroup
         ginv = g.inverse()
@@ -337,7 +338,7 @@ def _admissible_class(geom, fs, cat, icp):
         obj = frozenset(
             cat_vertex.get(frozenset([image_of[x]
                                       for x in geom.vertices[v].elements]))
-            for v in vids)
+            for v in iter_bits(kmask))
         obj_idx = object_index.get(obj)
         return None if obj_idx is None else icp.class_of[obj_idx]
 
@@ -401,7 +402,7 @@ def check_principal_clique_complex(ctx, geom):
     for f in face_list:
         members = [graph.vertices[v] for v in f]
         try:
-            vids = frozenset(vindex[Q.element_set] for Q in members)
+            kmask = sum(1 << vindex[Q.element_set] for Q in members)
         except KeyError:
             return CheckResult("principal-clique", target, "fail",
                                details=details,
@@ -414,7 +415,7 @@ def check_principal_clique_complex(ctx, geom):
                                details=details,
                                witnesses=[f"{len(pids)} pairs at a product"],
                                elapsed=time.monotonic() - start)
-        fmap.append(kindex[(vids, pids[0])])
+        fmap.append(kindex[(kmask, pids[0])])
     ok, witness = poset_iso_check(fposet, geom.kposet, fmap)
     return CheckResult("principal-clique", target, "pass" if ok else "fail",
                        details=details,

@@ -9,7 +9,10 @@
 * the index tables built from permutation products, every subgroup of a
   small group by one closure per extension, and a centralizer narrowed by
   one G-wide column per generator, against the tables that the closure
-  records and the bitset and in-centralizer scans of the library.
+  records and the bitset and in-centralizer scans of the library;
+* the commuting poset as it was first built, each kappa a frozenset of
+  vertex ids, every label formatted up front and the certificate reading
+  each up-set row as a list of indices, against the mask-keyed builder.
 """
 
 import time
@@ -21,9 +24,22 @@ from blockposets.blocks import (
     brute_force_central_idempotents,
     class_sum_algebra,
 )
-from blockposets.errors import SizeLimitExceeded
+from blockposets.commuting import (
+    MAX_POSET_ELEMENTS,
+    BlockGeometry,
+    commuting_adjacency,
+    elementary_abelian_poset,
+    iter_cliques,
+)
+from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.perms import PermGroup
-from blockposets.topology import boundary_matrices
+from blockposets.topology import (
+    GPoset,
+    Poset,
+    _row_or,
+    boundary_matrices,
+    iter_bits,
+)
 from blockposets.verify import CheckResult, _target
 
 
@@ -162,3 +178,169 @@ def centralizer(G, S, label=""):
         keep = [g for g in keep if col[g] == i]
     elems = [G.elements[g] for g in keep]
     return PermGroup.from_elements(G.degree, elems, label or f"C({G.label})")
+
+
+# -- the list-row certificate and the frozenset commuting poset ---------------
+
+
+def list_row_axioms(P, rows):
+    """Poset's partial-order check on rows given as lists of indices."""
+    up = P.up
+    for i in range(P.n):
+        if not (up[i] >> i) & 1:
+            raise TheoryViolation("relation not reflexive", witness=i)
+    if len(set(up)) == P.n and all(
+            _row_or(up, row) == up[i] for i, row in enumerate(rows)):
+        return
+    down = P.down_masks()
+    for i, row in enumerate(rows):
+        if _row_or(up, row) == up[i] and up[i] & down[i] == 1 << i:
+            continue
+        for j in row:
+            if j != i and (down[i] >> j) & 1:
+                raise TheoryViolation("relation not antisymmetric",
+                                      witness=(P.labels[i], P.labels[j]))
+            if up[j] & ~up[i]:
+                raise TheoryViolation("relation not transitive",
+                                      witness=(P.labels[i], P.labels[j]))
+
+
+def list_row_action(P, rows):
+    """GPoset's order-automorphism check on rows given as lists."""
+    everything = list(range(P.n))
+    for a in P.action:
+        if sorted(a) != everything:
+            raise TheoryViolation("generator does not permute poset elements")
+        if all(sorted([a[j] for j in row]) == rows[a[i]]
+               for i, row in enumerate(rows)):
+            continue
+        for i, row in enumerate(rows):
+            target = set(rows[a[i]])
+            for j in row:
+                if a[j] not in target:
+                    raise TheoryViolation(
+                        "generator action is not an order-automorphism",
+                        witness=(P.labels[i], P.labels[j]))
+
+
+class ListRowPoset(Poset):
+    """A Poset whose labels are copied into a list and whose certificate
+    reads each up-set row as a list of indices."""
+
+    def __init__(self, labels, up_masks):
+        self.n = len(labels)
+        self.labels = list(labels)
+        self.up = list(up_masks)
+        self._check([iter_bits(m) for m in self.up])
+
+    def _check(self, rows):
+        list_row_axioms(self, rows)
+
+
+class ListRowGPoset(GPoset):
+    """GPoset with the list-row certificate of ListRowPoset."""
+
+    def __init__(self, labels, up_masks, action):
+        self.action = [list(a) for a in action]
+        ListRowPoset.__init__(self, labels, up_masks)
+
+    def _check(self, rows):
+        list_row_axioms(self, rows)
+        list_row_action(self, rows)
+
+
+def frozenset_block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
+    """block_geometry with kappa as a frozenset of vertex ids, the elements
+    found through a dict keyed by (kappa, pair), the labels formatted up
+    front and the commuting poset certified on list rows."""
+    apairs = elementary_abelian_poset(ctx)
+    aposet = apairs.poset
+    family_index = {}
+    family = []
+    pairs_at = []
+    family_of_pair = []
+    for i, pr in enumerate(apairs.pairs):
+        f = family_index.setdefault(pr.subgroup.element_set, len(family))
+        if f == len(family):
+            family.append(pr.subgroup)
+            pairs_at.append([])
+        pairs_at[f].append(i)
+        family_of_pair.append(f)
+    vertices = sorted((S for S in family if S.order == ctx.p),
+                      key=PermGroup.key)
+    vindex = {Q.element_set: i for i, Q in enumerate(vertices)}
+    adj = commuting_adjacency(vertices)
+    identity = ctx.G.identity()
+    vertex_of = {x: v for v, V in enumerate(vertices)
+                 for x in V.elements if x != identity}
+    vmask = []
+    for S in family:
+        mask = 0
+        for x in S.elements:
+            if x != identity:
+                mask |= 1 << vertex_of[x]
+        vmask.append(mask)
+    of_order = {}
+    holding = [0] * len(vertices)
+    for f, S in enumerate(family):
+        of_order[S.order] = of_order.get(S.order, 0) | 1 << f
+        for v in iter_bits(vmask[f]):
+            holding[v] |= 1 << f
+
+    def brauer_prune(state, v):
+        A, above = state
+        if A is not None and (vmask[A] >> v) & 1:
+            return state
+        above &= holding[v]
+        order = ctx.p * (family[A].order if A is not None else 1)
+        hit = above & of_order.get(order, 0)
+        if not hit:
+            return None
+        assert not hit & (hit - 1)
+        return hit.bit_length() - 1, above
+
+    elements = []
+    start = (None, (1 << len(family)) - 1)
+    for kappa, (A, _above) in iter_cliques(adj, brauer_prune, start):
+        for pid in pairs_at[A]:
+            elements.append((frozenset(kappa), pid))
+            if len(elements) > max_elements:
+                raise SizeLimitExceeded(
+                    f"commuting poset exceeded {max_elements} elements")
+    kindex = {ke: i for i, ke in enumerate(elements)}
+    at_pair = [0] * aposet.n
+    containing = [0] * len(vertices)
+    for i, (kappa, pid) in enumerate(elements):
+        bit = 1 << i
+        at_pair[pid] |= bit
+        for v in kappa:
+            containing[v] |= bit
+    above_pair = []
+    for pid in range(aposet.n):
+        mask = 0
+        for above in iter_bits(aposet.up[pid]):
+            mask |= at_pair[above]
+        above_pair.append(mask)
+    up = []
+    for kappa, pid in elements:
+        mask = above_pair[pid]
+        for v in kappa:
+            mask &= containing[v]
+        up.append(mask)
+    action = []
+    gindex = ctx.G.element_index()
+    for gi in range(len(ctx.G.generators)):
+        vperm = [vindex[frozenset(gindex.conj_image(gi, V.elements))]
+                 for V in vertices]
+        action.append([kindex[(frozenset(vperm[v] for v in ki),
+                               aposet.action[gi][pi])]
+                       for ki, pi in elements])
+    names = [V.generators[0].cycle_string() for V in vertices]
+    labels = ["{" + ",".join(sorted(names[v] for v in vids)) + "}|"
+              + aposet.labels[pid] for vids, pid in elements]
+    kposet = ListRowGPoset(labels, up, action)
+    expand_map = [kindex[(frozenset(iter_bits(vmask[f])), pid)]
+                  for pid, f in enumerate(family_of_pair)]
+    collapse_map = [pi for _k, pi in elements]
+    return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
+                         expand_map, collapse_map)

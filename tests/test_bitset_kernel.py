@@ -34,7 +34,8 @@ def shift_loop_bits(mask):
 
 
 def pairwise_up_masks(geom):
-    elements = geom.elements
+    elements = [(frozenset(iter_bits(kmask)), pid)
+                for kmask, pid in geom.elements]
     up = [0] * len(elements)
     for i, (ki, pi) in enumerate(elements):
         for j, (kj, pj) in enumerate(elements):
@@ -136,7 +137,7 @@ class TestBlockGeometryOrder:
         assert len(checked) == 7 + 1 + 2  # corpus, S7 nonprincipal, S6 p=2
         for name, geom in checked:
             assert geom.elements == sorted(
-                geom.elements, key=lambda ke: (sorted(ke[0]), ke[1])), name
+                geom.elements, key=lambda ke: (iter_bits(ke[0]), ke[1])), name
 
 
 class TestCliqueEnumerator:

@@ -78,10 +78,22 @@ class TestBadInput:
          "--prime", "2"],
         ["verify", "--group", '{"type": "symmetric", "n": 0}',
          "--prime", "2"],
+        ["verify", "--group", "S3", "--checks", "theorem1,theorem1"],
+        ["verify", "--group", "S3", "--checks", "theorem1,nonclique,theorem1"],
+        ["verify", "--corpus", "--checks", "homology,homology"],
+        ["verify", "--group", "S3", "--field-degree", "0"],
+        ["blocks", "--group", "S3", "--field-degree", "-1"],
+        ["verify", "--group", "S3", "--max-elements", "0"],
+        ["poset", "--group", "S3", "--which", "K", "--max-elements", "-5"],
+        ["verify", "--group", "S3", "--max-simplices", "-1"],
     ], ids=["prime-4", "prime-0", "prime-1", "prime-1-auto-split",
             "verify-prime-4", "repeated-point", "point-out-of-range",
             "no-gens", "no-degree", "no-n", "unknown-check", "bad-block",
-            "degree-negative", "degree-zero", "n-negative", "n-zero"])
+            "degree-negative", "degree-zero", "n-negative", "n-zero",
+            "check-twice", "check-twice-apart", "corpus-check-twice",
+            "field-degree-zero", "field-degree-negative",
+            "max-elements-zero", "max-elements-negative",
+            "max-simplices-negative"])
     def test_one_line_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -99,6 +111,29 @@ class TestBadInput:
         with pytest.raises(SystemExit):
             main(["verify", "--group", spec, "--prime", "2"])
         assert capsys.readouterr().err.strip().endswith(reason)
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--checks", "theorem1,theorem1"], "check 'theorem1' named twice"),
+        (["--field-degree", "0"], "field degree must be >= 1"),
+        (["--field-degree", "-1"], "field degree must be >= 1"),
+        (["--max-elements", "0"], "--max-elements must be >= 1"),
+        (["--max-elements", "-5"], "--max-elements must be >= 1"),
+        (["--max-simplices", "-1"], "--max-simplices must be >= 0"),
+    ])
+    def test_bad_flag_names_the_rule(self, flags, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--group", "S3"] + flags)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip() == f"blockposets: {reason}"
+
+    def test_zero_simplex_bound_is_allowed(self, capsys):
+        # a zero bound skips homology as a resource bound; it is not bad input
+        rc = main(["verify", "--group", "S3", "--block", "principal",
+                   "--checks", "homology", "--max-simplices", "0"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        (entry,) = report["entries"]
+        assert {c["status"] for c in entry["checks"]} == {"skipped"}
 
 
 class TestBlocksCommand:

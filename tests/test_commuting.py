@@ -17,7 +17,12 @@ from blockposets.perms import (
     order_p_subgroups,
     symmetric_group,
 )
-from blockposets.topology import homology, order_complex, orbit_poset
+from blockposets.topology import (
+    homology,
+    iter_bits,
+    orbit_poset,
+    order_complex,
+)
 
 GF2 = PrimeField(2)
 
@@ -166,8 +171,8 @@ class TestBlockGeometry:
         group = GroupContext(G, GF2)
         (b,) = group.blocks
         geom = block_geometry(BlockContext(group, b))
-        for j, (vids, pid) in enumerate(geom.elements):
-            if len(vids) == 1:
+        for j, (kmask, pid) in enumerate(geom.elements):
+            if len(iter_bits(kmask)) == 1:
                 assert geom.expand_map[geom.collapse_map[j]] == j
 
     def test_euler_characteristics_agree(self):

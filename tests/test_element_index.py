@@ -28,7 +28,7 @@ from blockposets.perms import (
     subgroup_orbit_transversal,
     symmetric_group,
 )
-from blockposets.topology import orbit_poset
+from blockposets.topology import iter_bits, orbit_poset
 from blockposets.verify import _admissible_class, _eta_scan
 
 from oracles import (
@@ -362,12 +362,12 @@ class TestCorpusScans:
         for name, ctx in corpus_contexts():
             geom = block_geometry(ctx)
             expect = []
-            for vids, pid in geom.elements:
+            for kmask, pid in geom.elements:
                 names = sorted(geom.vertices[v].generators[0].cycle_string()
-                               for v in vids)
+                               for v in iter_bits(kmask))
                 expect.append("{" + ",".join(names) + "}|"
                               + geom.apairs.pairs[pid].label())
-            assert geom.kposet.labels == expect, name
+            assert list(geom.kposet.labels) == expect, name
             cat = CommutingCategory(FusionSystem.from_block_context(ctx))
             for i, obj in enumerate(cat.objects):
                 names = sorted(cat.vertices[v].generators[0].cycle_string()

@@ -11,6 +11,14 @@ subgroup lattice against the code they replaced.
   that contain every member.  The oracle forms each product as a set of
   Permutation products; both must give the same elements, up masks, action
   and expand map on every non-slow corpus block and on both S6 p=2 blocks.
+* The certificate holds each up-set row as an array('i').  The oracle reads
+  rows as lists of indices; on the corpus posets and on S6 p=2, each broken
+  by a swapped action entry, a dropped relation or two merged up-sets, both
+  must raise the same message with the same witness.
+* block_geometry keeps each kappa as a mask of vertex ids and formats its
+  labels on demand.  The oracle keeps kappa as a frozenset and every label
+  as a string; both must give the same elements (read as vertex sets), up
+  masks, action, maps and labels on the same blocks.
 """
 
 import random
@@ -42,7 +50,12 @@ from blockposets.topology import (
 )
 from blockposets.verify import check_nonclique, check_theorem1
 
-from oracles import conjugate_subgroup
+from oracles import (
+    ListRowGPoset,
+    ListRowPoset,
+    conjugate_subgroup,
+    frozenset_block_geometry,
+)
 
 # -- the per-pair loops ------------------------------------------------------
 
@@ -341,6 +354,119 @@ class TestCorpusPosets:
             assert (new.labels, new.up) == (old.labels, old.up), n
 
 
+# -- the compact rows against the list rows ----------------------------------
+
+
+def noncover_pairs(P):
+    """(i, j) with i < j and some element strictly between."""
+    down = P.down_masks()
+    out = []
+    for i in range(P.n):
+        strict = P.up[i] & ~(1 << i)
+        for j in iter_bits(strict):
+            if strict & down[j] & ~(1 << j):
+                out.append((i, j))
+    return out
+
+
+def merged(up, x, y):
+    """up with y's up-set made x's (x <= y), then closed: a preorder whose
+    only fault is x <= y <= x."""
+    up = list(up)
+    for k in range(len(up)):
+        if (up[k] >> y) & 1:
+            up[k] |= up[x]
+    return up
+
+
+@pytest.fixture(scope="module")
+def mutated_posets(corpus_geometries, s6_p2_contexts):
+    """The corpus posets and S6 p=2's K, those with more than one element."""
+    out = [(f"{name}/{which}", P) for name, geom in corpus_geometries
+           for which, P in (("A", geom.aposet), ("K", geom.kposet))]
+    out += [(f"{name}/K", block_geometry(ctx).kposet)
+            for name, ctx in s6_p2_contexts]
+    return [(name, P) for name, P in out if P.n > 1]
+
+
+class TestCompactRows:
+    def test_swapped_action_entries(self, mutated_posets):
+        rng = random.Random(6)
+        failed = 0
+        for name, P in mutated_posets:
+            for _ in range(4):
+                action = [list(a) for a in P.action]
+                a, b = rng.sample(range(P.n), 2)
+                action[0][a], action[0][b] = action[0][b], action[0][a]
+                expected = outcome(ListRowGPoset, P.labels, P.up, action)
+                assert outcome(GPoset, P.labels, P.up, action) == expected, \
+                    name
+                failed += expected is not None
+        assert failed > 20
+
+    def test_dropped_relation_breaks_transitivity(self, mutated_posets):
+        rng = random.Random(7)
+        checked = 0
+        for name, P in mutated_posets:
+            pairs = noncover_pairs(P)
+            for i, j in rng.sample(pairs, min(8, len(pairs))):
+                up = list(P.up)
+                up[i] &= ~(1 << j)
+                expected = outcome(ListRowPoset, P.labels, up)
+                assert expected[0] == "relation not transitive", name
+                assert outcome(Poset, P.labels, up) == expected, name
+                assert outcome(GPoset, P.labels, up, P.action) == expected
+                checked += 1
+        assert checked > 25
+
+    def test_equal_up_masks_break_antisymmetry(self, mutated_posets):
+        rng = random.Random(8)
+        checked = 0
+        for name, P in mutated_posets:
+            pairs = [(i, j) for i in range(P.n)
+                     for j in iter_bits(P.up[i]) if j != i]
+            for x, y in rng.sample(pairs, min(8, len(pairs))):
+                up = merged(P.up, x, y)
+                assert up[x] == up[y]
+                expected = outcome(ListRowPoset, P.labels, up)
+                assert expected[0] == "relation not antisymmetric", name
+                assert outcome(Poset, P.labels, up) == expected, name
+                assert outcome(GPoset, P.labels, up, P.action) == expected
+                checked += 1
+        assert checked > 25
+
+
+# -- the frozenset builder ---------------------------------------------------
+
+
+def assert_same_as_frozenset_builder(name, ctx):
+    new = block_geometry(ctx)
+    old = frozenset_block_geometry(ctx)
+    assert [(frozenset(iter_bits(kmask)), pid)
+            for kmask, pid in new.elements] == old.elements, name
+    assert new.kposet.up == old.kposet.up, name
+    assert new.kposet.action == old.kposet.action, name
+    assert new.expand_map == old.expand_map, name
+    assert new.collapse_map == old.collapse_map, name
+    labels = new.kposet.labels
+    assert len(labels) == len(old.kposet.labels), name
+    assert [labels[i] for i in range(len(labels))] == old.kposet.labels, name
+    assert list(labels) == old.kposet.labels, name
+    return new.kposet.n
+
+
+class TestFrozensetBuilder:
+    def test_corpus_blocks(self):
+        sizes = [assert_same_as_frozenset_builder(name, ctx)
+                 for name, ctx in corpus_contexts()]
+        assert len(sizes) == 7 and max(sizes) > 100
+
+    def test_s6_p2_blocks(self, s6_p2_contexts):
+        sizes = sorted(assert_same_as_frozenset_builder(name, ctx)
+                       for name, ctx in s6_p2_contexts)
+        assert sizes[-1] == 3495
+
+
 # -- the product-set prune ---------------------------------------------------
 
 
@@ -407,7 +533,8 @@ def product_set_geometry(ctx):
 def assert_same_geometry(name, ctx):
     geom = block_geometry(ctx)
     elements, up, action, expand_map = product_set_geometry(ctx)
-    assert geom.elements == elements, name
+    assert [(frozenset(iter_bits(kmask)), pid)
+            for kmask, pid in geom.elements] == elements, name
     assert geom.kposet.up == up, name
     assert geom.kposet.action == action, name
     assert geom.expand_map == expand_map, name
@@ -431,7 +558,7 @@ class TestLatticePrune:
         group = GroupContext(symmetric_group(4), field_context(2, 1))
         (principal,) = [b for b in group.blocks if b.principal]
         geom = block_geometry(BlockContext(group, principal))
-        sizes = {len(kappa) for kappa, _pid in geom.elements}
+        sizes = {len(iter_bits(kmask)) for kmask, _pid in geom.elements}
         assert max(sizes) == 3
 
 

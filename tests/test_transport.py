@@ -16,7 +16,7 @@ from blockposets.errors import TheoryViolation
 from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
 from blockposets.perms import dihedral_group, symmetric_group
-from blockposets.topology import orbit_poset
+from blockposets.topology import iter_bits, orbit_poset
 from blockposets.verify import _theorem2_maps
 
 from oracles import conjugate_element
@@ -62,7 +62,7 @@ def eta_by_full_scan(ctx, geom, fs, cat, icp):
     admissible = {}                 # pair index -> positions of admissible g
     vertex_image = {}               # (vertex, position of g) -> cat vertex
     out = []
-    for vids, pid in geom.elements:
+    for kmask, pid in geom.elements:
         if pid not in admissible:
             pair = geom.apairs.pairs[pid]
             admissible[pid] = []
@@ -78,7 +78,7 @@ def eta_by_full_scan(ctx, geom, fs, cat, icp):
         for k in admissible[pid]:
             g, ginv = moves[k]
             members = set()
-            for v in vids:
+            for v in iter_bits(kmask):
                 if (v, k) not in vertex_image:
                     vertex_image[v, k] = cat_vertex[frozenset(
                         ginv * x * g for x in geom.vertices[v].elements)]
