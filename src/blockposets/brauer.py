@@ -146,8 +146,9 @@ class GroupContext:
 
     * the class-sum algebra of G and the blocks of kG;
     * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit
-      mapping the element set of each conjugate Q to one g with Q = R^g, and
-      the lookup Q -> (class, g) read off those orbits;
+      mapping the position key of each conjugate Q (the increasing tuple of
+      its elements' positions in G) to one g with Q = R^g.  Q is located by
+      probing the orbit of each class of its order with Q's own key;
     * per class representative R, on first request: C_G(R), the class-sum
       algebra Z(kC_G(R)) and the blocks of kC_G(R) (at the trivial subgroup
       these are G, the algebra and the blocks of kG).  Every block of
@@ -160,7 +161,8 @@ class GroupContext:
       every element and every block's support through t's conjugation
       table.  The tree's conjugators compose to Q's g, so the i-th block at
       Q is the i-th block at R conjugated by g, and the sites at conjugates
-      inherit the centrality of R's.  Every site reached is memoised.
+      inherit the centrality of R's.  Every site reached is memoised under
+      its position key.
     """
 
     def __init__(self, G, F):
@@ -170,7 +172,6 @@ class GroupContext:
         self.algebra = class_sum_algebra(G, F)
         self.blocks = blocks(G, F, algebra=self.algebra)
         self._classes = None
-        self._where = None
         self._sites = {}
         self._centers = {}  # class index -> (Z(kC_G(R)), blocks of kC_G(R))
 
@@ -181,40 +182,46 @@ class GroupContext:
             self._classes = p_subgroups_up_to_conjugacy(self.G, self.p)
         return self._classes
 
+    def _key(self, Q):
+        """Q's position key in G, or None when Q is not a subgroup of G."""
+        try:
+            return self.G.element_index().key(Q)
+        except KeyError:
+            return None
+
     def locate(self, Q):
         """(i, g) with Q = R^g for the representative R of class i.
 
         Raises ValueError when Q is not a p-subgroup of G.
         """
-        if self._where is None:
-            self._where = {elems: (i, g)
-                           for i, (_R, orbit) in enumerate(self.classes)
-                           for elems, g in orbit.items()}
-        hit = self._where.get(Q.element_set)
-        if hit is None:
-            raise ValueError(f"not a {self.p}-subgroup of {self.G.label}: "
-                             f"{Q.label or Q!r}")
-        return hit
+        key = self._key(Q)
+        if key is not None:
+            for i, (R, orbit) in enumerate(self.classes):
+                if R.order == Q.order and key in orbit:
+                    return i, orbit[key]
+        raise ValueError(f"not a {self.p}-subgroup of {self.G.label}: "
+                         f"{Q.label or Q!r}")
 
     def conjugates(self, i):
         """Every subgroup of class i, in orbit order: the subgroups of their
         sites, each built down the orbit tree."""
-        return [self._site_at(i, elems).subgroup
-                for elems in self.classes[i][1]]
+        return [self._site_at(i, key).subgroup for key in self.classes[i][1]]
 
     def _site(self, Q):
-        site = self._sites.get(Q.element_set)
+        key = self._key(Q)
+        site = self._sites.get(key)
         if site is None:
             i, _g = self.locate(Q)
-            site = self._site_at(i, Q.element_set)
+            site = self._site_at(i, key)
         return site
 
     def _site_at(self, i, key):
-        """The site at the subgroup of class i whose element set is key."""
+        """The site at the subgroup of class i whose position key is key."""
         R, orbit = self.classes[i]
+        links = orbit.links
         path = []                       # (conjugate, t), from key upwards
-        while key not in self._sites and key != R.element_set:
-            parent, t = orbit.links[key]
+        while key not in self._sites and key in links:
+            parent, t = links[key]
             path.append((key, t))
             key = parent
         site = self._sites.get(key)
@@ -256,7 +263,8 @@ class GroupContext:
         R, orbit = self.classes[i]
         if R.order > T.order:
             return False
-        return any(elems <= T.element_set for elems in orbit)
+        inside = set(self.G.element_index().key(T))
+        return any(inside.issuperset(key) for key in orbit)
 
 
 def _assert_central(site):

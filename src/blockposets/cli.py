@@ -91,11 +91,39 @@ def parse_group_spec(text):
     return spec
 
 
+def _integer(value):
+    """Is value a JSON integer?  bool is an int subclass, and is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _size(spec, field):
+    """The integer field of a group spec; a float or a bool is refused,
+    not truncated."""
+    value = spec[field]
+    if not _integer(value):
+        raise ValueError(f"{field} must be an integer, not "
+                         f"{json.dumps(value)}")
+    return value
+
+
+def _cycle_lists(gens):
+    """gens, checked to be a list of generators, each a list of cycles,
+    each a list of integer points."""
+    if not (isinstance(gens, list) and all(
+            isinstance(gen, list) and all(
+                isinstance(cycle, list) and all(map(_integer, cycle))
+                for cycle in gen)
+            for gen in gens)):
+        raise ValueError("gens must be a list of cycle lists of integer "
+                         "points")
+    return gens
+
+
 def build_group(spec, max_elements=MAX_GROUP_ORDER):
     kind = spec["type"]
     try:
         if kind == "symmetric":
-            n = int(spec["n"])
+            n = _size(spec, "n")
             if n < 1:
                 raise ValueError("n >= 1")
             if math.factorial(n) > max_elements:
@@ -103,17 +131,17 @@ def build_group(spec, max_elements=MAX_GROUP_ORDER):
                                         f"exceeds {max_elements} elements")
             return symmetric_group(n)
         if kind == "dihedral":
-            order = int(spec["order"])
+            order = _size(spec, "order")
             if order > max_elements:
                 raise SizeLimitExceeded(f"dihedral group of order {order} "
                                         f"exceeds {max_elements} elements")
             return dihedral_group(order)
         if kind == "generators":
-            degree = int(spec["degree"])
+            degree = _size(spec, "degree")
             if degree < 1:
                 raise ValueError("degree >= 1")
             gens = [Permutation.from_cycles(degree, cycles)
-                    for cycles in spec["gens"]]
+                    for cycles in _cycle_lists(spec["gens"])]
             return PermGroup.from_generators(degree, gens, label="custom",
                                              max_elements=max_elements)
     except KeyError as exc:

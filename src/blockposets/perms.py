@@ -30,8 +30,10 @@ fills a column of |G| positions (x^g, or w g, for every g) by list lookups
 instead of products (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, section 4.1).  The subgroups of a Sylow or defect group
 P are enumerated on P's own index, as bitsets over its positions, so their
-cost scales with |P| rather than |G|.  Permutation stays the public and
-printed type.
+cost scales with |P| rather than |G|.  The G-conjugates of a subgroup are
+found and keyed on positions too: each is the increasing tuple of its
+elements' positions in G, and no conjugate is named by its permutations.
+Permutation stays the public and printed type.
 """
 
 from __future__ import annotations
@@ -275,6 +277,15 @@ class ElementIndex:
         if found is None:
             found = self._fixers[i] = _positions_of(self.conj_column(i), i)
         return found
+
+    def key(self, H):
+        """The increasing tuple of the positions of H's elements.
+
+        H's elements are sorted in G's order, so their positions come out
+        increasing.  KeyError when some element of H is not in G.
+        """
+        pos = self.pos
+        return tuple([pos[x] for x in H.elements])
 
     def conj_image(self, t, xs):
         """[x^t for x in xs], t the t-th generator, by table lookups."""
@@ -615,12 +626,14 @@ def all_subgroups(P, max_count=10_000):
 
 
 class SubgroupOrbit(dict):
-    """The G-conjugates of a subgroup H, each (an element frozenset) mapped
-    to one g with H^g = it, in BFS order from H.
+    """The G-conjugates of a subgroup H, in BFS order from H.
 
-    links maps every conjugate but H to (parent, t): it is the parent
-    conjugated by the t-th generator of G, and its g is the parent's g times
-    that generator.  Following the links from H conjugates by g one
+    Each conjugate is keyed by the increasing tuple of its elements'
+    positions in G (ElementIndex.key) and mapped to one g, an element of G,
+    with H^g = it.  links maps every key but H's to (parent, t): the
+    conjugate is its parent's conjugated by the t-th generator of G, and its
+    g is the parent's g times that generator.  The parent is the orbit's
+    own key object.  Following the links from H conjugates by g one
     generator table at a time.
     """
 
@@ -630,32 +643,31 @@ class SubgroupOrbit(dict):
 def subgroup_orbit_transversal(G, H):
     """The SubgroupOrbit of H: each G-conjugate of H with one g, H^g = it.
 
-    The BFS runs on position sets: the conjugate of a set by the t-th
-    generator is read off its conjugation table, and g t off its
-    right-multiplication table.
+    The BFS runs on the position keys: the conjugate of a key by the t-th
+    generator is its conjugation table read at the key's positions, sorted,
+    and g t is g's entry in the t-th right-multiplication table.
     """
     index = G.element_index()
-    start = frozenset([index.pos[x] for x in H.elements])
-    orbit = {start: index.root}
-    links = {}
-    frontier = [start]
+    elements = G.elements
+    start = index.key(H)
+    orbit = SubgroupOrbit({start: elements[index.root]})
+    orbit.links = links = {}
+    tables = list(enumerate(zip(index.conj, index.right)))
+    frontier = [(start, index.root)]
     while frontier:
         new = []
-        for ids in frontier:
-            g = orbit[ids]
-            for t, (conj, right) in enumerate(zip(index.conj, index.right)):
-                image = frozenset([conj[i] for i in ids])
+        for ids, g in frontier:
+            for t, (conj, right) in tables:
+                image = [conj[i] for i in ids]
+                image.sort()
+                image = tuple(image)
                 if image not in orbit:
-                    orbit[image] = right[g]
+                    gt = right[g]
+                    orbit[image] = elements[gt]
                     links[image] = (ids, t)
-                    new.append(image)
+                    new.append((image, gt))
         frontier = new
-    elements = G.elements
-    named = {ids: frozenset([elements[i] for i in ids]) for ids in orbit}
-    out = SubgroupOrbit((named[ids], elements[g]) for ids, g in orbit.items())
-    out.links = {named[ids]: (named[parent], t)
-                 for ids, (parent, t) in links.items()}
-    return out
+    return orbit
 
 
 def p_subgroups_up_to_conjugacy(G, p):
@@ -664,13 +676,14 @@ def p_subgroups_up_to_conjugacy(G, p):
 
     Every p-subgroup is conjugate into a fixed Sylow p-subgroup, so the class
     list is the subgroup list of one Sylow, deduplicated by G-conjugacy via
-    orbit scans.
+    the orbits' position keys.
     """
     P = sylow_p(G, p)
+    key = G.element_index().key
     classes = []
     seen = set()
     for H in all_subgroups(P):
-        if H.element_set in seen:
+        if key(H) in seen:
             continue
         orbit = subgroup_orbit_transversal(G, H)
         classes.append((H, orbit))

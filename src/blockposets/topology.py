@@ -28,9 +28,13 @@ On a failure the first offending row is scanned pair by pair, so the
 witness is the first offending pair in row order.
 
 Homology of a simplicial complex is unreduced integral homology computed
-from Smith normal forms of the boundary matrices; the Smith reduction is a
-sparse elimination over Python ints (no overflow), with pivots chosen by
-least absolute value and least fill.
+from Smith normal forms of the boundary matrices.  Each boundary map is
+built once, in the form the Smith reduction works on: a list of rows, one
+{column: sign} dict per face of the lower dimension.  The check that
+consecutive boundaries compose to zero runs one row at a time with one
+accumulator, and each matrix is reduced in place and dropped as soon as its
+Smith form is done.  The reduction is a sparse elimination over Python ints
+(no overflow), with pivots chosen by least absolute value and least fill.
 """
 
 from __future__ import annotations
@@ -407,8 +411,10 @@ class SNFResult:
         return [d for d in self.diagonal if d > 1]
 
 
-def smith_normal_form(entries, rows, cols, need_transforms=False):
-    """Smith normal form of a sparse integer matrix {(i, j): value}.
+def smith_normal_form(matrix, rows, cols, need_transforms=False):
+    """Smith normal form of a sparse integer matrix, given as its rows: a
+    list of `rows` dicts {column: value}, columns in 0..cols-1.  The rows
+    are reduced in place, so the matrix is used up.
 
     Unit pivots go first: the columns are swept once in index order, and a
     column with a +-1 entry in a live row takes the shortest such row as its
@@ -424,11 +430,15 @@ def smith_normal_form(entries, rows, cols, need_transforms=False):
     unimodular U (rows x rows) and V (cols x cols) with U M V diagonal are
     returned as well.
     """
-    row = {}
+    if len(matrix) != rows:
+        raise ValueError(f"{len(matrix)} rows given for a matrix of {rows}")
+    row = matrix
     col = {}
-    for (i, j), v in entries.items():
-        if v:
-            row.setdefault(i, {})[j] = v
+    for i, r in enumerate(row):
+        if 0 in r.values():
+            for j in [j for j, v in r.items() if not v]:
+                del r[j]
+        for j in r:
             col.setdefault(j, set()).add(i)
     U = [[1 if a == b else 0 for b in range(rows)] for a in range(rows)] \
         if need_transforms else None
@@ -439,8 +449,8 @@ def smith_normal_form(entries, rows, cols, need_transforms=False):
         """row[dst] += c * row[src]"""
         if c == 0:
             return
-        dst_row = row.setdefault(dst, {})
-        for j, v in list(row.get(src, {}).items()):
+        dst_row = row[dst]
+        for j, v in list(row[src].items()):
             nv = dst_row.get(j, 0) + c * v
             if nv:
                 dst_row[j] = nv
@@ -454,8 +464,7 @@ def smith_normal_form(entries, rows, cols, need_transforms=False):
 
     def row_combine(i0, i1, x, y, z, w):
         """(row[i0], row[i1]) <- (x row[i0] + y row[i1], z row[i0] + w row[i1])"""
-        r0 = dict(row.get(i0, {}))
-        r1 = dict(row.get(i1, {}))
+        r0, r1 = row[i0], row[i1]
         new0, new1 = {}, {}
         for j in set(r0) | set(r1):
             a, b = r0.get(j, 0), r1.get(j, 0)
@@ -535,7 +544,7 @@ def smith_normal_form(entries, rows, cols, need_transforms=False):
     while True:
         pivot = None
         best = None
-        for i, r in row.items():
+        for i, r in enumerate(row):
             if i in done_rows or not r:
                 continue
             for j, v in r.items():
@@ -569,7 +578,7 @@ def smith_normal_form(entries, rows, cols, need_transforms=False):
                         row_combine(i0, i, x, y, -(a // g), p // g)
             # clear the pivot row
             while True:
-                others = [j for j in row.get(i0, {}) if j != j0 and j not in done_cols]
+                others = [j for j in row[i0] if j != j0 and j not in done_cols]
                 if not others:
                     break
                 for j in others:
@@ -587,13 +596,13 @@ def smith_normal_form(entries, rows, cols, need_transforms=False):
             col_dirty = any(i != i0 and i not in done_rows
                             for i in col.get(j0, set()))
             row_dirty = any(j != j0 and j not in done_cols
-                            for j in row.get(i0, {}))
+                            for j in row[i0])
             if col_dirty or row_dirty:
                 continue
             # divisibility: pivot must divide every remaining entry
             p = row[i0][j0]
             offender = None
-            for i, r in row.items():
+            for i, r in enumerate(row):
                 if i in done_rows or i == i0:
                     continue
                 for j, v in r.items():
@@ -632,40 +641,39 @@ def _bezout(a, b):
 
 
 def boundary_matrices(C):
-    """Sparse boundary maps; entry ((row=face index in dim n-1), (col=dim n)).
+    """The boundary maps d_n, n >= 1, in the form smith_normal_form reads:
+    d_n is the list of its rows, one per (n-1)-face, each a dict from the
+    index of an n-face to the sign of the row's face in its boundary.
 
     The composite of consecutive boundaries is asserted to vanish.
     """
-    index = [
-        {f: i for i, f in enumerate(fs)} for fs in C.faces_by_dim
-    ]
+    faces = C.faces_by_dim
     mats = []
-    for n in range(1, len(C.faces_by_dim)):
-        entries = {}
-        for j, f in enumerate(C.faces_by_dim[n]):
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1:]
-                entries[(index[n - 1][sub], j)] = (-1) ** k
-        mats.append(entries)
+    for n in range(1, len(faces)):
+        index = {f: i for i, f in enumerate(faces[n - 1])}
+        rows = [{} for _ in faces[n - 1]]
+        signs = [(-1) ** k for k in range(n + 1)]
+        for j, f in enumerate(faces[n]):
+            for k, sign in enumerate(signs):
+                rows[index[f[:k] + f[k + 1:]]][j] = sign
+        mats.append(rows)
     for n in range(len(mats) - 1):
         _assert_composite_zero(mats[n], mats[n + 1])
     return mats
 
 
 def _assert_composite_zero(d_low, d_high):
-    by_col_high = defaultdict(list)
-    for (i, j), v in d_high.items():
-        by_col_high[j].append((i, v))
-    by_col_low = defaultdict(list)
-    for (i, j), v in d_low.items():
-        by_col_low[j].append((i, v))
-    for j, col in by_col_high.items():
+    """d_low d_high = 0, one row of d_low at a time into one accumulator;
+    the witness is the least column of d_high met in a nonzero entry."""
+    for row in d_low:
         acc = defaultdict(int)
-        for mid, v in col:
-            for i, w in by_col_low.get(mid, ()):
-                acc[i] += v * w
-        if any(acc.values()):
-            raise TheoryViolation("boundary composite nonzero", witness=j)
+        for mid, v in row.items():
+            for k, w in d_high[mid].items():
+                acc[k] += v * w
+        bad = [k for k, total in acc.items() if total]
+        if bad:
+            raise TheoryViolation("boundary composite nonzero",
+                                  witness=min(bad))
 
 
 class HomologyResult:
@@ -702,13 +710,18 @@ class HomologyResult:
 
 
 def homology(C, snf=smith_normal_form):
-    """Unreduced integral homology of a simplicial complex via Smith forms."""
+    """Unreduced integral homology of a simplicial complex via Smith forms.
+
+    Each boundary matrix is dropped as soon as its Smith form is done.
+    """
     if C.is_empty():
         return HomologyResult([], empty=True)
     mats = boundary_matrices(C)
     counts = C.face_counts()
-    snf_results = [snf(m, counts[n], counts[n + 1])
-                   for n, m in enumerate(mats)]
+    snf_results = []
+    for n in range(len(mats)):
+        snf_results.append(snf(mats[n], counts[n], counts[n + 1]))
+        mats[n] = None
     groups = []
     for n in range(len(counts)):
         rank_dn = snf_results[n - 1].rank if n >= 1 else 0

@@ -2,6 +2,12 @@
 
 * Betti numbers from ranks over the rationals, by dense Fraction
   elimination, against the Smith-form route of `topology.homology`;
+* the boundary maps as {(row, column): sign} dicts with their composite
+  check, against the row dicts that `topology.boundary_matrices` hands to
+  the Smith form, and the conversion of a hand-written {(i, j): value}
+  matrix into those rows;
+* each G-conjugate of a subgroup named by the frozenset of its elements,
+  against the orbits keyed by element positions;
 * conjugation of a whole subgroup and of a group-algebra element, term by
   term, against the conjugation tables and orbit trees of the library;
 * the blocks of kG from the recursive splitter against the exhaustive
@@ -16,6 +22,7 @@
 """
 
 import time
+from collections import defaultdict
 from fractions import Fraction
 
 from blockposets.blocks import (
@@ -32,14 +39,8 @@ from blockposets.commuting import (
     iter_cliques,
 )
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
-from blockposets.perms import PermGroup
-from blockposets.topology import (
-    GPoset,
-    Poset,
-    _row_or,
-    boundary_matrices,
-    iter_bits,
-)
+from blockposets.perms import PermGroup, SubgroupOrbit
+from blockposets.topology import GPoset, Poset, _row_or, iter_bits
 from blockposets.verify import CheckResult, _target
 
 
@@ -86,6 +87,92 @@ def homology_betti_rational(C):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def boundary_matrices(C):
+    """Sparse boundary maps; entry ((row=face index in dim n-1), (col=dim n)).
+
+    The composite of consecutive boundaries is asserted to vanish.
+    """
+    index = [
+        {f: i for i, f in enumerate(fs)} for fs in C.faces_by_dim
+    ]
+    mats = []
+    for n in range(1, len(C.faces_by_dim)):
+        entries = {}
+        for j, f in enumerate(C.faces_by_dim[n]):
+            for k in range(len(f)):
+                sub = f[:k] + f[k + 1:]
+                entries[(index[n - 1][sub], j)] = (-1) ** k
+        mats.append(entries)
+    for n in range(len(mats) - 1):
+        assert_composite_zero(mats[n], mats[n + 1])
+    return mats
+
+
+def assert_composite_zero(d_low, d_high):
+    by_col_high = defaultdict(list)
+    for (i, j), v in d_high.items():
+        by_col_high[j].append((i, v))
+    by_col_low = defaultdict(list)
+    for (i, j), v in d_low.items():
+        by_col_low[j].append((i, v))
+    for j, col in by_col_high.items():
+        acc = defaultdict(int)
+        for mid, v in col:
+            for i, w in by_col_low.get(mid, ()):
+                acc[i] += v * w
+        if any(acc.values()):
+            raise TheoryViolation("boundary composite nonzero", witness=j)
+
+
+def row_dicts(entries, rows):
+    """The rows of a {(i, j): value} matrix, as smith_normal_form reads
+    them: one {j: value} dict per row, stored zeros kept."""
+    out = [{} for _ in range(rows)]
+    for (i, j), v in entries.items():
+        out[i][j] = v
+    return out
+
+
+def entries_of(rows):
+    """A matrix given as row dicts, back as {(i, j): value}."""
+    return {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+
+
+def subgroup_orbit_transversal(G, H):
+    """The G-conjugates of H, each named by the frozenset of its elements
+    and mapped to one g with H^g = it, in BFS order from H; links maps
+    every conjugate but H to (parent, t), the parent conjugated by the t-th
+    generator.  The BFS runs on position frozensets, and every conjugate
+    is named at the end."""
+    index = G.element_index()
+    start = frozenset([index.pos[x] for x in H.elements])
+    orbit = {start: index.root}
+    links = {}
+    frontier = [start]
+    while frontier:
+        new = []
+        for ids in frontier:
+            g = orbit[ids]
+            for t, (conj, right) in enumerate(zip(index.conj, index.right)):
+                image = frozenset([conj[i] for i in ids])
+                if image not in orbit:
+                    orbit[image] = right[g]
+                    links[image] = (ids, t)
+                    new.append(image)
+        frontier = new
+    elements = G.elements
+    named = {ids: frozenset([elements[i] for i in ids]) for ids in orbit}
+    out = SubgroupOrbit((named[ids], elements[g]) for ids, g in orbit.items())
+    out.links = {named[ids]: (named[parent], t)
+                 for ids, (parent, t) in links.items()}
+    return out
+
+
+def element_set(G, key):
+    """A position key of G read as the frozenset of its elements."""
+    return frozenset([G.elements[i] for i in key])
 
 
 def conjugate_subgroup(H, g, label=""):

@@ -26,7 +26,7 @@ from blockposets.topology import (
     smith_normal_form,
 )
 
-from oracles import rank_over_rationals
+from oracles import entries_of, rank_over_rationals, row_dicts
 
 GF2 = field_context(2)
 
@@ -171,7 +171,8 @@ class TestSmithNormalForm:
         for _ in range(80):
             entries, rows, cols = unit_rich_matrix(rng)
             units += sum(1 for v in entries.values() if v in (1, -1))
-            assert smith_normal_form(entries, rows, cols).diagonal == \
+            assert smith_normal_form(row_dicts(entries, rows), rows,
+                                     cols).diagonal == \
                 invariant_factors_by_minors(entries, rows, cols), entries
         assert units > 200
 
@@ -182,7 +183,8 @@ class TestSmithNormalForm:
             entries = {(i, j): rng.choice([0, 2, -2, 3, 4, -6, 9])
                        for i in range(rows) for j in range(cols)}
             entries = {k: v for k, v in entries.items() if v}
-            assert smith_normal_form(entries, rows, cols).diagonal == \
+            assert smith_normal_form(row_dicts(entries, rows), rows,
+                                     cols).diagonal == \
                 invariant_factors_by_minors(entries, rows, cols), entries
 
     def test_rank_matches_rational_on_boundary_matrices(self):
@@ -192,8 +194,9 @@ class TestSmithNormalForm:
             C = random_complex(rng)
             counts = C.face_counts()
             for n, m in enumerate(boundary_matrices(C)):
+                entries = entries_of(m)
                 assert smith_normal_form(m, counts[n], counts[n + 1]).rank \
-                    == rank_over_rationals(m, counts[n], counts[n + 1])
+                    == rank_over_rationals(entries, counts[n], counts[n + 1])
                 checked += 1
         assert checked > 60
 
@@ -212,10 +215,11 @@ class TestSmithNormalForm:
         matrices = [unit_rich_matrix(rng) for _ in range(40)]
         C = random_complex(random.Random(3), max_vertices=6)
         counts = C.face_counts()
-        matrices += [(m, counts[n], counts[n + 1])
+        matrices += [(entries_of(m), counts[n], counts[n + 1])
                      for n, m in enumerate(boundary_matrices(C))]
         for entries, rows, cols in matrices:
-            snf = smith_normal_form(entries, rows, cols, need_transforms=True)
+            snf = smith_normal_form(row_dicts(entries, rows), rows, cols,
+                                    need_transforms=True)
             M = [[entries.get((i, j), 0) for j in range(cols)]
                  for i in range(rows)]
             UMV = _mat_mul(_mat_mul(snf.U, M), snf.V)

@@ -86,6 +86,14 @@ class TestBadInput:
         ["verify", "--group", "S3", "--max-elements", "0"],
         ["poset", "--group", "S3", "--which", "K", "--max-elements", "-5"],
         ["verify", "--group", "S3", "--max-simplices", "-1"],
+        ["verify", "--group", '{"type": "symmetric", "n": 2.7}'],
+        ["verify", "--group", '{"type": "symmetric", "n": true}'],
+        ["verify", "--group", '{"type": "dihedral", "order": 6.5}'],
+        ["verify", "--group", '{"type": "generators", "degree": 2.9, '
+                              '"gens": [[[1, 2]]]}'],
+        ["verify", "--group", GENS % '"ab"'],
+        ["verify", "--group", GENS % "[[[1, true]]]"],
+        ["verify", "--group", GENS % "[[1, 2]]"],
     ], ids=["prime-4", "prime-0", "prime-1", "prime-1-auto-split",
             "verify-prime-4", "repeated-point", "point-out-of-range",
             "no-gens", "no-degree", "no-n", "unknown-check", "bad-block",
@@ -93,7 +101,8 @@ class TestBadInput:
             "check-twice", "check-twice-apart", "corpus-check-twice",
             "field-degree-zero", "field-degree-negative",
             "max-elements-zero", "max-elements-negative",
-            "max-simplices-negative"])
+            "max-simplices-negative", "n-float", "n-bool", "order-float",
+            "degree-float", "gens-string", "point-bool", "gens-flat"])
     def test_one_line_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -110,6 +119,22 @@ class TestBadInput:
     def test_size_below_one_names_the_bound(self, spec, reason, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--group", spec, "--prime", "2"])
+        assert capsys.readouterr().err.strip().endswith(reason)
+
+    @pytest.mark.parametrize("spec, reason", [
+        ('{"type": "symmetric", "n": 2.7}', "n must be an integer, not 2.7"),
+        ('{"type": "symmetric", "n": true}',
+         "n must be an integer, not true"),
+        ('{"type": "dihedral", "order": 6.5}',
+         "order must be an integer, not 6.5"),
+        ('{"type": "generators", "degree": 2.9, "gens": [[[1, 2]]]}',
+         "degree must be an integer, not 2.9"),
+        (GENS % '"ab"', "gens must be a list of cycle lists of integer points"),
+    ])
+    def test_non_integer_is_refused_not_truncated(self, spec, reason, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--group", spec, "--prime", "2"])
+        assert exc.value.code == 2
         assert capsys.readouterr().err.strip().endswith(reason)
 
     @pytest.mark.parametrize("flags, reason", [

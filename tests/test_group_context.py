@@ -20,7 +20,7 @@ from blockposets.perms import (
     symmetric_group,
 )
 
-from oracles import conjugate_element, conjugate_subgroup
+from oracles import conjugate_element, conjugate_subgroup, element_set
 
 # (group, p, number of blocks)
 CASES = [("S4", 2, 1), ("S5", 2, 2), ("D8", 2, 1), ("S6", 2, 2), ("S7", 3, 3)]
@@ -68,10 +68,11 @@ class TestSharedAgainstFresh:
 class TestLookup:
     def test_locate_gives_the_conjugating_element(self):
         group = GroupContext(symmetric_group(4), PrimeField(2))
+        G = group.G
         for i, (R, orbit) in enumerate(group.classes):
-            for elems, g in orbit.items():
+            for key, g in orbit.items():
                 Q = conjugate_subgroup(R, g)
-                assert Q.element_set == elems
+                assert Q.element_set == element_set(G, key)
                 assert group.locate(Q) == (i, g)
 
     def test_non_p_subgroup_raises_value_error(self):
@@ -155,11 +156,11 @@ class TestSitesOnTheOrbitTree:
             rep = group._site(R)
             assert rep.subgroup is R and rep.index == i
             # the last conjugates first: their walks up the tree are longest
-            for elems, g in reversed(list(orbit.items())):
+            for key, g in reversed(list(orbit.items())):
                 Q, C, block_list = site_by_conjugation(rep, g)
                 site = group._site(Q)
                 assert site.index == i
-                assert site.subgroup.element_set == elems
+                assert site.subgroup.element_set == element_set(group.G, key)
                 assert same_group(site.subgroup, Q), (name, i)
                 assert same_group(site.centralizer, C), (name, i)
                 assert [list(e.support.items()) for e in site.blocks] == \

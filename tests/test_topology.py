@@ -21,7 +21,7 @@ from blockposets.topology import (
     smith_normal_form,
 )
 
-from oracles import homology_betti_rational, rank_over_rationals
+from oracles import homology_betti_rational, rank_over_rationals, row_dicts
 
 
 def chain_poset(n):
@@ -152,16 +152,16 @@ def random_complex(rng, max_vertices=8):
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        snf = smith_normal_form({(0, 0): 2, (1, 1): 3}, 2, 2)
+        snf = smith_normal_form(row_dicts({(0, 0): 2, (1, 1): 3}, 2), 2, 2)
         assert snf.diagonal == [1, 6]
 
     def test_identity(self):
         entries = {(i, i): 1 for i in range(4)}
-        snf = smith_normal_form(entries, 4, 4)
+        snf = smith_normal_form(row_dicts(entries, 4), 4, 4)
         assert snf.diagonal == [1, 1, 1, 1]
 
     def test_zero_matrix(self):
-        snf = smith_normal_form({}, 3, 5)
+        snf = smith_normal_form(row_dicts({}, 3), 3, 5)
         assert snf.diagonal == []
 
     def test_divisibility_chain_random(self):
@@ -170,7 +170,7 @@ class TestSmithNormalForm:
             rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
             entries = {(i, j): rng.randrange(-9, 10)
                        for i in range(rows) for j in range(cols)}
-            snf = smith_normal_form(entries, rows, cols)
+            snf = smith_normal_form(row_dicts(entries, rows), rows, cols)
             for a, b in zip(snf.diagonal, snf.diagonal[1:]):
                 assert b % a == 0
             assert all(d > 0 for d in snf.diagonal)
@@ -181,7 +181,8 @@ class TestSmithNormalForm:
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
             entries = {(i, j): rng.randrange(-6, 7)
                        for i in range(rows) for j in range(cols)}
-            snf = smith_normal_form(entries, rows, cols, need_transforms=True)
+            snf = smith_normal_form(row_dicts(entries, rows), rows, cols,
+                                    need_transforms=True)
             # U M V must be the diagonal, with unimodular U, V
             M = [[entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
             UM = _mat_mul_int(snf.U, M)
@@ -207,7 +208,7 @@ class TestSmithNormalForm:
             rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
             entries = {(i, j): rng.randrange(-4, 5)
                        for i in range(rows) for j in range(cols)}
-            assert (smith_normal_form(entries, rows, cols).rank
+            assert (smith_normal_form(row_dicts(entries, rows), rows, cols).rank
                     == rank_over_rationals(entries, rows, cols))
 
 

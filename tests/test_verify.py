@@ -198,3 +198,14 @@ class TestReportDrift:
               "--prime", "2", "--block", "nonprincipal", "--out", str(out)])
         assert out.read_bytes() == (Path(__file__).parent / "data"
                                     / "s8_p2_nonprincipal.json").read_bytes()
+
+    def test_s7_p2_principal_matches_recorded(self, tmp_path):
+        """The principal 2-block of S7, every default check: 19 classes of
+        2-subgroups with 3,417 members in all, and a commuting poset of
+        23,051 elements, whose homology is skipped at the simplex bound.
+        Recorded under tests/, as no benchmark workload runs it."""
+        out = tmp_path / "report.json"
+        main(["verify", "--group", "S7", "--prime", "2", "--block",
+              "principal", "--out", str(out)])
+        assert out.read_bytes() == (Path(__file__).parent / "data"
+                                    / "s7_p2_principal.json").read_bytes()
