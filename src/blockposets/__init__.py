@@ -27,7 +27,7 @@ from .perms import (                                        # noqa: F401
     sylow_p,
     symmetric_group,
 )
-from .gf import field_context, poly_factor                  # noqa: F401
+from .gf import field_context                               # noqa: F401
 from .blocks import (                                       # noqa: F401
     Block,
     GroupAlgebraElement,

@@ -3,9 +3,9 @@
 The center of kG is computed in the class-sum basis: structure constants
 ``a[i][j][k]`` count pairs (x, y) in C_i x C_j with x*y equal to a fixed
 representative of C_k, reduced into the field.  Blocks (primitive central
-idempotents) are found by passing to the maximal semisimple subalgebra (the
-stable image of the q-power map, q = |field|) and recursively splitting it
-with partial-fraction idempotents from factored minimal polynomials.
+idempotents) span the fixed space of the q-power map, q = |field|, which is
+split recursively by Lagrange idempotents at the roots of minimal
+polynomials.
 
 An independent brute-force oracle enumerates every central element, filters
 idempotents, and picks out the primitive ones; the two routes are required to
@@ -193,8 +193,9 @@ class CentralAlgebra:
         """Matrix (columns = images of basis vectors) of u -> u^q, q = |field|.
 
         The q-power map is field-linear on a commutative algebra in
-        characteristic p, which is what makes the stable-image computation of
-        the semisimple part valid for d > 1 as well.
+        characteristic p: (u + v)^q = u^q + v^q, and c^q = c for c in the
+        field, for d > 1 as well.  Its fixed space is what the block splitter
+        works in.
         """
         F = self.field
         cols = []
@@ -203,21 +204,6 @@ class CentralAlgebra:
             cols.append(self.power(basis_vec, F.q))
         # transpose: entry [k][i] = k-th coordinate of z_i^q
         return [[cols[i][k] for i in range(self.dim)] for k in range(self.dim)]
-
-    def eval_poly(self, poly, a, identity=None):
-        """Horner evaluation of a field polynomial at coordinates a.
-
-        identity is the multiplicative unit to use (defaults to the class of
-        1); passing a component idempotent evaluates inside that component.
-        """
-        F = self.field
-        if identity is None:
-            identity = self.identity_coords()
-        acc = [F.zero] * self.dim
-        for c in reversed(poly):
-            acc = self.mult(acc, a)
-            acc = self.add(acc, self.scale(c, identity))
-        return acc
 
     def min_poly(self, a, identity=None):
         """Least-degree monic m with m(a) = 0, relative to the given unit."""
@@ -279,56 +265,53 @@ def class_sum_algebra(G, field):
     return CentralAlgebra(G, F, classes, const)
 
 
-def semisimple_part(A):
-    """Basis (coordinate vectors) of the maximal semisimple subalgebra."""
-    M = A.q_power_matrix()
-    return gf.stable_image(M, A.field)
-
-
 def primitive_idempotents(A):
     """All primitive idempotents of A, canonically ordered.
 
-    Components are split recursively: factor the minimal polynomial of a
-    basis element over the component and evaluate the partial-fraction
-    idempotents.  A component is certified primitive when every basis element
-    has irreducible minimal polynomial (the component is then a field).
+    The q-power map u -> u^q (q = |field|) is field-linear on the commutative
+    algebra A, and its fixed space ker(M - I) is the span of the primitive
+    idempotents: u^q = u forces u = sum c_i e_i with every c_i in the field,
+    as a nilpotent n with n^q = n is zero.  So the minimal polynomial m of a
+    fixed element b divides x^q - x, which is certified before its roots are
+    found, and the Lagrange products prod_{mu != lam} (b - mu) / (lam - mu)
+    split a component by the values of b.  A component is primitive when its
+    part of the fixed space has one basis vector, and the number of blocks
+    must be the dimension of the fixed space.
     """
     F = A.field
-    ss = semisimple_part(A)
-    if not ss:
-        raise TheoryViolation("semisimple part of a unital algebra is zero")
-    stack = [(A.identity_coords(), [list(v) for v in ss])]
+    K = [[F.sub(c, F.one) if i == k else c for i, c in enumerate(row)]
+         for k, row in enumerate(A.q_power_matrix())]
+    x = [F.zero, F.one]
+    stack = [(A.identity_coords(), gf.nullspace(K, F))]
     prims = []
     while stack:
         unit, basis = stack.pop()
         if len(basis) == 1:
             prims.append(tuple(unit))
             continue
-        split = None
-        for a in basis:
-            m = A.min_poly(a, identity=unit)
-            factors = gf.poly_factor(m, F)
-            if any(mult > 1 for _g, mult in factors):
-                raise TheoryViolation(
-                    "minimal polynomial not squarefree inside semisimple part",
-                    witness=(a, m))
-            if len(factors) >= 2:
-                split = (a, m, factors)
+        for b in basis:
+            m = A.min_poly(b, identity=unit)
+            if len(m) > 2:
                 break
-        if split is None:
-            prims.append(tuple(unit))  # every basis element generates a field
-            continue
-        a, m, factors = split
-        for g, _mult in factors:
-            h, _ = gf.poly_divmod(m, g, F)
-            s = gf.poly_invmod(h, g, F)
-            idem_poly = gf.poly_mod(gf.poly_mul(h, s, F), m, F)
-            e = A.eval_poly(idem_poly, a, identity=unit)
-            sub_basis = _row_space([A.mult(e, b) for b in basis], F)
-            if not sub_basis:
-                raise TheoryViolation("partial-fraction idempotent vanished",
-                                      witness=(g, m))
-            stack.append((e, sub_basis))
+        else:
+            raise TheoryViolation(
+                "no fixed basis element splits the component", witness=unit)
+        if gf.poly_powmod(x, F.q, m, F) != x:
+            raise TheoryViolation("minimal polynomial does not divide x^q - x",
+                                  witness=(b, m))
+        roots = gf.poly_roots(m, F)
+        for lam in roots:
+            e, denom = unit, F.one
+            for mu in roots:
+                if mu != lam:
+                    e = A.mult(e, A.add(b, A.scale(F.neg(mu), unit)))
+                    denom = F.mul(denom, F.sub(lam, mu))
+            e = A.scale(F.inv(denom), e)
+            stack.append((e, _row_space([A.mult(e, v) for v in basis], F)))
+    if len(prims) != A.dim - gf.rank(K, F):
+        raise TheoryViolation(
+            "block count differs from the fixed-space dimension",
+            witness=len(prims))
     prims.sort(key=lambda u: tuple(F.encode(c) for c in u))
     return prims
 
@@ -454,7 +437,3 @@ def blocks(G, field, algebra=None):
     if principal_count != 1:
         raise TheoryViolation(f"{principal_count} principal blocks found")
     return out
-
-
-def augmentation(a):
-    return a.augmentation()

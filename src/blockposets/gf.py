@@ -8,7 +8,10 @@ Polynomials are coefficient lists over a field, lowest degree first, with no
 trailing zeros (the zero polynomial is ``[]``).  The integer encoding of a
 polynomial over GF(p) is ``sum(c_i * p^i)``; "least" irreducible always means
 least under this encoding, which puts low-degree coefficients in low
-positions.
+positions.  The polynomial layer has two callers: `least_irreducible`, which
+picks the modulus of GF(p^d) by trial division, and the block splitter, which
+certifies that a minimal polynomial divides x^q - x and then finds its roots
+with `poly_roots`.
 
 Matrices are lists of rows of field values.  Everything is exact; there is no
 floating point anywhere in this module.
@@ -200,19 +203,23 @@ def field_context(p, d=1):
 
 
 def least_irreducible(p, d):
-    """The monic irreducible of degree d over GF(p) least under integer encoding."""
+    """The monic irreducible of degree d over GF(p) least under integer encoding.
+
+    A candidate is irreducible when no monic polynomial of degree 1..d//2
+    divides it.
+    """
     if d < 2:
         raise ValueError("degree must be >= 2")
     F = PrimeField(p)
-    # monic: leading coefficient 1; scan lower coefficients by encoding order
+
+    def monic(n, degree):  # low coefficients are the base-p digits of n
+        return [n // p ** i % p for i in range(degree)] + [1]
+
+    divisors = [monic(n, k) for k in range(1, d // 2 + 1)
+                for n in range(p ** k)]
     for n in range(p ** d):
-        coeffs = []
-        m = n
-        for _ in range(d):
-            coeffs.append(m % p)
-            m //= p
-        f = coeffs + [1]
-        if poly_is_irreducible(f, F):
+        f = monic(n, d)
+        if all(poly_mod(f, g, F) for g in divisors):
             return tuple(f)
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
@@ -256,10 +263,6 @@ def poly_mul(f, g, F):
     return poly_trim(out, F)
 
 
-def poly_scale(f, c, F):
-    return poly_trim([F.mul(a, c) for a in f], F)
-
-
 def poly_divmod(f, g, F):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -295,19 +298,6 @@ def poly_monic(f, F):
     return [F.mul(c, inv) for c in f]
 
 
-def poly_invmod(f, m, F):
-    """s with s*f = 1 mod m, by the extended Euclidean algorithm."""
-    r0, r1 = list(m), poly_mod(f, m, F)
-    s0, s1 = [], [F.one]
-    while r1:
-        q, r = poly_divmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, F), F)
-    if len(r0) - 1 != 0:
-        raise ValueError("polynomial not invertible modulo m")
-    return poly_mod(poly_scale(s0, F.inv(r0[0]), F), m, F)
-
-
 def poly_powmod(base, n, mod, F):
     result = [F.one]
     base = poly_mod(base, mod, F)
@@ -319,170 +309,44 @@ def poly_powmod(base, n, mod, F):
     return result
 
 
-def poly_deriv(f, F):
-    out = []
-    for i in range(1, len(f)):
-        # i * f[i] in the field: add f[i] to itself i mod p times
-        s = F.zero
-        for _ in range(i % F.p):
-            s = F.add(s, f[i])
-        out.append(s)
-    return poly_trim(out, F)
+def poly_roots(f, F):
+    """The roots of a monic f of degree >= 1 with distinct roots, all in F.
 
-
-def poly_encode(f, F):
-    """Canonical integer for ordering factor lists."""
-    n = 0
-    for c in reversed(f):
-        n = n * F.q + F.encode(c)
-    return n
-
-
-def _squarefree_decomposition(f, F):
-    """[(g_i, m_i)] with f = prod g_i^{m_i} (up to the unit), g_i squarefree, m_i distinct."""
-    out = []
-    f = poly_monic(f, F)
-
-    def rec(f, mult):
-        if len(f) <= 1:
-            return
-        df = poly_deriv(f, F)
-        if not df:
-            # f = h(x^p); take p-th roots of coefficients (Frobenius inverse)
-            root = []
-            for i in range(0, len(f), F.p):
-                c = f[i]
-                # c^(q/p) is the p-th root in GF(q)
-                root.append(F.pow(c, F.q // F.p))
-            rec(poly_trim(root, F), mult * F.p)
-            return
-        g = poly_gcd(f, df, F)
-        w, _ = poly_divmod(f, g, F)  # squarefree part
-        m = 1
-        while len(w) > 1:
-            y = poly_gcd(w, g, F)
-            part, _ = poly_divmod(w, y, F)
-            if len(part) > 1:
-                out.append((poly_monic(part, F), mult * m))
-            w = y
-            g, _ = poly_divmod(g, y, F)
-            m += 1
-        if len(g) > 1:
-            rec(g, mult)
-
-    rec(f, 1)
-    return out
-
-
-def _distinct_degree(f, F):
-    """[(product-of-irreducibles-of-degree-k, k)] for squarefree monic f."""
-    out = []
-    x = [F.zero, F.one]
-    h = x
-    k = 0
-    f = list(f)
-    while len(f) - 1 >= 2 * (k + 1):
-        k += 1
-        h = poly_powmod(h, F.q, f, F)
-        g = poly_gcd(poly_sub(h, x, F), f, F)
-        if len(g) > 1:
-            out.append((g, k))
-            f, _ = poly_divmod(f, g, F)
-            h = poly_mod(h, f, F)
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
-def _equal_degree_split(f, k, F, rng):
-    """All degree-k irreducible factors of f (Cantor-Zassenhaus, seeded rng)."""
-    n = len(f) - 1
-    if n == k:
-        return [f]
-    while True:
-        a = [F.rand(rng) for _ in range(n)]
-        a = poly_trim(a, F)
-        if len(a) <= 1:
-            continue
-        if F.p == 2:
-            # trace map over GF(2): a + a^2 + a^4 + ... (q^k = 2^(d*k) summands)
-            t = a
-            acc = a
-            steps = F.d * k
-            for _ in range(steps - 1):
-                t = poly_mod(poly_mul(t, t, F), f, F)
-                acc = poly_add(acc, t, F)
-            g = poly_gcd(acc, f, F)
-        else:
-            e = (F.q ** k - 1) // 2
-            b = poly_powmod(a, e, f, F)
-            g = poly_gcd(poly_sub(b, [F.one], F), f, F)
-        if 0 < len(g) - 1 < n:
-            left, _ = poly_divmod(f, g, F)
-            return (_equal_degree_split(poly_monic(g, F), k, F, rng)
-                    + _equal_degree_split(poly_monic(left, F), k, F, rng))
-
-
-def poly_factor(f, F, seed=0x5EED):
-    """Monic irreducible factors with multiplicities, deterministically ordered.
-
-    The product of the factors times the leading coefficient of f reproduces f
-    exactly; the rng for equal-degree splitting is seeded so output is stable.
+    Cantor-Zassenhaus splitting at degree 1 from a seeded rng: for random a
+    mod f, gcd(f, a^((q-1)/2) - 1), or in characteristic 2 gcd(f, a + a^2 +
+    ... + a^(q/2)), is a proper factor about half the time.  On any other f
+    the search does not end, so callers first certify that f divides x^q - x.
     """
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(seed)
-    factors = []
-    for g, mult in _squarefree_decomposition(f, F):
-        for h, k in _distinct_degree(g, F):
-            for irr in _equal_degree_split(poly_monic(h, F), k, F, rng):
-                factors.append((poly_monic(irr, F), mult))
-    factors.sort(key=lambda fm: (len(fm[0]), poly_encode(fm[0], F), fm[1]))
-    return factors
-
-
-def poly_is_irreducible(f, F):
-    if len(f) - 1 <= 0:
-        return False
-    fac = poly_factor(f, F)
-    return len(fac) == 1 and fac[0][1] == 1
+    rng = random.Random(0x5EED)
+    roots = []
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        n = len(f) - 1
+        if n == 1:
+            roots.append(F.neg(f[0]))
+            continue
+        while True:
+            a = poly_trim([F.rand(rng) for _ in range(n)], F)
+            if len(a) <= 1:
+                continue
+            if F.p == 2:
+                t = acc = a
+                for _ in range(F.d - 1):
+                    t = poly_mod(poly_mul(t, t, F), f, F)
+                    acc = poly_add(acc, t, F)
+            else:
+                b = poly_powmod(a, (F.q - 1) // 2, f, F)
+                acc = poly_sub(b, [F.one], F)
+            g = poly_gcd(acc, f, F)
+            if 0 < len(g) - 1 < n:
+                break
+        stack += [g, poly_divmod(f, g, F)[0]]
+    return roots
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra over a field object
-
-
-def identity_matrix(n, F):
-    return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B, F):
-    n, m = len(A), len(B[0]) if B else 0
-    k = len(B)
-    out = [[F.zero] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a != F.zero:
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(m):
-                    if Bt[j] != F.zero:
-                        Oi[j] = F.add(Oi[j], F.mul(a, Bt[j]))
-    return out
-
-
-def mat_pow(A, n, F):
-    size = len(A)
-    result = identity_matrix(size, F)
-    base = [row[:] for row in A]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base, F)
-        base = mat_mul(base, base, F)
-        n >>= 1
-    return result
 
 
 def rref(A, F):
@@ -514,6 +378,20 @@ def rref(A, F):
     return M, pivots
 
 
+def nullspace(A, F):
+    """Basis of {v : A v = 0}: one vector per non-pivot column of rref(A)."""
+    cols = len(A[0]) if A else 0
+    M, pivots = rref(A, F)
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = [F.zero] * cols
+        v[free] = F.one
+        for r, c in enumerate(pivots):
+            v[c] = F.neg(M[r][free])
+        basis.append(v)
+    return basis
+
+
 def rank(A, F):
     return len(rref(A, F)[1])
 
@@ -532,24 +410,6 @@ def solve(A, b, F):
         if c < cols:
             x[c] = M[r][cols]
     return x
-
-
-def image_basis(A, F):
-    """Basis of the column space, as column vectors."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    transposed = [[A[i][j] for i in range(rows)] for j in range(cols)]
-    M, pivots = rref(transposed, F)
-    return [M[r] for r in range(len(pivots))]
-
-
-def stable_image(A, F):
-    """Basis of the image of A^n, n = dimension (the Fitting/eventual image)."""
-    n = len(A)
-    if n == 0:
-        return []
-    An = mat_pow(A, n, F)
-    return image_basis(An, F)
 
 
 def in_span(basis, v, F):

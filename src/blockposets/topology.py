@@ -282,10 +282,14 @@ def orbit_poset(X):
 
 
 class SimplicialComplex:
-    """Faces stored by dimension as sorted tuples of vertex ids."""
+    """Faces stored by dimension as sorted tuples of vertex ids.
+
+    Each dimension's list is kept as given, so it must already be sorted and
+    free of duplicates, as `from_faces` and `order_complex` make it.
+    """
 
     def __init__(self, faces_by_dim):
-        self.faces_by_dim = [sorted(set(fs)) for fs in faces_by_dim]
+        self.faces_by_dim = list(faces_by_dim)
         while self.faces_by_dim and not self.faces_by_dim[-1]:
             self.faces_by_dim.pop()
         self._check_closed()
@@ -709,7 +713,7 @@ class HomologyResult:
         return "HomologyResult(" + ", ".join(parts) + ")"
 
 
-def homology(C, snf=smith_normal_form):
+def homology(C):
     """Unreduced integral homology of a simplicial complex via Smith forms.
 
     Each boundary matrix is dropped as soon as its Smith form is done.
@@ -720,7 +724,8 @@ def homology(C, snf=smith_normal_form):
     counts = C.face_counts()
     snf_results = []
     for n in range(len(mats)):
-        snf_results.append(snf(mats[n], counts[n], counts[n + 1]))
+        snf_results.append(smith_normal_form(mats[n], counts[n],
+                                             counts[n + 1]))
         mats[n] = None
     groups = []
     for n in range(len(counts)):

@@ -22,8 +22,6 @@ from blockposets.gf import (
     ExtensionField,
     PrimeField,
     field_context,
-    poly_factor,
-    poly_mul,
 )
 from blockposets.perms import PermGroup, Permutation, symmetric_group
 from blockposets.topology import (
@@ -241,17 +239,6 @@ def test_criterion_9_infrastructure_oracles():
         while betti and betti[-1] == 0:
             betti.pop()
         assert betti == homology_betti_rational(C)
-    # 1000 random polynomial factorizations reconstruct their input
-    fields = [PrimeField(2), PrimeField(3), PrimeField(5)]
-    for i in range(1000):
-        F = fields[i % 3]
-        deg = rng.randrange(1, 9)
-        coeffs = [F.rand(rng) for _ in range(deg)] + [rng.randrange(1, F.p)]
-        product = [coeffs[-1]]
-        for g, mult in poly_factor(coeffs, F):
-            for _ in range(mult):
-                product = poly_mul(product, g, F)
-        assert product == coeffs
     # Frobenius additivity at 10^4 samples
     ext = [PrimeField(2), PrimeField(3), PrimeField(5),
            ExtensionField(2, 2), ExtensionField(2, 3), ExtensionField(3, 2),
@@ -261,7 +248,7 @@ def test_criterion_9_infrastructure_oracles():
         a, b = F.rand(rng), F.rand(rng)
         assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
     _report(9, "infrastructure oracles", True,
-            "100 complexes, 1000 factorizations, 10^4 Frobenius samples")
+            "100 complexes, 10^4 Frobenius samples")
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from blockposets.blocks import (
+    ORACLE_BOUND,
     Block,
     CentralAlgebra,
     GroupAlgebraElement,
@@ -10,9 +11,9 @@ from blockposets.blocks import (
     brute_force_central_idempotents,
     class_sum_algebra,
     primitive_idempotents,
-    semisimple_part,
 )
-from blockposets.errors import SizeLimitExceeded
+from blockposets import gf
+from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.gf import PrimeField, ExtensionField
 from blockposets.perms import (
     Permutation,
@@ -82,6 +83,24 @@ class TestClassSumAlgebra:
         assert all(x.order() == 3 for x in elt.support)
 
 
+def nilpotent_c4(A):
+    """1 + g^2 in GF(2)C4, which squares to 1 + g^4 = 0."""
+    n = [0] * A.dim
+    for k, cls in enumerate(A.classes):
+        x = cls.representative
+        if x.is_identity() or (x * x).is_identity() and x.order() == 2:
+            n[k] = 1
+    return n
+
+
+def fixed_space_dimension(A):
+    """dim ker(M - I) for the q-power matrix M of A."""
+    F = A.field
+    K = [[F.sub(c, F.one) if i == k else c for i, c in enumerate(row)]
+         for k, row in enumerate(A.q_power_matrix())]
+    return len(gf.nullspace(K, F))
+
+
 class TestMinPoly:
     def test_identity(self):
         A = class_sum_algebra(symmetric_group(3), GF2)
@@ -95,31 +114,30 @@ class TestMinPoly:
         assert A.min_poly(C) == [0, 1, 1]
 
     def test_nilpotent(self):
-        # in GF(2)C4 the element 1 + g^2 squares to 1 + g^4 = 0
         A = class_sum_algebra(cyclic_group(4), GF2)
-        n = [0] * A.dim
-        for k, cls in enumerate(A.classes):
-            x = cls.representative
-            if x.is_identity() or (x * x).is_identity() and x.order() == 2:
-                n[k] = 1
+        n = nilpotent_c4(A)
         assert sum(n) == 2
         assert all(c == 0 for c in A.mult(n, n))
         assert A.min_poly(n) == [0, 0, 1]  # x^2
 
 
-class TestSemisimplePart:
+class TestFixedSpace:
+    """The q-power map fixes exactly the span of the blocks."""
+
     def test_s3_gf2_dimension(self):
         A = class_sum_algebra(symmetric_group(3), GF2)
-        assert len(semisimple_part(A)) == 2
+        assert fixed_space_dimension(A) == len(primitive_idempotents(A)) == 2
 
     def test_s4_gf2_dimension(self):
         A = class_sum_algebra(symmetric_group(4), GF2)
-        assert len(semisimple_part(A)) == 1
+        assert fixed_space_dimension(A) == len(primitive_idempotents(A)) == 1
 
-    def test_semisimple_input_full_dimension(self):
-        # |C_5| coprime to 2: Z(kC5) = kC5 is already semisimple
+    def test_c5_gf2_dimension(self):
+        # Z(kC5) = kC5 is semisimple of dimension 5, but GF(2) does not
+        # split x^5 - 1 = (x + 1)(x^4 + x^3 + x^2 + x + 1): two blocks
         A = class_sum_algebra(cyclic_group(5), GF2)
-        assert len(semisimple_part(A)) == A.dim == 5
+        assert A.dim == 5
+        assert fixed_space_dimension(A) == len(primitive_idempotents(A)) == 2
 
 
 class TestPrimitiveIdempotents:
@@ -157,8 +175,40 @@ class TestPrimitiveIdempotents:
         assert len(primitive_idempotents(A2)) == 2
         assert len(primitive_idempotents(A4)) == 3
         assert primitive_idempotents(A4) == brute_force_central_idempotents(A4)
-        # at a splitting degree the semisimple dimension is the block count
-        assert len(semisimple_part(A4)) == 3
+        assert fixed_space_dimension(A4) == 3
+
+    @pytest.mark.parametrize("group, field", [
+        (cyclic_group(3), ExtensionField(2, 3)),
+        (symmetric_group(3), ExtensionField(2, 3)),
+        (dihedral_group(8), ExtensionField(2, 3)),
+        (symmetric_group(3), ExtensionField(3, 2)),
+        (cyclic_group(4), ExtensionField(3, 2)),
+        (cyclic_group(3), ExtensionField(5, 2)),
+    ], ids=["C3-GF8", "S3-GF8", "D8-GF8", "S3-GF9", "C4-GF9", "C3-GF25"])
+    def test_oracle_agreement_extension_fields(self, group, field):
+        A = class_sum_algebra(group, field)
+        assert field.q ** A.dim <= ORACLE_BOUND
+        assert primitive_idempotents(A) == brute_force_central_idempotents(A)
+
+    def test_lost_fixed_vector_is_caught(self, monkeypatch):
+        # a nullspace short of one vector still splits into idempotents
+        # summing to 1; the count against the rank of M - I catches it
+        nullspace = gf.nullspace
+        monkeypatch.setattr(gf, "nullspace", lambda A, F: nullspace(A, F)[:-1])
+        A = class_sum_algebra(symmetric_group(3), GF2)
+        with pytest.raises(TheoryViolation, match="fixed-space dimension"):
+            primitive_idempotents(A)
+
+    def test_nilpotent_in_fixed_basis_is_caught(self, monkeypatch):
+        # x^2 does not divide x^2 - x: the certificate raises before roots
+        # of the minimal polynomial are searched for
+        A = class_sum_algebra(cyclic_group(4), GF2)
+        n = nilpotent_c4(A)
+        nullspace = gf.nullspace
+        monkeypatch.setattr(gf, "nullspace",
+                            lambda M, F: [n] + nullspace(M, F))
+        with pytest.raises(TheoryViolation, match="x\\^q - x"):
+            primitive_idempotents(A)
 
     def test_oracle_bound(self):
         A = class_sum_algebra(symmetric_group(5), GF2)

@@ -2,24 +2,15 @@ import random
 
 import pytest
 
-from blockposets import gf
 from blockposets.gf import (
     ExtensionField,
     PrimeField,
-    field_context,
-    identity_matrix,
-    image_basis,
-    in_span,
     least_irreducible,
-    mat_mul,
-    poly_factor,
-    poly_is_irreducible,
+    nullspace,
     poly_mul,
-    poly_scale,
+    poly_roots,
     rank,
-    rref,
     solve,
-    stable_image,
 )
 
 
@@ -43,23 +34,6 @@ def mat_vec(A, v, F):
                 s = F.add(s, F.mul(a, x))
         out.append(s)
     return out
-
-
-def nullspace_basis(A, F):
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    M, pivots = rref(A, F)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v = [F.zero] * cols
-        v[free] = F.one
-        for r, c in enumerate(pivots):
-            v[c] = F.neg(M[r][free])
-        basis.append(v)
-    return basis
 
 
 class TestFieldArithmetic:
@@ -129,9 +103,7 @@ class TestLeastIrreducible:
 
     def test_modulus_is_irreducible(self):
         for p, d in [(2, 4), (3, 3), (5, 2)]:
-            mod = least_irreducible(p, d)
-            F = PrimeField(p)
-            assert poly_is_irreducible(list(mod), F)
+            assert _is_irreducible_int(list(least_irreducible(p, d)), p)
 
     def test_matches_rabin_scan_over_int_coefficients(self):
         cases = [(2, d) for d in range(2, 11)] + [(3, d) for d in range(2, 7)]
@@ -211,65 +183,40 @@ def least_irreducible_by_rabin(p, d):
     return None
 
 
-class TestPolyFactor:
-    def test_square_in_char_2(self):
-        F = PrimeField(2)
-        assert poly_factor([1, 0, 1], F) == [([1, 1], 2)]  # x^2+1 = (x+1)^2
+class TestPolyRoots:
+    def test_fermat_polynomial(self):
+        # x^q - x has every element of GF(q) as a root
+        for F in (PrimeField(2), PrimeField(5), ExtensionField(2, 3),
+                  ExtensionField(3, 2)):
+            f = [F.zero, F.neg(F.one)] + [F.zero] * (F.q - 2) + [F.one]
+            roots = poly_roots(f, F)
+            assert sorted(map(F.encode, roots)) == list(range(F.q))
 
-    def test_fermat_split(self):
-        F = PrimeField(3)
-        fac = poly_factor([0, 2, 0, 1], F)  # x^3 - x = x^3 + 2x
-        assert fac == [([0, 1], 1), ([1, 1], 1), ([2, 1], 1)]
-
-    def test_irreducible_quadratic(self):
-        F = PrimeField(2)
-        assert poly_factor([1, 1, 1], F) == [([1, 1, 1], 1)]
-        assert poly_is_irreducible([1, 1, 1], F)
-
-    def test_reconstruction_random(self):
-        # 1000 random polynomials of degree <= 8 over GF(2), GF(3), GF(5)
-        rng = random.Random(0xFAC707)
-        fields = [PrimeField(2), PrimeField(3), PrimeField(5)]
-        for i in range(1000):
-            F = fields[i % 3]
-            deg = rng.randrange(1, 9)
-            coeffs = [F.rand(rng) for _ in range(deg)] + [rng.randrange(1, F.p)]
-            fac = poly_factor(coeffs, F)
-            product = [coeffs[-1]]
-            for g, mult in fac:
-                for _ in range(mult):
-                    product = poly_mul(product, g, F)
-            assert product == coeffs, (coeffs, fac)
-
-    def test_reconstruction_extension_field(self):
-        rng = random.Random(8)
-        F = ExtensionField(2, 2)
-        for _ in range(100):
-            deg = rng.randrange(1, 7)
-            coeffs = [F.rand(rng) for _ in range(deg)] + [F.one]
-            fac = poly_factor(coeffs, F)
-            product = [F.one]
-            for g, mult in fac:
-                for _ in range(mult):
-                    product = poly_mul(product, g, F)
-            assert product == coeffs
-
-    def test_no_small_degree_factor_has_roots(self):
-        rng = random.Random(99)
-        F = PrimeField(3)
-        for _ in range(50):
-            deg = rng.randrange(2, 7)
-            coeffs = [F.rand(rng) for _ in range(deg)] + [1]
-            for g, _mult in poly_factor(coeffs, F):
-                if 1 < len(g) - 1 <= 3:
-                    assert all(poly_eval(g, a, F) != 0 for a in F.elements())
+    def test_random_split_polynomials(self):
+        # products of distinct linear factors, reconstructed from the roots
+        rng = random.Random(0x50117)
+        fields = [PrimeField(3), PrimeField(7), ExtensionField(2, 2),
+                  ExtensionField(5, 2)]
+        for i in range(60):
+            F = fields[i % len(fields)]
+            count = rng.randrange(1, min(F.q, 4) + 1)
+            picked = rng.sample(list(F.elements()), count)
+            f = [F.one]
+            for r in picked:
+                f = poly_mul(f, [F.neg(r), F.one], F)
+            roots = poly_roots(f, F)
+            assert sorted(map(F.encode, roots)) == \
+                sorted(map(F.encode, picked))
+            for r in roots:
+                assert poly_eval(f, r, F) == F.zero
 
 
 class TestLinearAlgebra:
     def test_rank_identity(self):
         F = PrimeField(5)
         for n in (1, 3, 6):
-            assert rank(identity_matrix(n, F), F) == n
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert rank(identity, F) == n
 
     def test_rank_nullity(self):
         rng = random.Random(3)
@@ -277,7 +224,20 @@ class TestLinearAlgebra:
         for _ in range(60):
             rows, cols = rng.randrange(1, 6), rng.randrange(1, 6)
             A = [[F.rand(rng) for _ in range(cols)] for _ in range(rows)]
-            assert rank(A, F) + len(nullspace_basis(A, F)) == cols
+            kernel = nullspace(A, F)
+            assert rank(A, F) + len(kernel) == cols
+            for v in kernel:
+                assert mat_vec(A, v, F) == [F.zero] * rows
+            if kernel:
+                assert rank(kernel, F) == len(kernel)
+
+    def test_nullspace_extension_field(self):
+        # over GF(4) the rows (1, x) and (x, x^2) are dependent: kernel 1
+        F = ExtensionField(2, 2)
+        x = (0, 1)
+        A = [[F.one, x], [x, F.mul(x, x)]]
+        (v,) = nullspace(A, F)
+        assert mat_vec(A, v, F) == [F.zero, F.zero]
 
     def test_solve(self):
         F = PrimeField(7)
@@ -289,32 +249,3 @@ class TestLinearAlgebra:
         F = PrimeField(2)
         with pytest.raises(ValueError):
             solve([[1, 0], [1, 0]], [1, 0], F)
-
-    def test_stable_image_nilpotent(self):
-        F = PrimeField(2)
-        N = [[0, 1], [0, 0]]
-        assert stable_image(N, F) == []
-
-    def test_stable_image_invertible(self):
-        F = PrimeField(3)
-        A = [[1, 1], [0, 2]]
-        assert len(stable_image(A, F)) == 2
-
-    def test_stable_image_invariance(self):
-        # image of A^n is A-invariant and A is injective on it
-        rng = random.Random(11)
-        F = PrimeField(2)
-        for _ in range(40):
-            n = rng.randrange(1, 6)
-            A = [[F.rand(rng) for _ in range(n)] for _ in range(n)]
-            basis = stable_image(A, F)
-            for v in basis:
-                assert in_span(basis, mat_vec(A, v, F), F)
-            if basis:
-                mapped = [mat_vec(A, v, F) for v in basis]
-                assert rank(mapped, F) == len(basis)
-
-    def test_image_basis_dimension(self):
-        F = PrimeField(5)
-        A = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
-        assert len(image_basis(A, F)) == rank(A, F) == 2

@@ -188,6 +188,23 @@ class TestReportDrift:
         assert out.read_bytes() == \
             (Path(__file__).parent / "data" / "s6_p2_all.json").read_bytes()
 
+    @pytest.mark.parametrize("name, argv", [
+        ("s6_p5_blocks_auto_split", ["blocks", "--group", "S6", "--prime", "5",
+                                     "--auto-split", "--format", "json"]),
+        ("s5_p3_gf9", ["verify", "--group", "S5", "--prime", "3",
+                       "--field-degree", "2"]),
+    ])
+    def test_extension_field_reports_match_recorded(self, name, argv,
+                                                    tmp_path):
+        """Blocks over GF(p^2): the seven blocks of S6 at the splitting
+        degree for p = 5, and every check on the three blocks of S5 over
+        GF(9).  Recorded under tests/, as no benchmark workload leaves the
+        prime field."""
+        out = tmp_path / "report.json"
+        main(argv + ["--out", str(out)])
+        assert out.read_bytes() == \
+            (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
+
     def test_s8_p2_nonprincipal_matches_recorded(self, tmp_path):
         """The defect-2 block of S8 (order 40,320), every check: its set-up
         runs all_subgroups on a Sylow 2-subgroup of order 128 and a
