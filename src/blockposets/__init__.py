@@ -32,7 +32,6 @@ from .blocks import (                                       # noqa: F401
     Block,
     GroupAlgebraElement,
     blocks,
-    brute_force_central_idempotents,
     class_sum_algebra,
     primitive_idempotents,
 )

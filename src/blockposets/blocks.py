@@ -2,14 +2,15 @@
 
 The center of kG is computed in the class-sum basis: structure constants
 ``a[i][j][k]`` count pairs (x, y) in C_i x C_j with x*y equal to a fixed
-representative of C_k, reduced into the field.  Blocks (primitive central
-idempotents) span the fixed space of the q-power map, q = |field|, which is
-split recursively by Lagrange idempotents at the roots of minimal
-polynomials.
+representative of C_k, reduced into the field.  Only the nonzero ones are
+kept, as (k, c) pairs per (i, j), and products of coordinate vectors run
+over those alone.  Blocks (primitive central idempotents) span the fixed
+space of the q-power map, q = |field|, which is split recursively by
+Lagrange idempotents at the roots of minimal polynomials.
 
-An independent brute-force oracle enumerates every central element, filters
-idempotents, and picks out the primitive ones; the two routes are required to
-agree on everything the oracle can reach.
+The tests hold an independent brute-force oracle that enumerates every
+central element, filters idempotents, and picks out the primitive ones; the
+two routes are required to agree on everything the oracle can reach.
 
 Sparse group-algebra elements are keyed directly by Permutation objects, so
 an element computed inside a centralizer algebra can be multiplied, conjugated
@@ -21,10 +22,8 @@ from __future__ import annotations
 import itertools
 
 from . import gf
-from .errors import SizeLimitExceeded, TheoryViolation
+from .errors import TheoryViolation
 from .perms import conjugacy_classes
-
-ORACLE_BOUND = 1 << 20
 
 
 class GroupAlgebraElement:
@@ -98,11 +97,13 @@ class GroupAlgebraElement:
     def is_fixed_by(self, gens):
         return all(self.conjugates_to(g, self) for g in gens)
 
-    def truncate(self, member_set):
-        """Keep only the support inside member_set (a frozenset of permutations)."""
+    def truncate(self, members):
+        """Keep only the support at members, an iterable of distinct
+        permutations such as a group's sorted elements tuple."""
+        support = self.support
         return GroupAlgebraElement(self.group, self.field,
-                                   {x: self.support[x] for x in member_set
-                                    if x in self.support})
+                                   {x: support[x] for x in members
+                                    if x in support})
 
     def augmentation(self):
         F = self.field
@@ -120,33 +121,37 @@ class GroupAlgebraElement:
 
 
 class CentralAlgebra:
-    """Z(kG) in the class-sum basis, with dense structure constants."""
+    """Z(kG) in the class-sum basis, with sparse structure constants.
+
+    const[i][j] is the tuple of the nonzero (k, c), k increasing, with
+    z_i z_j = sum of c z_k over those pairs (z_k the k-th class sum); in
+    characteristic p most of the dim^3 dense constants are zero.  The
+    identity's class is the one whose representative is the identity.
+    Commutativity and the identity class acting as the identity are
+    asserted on construction (else TheoryViolation).
+    """
 
     def __init__(self, group, field, classes, const):
         self.group = group
         self.field = field
         self.classes = classes          # list of ConjugacyClass
-        self.const = const              # const[i][j][k], field values
+        self.const = const              # const[i][j]: ((k, c), ...), c != 0
         self.dim = len(classes)
-        self.class_of = {}
-        for idx, cls in enumerate(classes):
-            for x in cls.members:
-                self.class_of[x] = idx
-        self.identity_class = self.class_of[group.identity()]
+        identity = group.identity()
+        self.identity_class = next(
+            i for i, cls in enumerate(classes) if cls.representative == identity)
         self._check_axioms()
 
     def _check_axioms(self):
-        F = self.field
+        const = self.const
         for i in range(self.dim):
             for j in range(i):
-                if self.const[i][j] != self.const[j][i]:
+                if const[i][j] != const[j][i]:
                     raise TheoryViolation("class multiplication not commutative",
                                           witness=(i, j))
-        e = self.identity_class
-        for j in range(self.dim):
-            col = self.const[e][j]
-            expect = [F.one if k == j else F.zero for k in range(self.dim)]
-            if col != expect:
+        one = self.field.one
+        for j, col in enumerate(const[self.identity_class]):
+            if col != ((j, one),):
                 raise TheoryViolation("identity class does not act as identity",
                                       witness=j)
 
@@ -157,18 +162,17 @@ class CentralAlgebra:
 
     def mult(self, u, v):
         F = self.field
-        out = [F.zero] * self.dim
+        zero, add, mul = F.zero, F.add, F.mul
+        out = [zero] * self.dim
+        vs = [(j, cj) for j, cj in enumerate(v) if cj != zero]
         for i, ci in enumerate(u):
-            if ci == F.zero:
+            if ci == zero:
                 continue
-            for j, cj in enumerate(v):
-                if cj == F.zero:
-                    continue
-                coeff = F.mul(ci, cj)
-                row = self.const[i][j]
-                for k in range(self.dim):
-                    if row[k] != F.zero:
-                        out[k] = F.add(out[k], F.mul(coeff, row[k]))
+            row = self.const[i]
+            for j, cj in vs:
+                coeff = mul(ci, cj)
+                for k, c in row[j]:
+                    out[k] = add(out[k], mul(coeff, c))
         return out
 
     def power(self, u, n):
@@ -239,7 +243,9 @@ def class_sum_algebra(G, field):
     a[i][j][k] = #{x in C_i : x^-1 z in C_j} for the fixed representative z of
     C_k.  Since x^-1 z = (z^-1 x)^-1 and inversion permutes the classes, one
     left column of z^-1 over G's element index gives every x^-1 z, so the
-    total cost is (#classes) * |G| list lookups and no products.
+    total cost is (#classes) * |G| list lookups and no products.  The counts
+    are reduced into the field and only the nonzero ones kept, as
+    CentralAlgebra.const.
     """
     classes = conjugacy_classes(G)
     F = field
@@ -260,8 +266,10 @@ def class_sum_algebra(G, field):
             row = counts[i]
             for x in ids:  # col[x] is z^-1 x, the inverse of x^-1 z
                 row[inverse_class[class_of[col[x]]]][k] += 1
-    const = [[[F.from_int(counts[i][j][k]) for k in range(dim)]
-              for j in range(dim)] for i in range(dim)]
+    zero = F.zero
+    const = [[tuple([(k, c) for k, c in enumerate(map(F.from_int, row))
+                     if c != zero])
+              for row in plane] for plane in counts]
     return CentralAlgebra(G, F, classes, const)
 
 
@@ -319,55 +327,6 @@ def primitive_idempotents(A):
 def _row_space(rows, F):
     reduced, pivots = gf.rref(rows, F)
     return [reduced[r] for r in range(len(pivots))]
-
-
-def brute_force_central_idempotents(A, bound=ORACLE_BOUND):
-    """Primitive idempotents by exhaustive enumeration of central elements.
-
-    This is the independent oracle for the recursive splitter: filter all
-    |field|^dim central elements down to nonzero idempotents, then keep e
-    primitive iff no idempotent f outside {0, e} satisfies e f = f.
-    """
-    F = A.field
-    total = F.q ** A.dim
-    if total > bound:
-        raise SizeLimitExceeded(
-            f"oracle space {F.q}^{A.dim} exceeds bound {bound}")
-    idems = []
-    if F.p == 2 and F.d == 1:
-        # char-2 prime field: squaring is linear, so e^2 follows from the
-        # squares of the basis vectors; coordinates live in an int bitmask
-        sq_mask = []
-        for i in range(A.dim):
-            basis_vec = [1 if k == i else 0 for k in range(A.dim)]
-            sq = A.mult(basis_vec, basis_vec)
-            sq_mask.append(sum(c << k for k, c in enumerate(sq)))
-        square = [0] * total
-        for e in range(1, total):
-            low = e & (-e)
-            square[e] = square[e ^ low] ^ sq_mask[low.bit_length() - 1]
-        idems = [tuple((e >> k) & 1 for k in range(A.dim))
-                 for e in range(1, total) if square[e] == e]
-    else:
-        for combo in itertools.product(list(F.elements()), repeat=A.dim):
-            v = list(combo)
-            if all(c == F.zero for c in v):
-                continue
-            if A.mult(v, v) == v:
-                idems.append(tuple(v))
-    prims = []
-    for e in idems:
-        primitive = True
-        for f in idems:
-            if f == e:
-                continue
-            if tuple(A.mult(list(e), list(f))) == f:
-                primitive = False
-                break
-        if primitive:
-            prims.append(e)
-    prims.sort(key=lambda u: tuple(F.encode(c) for c in u))
-    return prims
 
 
 class Block:

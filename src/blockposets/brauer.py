@@ -52,7 +52,7 @@ def brauer_hom(Q, a):
     if not a.is_fixed_by(Q.generators):
         raise ValueError("element is not Q-stable")
     C = centralizer(a.group, Q)
-    return a.truncate(C.element_set)
+    return a.truncate(C.elements)
 
 
 class BrauerPair:
@@ -157,12 +157,15 @@ class GroupContext:
       eta, and the stability test of normal containment, rest on
       e^(cg) = e^g for c in C_G(R).
     * the site of any other Q in the class, carried down the orbit tree:
-      Q's parent site conjugated by the one generator t that links them,
+      Q's parent site conjugated by the generator t that links them (the
+      orbit link holds the parent's key; t is recovered from the two keys),
       every element and every block's support through t's conjugation
-      table.  The tree's conjugators compose to Q's g, so the i-th block at
-      Q is the i-th block at R conjugated by g, and the sites at conjugates
-      inherit the centrality of R's.  Every site reached is memoised under
-      its position key.
+      table.  The Brauer truncations read the carried centralizer as its
+      sorted elements tuple, so its element set is never built.  The
+      tree's conjugators compose to Q's g, so the i-th block at Q is the
+      i-th block at R conjugated by g, and the sites at conjugates inherit
+      the centrality of R's.  Every site reached is memoised under its
+      position key.
     """
 
     def __init__(self, G, F):
@@ -219,16 +222,17 @@ class GroupContext:
         """The site at the subgroup of class i whose position key is key."""
         R, orbit = self.classes[i]
         links = orbit.links
-        path = []                       # (conjugate, t), from key upwards
+        path = []                       # conjugates, from key upwards
         while key not in self._sites and key in links:
-            parent, t = links[key]
-            path.append((key, t))
-            key = parent
+            path.append(key)
+            key = links[key]
         site = self._sites.get(key)
         if site is None:
             site = self._sites[key] = self._representative_site(i, R)
-        for key, t in reversed(path):
-            site = self._sites[key] = self._carry(site, t)
+        step = self.G.element_index().generator_between
+        for child in reversed(path):
+            site = self._sites[child] = self._carry(site, step(key, child))
+            key = child
         return site
 
     def _carry(self, site, t):
@@ -330,7 +334,7 @@ class BlockContext:
         A = Z(kC_G(R))."""
         R = self.group.classes[i][0]
         A, block_list = self.group._centers[i]
-        br = self.block.element.truncate(A.group.element_set)
+        br = self.block.element.truncate(A.group.elements)
         self._brauer[R.element_set] = br
         zero = self.F.zero
         brc = [br.support.get(cls.representative, zero) for cls in A.classes]
@@ -356,7 +360,8 @@ class BlockContext:
         key = Q.element_set
         hit = self._brauer.get(key)
         if hit is None:
-            hit = self.block.element.truncate(self.site(Q).centralizer.element_set)
+            C = self.site(Q).centralizer
+            hit = self.block.element.truncate(C.elements)
             self._brauer[key] = hit
         return hit
 
@@ -409,7 +414,7 @@ class BlockContext:
         e = lo.idempotent
         if not e.is_fixed_by(moving):
             return False
-        br = e.truncate(hi.centralizer.element_set)
+        br = e.truncate(hi.centralizer.elements)
         return br * hi.idempotent == hi.idempotent
 
     def pair_poset(self, family, check_uniqueness=True):

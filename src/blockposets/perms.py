@@ -153,9 +153,9 @@ def _closure(degree, gens, max_elements):
     gens.  Products are plain image tuples; each new element is wrapped as
     a Permutation once.
 
-    Returns (number, right, tree): number maps each element reached to its
-    discovery number d, in discovery order; right[t][d] is the number of
-    x_d gens[t]; and tree[d - 1] = (parent, t) with x_d = x_parent gens[t].
+    Returns (number, right, parents, via): number maps each element reached
+    to its discovery number d, in discovery order; right[t][d] is the
+    number of x_d gens[t]; and x_d = x_parents[d - 1] gens[via[d - 1]].
     These are G's right-multiplication tables and a spanning tree.
     """
     gens = [tuple(g) for g in gens]
@@ -165,7 +165,7 @@ def _closure(degree, gens, max_elements):
     ids = [0]             # ids[d] is d, the int object that number holds
     right = [[] for _ in gens]
     steps = list(zip(gens, right, range(len(gens))))
-    tree = []
+    parents, via = [], []
     for x, d in zip(found, ids):            # both grow while walked
         # x * g is g read at x's images; degree 1 has only the identity
         take = itemgetter(*x) if degree > 1 else tuple
@@ -181,9 +181,10 @@ def _closure(degree, gens, max_elements):
                 number[y] = n
                 found.append(y)
                 ids.append(n)
-                tree.append((d, t))
+                parents.append(d)
+                via.append(t)
             row.append(n)
-    return number, right, tree
+    return number, right, parents, via
 
 
 def _positions_of(col, value):
@@ -205,8 +206,9 @@ class ElementIndex:
       the identity's position.
     * conj[t][i] is the position of t^-1 x_i t and right[t][i] that of x_i t,
       for the t-th generator.
-    * tree lists (child, parent, t) with x_child = x_parent t, in BFS order
-      from the identity: a spanning tree of G along right multiplication.
+    * tree is three flat lists (children, parents, via), in BFS order from
+      the identity, with x_child = x_parent t for the via-th generator t at
+      each step: a spanning tree of G along right multiplication.
 
     The right tables and the tree are the closure's own, ranked into sorted
     order: a group from from_generators or from_elements hands over the BFS
@@ -226,7 +228,8 @@ class ElementIndex:
         pos = dict(zip(elements, range(n)))
         if G._bfs is None:
             try:
-                number, right, tree = _closure(G.degree, G.generators, n)
+                number, right, parents, via = _closure(G.degree, G.generators,
+                                                       n)
             except SizeLimitExceeded:
                 number = ()
             rank = [pos.get(x) for x in number]
@@ -235,15 +238,14 @@ class ElementIndex:
                     "the generators do not generate the element list")
             order = sorted(number.values(), key=rank.__getitem__)
         else:
-            order, right, tree = G._bfs
+            order, right, parents, via = G._bfs
             G._bfs = None
             rank = sorted(pos.values(), key=order.__getitem__)
         self.elements = elements
         self.pos = pos
         self.root = rank[0]
         self.right = [[rank[row[d]] for d in order] for row in right]
-        self.tree = [(rank[d], rank[parent], t)
-                     for d, (parent, t) in enumerate(tree, 1)]
+        self.tree = (rank[1:], [rank[d] for d in parents], via)
         self.conj = [[table[i] for i in self.left_column(pos[t.inverse()])]
                      for t, table in zip(G.generators, self.right)]
         self._fixers = {}
@@ -258,7 +260,7 @@ class ElementIndex:
     def _walk(self, tables, start):
         col = [0] * len(self.elements)
         col[self.root] = start
-        for child, parent, t in self.tree:
+        for child, parent, t in zip(*self.tree):
             col[child] = tables[t][col[parent]]
         return col
 
@@ -286,6 +288,16 @@ class ElementIndex:
         """
         pos = self.pos
         return tuple([pos[x] for x in H.elements])
+
+    def generator_between(self, parent, child):
+        """The first t whose conjugation table carries the position key
+        parent to the key child; ValueError when no generator does."""
+        for t, table in enumerate(self.conj):
+            image = [table[i] for i in parent]
+            image.sort()
+            if tuple(image) == child:
+                return t
+        raise ValueError("no generator conjugates the one key to the other")
 
     def conj_image(self, t, xs):
         """[x^t for x in xs], t the t-th generator, by table lookups."""
@@ -327,12 +339,16 @@ class ElementIndex:
 class PermGroup:
     """A finite permutation group with its full, sorted element list.
 
-    _bfs holds the closure's tables from from_generators or from_elements,
-    (order, right, tree) with order[k] the discovery number of the k-th
-    element, until the ElementIndex takes them over.
+    element_set, the frozenset of the elements, is built on its first read
+    and kept: membership, subset tests, equality and hashing use it, while
+    a scan over the group (a truncation to a centralizer, say) walks the
+    sorted elements tuple and builds no set.  _bfs holds the closure's
+    tables from from_generators or from_elements, (order, right, parents,
+    via) with order[k] the discovery number of the k-th element, until the
+    ElementIndex takes them over.
     """
 
-    __slots__ = ("degree", "generators", "elements", "label", "element_set",
+    __slots__ = ("degree", "generators", "elements", "label", "_element_set",
                  "_element_index", "_key", "_bfs")
 
     def __init__(self, degree, generators, elements, label=""):
@@ -340,10 +356,17 @@ class PermGroup:
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
         self.label = label
-        self.element_set = frozenset(self.elements)
+        self._element_set = None
         self._element_index = None
         self._key = None
         self._bfs = None
+
+    @property
+    def element_set(self):
+        """The frozenset of the elements, built on first read."""
+        if self._element_set is None:
+            self._element_set = frozenset(self.elements)
+        return self._element_set
 
     @classmethod
     def from_generators(cls, degree, gens, label="", max_elements=MAX_GROUP_ORDER):
@@ -358,11 +381,11 @@ class PermGroup:
     def _from_closure(cls, degree, gens, bfs, label):
         """The group that the closure bfs of gens enumerated, keeping its
         tables for the ElementIndex."""
-        number, right, tree = bfs
+        number, right, parents, via = bfs
         found = list(number)
         order = sorted(number.values(), key=found.__getitem__)
         group = cls(degree, gens, [found[d] for d in order], label)
-        group._bfs = (order, right, tree)
+        group._bfs = (order, right, parents, via)
         return group
 
     @classmethod
@@ -371,7 +394,7 @@ class PermGroup:
         the last closure, over that set, is kept for the ElementIndex."""
         elements = set(elements)
         gens = []
-        bfs = ({Permutation.identity(degree): 0}, [], [])
+        bfs = ({Permutation.identity(degree): 0}, [], [], [])
         for x in sorted(elements):
             if x not in bfs[0]:
                 gens.append(x)
@@ -630,11 +653,14 @@ class SubgroupOrbit(dict):
 
     Each conjugate is keyed by the increasing tuple of its elements'
     positions in G (ElementIndex.key) and mapped to one g, an element of G,
-    with H^g = it.  links maps every key but H's to (parent, t): the
-    conjugate is its parent's conjugated by the t-th generator of G, and its
-    g is the parent's g times that generator.  The parent is the orbit's
-    own key object.  Following the links from H conjugates by g one
-    generator table at a time.
+    with H^g = it.  links maps every key but H's to its parent's key, the
+    orbit's own key object: the conjugate is its parent conjugated by a
+    generator t of G, and its g is the parent's g times t.  t is not
+    stored; ElementIndex.generator_between recovers it as the first
+    generator that carries the parent's key to the child's, which is the
+    one the BFS recorded, as the BFS tries the generators in order.
+    Following the links from H conjugates by g one generator table at a
+    time.
     """
 
     __slots__ = ("links",)
@@ -652,19 +678,19 @@ def subgroup_orbit_transversal(G, H):
     start = index.key(H)
     orbit = SubgroupOrbit({start: elements[index.root]})
     orbit.links = links = {}
-    tables = list(enumerate(zip(index.conj, index.right)))
+    tables = list(zip(index.conj, index.right))
     frontier = [(start, index.root)]
     while frontier:
         new = []
         for ids, g in frontier:
-            for t, (conj, right) in tables:
+            for conj, right in tables:
                 image = [conj[i] for i in ids]
                 image.sort()
                 image = tuple(image)
                 if image not in orbit:
                     gt = right[g]
                     orbit[image] = elements[gt]
-                    links[image] = (ids, t)
+                    links[image] = ids
                     new.append((image, gt))
         frontier = new
     return orbit

@@ -345,10 +345,12 @@ def chain_counts(X):
     With c_k[x] the number of k-simplices x = x_0 < ... < x_k starting at x,
     c_0[x] = 1 and c_k[x] is the sum of c_{k-1}[y] over y > x; the k-th face
     count is the sum of c_k over x.  This equals
-    order_complex(X).face_counts().  The strict up-sets are listed once, and
-    each dimension costs one pass over those lists.
+    order_complex(X).face_counts().  The strict up-sets are listed once, as
+    array('i') rows of 4 bytes per relation, and each dimension costs one
+    pass over those rows.
     """
-    strict_up = [iter_bits(X.up[i] & ~(1 << i)) for i in range(X.n)]
+    strict_up = [array("i", iter_bits(X.up[i] & ~(1 << i)))
+                 for i in range(X.n)]
     counts = []
     c = [1] * X.n
     while any(c):

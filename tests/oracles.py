@@ -10,8 +10,12 @@
   against the orbits keyed by element positions;
 * conjugation of a whole subgroup and of a group-algebra element, term by
   term, against the conjugation tables and orbit trees of the library;
-* the blocks of kG from the recursive splitter against the exhaustive
-  central-idempotent enumeration, as a check result;
+* the primitive idempotents of Z(kG) by exhaustive enumeration of its
+  elements, and the blocks of kG from the recursive splitter against them,
+  as a check result;
+* the sparse class-algebra constants read back as the dense
+  const[i][j][k], and the orbit links read back as (parent, t) with t found
+  by Permutation conjugation;
 * the index tables built from permutation products, every subgroup of a
   small group by one closure per extension, and a centralizer narrowed by
   one G-wide column per generator, against the tables that the closure
@@ -21,6 +25,7 @@
   each up-set row as a list of indices, against the mask-keyed builder.
 """
 
+import itertools
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -28,7 +33,6 @@ from fractions import Fraction
 from blockposets.blocks import (
     GroupAlgebraElement,
     blocks,
-    brute_force_central_idempotents,
     class_sum_algebra,
 )
 from blockposets.commuting import (
@@ -175,6 +179,41 @@ def element_set(G, key):
     return frozenset([G.elements[i] for i in key])
 
 
+def links_with_generators(G, orbit):
+    """orbit.links as {child: (parent, t)}: t is the first generator of G
+    that conjugates the parent's elements onto the child's, found by
+    Permutation conjugation of the elements."""
+    out = {}
+    for child, parent in orbit.links.items():
+        target = element_set(G, child)
+        members = element_set(G, parent)
+        out[child] = (parent, next(
+            t for t, s in enumerate(G.generators)
+            if frozenset([x.conjugate(s) for x in members]) == target))
+    return out
+
+
+def dense_constants(A):
+    """A's structure constants as the dense const[i][j][k], zeros filled
+    in from its sparse (k, c) pairs."""
+    out = []
+    for plane in A.const:
+        rows = []
+        for pairs in plane:
+            row = [A.field.zero] * A.dim
+            for k, c in pairs:
+                row[k] = c
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+def sparse_constants(dense, F):
+    """Dense const[i][j][k] as the (k, c) pairs that CentralAlgebra takes."""
+    return [[tuple((k, c) for k, c in enumerate(row) if c != F.zero)
+             for row in plane] for plane in dense]
+
+
 def conjugate_subgroup(H, g, label=""):
     """H^g = g^-1 H g, every element and generator conjugated."""
     ginv = g.inverse()
@@ -191,7 +230,74 @@ def conjugate_element(a, g):
                                 for x, c in a.support.items()})
 
 
-def check_blocks_oracle(G, F, algebra=None, oracle_bound=1 << 20):
+ORACLE_BOUND = 1 << 20
+
+
+def brute_force_central_idempotents(A, bound=ORACLE_BOUND):
+    """Primitive idempotents by exhaustive enumeration of central elements.
+
+    This is the independent oracle for the recursive splitter: filter all
+    |field|^dim central elements down to nonzero idempotents, then keep e
+    primitive iff no idempotent f outside {0, e} satisfies e f = f.
+
+    In GF(2^d) squaring is additive, (sum c_i z_i)^2 = sum c_i^2 z_i^2, so
+    it is GF(2)-linear on the candidates written as ints of dim * d bits,
+    the k-th coordinate's encoding at bits k d to k d + d - 1.  The square
+    of each bit is c^2 z_i^2 for c a power of the field's generator, from
+    the basis squares z_i^2 computed once with A.mult, and every candidate's
+    square is one XOR from that of a candidate with one bit fewer.  Odd
+    characteristic squares each candidate with A.mult.
+    """
+    F = A.field
+    dim = A.dim
+    total = F.q ** dim
+    if total > bound:
+        raise SizeLimitExceeded(
+            f"oracle space {F.q}^{dim} exceeds bound {bound}")
+    if F.p == 2:
+        d = F.d
+        units = [F.decode(1 << m) for m in range(d)]    # a GF(2)-basis of F
+
+        def pack(v):
+            return sum(F.encode(c) << (k * d) for k, c in enumerate(v))
+
+        bit_squares = []
+        for i in range(dim):
+            z = [F.zero] * dim
+            z[i] = F.one
+            sq = A.mult(z, z)
+            bit_squares += [pack(A.scale(F.mul(c, c), sq)) for c in units]
+        square = [0] * total
+        for e in range(1, total):
+            low = e & (-e)
+            square[e] = square[e ^ low] ^ bit_squares[low.bit_length() - 1]
+        digit = (1 << d) - 1
+        idems = [tuple(F.decode((e >> (k * d)) & digit) for k in range(dim))
+                 for e in range(1, total) if square[e] == e]
+    else:
+        idems = []
+        for combo in itertools.product(list(F.elements()), repeat=dim):
+            v = list(combo)
+            if all(c == F.zero for c in v):
+                continue
+            if A.mult(v, v) == v:
+                idems.append(tuple(v))
+    prims = []
+    for e in idems:
+        primitive = True
+        for f in idems:
+            if f == e:
+                continue
+            if tuple(A.mult(list(e), list(f))) == f:
+                primitive = False
+                break
+        if primitive:
+            prims.append(e)
+    prims.sort(key=lambda u: tuple(F.encode(c) for c in u))
+    return prims
+
+
+def check_blocks_oracle(G, F, algebra=None, oracle_bound=ORACLE_BOUND):
     """Blocks from the splitter must equal the brute-force idempotent set."""
     start = time.monotonic()
     A = algebra if algebra is not None else class_sum_algebra(G, F)

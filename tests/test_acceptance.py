@@ -10,11 +10,7 @@ import time
 
 import pytest
 
-from blockposets.blocks import (
-    blocks,
-    brute_force_central_idempotents,
-    class_sum_algebra,
-)
+from blockposets.blocks import blocks, class_sum_algebra
 from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group, main, select_blocks
 from blockposets.commuting import block_geometry, clique_witness
@@ -39,7 +35,7 @@ from blockposets.verify import (
     check_theorem2,
 )
 
-from oracles import homology_betti_rational
+from oracles import brute_force_central_idempotents, homology_betti_rational
 
 ORACLE_EXPECTED_COUNTS = {
     "S3_p2": 2, "S3_p3": 1, "S4_p2": 1, "S5_p2": 2, "S7_p2_nonprincipal": 2,

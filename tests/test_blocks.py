@@ -3,12 +3,10 @@ import itertools
 import pytest
 
 from blockposets.blocks import (
-    ORACLE_BOUND,
     Block,
     CentralAlgebra,
     GroupAlgebraElement,
     blocks,
-    brute_force_central_idempotents,
     class_sum_algebra,
     primitive_idempotents,
 )
@@ -23,7 +21,13 @@ from blockposets.perms import (
     symmetric_group,
 )
 
-from oracles import conjugate_element
+from oracles import (
+    ORACLE_BOUND,
+    brute_force_central_idempotents,
+    conjugate_element,
+    dense_constants,
+    sparse_constants,
+)
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
@@ -216,8 +220,8 @@ class TestPrimitiveIdempotents:
             brute_force_central_idempotents(A, bound=10)
 
     def test_extension_field_oracle_generic_path(self):
-        # C6 over GF(4): 3 blocks; 4^6 candidates go through the generic
-        # (non-bitmask) enumeration
+        # C6 over GF(4): 3 blocks; the oracle squares its 4^6 candidates
+        # from the basis squares, two bits per coordinate
         A = class_sum_algebra(cyclic_group(6), ExtensionField(2, 2))
         prims = primitive_idempotents(A)
         assert len(prims) == 3
@@ -275,9 +279,11 @@ class TestBlocks:
         classes = list(reversed(A.classes))
         n = A.dim
         remap = {i: n - 1 - i for i in range(n)}
-        const = [[[A.const[remap[i]][remap[j]][remap[k]] for k in range(n)]
+        dense = dense_constants(A)
+        const = [[[dense[remap[i]][remap[j]][remap[k]] for k in range(n)]
                   for j in range(n)] for i in range(n)]
-        B = CentralAlgebra(G, GF2, classes, const)
+        B = CentralAlgebra(G, GF2, classes, sparse_constants(const, GF2))
+        assert B.identity_class == n - 1 - A.identity_class
         expanded_a = {A.expand(u).key() for u in primitive_idempotents(A)}
         expanded_b = {B.expand(u).key() for u in primitive_idempotents(B)}
         assert expanded_a == expanded_b

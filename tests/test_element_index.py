@@ -34,8 +34,10 @@ from blockposets.verify import _admissible_class, _eta_scan
 from oracles import (
     conjugate_element,
     conjugate_subgroup,
+    dense_constants,
     element_set,
     index_tables_by_products,
+    links_with_generators,
 )
 
 CASES = [("S3", 2), ("S4", 2), ("S5", 2), ("D8", 2), ("S6", 2), ("S7", 3)]
@@ -190,8 +192,10 @@ class TestElementIndex:
             assert (index.conj, index.right) == tables
             # the tree: every element but the identity is reached once, from
             # an element reached before it, by one generator
+            children, parents, via = index.tree
+            assert len(children) == len(parents) == len(via) == G.order - 1
             reached = {index.root}
-            for child, parent, t in index.tree:
+            for child, parent, t in zip(children, parents, via):
                 assert parent in reached and child not in reached
                 assert els[child] == els[parent] * G.generators[t]
                 reached.add(child)
@@ -247,7 +251,7 @@ class TestElementIndex:
     def test_trivial_group(self):
         T = PermGroup.trivial(3)
         index = T.element_index()
-        assert index.tree == [] and index.conj_column(0) == [0]
+        assert index.tree == ([], [], []) and index.conj_column(0) == [0]
         assert conjugacy_classes(T) == conjugacy_classes_by_products(T)
 
 
@@ -286,13 +290,13 @@ class TestScansAgainstProducts:
             assert list(subgroup_orbit_transversal(G, R).items()) == \
                 list(orbit.items())
             # the tree: each conjugate but R is its parent conjugated by one
-            # generator, and its g is the parent's times that generator
-            assert set(orbit.links) == set(orbit) - {G.element_index().key(R)}
-            for child, (parent, t) in orbit.links.items():
-                s = G.generators[t]
-                assert element_set(G, child) == \
-                    frozenset(x.conjugate(s) for x in element_set(G, parent))
-                assert orbit[child] == orbit[parent] * s
+            # generator, and its g is the parent's times that generator;
+            # the index recovers the generator the products find
+            index = G.element_index()
+            assert set(orbit.links) == set(orbit) - {index.key(R)}
+            for child, (parent, t) in links_with_generators(G, orbit).items():
+                assert index.generator_between(parent, child) == t
+                assert orbit[child] == orbit[parent] * G.generators[t]
 
     def test_conjugacy_classes(self, name, p):
         G = group_of(name)
@@ -302,11 +306,20 @@ class TestScansAgainstProducts:
         G = group_of(name)
         F = field_context(BIG_PRIME)
         A = class_sum_algebra(G, F)
-        assert A.const == class_counts_by_products(A.classes)
+        assert dense_constants(A) == class_counts_by_products(A.classes)
         Fp = field_context(p)
-        assert class_sum_algebra(G, Fp).const == [
+        B = class_sum_algebra(G, Fp)
+        assert dense_constants(B) == [
             [[Fp.from_int(c) for c in row] for row in plane]
-            for plane in A.const]
+            for plane in dense_constants(A)]
+        # only nonzero constants are stored, in increasing k
+        for C in (A, B):
+            for plane in C.const:
+                for pairs in plane:
+                    assert type(pairs) is tuple
+                    assert [k for k, _c in pairs] == \
+                        sorted({k for k, _c in pairs})
+                    assert all(c != C.field.zero for _k, c in pairs)
 
 
 # -- eta, the fusion maps and the pair action on the corpus ---------------------

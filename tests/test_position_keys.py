@@ -4,7 +4,8 @@
 the increasing tuple of its elements' positions in G.  The oracle names
 every conjugate by the frozenset of its elements instead.  Read as element
 sets, the keys must give the same conjugates in the same BFS order, with
-the same g and the same links; and `GroupContext.locate` and
+the same g and the same links, each link's generator recovered from its
+parent and child; and `GroupContext.locate` and
 `_conjugate_into`, which probe the orbits with position keys, must agree
 with what the named orbits say.
 """
@@ -18,7 +19,12 @@ from blockposets.cli import PRESETS, build_group
 from blockposets.gf import PrimeField
 from blockposets.perms import p_subgroups_up_to_conjugacy, symmetric_group
 
-from oracles import conjugate_subgroup, element_set, subgroup_orbit_transversal
+from oracles import (
+    conjugate_subgroup,
+    element_set,
+    links_with_generators,
+    subgroup_orbit_transversal,
+)
 
 
 def relabelled(n, seed):
@@ -59,13 +65,18 @@ def test_orbits_match_the_named_oracle(case):
         for key, g in orbit.items():
             assert type(key) is tuple and list(key) == sorted(set(key))
             assert g is G.elements[index.pos[g]]      # G's own element
-        # the same links, in the same order, on the orbit's own keys
+        # the same links, in the same order, on the orbit's own keys, with
+        # the generator the oracle's BFS recorded: the first that carries
+        # the parent to the child, found by products and by the index
+        recovered = links_with_generators(G, orbit)
         assert [(element_set(G, child), (element_set(G, parent), t))
-                for child, (parent, t) in orbit.links.items()] == \
+                for child, (parent, t) in recovered.items()] == \
             list(oracle.links.items())
+        assert all(index.generator_between(parent, child) == t
+                   for child, (parent, t) in recovered.items())
         keys = {id(key) for key in orbit}
         assert all(id(child) in keys and id(parent) in keys
-                   for child, (parent, _t) in orbit.links.items())
+                   for child, parent in orbit.links.items())
         assert next(iter(orbit)) == index.key(R)
 
 
