@@ -9,8 +9,8 @@ Group specs are preset names (S3..S7, D8) or JSON records:
 Exit status of `verify`: 0 all pass, 1 at least one failure, 2 skips but no
 failure.  Every command exits with status 2 and one line on stderr when its
 input is bad (a malformed group spec, a prime that is not prime, an unknown
-or repeated check, an unknown block selector, a field degree or
---max-elements below 1, a negative --max-simplices).  Reports are
+or repeated check, an unknown block selector, a field degree,
+--max-elements or --min below 1, a negative --max-simplices).  Reports are
 deterministic JSON; wall-clock timings are only embedded with --timings
 (they would break byte-for-byte reproducibility).
 """
@@ -323,7 +323,6 @@ def cmd_poset(args):
         _bad_input("poset export needs exactly one block; "
                   "use --block principal|nonprincipal|<index>")
     ctx = BlockContext(group, selected[0])
-    orbit_of = None
     if args.which in ("A", "K", "K-orbit"):
         geom = block_geometry(ctx, max_elements=args.max_elements)
         if args.which == "A":
@@ -341,12 +340,8 @@ def cmd_poset(args):
         poset = IsoClassPoset(CommutingCategory(fs)).poset
     else:
         _bad_input(f"unknown poset kind {args.which!r}")
-    if isinstance(poset, GPoset):
-        orbits = poset.orbits()
-        orbit_of = [0] * poset.n
-        for idx, orb in enumerate(orbits):
-            for x in orb:
-                orbit_of[x] = idx
+    orbit_of = (poset.orbit_walk.orbit_of if isinstance(poset, GPoset)
+                else None)
     if args.format == "dot":
         _emit(poset.to_dot(orbit_of), args.out)
     else:
@@ -384,6 +379,8 @@ def _check_numeric_flags(args):
         _bad_input("--max-elements must be >= 1")
     if getattr(args, "max_simplices", 0) < 0:
         _bad_input("--max-simplices must be >= 0")
+    if getattr(args, "min", 1) < 1:
+        _bad_input("--min must be >= 1")
 
 
 def _emit(text, out):

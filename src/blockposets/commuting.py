@@ -22,7 +22,8 @@ with the mask of the family subgroups holding every member.  Adding a
 vertex v keeps A when v lies in A.  Otherwise v commutes with A, so
 <A, v> = A x <v> has order p|A|, and it is the one family subgroup of that
 order holding both; when there is none the product has zero Brauer image
-and the clique is cut.
+and the clique is cut.  The commuting category finds its objects and their
+products with the same walk, `product_walk`.
 
 The commuting poset holds no Python container or string per element: an
 element is (kappa as a bitmask of vertex ids, pair index), and its label is
@@ -125,6 +126,60 @@ def product_subgroup(members, label=""):
     return PermGroup.from_generators(degree, gens, label=label)
 
 
+def product_walk(family, p):
+    """(vertices, adjacency, vmask, cliques) of a family of elementary
+    abelian p-subgroups: the order-p members in canonical order, their
+    adjacency, the mask of the vertices inside each member, and an iterator
+    over (kappa, its mask, its product's family index) in iter_cliques
+    order, cutting each clique whose product is not a member."""
+    vertices = sorted((S for S in family if S.order == p), key=PermGroup.key)
+    adjacency = commuting_adjacency(vertices)
+    # the vertices inside each family subgroup, read off its elements past
+    # the first, the identity
+    vertex_of = {x: v for v, V in enumerate(vertices) for x in V.elements[1:]}
+    vmask = []
+    for S in family:
+        mask = 0
+        for x in S.elements[1:]:
+            v = vertex_of.get(x)
+            if v is None:
+                raise TheoryViolation(
+                    "element of a family subgroup lies in no vertex",
+                    witness=x.cycle_string())
+            mask |= 1 << v
+        vmask.append(mask)
+    # family subgroups by order, and those containing each vertex
+    of_order = {}
+    holding = [0] * len(vertices)
+    for f, S in enumerate(family):
+        of_order[S.order] = of_order.get(S.order, 0) | 1 << f
+        for v in iter_bits(vmask[f]):
+            holding[v] |= 1 << f
+
+    def grow(state, v):
+        # state: (the product A as a family index, the family subgroups
+        # holding every member, kappa's mask); <A, v> is A when v lies in
+        # A, else the family subgroup of order p|A| holding A and v, if any
+        A, above, kmask = state
+        if A is None or not (vmask[A] >> v) & 1:
+            above &= holding[v]
+            order = p * (family[A].order if A is not None else 1)
+            hit = above & of_order.get(order, 0)
+            if not hit:
+                return None
+            if hit & (hit - 1):
+                raise TheoryViolation(
+                    "two family subgroups generated by a clique",
+                    witness=vertices[v].generators[0].cycle_string())
+            A = hit.bit_length() - 1
+        return A, above, kmask | 1 << v
+
+    start = (None, (1 << len(family)) - 1, 0)
+    cliques = ((kappa, kmask, A) for kappa, (A, _above, kmask)
+               in iter_cliques(adjacency, grow, start))
+    return vertices, adjacency, vmask, cliques
+
+
 def elementary_abelian_family(ctx):
     """Every nontrivial elementary abelian subgroup with nonzero Brauer image."""
     family = []
@@ -224,53 +279,8 @@ def _commuting_elements(ctx, apairs, max_elements):
         slot.append(len(pairs_at[f]))
         pairs_at[f].append(i)
         family_of_pair.append(f)
-    # vertices: the order-p members of the family
-    vertices = sorted((S for S in family if S.order == ctx.p),
-                      key=PermGroup.key)
+    vertices, adj, vmask, cliques = product_walk(family, ctx.p)
     vindex = {Q.element_set: i for i, Q in enumerate(vertices)}
-    adj = commuting_adjacency(vertices)
-    # the vertices inside each family subgroup, read off its elements
-    identity = ctx.G.identity()
-    vertex_of = {x: v for v, V in enumerate(vertices)
-                 for x in V.elements if x != identity}
-    vmask = []
-    for S in family:
-        mask = 0
-        for x in S.elements:
-            if x != identity:
-                v = vertex_of.get(x)
-                if v is None:
-                    raise TheoryViolation(
-                        "element of a family subgroup lies in no vertex",
-                        witness=x.cycle_string())
-                mask |= 1 << v
-        vmask.append(mask)
-    # family subgroups by order, and those containing each vertex
-    of_order = {}
-    holding = [0] * len(vertices)
-    for f, S in enumerate(family):
-        of_order[S.order] = of_order.get(S.order, 0) | 1 << f
-        for v in iter_bits(vmask[f]):
-            holding[v] |= 1 << f
-
-    def brauer_prune(state, v):
-        # state: (the product A as a family index, the family subgroups
-        # holding every member, kappa's mask); <A, v> is A when v lies in
-        # A, else the family subgroup of order p|A| holding A and v, if any
-        A, above, kmask = state
-        if A is None or not (vmask[A] >> v) & 1:
-            above &= holding[v]
-            order = ctx.p * (family[A].order if A is not None else 1)
-            hit = above & of_order.get(order, 0)
-            if not hit:
-                return None
-            if hit & (hit - 1):
-                raise TheoryViolation(
-                    "two family subgroups generated by a clique",
-                    witness=vertices[v].generators[0].cycle_string())
-            A = hit.bit_length() - 1
-        return A, above, kmask | 1 << v
-
     # Cliques come in depth-first preorder of increasing tuples, which is
     # lexicographic order, and each pairs_at list is increasing: elements
     # arrive sorted by (sorted kappa, pair index), those of one kappa
@@ -278,8 +288,7 @@ def _commuting_elements(ctx, apairs, max_elements):
     elements = []
     first_of = {}               # kappa mask -> index of its first element
     containing = [0] * len(vertices)    # the elements whose kappa holds v
-    start = (None, (1 << len(family)) - 1, 0)
-    for kappa, (A, _above, kmask) in iter_cliques(adj, brauer_prune, start):
+    for kappa, kmask, A in cliques:
         first = first_of[kmask] = len(elements)
         for pid in pairs_at[A]:
             elements.append((kmask, pid))

@@ -4,11 +4,13 @@ Fixing a maximal pair (P, e_P) of a block, the fusion system F on P has as
 morphisms Q -> R the conjugation maps x -> x^g whose action transports the
 unique pair below (P, e_P) at Q to the one at the image subgroup.  The
 commuting category has as objects the nonempty pairwise-commuting sets of
-order-p subgroups of P, with morphisms the fusion maps of the products that
-send members to members, read off F once per object; closure under
-composition is certified on F itself.  Every endomorphism is required to be
-invertible (checked, not assumed), which makes the hom-nonempty relation on
-isomorphism classes a partial order.
+order-p subgroups of P, each with its product found among the elementary
+abelian subgroups of F's family by the commuting poset's clique walk
+(`commuting.product_walk`).  Its morphisms are the fusion maps of the
+products that send members to members, read off F once per object; closure
+under composition is certified on F itself.  Every endomorphism is required
+to be invertible (checked, not assumed), which makes the hom-nonempty
+relation on isomorphism classes a partial order.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_
 
-from .commuting import commuting_adjacency, iter_cliques, product_subgroup
+from .commuting import product_walk
 from .errors import TheoryViolation
-from .perms import all_subgroups, order_p_subgroups
+from .perms import all_subgroups
 from .topology import Poset, iter_bits
 
 
@@ -118,6 +120,8 @@ class FusionSystem:
 class CommutingCategory:
     """Objects: nonempty commuting sets of order-p subgroups of P.
 
+    product_walk finds the objects over the elementary abelian members of
+    F's family, in lexicographic order, with each product P_i a member.
     Read off F once per object i: maps_out[i] holds the maps psi of F out of
     the product P_i in key order, each with the object t = psi(kappa_i)
     (asserted to be one), and keys_out[i] their keys.  The morphisms i -> j
@@ -131,14 +135,15 @@ class CommutingCategory:
     """
 
     def __init__(self, fusion):
-        self.vertices = order_p_subgroups(fusion.P, fusion.ctx.p)
+        p = fusion.ctx.p
+        family = [S for S in fusion.family
+                  if S.order > 1 and S.is_elementary_abelian(p)[0]]
+        self.vertices, _adj, _vmask, cliques = product_walk(family, p)
         self._names = [Q.generators[0].cycle_string() for Q in self.vertices]
-        adj = commuting_adjacency(self.vertices)
-        objects = [frozenset(kappa) for kappa, _ in iter_cliques(adj)]
-        objects.sort(key=sorted)
-        self.objects = objects
-        self.products = [product_subgroup([self.vertices[v] for v in obj])
-                         for obj in objects]
+        self.objects, self.products = objects, products = [], []
+        for kappa, _kmask, f in cliques:
+            objects.append(frozenset(kappa))
+            products.append(family[f])
         maps, keys = {}, {}          # product element set -> maps out, keys
         for A in self.products:
             if A.element_set not in maps:

@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from functools import cached_property
 
 from .errors import SizeLimitExceeded, TheoryViolation
 
@@ -201,6 +202,9 @@ class Poset:
         return "\n".join(lines) + "\n"
 
 
+OrbitWalk = namedtuple("OrbitWalk", "order parent via orbit_of")
+
+
 class GPoset(Poset):
     """A poset with a group acting by order-automorphisms.
 
@@ -231,48 +235,57 @@ class GPoset(Poset):
                             "generator action is not an order-automorphism",
                             witness=(self.labels[i], self.labels[j]))
 
+    @cached_property
+    def orbit_walk(self):
+        """The orbit BFS, walked on first read and kept: order lists the
+        elements as visited, each orbit breadth first from its least element
+        along the generators in turn; order[k] is action[via[k]] applied to
+        order[parent[k]], both -1 at an orbit's first element; orbit_of[x]
+        numbers x's orbit."""
+        order, parent, via = array("i"), array("i"), array("i")
+        orbit_of = [-1] * self.n
+        orbits = 0
+        for start in range(self.n):
+            if orbit_of[start] < 0:
+                orbit_of[start] = orbits
+                k = len(order)
+                order.append(start)
+                parent.append(-1)
+                via.append(-1)
+                while k < len(order):       # order is the BFS queue
+                    for t, a in enumerate(self.action):
+                        y = a[order[k]]
+                        if orbit_of[y] < 0:
+                            orbit_of[y] = orbits
+                            order.append(y)
+                            parent.append(k)
+                            via.append(t)
+                    k += 1
+                orbits += 1
+        return OrbitWalk(order, parent, via, orbit_of)
+
     def orbits(self):
         """Orbits of the generated group, each a sorted tuple, in order of min."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                new = []
-                for x in frontier:
-                    for a in self.action:
-                        y = a[x]
-                        if y not in orbit:
-                            orbit.add(y)
-                            new.append(y)
-                frontier = new
-            for x in orbit:
-                seen[x] = True
-            out.append(tuple(sorted(orbit)))
-        return out
+        out = [[] for _ in range(self.orbit_walk.parent.count(-1))]
+        for x, orbit in enumerate(self.orbit_walk.orbit_of):
+            out[orbit].append(x)
+        return [tuple(orbit) for orbit in out]
 
 
 def orbit_poset(X):
     """The quotient poset of orbits; [x] <= [y] iff some representatives compare.
 
-    Returns (poset, orbit_of).  Reflexivity and transitivity of the orbit
-    relation are automatic for a group acting by order-automorphisms;
-    antisymmetry is asserted by the Poset constructor and failure raises
-    with a witness.
+    Returns (poset, orbit_of), read off X's orbit walk.  The group acts by
+    order-automorphisms, so x^h <= y iff x <= y^(h^-1): the orbits above
+    [x] are those met by the up-set of any one member, and one up-set per
+    orbit is read.  Reflexivity and transitivity of the orbit relation are
+    automatic; antisymmetry is asserted by the Poset constructor and failure
+    raises with a witness.
     """
     orbits = X.orbits()
-    orbit_of = [0] * X.n
-    for idx, orb in enumerate(orbits):
-        for x in orb:
-            orbit_of[x] = idx
-    m = len(orbits)
-    up = [1 << i for i in range(m)]
-    for i in range(X.n):
-        for j in iter_bits(X.up[i]):
-            up[orbit_of[i]] |= 1 << orbit_of[j]
+    orbit_of = X.orbit_walk.orbit_of
+    up = [sum({1 << orbit_of[j] for j in iter_bits(X.up[orb[0]])})
+          for orb in orbits]
     labels = [f"[{X.labels[orb[0]]}] x{len(orb)}" for orb in orbits]
     return Poset(labels, up), orbit_of
 
@@ -400,14 +413,10 @@ def face_poset(C):
 
 
 class SNFResult:
-    __slots__ = ("diagonal", "rows", "cols", "U", "V")
+    __slots__ = ("diagonal",)
 
-    def __init__(self, diagonal, rows, cols, U, V):
+    def __init__(self, diagonal):
         self.diagonal = diagonal  # invariant factors d_1 | d_2 | ..., all > 0
-        self.rows = rows
-        self.cols = cols
-        self.U = U                # unimodular row transform, U M V = diag
-        self.V = V                # (both None unless transforms were asked)
 
     @property
     def rank(self):
@@ -417,7 +426,7 @@ class SNFResult:
         return [d for d in self.diagonal if d > 1]
 
 
-def smith_normal_form(matrix, rows, cols, need_transforms=False):
+def smith_normal_form(matrix, rows, cols):
     """Smith normal form of a sparse integer matrix, given as its rows: a
     list of `rows` dicts {column: value}, columns in 0..cols-1.  The rows
     are reduced in place, so the matrix is used up.
@@ -432,9 +441,7 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
     least-|value| entries with least fill-in, so entry growth stays tame.
     Invariant factors are unique and the 1s lead the divisibility chain, so
     the diagonal is the same as without the sweep.  All arithmetic is plain
-    Python int (arbitrary precision).  When need_transforms is set, dense
-    unimodular U (rows x rows) and V (cols x cols) with U M V diagonal are
-    returned as well.
+    Python int (arbitrary precision).
     """
     if len(matrix) != rows:
         raise ValueError(f"{len(matrix)} rows given for a matrix of {rows}")
@@ -446,10 +453,6 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
                 del r[j]
         for j in r:
             col.setdefault(j, set()).add(i)
-    U = [[1 if a == b else 0 for b in range(rows)] for a in range(rows)] \
-        if need_transforms else None
-    V = [[1 if a == b else 0 for b in range(cols)] for a in range(cols)] \
-        if need_transforms else None
 
     def row_addmul(dst, src, c):
         """row[dst] += c * row[src]"""
@@ -464,9 +467,6 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
             elif j in dst_row:
                 del dst_row[j]
                 col[j].discard(dst)
-        if U is not None:
-            for b in range(rows):
-                U[dst][b] += c * U[src][b]
 
     def row_combine(i0, i1, x, y, z, w):
         """(row[i0], row[i1]) <- (x row[i0] + y row[i1], z row[i0] + w row[i1])"""
@@ -487,11 +487,6 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
             if n1:
                 members.add(i1)
         row[i0], row[i1] = new0, new1
-        if U is not None:
-            for b in range(rows):
-                a0, a1 = U[i0][b], U[i1][b]
-                U[i0][b] = x * a0 + y * a1
-                U[i1][b] = z * a0 + w * a1
 
     def col_addmul(dst, src, c):
         if c == 0:
@@ -505,9 +500,6 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
             elif dst in row[i]:
                 del row[i][dst]
                 col[dst].discard(i)
-        if V is not None:
-            for a in range(cols):
-                V[a][dst] += c * V[a][src]
 
     def col_combine(j0, j1, x, y, z, w):
         touched = col.get(j0, set()) | col.get(j1, set())
@@ -522,11 +514,6 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
                 elif j in row[i]:
                     del row[i][j]
                     col[j].discard(i)
-        if V is not None:
-            for a in range(cols):
-                a0, a1 = V[a][j0], V[a][j1]
-                V[a][j0] = x * a0 + y * a1
-                V[a][j1] = z * a0 + w * a1
 
     diagonal = []
     done_rows = set()
@@ -628,7 +615,7 @@ def smith_normal_form(matrix, rows, cols, need_transforms=False):
         diagonal.append(abs(p))
         done_rows.add(i0)
         done_cols.add(j0)
-    return SNFResult(diagonal, rows, cols, U, V)
+    return SNFResult(diagonal)
 
 
 def _bezout(a, b):

@@ -22,6 +22,7 @@ format of the command line interface.  The suites:
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from . import __version__
 from .brauer import BlockContext
@@ -239,139 +240,138 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     the orbit must not depend on the member chosen in the class (asserted).
 
     eta: a commuting-poset element conjugates into P by some g aligning its
-    pair with the one below the maximal pair; the class of the image object
-    is eta of its orbit.  For the element's pair (Q, e), conjugation by g
-    acts on Q, on the members of kappa (which lie in Q) and on e only
-    through the coset C_G(Q) g, since e^(cg) = e^g for c in C_G(Q).  So both
-    admissibility and the class are constant on each coset.  The scan and
-    the transport divide the work:
-
-    * on each orbit's representative, its least element index, the first g
-      of every coset C_G(Q) g that conjugates Q into P is tried
-      (_eta_scan); the admissible ones must all give one class, which by
-      the coset argument covers every g in G (independence of g, asserted),
-      and the first admissible g0 is kept: the first admissible g of G;
-    * the other members are reached by walking the orbit along the poset
-      action, one generator at a time, carrying h with el = rep^h.  Each gets
-      the single candidate h^-1 g0, which must pass the same admissibility
-      test as the scan and give the representative's class.
-
-    A candidate that fails the test or gives another class raises
-    TheoryViolation, so every element's class is still read off a conjugation
-    checked on its own data, whatever the action says.
+    pair (Q, e) with the one below the maximal pair; the class of the image
+    object is eta of its orbit.  g acts on Q, on kappa's members (inside Q)
+    and on e only through the coset C_G(Q) g, as e^(cg) = e^g for c in
+    C_G(Q), so admissibility and the class are constant on each coset.
+    Along the commuting poset's orbit walk (GPoset.orbit_walk), an orbit's
+    first element tries one g per coset (_eta_scan): the admissible ones
+    must give one class (asserted), and the first is kept with its map
+    Q -> P on G's element positions.  Every other element y = x^t carries
+    x's map through t's conjugation table, image_y[z^t] = image_x[z], with
+    the one candidate g_y = t^-1 g_x, which must pass the same test on y's
+    own data and give the orbit's class, else TheoryViolation is raised,
+    whatever the action says.  Maps are kept only for the walk's queue.
     """
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
     aindex = {pr.ident(): i for i, pr in enumerate(geom.apairs.pairs)}
     kindex = {ke: i for i, ke in enumerate(geom.elements)}
-
-    def object_to_element(obj_idx):
-        kmask = sum(1 << vindex[cat.vertices[v].element_set]
-                    for v in cat.objects[obj_idx])
-        prod = cat.products[obj_idx]
-        pair = fs.sub_pair[prod.element_set]
-        return kindex[(kmask, aindex[pair.ident()])]
-
     forward = [None] * icp.n
-    for obj_idx in range(len(cat.objects)):
+    for obj_idx, obj in enumerate(cat.objects):
+        kmask = sum(1 << vindex[cat.vertices[v].element_set] for v in obj)
+        pair = fs.sub_pair[cat.products[obj_idx].element_set]
+        orbit = orbit_of[kindex[kmask, aindex[pair.ident()]]]
         cls = icp.class_of[obj_idx]
-        orbit = orbit_of[object_to_element(obj_idx)]
         if forward[cls] is None:
             forward[cls] = orbit
         elif forward[cls] != orbit:
             raise TheoryViolation("class members land in different orbits",
                                   witness=cat.object_label(obj_idx))
 
-    class_through = _admissible_class(geom, fs, cat, icp)
-    kposet = geom.kposet
-    steps = list(zip(ctx.G.generators, kposet.action))
+    class_through = _admissible_class(ctx, geom, fs, cat, icp)
+    walk = geom.kposet.orbit_walk
+    conj = ctx.G.element_index().conj
+    inverses = [t.inverse() for t in ctx.G.generators]
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []
-    conj = {}                       # element -> h with element = rep^h
-    for rep in range(kposet.n):
-        if rep in conj:
-            continue
-        orbit = orbit_of[rep]
-        eta[orbit], g0 = _eta_scan(ctx.G, geom, fs, class_through, rep)
-        conj[rep] = ctx.G.identity()
-        frontier = [rep]
-        while frontier:
-            new = []
-            for x in frontier:
-                for gen, perm in steps:
-                    y = perm[x]
-                    if y in conj:
-                        continue
-                    h = conj[y] = conj[x] * gen
-                    new.append(y)
-                    cls = class_through(y, h.inverse() * g0)
-                    if cls is None:
-                        raise TheoryViolation(
-                            "transported conjugation is not admissible",
-                            witness=kposet.labels[y])
-                    if cls != eta[orbit]:
-                        raise TheoryViolation("eta differs across an orbit",
-                                              witness=kposet.labels[y])
-            frontier = new
+    scans = {}                      # subgroup -> its coset conjugators into P
+    queue = deque()                 # (walk position, map, g), not stepped from
+    for k, (y, parent, t) in enumerate(zip(walk.order, walk.parent,
+                                            walk.via)):
+        orbit = orbit_of[y]
+        if parent < 0:
+            eta[orbit], image, g = _eta_scan(ctx.G, geom, fs, class_through,
+                                             y, scans)
+            queue.clear()
+        else:
+            while queue[0][0] != parent:
+                queue.popleft()
+            _k, image_x, g_x = queue[0]
+            image = _carry(image_x, conj[t])
+            g = inverses[t] * g_x
+            cls = class_through(y, image, g)
+            if cls is None:
+                raise TheoryViolation(
+                    "transported conjugation is not admissible",
+                    witness=geom.kposet.labels[y])
+            if cls != eta[orbit]:
+                raise TheoryViolation("eta differs across an orbit",
+                                      witness=geom.kposet.labels[y])
+        queue.append((k, image, g))
     return forward, eta
 
 
-def _admissible_class(geom, fs, cat, icp):
-    """class_through(el_idx, g): the class of the commuting-poset element
-    conjugated by g, or None if g is not admissible: Q^g <= P, the idempotent
-    matches the pair below the maximal pair, and the conjugated members form
-    an object.  The members lie in Q, so their images are read off the map
-    x -> x^g on Q's elements."""
-    object_index = {obj: i for i, obj in enumerate(cat.objects)}
-    cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
-    pset = fs.P.element_set
+def _carry(image, table):
+    """A map out of Q carried to Q^t along t's conjugation table."""
+    return {table[z]: w for z, w in image.items()}
 
-    def class_through(el_idx, g):
+
+def _admissible_class(ctx, geom, fs, cat, icp):
+    """class_through(el_idx, image, g): the class of the commuting-poset
+    element conjugated by g, or None if g is not admissible.  image is the
+    map x -> x^g on the element's subgroup Q, on G's element positions: it
+    must be defined on Q and onto a subgroup of P, the conjugated idempotent
+    must be the pair below the maximal pair there, and the images of the
+    members, each the vertex holding its generator's image, an object."""
+    index = ctx.G.element_index()
+    domains = [frozenset(index.key(pr.subgroup)) for pr in geom.apairs.pairs]
+    pair_at = {index.key(S): fs.sub_pair[S.element_set] for S in fs.family}
+    vertex_at = {index.pos[x]: v for v, V in enumerate(cat.vertices)
+                 for x in V.elements[1:]}
+    member = [index.pos[V.generators[0]] for V in geom.vertices]
+    object_index = {sum(1 << v for v in obj): i
+                    for i, obj in enumerate(cat.objects)}
+
+    def class_through(el_idx, image, g):
         kmask, pid = geom.elements[el_idx]
-        pair = geom.apairs.pairs[pid]
-        Q = pair.subgroup
-        ginv = g.inverse()
-        image_of = {x: x.conjugate(g, ginv) for x in Q.elements}
-        if any(image_of[x] not in pset for x in Q.generators):
+        if image.keys() != domains[pid]:
             return None
-        image = frozenset(image_of.values())
-        if not pair.idempotent.conjugates_to(g, fs.sub_pair[image].idempotent):
+        target = pair_at.get(tuple(sorted(image.values())))
+        if target is None:
             return None
-        obj = frozenset(
-            cat_vertex.get(frozenset([image_of[x]
-                                      for x in geom.vertices[v].elements]))
-            for v in iter_bits(kmask))
+        obj = 0
+        for v in iter_bits(kmask):
+            w = vertex_at.get(image.get(member[v]))
+            if w is None:
+                return None
+            obj |= 1 << w
         obj_idx = object_index.get(obj)
-        return None if obj_idx is None else icp.class_of[obj_idx]
+        e = geom.apairs.pairs[pid].idempotent
+        if obj_idx is None or not e.conjugates_to(g, target.idempotent):
+            return None
+        return icp.class_of[obj_idx]
 
     return class_through
 
 
-def _eta_scan(G, geom, fs, class_through, el_idx):
-    """(class, first admissible g) of a commuting-poset element over G.
+def _eta_scan(G, geom, fs, class_through, el_idx, scans):
+    """(class, map, first admissible g) of a commuting-poset element over G.
 
     class_through is constant on each coset C_G(Q) g of the element's
     subgroup Q (see _theorem2_maps), so it runs once per coset: on the first
     g, in G's order, of each coset that conjugates Q's generators into P,
-    read off G's element index.  The first admissible one of these is the
-    first admissible g of G.
+    read off G's element index and kept in scans for the next element at
+    Q.  The first admissible one of these is the first admissible g of G.
     """
-    pair = geom.apairs.pairs[geom.elements[el_idx][1]]
-    results = set()
-    g0 = None
-    for g in G.element_index().coset_conjugators(pair.subgroup.generators,
-                                                 fs.P.elements):
-        cls = class_through(el_idx, g)
-        if cls is None:
-            continue
-        results.add(cls)
-        if g0 is None:
-            g0 = g
-    if not results:
+    Q = geom.apairs.pairs[geom.elements[el_idx][1]].subgroup
+    index = G.element_index()
+    if Q.element_set not in scans:
+        scans[Q.element_set] = index.coset_conjugators(Q.generators,
+                                                       fs.P.elements)
+    found = []
+    for g in scans[Q.element_set]:
+        ginv = g.inverse()
+        image = {index.pos[x]: index.pos[x.conjugate(g, ginv)]
+                 for x in Q.elements}
+        cls = class_through(el_idx, image, g)
+        if cls is not None:
+            found.append((cls, image, g))
+    if not found:
         raise TheoryViolation("no conjugation into the maximal pair found",
                               witness=geom.kposet.labels[el_idx])
-    if len(results) > 1:
+    if len({cls for cls, _image, _g in found}) > 1:
         raise TheoryViolation("eta depends on the chosen conjugation",
                               witness=geom.kposet.labels[el_idx])
-    return results.pop(), g0
+    return found[0]
 
 
 def check_principal_clique_complex(ctx, geom):

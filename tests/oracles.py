@@ -1,7 +1,9 @@
 """Independent oracles that only the tests call.
 
 * Betti numbers from ranks over the rationals, by dense Fraction
-  elimination, against the Smith-form route of `topology.homology`;
+  elimination, against the Smith-form route of `topology.homology`, and
+  invariant factors from the gcds of k x k minors (determinantal
+  divisors), against the diagonal of `topology.smith_normal_form`;
 * the boundary maps as {(row, column): sign} dicts with their composite
   check, against the row dicts that `topology.boundary_matrices` hands to
   the Smith form, and the conversion of a hand-written {(i, j): value}
@@ -26,6 +28,7 @@
 """
 
 import itertools
+import math
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -142,6 +145,44 @@ def row_dicts(entries, rows):
 def entries_of(rows):
     """A matrix given as row dicts, back as {(i, j): value}."""
     return {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+
+
+def _det(M):
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    M = [list(row) for row in M]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def invariant_factors_by_minors(entries, rows, cols):
+    """The invariant factors of a {(i, j): value} matrix from its
+    determinantal divisors: d_1 ... d_k is the gcd D_k of all k x k minors,
+    so d_k = D_k / D_(k-1), for every k with D_k != 0."""
+    M = [[entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+    out = []
+    prev = 1
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                g = math.gcd(g, _det([[M[i][j] for j in cs] for i in rs]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
 
 
 def subgroup_orbit_transversal(G, H):

@@ -212,6 +212,36 @@ class TestAgainstPairwiseCategory:
         assert classes_seen > 50
 
 
+def test_family_short_one_elementary_abelian_subgroup_is_caught(
+        systems, monkeypatch):
+    """Drop one nontrivial elementary abelian subgroup from F's family, for
+    each such subgroup of each S4, S5 and S6 block at p=2: the category
+    build raises, or its objects and products differ from the pairwise
+    category's, which finds its products by closure."""
+    cases = 0
+    for name, fs, old in systems:
+        if name.split("/")[0] not in ("S4_p2", "S5_p2", "S6_p2"):
+            continue
+        family = fs.family
+        products = [A.element_set for A in old.products]
+        for k, S in enumerate(family):
+            if S.order == 1 or not S.is_elementary_abelian(2)[0]:
+                continue
+            monkeypatch.setattr(fs, "family", family[:k] + family[k + 1:])
+            try:
+                cat = CommutingCategory(fs)
+            except TheoryViolation:
+                pass
+            else:
+                assert (cat.objects, [A.element_set for A in cat.products]) \
+                    != (old.objects, products), (name, S.label)
+            cases += 1
+        monkeypatch.setattr(fs, "family", family)
+        assert [A.element_set for A in CommutingCategory(fs).products] == \
+            products
+    assert cases == 41
+
+
 def test_single_map_deletions_raise_alike(systems, monkeypatch):
     """Delete one map of F out of one product, on every block of S4, S5 and
     S6 at p=2: the certificate raises exactly when the triples loop does.

@@ -151,6 +151,15 @@ class TestBadInput:
         assert exc.value.code == 2
         assert capsys.readouterr().err.strip() == f"blockposets: {reason}"
 
+    @pytest.mark.parametrize("low", ["0", "-1"])
+    def test_find_dihedral_block_refuses_min_below_one(self, low, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["find-dihedral-block", "--min", low, "--max", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "blockposets: --min must be >= 1\n"
+
     def test_zero_simplex_bound_is_allowed(self, capsys):
         # a zero bound skips homology as a resource bound; it is not bad input
         rc = main(["verify", "--group", "S3", "--block", "principal",

@@ -115,17 +115,21 @@ def class_counts_by_products(classes):
 
 
 def eta_scan_by_products(G, geom, class_through, el_idx):
+    Q = geom.apairs.pairs[geom.elements[el_idx][1]].subgroup
+    pos = G.element_index().pos
     results = set()
-    g0 = None
+    first = None
     for g in G.elements:
-        cls = class_through(el_idx, g)
+        ginv = g.inverse()
+        image = {pos[x]: pos[ginv * x * g] for x in Q.elements}
+        cls = class_through(el_idx, image, g)
         if cls is None:
             continue
         results.add(cls)
-        if g0 is None:
-            g0 = g
+        if first is None:
+            first = image, g
     assert len(results) == 1
-    return results.pop(), g0
+    return (results.pop(),) + first
 
 
 def maps_from_by_products(fs, Q):
@@ -336,12 +340,14 @@ class TestCorpusScans:
             if icp.n == 0:
                 continue
             _quotient, orbit_of = orbit_poset(geom.kposet)
-            class_through = _admissible_class(geom, fs, cat, icp)
+            class_through = _admissible_class(ctx, geom, fs, cat, icp)
             reps = {}
             for el in range(geom.kposet.n):
                 reps.setdefault(orbit_of[el], el)
+            scans = {}
             for rep in reps.values():
-                assert _eta_scan(ctx.G, geom, fs, class_through, rep) == \
+                assert _eta_scan(ctx.G, geom, fs, class_through, rep,
+                                 scans) == \
                     eta_scan_by_products(ctx.G, geom, class_through, rep), \
                     (name, rep)
                 checked += 1

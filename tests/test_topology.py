@@ -21,7 +21,12 @@ from blockposets.topology import (
     smith_normal_form,
 )
 
-from oracles import homology_betti_rational, rank_over_rationals, row_dicts
+from oracles import (
+    homology_betti_rational,
+    invariant_factors_by_minors,
+    rank_over_rationals,
+    row_dicts,
+)
 
 
 def chain_poset(n):
@@ -175,32 +180,15 @@ class TestSmithNormalForm:
                 assert b % a == 0
             assert all(d > 0 for d in snf.diagonal)
 
-    def test_transforms_reconstruct(self):
+    def test_diagonal_matches_determinantal_divisors(self):
         rng = random.Random(77)
         for _ in range(40):
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
             entries = {(i, j): rng.randrange(-6, 7)
                        for i in range(rows) for j in range(cols)}
-            snf = smith_normal_form(row_dicts(entries, rows), rows, cols,
-                                    need_transforms=True)
-            # U M V must be the diagonal, with unimodular U, V
-            M = [[entries.get((i, j), 0) for j in range(cols)] for i in range(rows)]
-            UM = _mat_mul_int(snf.U, M)
-            UMV = _mat_mul_int(UM, snf.V)
-            expect = [[0] * cols for _ in range(rows)]
-            got_nonzero = []
-            for i in range(rows):
-                for j in range(cols):
-                    if UMV[i][j]:
-                        got_nonzero.append(abs(UMV[i][j]))
-            assert sorted(got_nonzero) == sorted(snf.diagonal)
-            # each nonzero sits in its own row and column
-            for i in range(rows):
-                assert sum(1 for j in range(cols) if UMV[i][j]) <= 1
-            for j in range(cols):
-                assert sum(1 for i in range(rows) if UMV[i][j]) <= 1
-            assert abs(_det_int(snf.U)) == 1
-            assert abs(_det_int(snf.V)) == 1
+            snf = smith_normal_form(row_dicts(entries, rows), rows, cols)
+            assert snf.diagonal == \
+                invariant_factors_by_minors(entries, rows, cols), entries
 
     def test_rank_matches_rational(self):
         rng = random.Random(5)
@@ -210,43 +198,6 @@ class TestSmithNormalForm:
                        for i in range(rows) for j in range(cols)}
             assert (smith_normal_form(row_dicts(entries, rows), rows, cols).rank
                     == rank_over_rationals(entries, rows, cols))
-
-
-def _mat_mul_int(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            a = A[i][t]
-            if a:
-                for j in range(m):
-                    out[i][j] += a * B[t][j]
-    return out
-
-
-def _det_int(A):
-    from fractions import Fraction
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if M[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return det
 
 
 class TestBettiCrossCheck:

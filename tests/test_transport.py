@@ -7,15 +7,24 @@ every g in G, with no coset argument; they run on the non-slow corpus and
 on both blocks of S6 at p=2.
 """
 
+from array import array
+
 import pytest
 
+from blockposets import verify
+from blockposets.blocks import GroupAlgebraElement
 from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group
 from blockposets.commuting import block_geometry, elementary_abelian_family
 from blockposets.errors import TheoryViolation
 from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
-from blockposets.perms import dihedral_group, symmetric_group
+from blockposets.perms import (
+    PermGroup,
+    Permutation,
+    dihedral_group,
+    symmetric_group,
+)
 from blockposets.topology import iter_bits, orbit_poset
 from blockposets.verify import _theorem2_maps
 
@@ -176,17 +185,103 @@ class TestEta:
             self, monkeypatch):
         ctx = principal_context(symmetric_group(4))
         geom, fs, cat, icp, orbit_of = theorem2_inputs(ctx)
-        # element 0 represents the first orbit walked; point its step along
-        # the first generator into another orbit
+        walk = geom.kposet.orbit_walk
+        # the walk's first step leaves element 0, the first orbit's first
+        # element; send it into another orbit, to an element whose subgroup
+        # has another order than that of the element the step reached
+        assert walk.order[0] == 0 and walk.parent[1] == 0
+
+        def order_of(x):
+            return geom.apairs.pairs[geom.elements[x][1]].subgroup.order
+
         other = next(x for x in range(geom.kposet.n)
-                     if orbit_of[x] != orbit_of[0])
-        perm = list(geom.kposet.action[0])
-        perm[0], perm[other] = perm[other], perm[0]
-        assert orbit_of[perm[0]] != orbit_of[0]
-        monkeypatch.setattr(geom.kposet, "action",
-                            [perm] + geom.kposet.action[1:])
-        with pytest.raises(TheoryViolation):
+                     if orbit_of[x] != orbit_of[0]
+                     and order_of(x) != order_of(walk.order[1]))
+        order = array("i", walk.order)
+        order[1] = other
+        monkeypatch.setattr(geom.kposet, "orbit_walk",
+                            walk._replace(order=order))
+        with pytest.raises(TheoryViolation,
+                           match="transported conjugation is not admissible"):
             _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of)
+
+    @pytest.mark.parametrize("part", ["value", "key"])
+    def test_corrupted_carried_image_is_caught(self, part, monkeypatch):
+        """Each entry of the map carried along the walk's first step, with
+        its value set to another entry's or its key moved off the domain,
+        fails eta's per-element test."""
+        ctx = principal_context(symmetric_group(4))
+        inputs = theorem2_inputs(ctx)
+        geom = inputs[0]
+        walk = geom.kposet.orbit_walk
+        assert walk.parent[1] == 0
+        size = geom.apairs.pairs[geom.elements[walk.order[1]][1]].subgroup.order
+        assert size > 1
+        carry = verify._carry
+        for k in range(size):
+            calls = []
+
+            def carry_one_wrong(image, table, k=k, calls=calls):
+                out = carry(image, table)
+                if not calls:
+                    z = list(out)[k]
+                    if part == "value":
+                        out[z] = next(w for w in out.values() if w != out[z])
+                    else:
+                        off = next(u for u in table if u not in out)
+                        out[off] = out.pop(z)
+                calls.append(table)
+                return out
+
+            monkeypatch.setattr(verify, "_carry", carry_one_wrong)
+            with pytest.raises(TheoryViolation,
+                               match="transported conjugation is not "
+                                     "admissible"):
+                _theorem2_maps(ctx, *inputs)
+            assert len(calls) == 1
+        monkeypatch.setattr(verify, "_carry", carry)
+        assert _theorem2_maps(ctx, *inputs)
+
+    def test_eta_walk_makes_few_permutation_conjugates(self, monkeypatch):
+        """On S6 p=2 principal (|K| = 3,495), the maps of eta are carried on
+        G's conjugation tables: Permutation.conjugate runs only in the scans
+        of the orbits' first elements, outside the idempotent tests.  The
+        commuting category builds no group from generators."""
+        group = GroupContext(symmetric_group(6), GF2)
+        ctx = BlockContext(group, next(b for b in group.blocks if b.principal))
+        geom = block_geometry(ctx)
+        fs = FusionSystem.from_block_context(ctx)
+        built = []
+        from_generators = PermGroup.from_generators.__func__
+        monkeypatch.setattr(PermGroup, "from_generators", classmethod(
+            lambda cls, *a, **k: built.append(1) or from_generators(cls, *a,
+                                                                    **k)))
+        cat = CommutingCategory(fs)
+        assert built == []
+        icp = IsoClassPoset(cat)
+        _quotient, orbit_of = orbit_poset(geom.kposet)
+        counted = [0]
+        idempotent_test = [False]
+        conjugate = Permutation.conjugate
+        conjugates_to = GroupAlgebraElement.conjugates_to
+
+        def counting_conjugate(x, g, ginv=None):
+            counted[0] += not idempotent_test[0]
+            return conjugate(x, g, ginv)
+
+        def uncounted_conjugates_to(e, g, other):
+            idempotent_test[0] = True
+            try:
+                return conjugates_to(e, g, other)
+            finally:
+                idempotent_test[0] = False
+
+        monkeypatch.setattr(Permutation, "conjugate", counting_conjugate)
+        monkeypatch.setattr(GroupAlgebraElement, "conjugates_to",
+                            uncounted_conjugates_to)
+        _forward, eta = _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of)
+        assert geom.kposet.n == 3495 and len(eta) == 71
+        assert 0 < counted[0] < 7000
 
 
 class TestPairs:
