@@ -10,7 +10,8 @@ Containment of pairs is generated by one-step normal containment:
 truncation of e to C_G(R) multiplies f to itself.  The full order is the
 transitive closure along subnormal chains; existence and uniqueness of the
 pair below a given one at each subgroup is asserted on the computed data
-rather than assumed.
+rather than assumed, over every subnormal chain at once.  The fusion system
+reads its subpairs off this order (fusion.FusionSystem).
 
 The work splits the way the definitions do.  C_G(Q), the blocks of kC_G(Q)
 and the G-orbit of Q depend only on G and Q: a GroupContext holds them once
@@ -35,12 +36,7 @@ from __future__ import annotations
 
 from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
 from .errors import TheoryViolation
-from .perms import (
-    PermGroup,
-    centralizer,
-    normalizer,
-    p_subgroups_up_to_conjugacy,
-)
+from .perms import PermGroup, centralizer, p_subgroups_up_to_conjugacy
 from .topology import GPoset, Poset, closure_masks
 
 
@@ -349,12 +345,6 @@ class BlockContext:
                 slots.append(s)
         return slots
 
-    def centralizer_of(self, Q):
-        return self.site(Q).centralizer
-
-    def blocks_at(self, Q):
-        return self.site(Q).blocks
-
     def brauer_image(self, Q):
         """Br_Q(b); the block is central hence fixed by every subgroup."""
         key = Q.element_set
@@ -417,7 +407,7 @@ class BlockContext:
         br = e.truncate(hi.centralizer.elements)
         return br * hi.idempotent == hi.idempotent
 
-    def pair_poset(self, family, check_uniqueness=True):
+    def pair_poset(self, family):
         """Pairs over the family with the closure of normal containment.
 
         Only pairs whose subgroups are strictly contained can be related, so
@@ -432,6 +422,8 @@ class BlockContext:
         conjugation (every conjugated pair must land back in the poset).
         A pair's image under a generator is read off the generator's
         conjugation table, for the subgroup and the idempotent alike.
+        Below each pair lies exactly one pair at each subgroup of its own in
+        the family, which is asserted (else TheoryViolation).
         """
         subgroups = _dedup_subgroups(family)
         pairs = []
@@ -494,9 +486,8 @@ class BlockContext:
                 break
             action.append(perm)
         poset = GPoset(labels, up, action) if closed else Poset(labels, up)
-        if check_uniqueness:
-            self._assert_unique_subpairs(pairs, poset, subgroups, subsets,
-                                         slot, at)
+        self._assert_unique_subpairs(pairs, poset, subgroups, subsets, slot,
+                                     at)
         return BrauerPairPoset(pairs, edges, poset)
 
     def _assert_unique_subpairs(self, pairs, poset, subgroups, subsets, slot,
@@ -563,83 +554,9 @@ class BlockContext:
                     first_failure = Q
         return ok, witnesses, first_failure
 
-    # -- subpairs ---------------------------------------------------------
-
-    def unique_subpair(self, top, Q):
-        """The unique pair at Q below top, walked down a subnormal chain.
-
-        The primary chain is Q = S_0 normal-in S_1 = N_R(S_0) normal-in ...
-        up to R; at each step the normally contained block is required to be
-        unique.  When the chain through Q Z(R) (also subnormal, since the
-        center normalizes everything) differs from the primary one, the walk
-        is repeated along it and the results compared, as a genuine
-        chain-independence probe.
-        """
-        R = top.subgroup
-        if not Q.element_set <= R.element_set:
-            raise ValueError("subgroup is not contained in the top pair")
-        if Q.element_set == R.element_set:
-            return top
-        chain = _normalizer_chain(R, Q)
-        pair = self._walk_chain(top, chain)
-        alt = _center_seeded_chain(R, Q)
-        if alt is not None and [S.element_set for S in alt] != \
-                [S.element_set for S in chain]:
-            other = self._walk_chain(top, alt)
-            if other != pair:
-                raise TheoryViolation("chain-dependent subpair detected",
-                                      witness=(Q.label, R.label))
-        if pair not in self.pairs_at(Q):
-            raise TheoryViolation("subpair is not a pair of the block",
-                                  witness=pair.label())
-        return pair
-
-    def _walk_chain(self, top, chain):
-        pair = top
-        for S in reversed(chain[:-1]):
-            candidates = [e for e in self.blocks_at(S)
-                          if self.normal_containment(
-                              BrauerPair(S, e, self.centralizer_of(S)), pair)]
-            if len(candidates) != 1:
-                raise TheoryViolation(
-                    "normally contained block not unique along chain",
-                    witness=(S.label, pair.label(), len(candidates)))
-            pair = BrauerPair(S, candidates[0], self.centralizer_of(S))
-        return pair
-
 
 def _dedup_subgroups(family):
     seen = {}
     for Q in family:
         seen.setdefault(Q.element_set, Q)
     return sorted(seen.values(), key=PermGroup.key)
-
-
-def _normalizer_chain(R, Q):
-    """Q normal-in N_R(Q) normal-in ... up to R (p-groups never stall)."""
-    chain = [Q]
-    current = Q
-    while current.element_set != R.element_set:
-        nxt = normalizer(R, current, label=f"N_{R.label}")
-        if nxt.order == current.order:
-            raise TheoryViolation("normalizer chain stalled inside a p-group",
-                                  witness=(R.label, current.label))
-        chain.append(nxt)
-        current = nxt
-    return chain
-
-
-def _center_seeded_chain(R, Q):
-    """Alternative subnormal chain Q normal-in Q Z(R) normal-in ... or None.
-
-    Z(R) centralizes Q, so Q is normal in Q Z(R); from there the chain
-    continues through normalizers.  Returns None when the seed step brings
-    nothing new (Z(R) already inside Q).
-    """
-    centre = [x for x in R.elements
-              if all(x * y == y * x for y in R.generators)]
-    if all(x in Q.element_set for x in centre):
-        return None
-    seed = PermGroup.from_generators(
-        R.degree, tuple(Q.generators) + tuple(centre), max_elements=R.order)
-    return [Q] + _normalizer_chain(R, seed)

@@ -2,7 +2,10 @@
 
 Fixing a maximal pair (P, e_P) of a block, the fusion system F on P has as
 morphisms Q -> R the conjugation maps x -> x^g whose action transports the
-unique pair below (P, e_P) at Q to the one at the image subgroup.  The
+unique pair below (P, e_P) at Q to the one at the image subgroup.  Those
+pairs are read off the pair poset over P's subgroups, and one test of g
+(FusionSystem.target), run once per coset by FusionSystem.fusions, serves
+both F's maps and the conjugations of eta in Theorem 2 (verify).  The
 commuting category has as objects the nonempty pairwise-commuting sets of
 order-p subgroups of P, each with its product found among the elementary
 abelian subgroups of F's family by the commuting poset's clique walk
@@ -59,17 +62,34 @@ def max_brauer_pair(ctx):
 
 
 class FusionSystem:
-    """The block fusion system on a fixed maximal pair."""
+    """The block fusion system on a fixed maximal pair (P, e_P).
+
+    The pairs over the subgroups of P, with their containment order, are
+    one pair poset (BlockContext.pair_poset), which asserts that below each
+    pair lies exactly one pair at each subgroup of its own.  sub_pair[S] is
+    the pair at S below top in that order.
+
+    A morphism Q -> R of F is a conjugation c_g with (Q, e_Q)^g <= (P, e_P):
+    g sends Q into P and e_Q to the idempotent of the pair below top at
+    Q^g.  target tests one g and fusions scans one g per coset; the fusion
+    maps (hom) and eta of Theorem 2 both read them.
+    """
 
     def __init__(self, ctx, top_pair):
         self.ctx = ctx
         self.top = top_pair
         self.P = top_pair.subgroup
         self.family = all_subgroups(self.P)
+        pp = ctx.pair_poset(self.family)
+        t = pp.pairs.index(top_pair)
+        key = ctx.G.element_index().key
         self.sub_pair = {}
-        for S in self.family:
-            self.sub_pair[S.element_set] = ctx.unique_subpair(top_pair, S)
-        self._maps = {}
+        self._below = {}             # position key of S -> sub_pair[S]
+        for i, pr in enumerate(pp.pairs):
+            if pp.poset.leq(i, t):
+                self.sub_pair[pr.subgroup.element_set] = pr
+                self._below[key(pr.subgroup)] = pr
+        self._fusions = {}
 
     @classmethod
     def from_block_context(cls, ctx):
@@ -84,36 +104,56 @@ class FusionSystem:
                 for mapping, g, image in self._maps_from(Q) if image <= rset]
 
     def _maps_from(self, Q):
-        """Every fusion map out of Q into P as (mapping, g, image), in key order.
+        """Every fusion map out of Q into P as (mapping, g, image), in key
+        order: one per coset that fusions keeps for the pair below top at
+        Q, witnessed by the coset's first g.  The maps into R are those
+        whose image lies in R, so one scan serves hom(Q, R) for every R."""
+        elements = self.ctx.G.element_index().elements
+        found = sorted(
+            (tuple([elements[k] for k in image.values()]), g)
+            for image, g in self.fusions(self.sub_pair[Q.element_set]))
+        return [(dict(zip(Q.elements, mkey)), g, frozenset(mkey))
+                for mkey, g in found]
 
-        One scan of G per domain serves hom(Q, R) for every R: the maps into
-        R are those whose image lies in R.  Conjugation by g acts on Q, and
-        on the block e_Q of kC_G(Q), only through the coset C_G(Q) g:
-        e_Q^(cg) = e_Q^g for c in C_G(Q), since e_Q is a sum of
-        C_G(Q)-class sums.  So one g per coset decides the whole coset, and
-        distinct cosets give distinct set maps.  The scan takes, on G's
-        element index, the first g in G's order of each coset that sends
-        Q's generators into P; that g is the witness, exactly the first g
-        of a scan over all of G that passes the idempotent test.
+    def target(self, pair, image, g):
+        """The pair below top at Q^g if e^g is its idempotent, else None.
+
+        pair is (Q, e); image maps the position of each x in Q, in G's
+        element index, to that of x^g.  None also when Q^g is not a
+        subgroup of P.
         """
-        hit = self._maps.get(Q.element_set)
+        below = self._below.get(tuple(sorted(image.values())))
+        if below is None or not pair.idempotent.conjugates_to(
+                g, below.idempotent):
+            return None
+        return below
+
+    def fusions(self, pair):
+        """(image, g) for the first g, in G's order, of each right coset
+        C_G(Q) g that sends Q into P and passes target; memoised per pair.
+
+        Conjugation by g acts on Q, and on e, a sum of C_G(Q)-class sums,
+        only through the coset: e^(cg) = e^g for c in C_G(Q).  So one g
+        decides its coset, and distinct cosets give distinct images.  Each
+        scanned g sends Q's generators into P, so an image that is not in
+        F's family raises TheoryViolation.
+        """
+        hit = self._fusions.get(pair)
         if hit is not None:
             return hit
-        eQ = self.sub_pair[Q.element_set].idempotent
-        found = {}
+        Q = pair.subgroup
         index = self.ctx.G.element_index()
+        pos = index.pos
+        out = []
         for g in index.coset_conjugators(Q.generators, self.P.elements):
             ginv = g.inverse()
-            mkey = tuple([x.conjugate(g, ginv) for x in Q.elements])
-            image = frozenset(mkey)
-            target = self.sub_pair.get(image)
-            if target is None:
+            image = {pos[x]: pos[x.conjugate(g, ginv)] for x in Q.elements}
+            if tuple(sorted(image.values())) not in self._below:
                 raise TheoryViolation("image subgroup missing from family",
                                       witness=Q.label)
-            if eQ.conjugates_to(g, target.idempotent):
-                found[mkey] = (dict(zip(Q.elements, mkey)), g, image)
-        out = [found[k] for k in sorted(found)]
-        self._maps[Q.element_set] = out
+            if self.target(pair, image, g) is not None:
+                out.append((image, g))
+        self._fusions[pair] = out
         return out
 
 

@@ -540,11 +540,6 @@ def centralizer(G, S, label=""):
     return PermGroup.from_elements(G.degree, elems, label or f"C({G.label})")
 
 
-def normalizer(G, H, label=""):
-    elems = G.element_index().conjugators(H.generators, H.elements)
-    return PermGroup.from_elements(G.degree, elems, label or f"N({G.label})")
-
-
 def sylow_p(G, p):
     """A Sylow p-subgroup, grown by extension inside successive normalizers."""
     target = 1

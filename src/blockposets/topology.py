@@ -426,10 +426,10 @@ class SNFResult:
         return [d for d in self.diagonal if d > 1]
 
 
-def smith_normal_form(matrix, rows, cols):
+def smith_normal_form(matrix, rows):
     """Smith normal form of a sparse integer matrix, given as its rows: a
-    list of `rows` dicts {column: value}, columns in 0..cols-1.  The rows
-    are reduced in place, so the matrix is used up.
+    list of `rows` dicts {column: value}.  The rows are reduced in place, so
+    the matrix is used up.
 
     Unit pivots go first: the columns are swept once in index order, and a
     column with a +-1 entry in a live row takes the shortest such row as its
@@ -713,8 +713,7 @@ def homology(C):
     counts = C.face_counts()
     snf_results = []
     for n in range(len(mats)):
-        snf_results.append(smith_normal_form(mats[n], counts[n],
-                                             counts[n + 1]))
+        snf_results.append(smith_normal_form(mats[n], counts[n]))
         mats[n] = None
     groups = []
     for n in range(len(counts)):

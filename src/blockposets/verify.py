@@ -245,13 +245,15 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     and on e only through the coset C_G(Q) g, as e^(cg) = e^g for c in
     C_G(Q), so admissibility and the class are constant on each coset.
     Along the commuting poset's orbit walk (GPoset.orbit_walk), an orbit's
-    first element tries one g per coset (_eta_scan): the admissible ones
-    must give one class (asserted), and the first is kept with its map
-    Q -> P on G's element positions.  Every other element y = x^t carries
-    x's map through t's conjugation table, image_y[z^t] = image_x[z], with
-    the one candidate g_y = t^-1 g_x, which must pass the same test on y's
-    own data and give the orbit's class, else TheoryViolation is raised,
-    whatever the action says.  Maps are kept only for the walk's queue.
+    first element reads the fusions of its pair, one g per coset
+    (_eta_scan): the admissible ones must give one class (asserted), and
+    the first is kept with its map Q -> P on G's element positions.  Every
+    other element y = x^t carries x's map through t's conjugation table,
+    image_y[z^t] = image_x[z], with the one candidate g_y = t^-1 g_x, which
+    must pass class_through, and with it F's own test FusionSystem.target,
+    on y's own data and give the orbit's class, else TheoryViolation is
+    raised, whatever the action says.  Carried maps are kept only for the
+    walk's queue.
     """
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
     aindex = {pr.ident(): i for i, pr in enumerate(geom.apairs.pairs)}
@@ -273,14 +275,12 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     conj = ctx.G.element_index().conj
     inverses = [t.inverse() for t in ctx.G.generators]
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []
-    scans = {}                      # subgroup -> its coset conjugators into P
     queue = deque()                 # (walk position, map, g), not stepped from
     for k, (y, parent, t) in enumerate(zip(walk.order, walk.parent,
                                             walk.via)):
         orbit = orbit_of[y]
         if parent < 0:
-            eta[orbit], image, g = _eta_scan(ctx.G, geom, fs, class_through,
-                                             y, scans)
+            eta[orbit], image, g = _eta_scan(geom, fs, class_through, y)
             queue.clear()
         else:
             while queue[0][0] != parent:
@@ -309,12 +309,13 @@ def _admissible_class(ctx, geom, fs, cat, icp):
     """class_through(el_idx, image, g): the class of the commuting-poset
     element conjugated by g, or None if g is not admissible.  image is the
     map x -> x^g on the element's subgroup Q, on G's element positions: it
-    must be defined on Q and onto a subgroup of P, the conjugated idempotent
-    must be the pair below the maximal pair there, and the images of the
-    members, each the vertex holding its generator's image, an object."""
+    must be defined on Q, fs.target must accept it with the element's pair
+    (Q^g a subgroup of P whose pair below the maximal pair has e^g as its
+    idempotent), and the images of the members, each the vertex holding its
+    generator's image, must form an object."""
     index = ctx.G.element_index()
-    domains = [frozenset(index.key(pr.subgroup)) for pr in geom.apairs.pairs]
-    pair_at = {index.key(S): fs.sub_pair[S.element_set] for S in fs.family}
+    pairs = geom.apairs.pairs
+    domains = [frozenset(index.key(pr.subgroup)) for pr in pairs]
     vertex_at = {index.pos[x]: v for v, V in enumerate(cat.vertices)
                  for x in V.elements[1:]}
     member = [index.pos[V.generators[0]] for V in geom.vertices]
@@ -323,10 +324,8 @@ def _admissible_class(ctx, geom, fs, cat, icp):
 
     def class_through(el_idx, image, g):
         kmask, pid = geom.elements[el_idx]
-        if image.keys() != domains[pid]:
-            return None
-        target = pair_at.get(tuple(sorted(image.values())))
-        if target is None:
+        if image.keys() != domains[pid] or \
+                fs.target(pairs[pid], image, g) is None:
             return None
         obj = 0
         for v in iter_bits(kmask):
@@ -335,33 +334,24 @@ def _admissible_class(ctx, geom, fs, cat, icp):
                 return None
             obj |= 1 << w
         obj_idx = object_index.get(obj)
-        e = geom.apairs.pairs[pid].idempotent
-        if obj_idx is None or not e.conjugates_to(g, target.idempotent):
-            return None
-        return icp.class_of[obj_idx]
+        return None if obj_idx is None else icp.class_of[obj_idx]
 
     return class_through
 
 
-def _eta_scan(G, geom, fs, class_through, el_idx, scans):
+def _eta_scan(geom, fs, class_through, el_idx):
     """(class, map, first admissible g) of a commuting-poset element over G.
 
     class_through is constant on each coset C_G(Q) g of the element's
-    subgroup Q (see _theorem2_maps), so it runs once per coset: on the first
-    g, in G's order, of each coset that conjugates Q's generators into P,
-    read off G's element index and kept in scans for the next element at
-    Q.  The first admissible one of these is the first admissible g of G.
+    subgroup Q (see _theorem2_maps), so it runs once per coset that
+    FusionSystem.fusions keeps for the element's pair: on the first g, in
+    G's order, of each coset that conjugates the pair into a pair below the
+    maximal pair.  A coset whose members' images form no object is skipped.
+    The first admissible one of these is the first admissible g of G.
     """
-    Q = geom.apairs.pairs[geom.elements[el_idx][1]].subgroup
-    index = G.element_index()
-    if Q.element_set not in scans:
-        scans[Q.element_set] = index.coset_conjugators(Q.generators,
-                                                       fs.P.elements)
+    pair = geom.apairs.pairs[geom.elements[el_idx][1]]
     found = []
-    for g in scans[Q.element_set]:
-        ginv = g.inverse()
-        image = {index.pos[x]: index.pos[x.conjugate(g, ginv)]
-                 for x in Q.elements}
+    for image, g in fs.fusions(pair):
         cls = class_through(el_idx, image, g)
         if cls is not None:
             found.append((cls, image, g))

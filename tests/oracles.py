@@ -24,7 +24,11 @@
   records and the bitset and in-centralizer scans of the library;
 * the commuting poset as it was first built, each kappa a frozenset of
   vertex ids, every label formatted up front and the certificate reading
-  each up-set row as a list of indices, against the mask-keyed builder.
+  each up-set row as a list of indices, against the mask-keyed builder;
+* the pair below a maximal pair at a subgroup, walked down a normalizer
+  chain and a centre-seeded chain with a unique normally contained block
+  at each step, against the fusion system's subpairs read off the pair
+  poset, and its maps out of a subgroup by a scan of every g in G.
 """
 
 import itertools
@@ -38,6 +42,7 @@ from blockposets.blocks import (
     blocks,
     class_sum_algebra,
 )
+from blockposets.brauer import BrauerPair
 from blockposets.commuting import (
     MAX_POSET_ELEMENTS,
     BlockGeometry,
@@ -412,6 +417,105 @@ def centralizer(G, S, label=""):
         keep = [g for g in keep if col[g] == i]
     elems = [G.elements[g] for g in keep]
     return PermGroup.from_elements(G.degree, elems, label or f"C({G.label})")
+
+
+# -- subpairs down subnormal chains -------------------------------------------
+
+
+def subpair_by_chain(ctx, top, Q):
+    """The pair at Q below top, walked down subnormal chains to Q.
+
+    The primary chain is Q = S_0 normal-in S_1 = N_R(S_0) normal-in ... up
+    to R, top's subgroup; at each step the block of kC_G(S) whose pair is
+    normally contained in the pair above must be unique.  When the chain
+    through Q Z(R) (subnormal too, as the centre normalizes everything)
+    differs from the primary one, it is walked as well and must give the
+    same pair.
+    """
+    R = top.subgroup
+    if not Q.element_set <= R.element_set:
+        raise ValueError("subgroup is not contained in the top pair")
+    if Q.element_set == R.element_set:
+        return top
+    chain = _normalizer_chain(R, Q)
+    pair = _walk_chain(ctx, top, chain)
+    alt = _center_seeded_chain(R, Q)
+    if alt is not None and [S.element_set for S in alt] != \
+            [S.element_set for S in chain]:
+        if _walk_chain(ctx, top, alt) != pair:
+            raise TheoryViolation("chain-dependent subpair detected",
+                                  witness=(Q.label, R.label))
+    if pair not in ctx.pairs_at(Q):
+        raise TheoryViolation("subpair is not a pair of the block",
+                              witness=pair.label())
+    return pair
+
+
+def _walk_chain(ctx, top, chain):
+    pair = top
+    for S in reversed(chain[:-1]):
+        site = ctx.site(S)
+        candidates = [BrauerPair(S, e, site.centralizer) for e in site.blocks]
+        candidates = [lo for lo in candidates
+                      if ctx.normal_containment(lo, pair)]
+        if len(candidates) != 1:
+            raise TheoryViolation(
+                "normally contained block not unique along chain",
+                witness=(S.label, pair.label(), len(candidates)))
+        pair = candidates[0]
+    return pair
+
+
+def _normalizer_chain(R, Q):
+    """Q normal-in N_R(Q) normal-in ... up to R (p-groups never stall); each
+    normalizer by conjugating the generators by every element of R."""
+    chain = [Q]
+    current = Q
+    while current.element_set != R.element_set:
+        inside = current.element_set
+        nxt = PermGroup.from_elements(R.degree, [
+            g for g in R.elements
+            if all(x.conjugate(g) in inside for x in current.generators)])
+        if nxt.order == current.order:
+            raise TheoryViolation("normalizer chain stalled inside a p-group",
+                                  witness=(R.label, current.label))
+        chain.append(nxt)
+        current = nxt
+    return chain
+
+
+def _center_seeded_chain(R, Q):
+    """Q normal-in Q Z(R) normal-in ... up to R, or None when Z(R) already
+    lies in Q.  Z(R) centralizes Q, so Q is normal in Q Z(R); from there
+    the chain continues through normalizers."""
+    centre = [x for x in R.elements
+              if all(x * y == y * x for y in R.generators)]
+    if all(x in Q.element_set for x in centre):
+        return None
+    seed = PermGroup.from_generators(
+        R.degree, tuple(Q.generators) + tuple(centre), max_elements=R.order)
+    return [Q] + _normalizer_chain(R, seed)
+
+
+def maps_from_by_products(fs, Q):
+    """fs._maps_from(Q) by a scan of every g in G: Q's generators sent into
+    P by products, the conjugated idempotent built term by term, the first
+    g of each set map kept."""
+    eQ = fs.sub_pair[Q.element_set].idempotent
+    pset = fs.P.element_set
+    found = {}
+    for g in fs.ctx.G.elements:
+        ginv = g.inverse()
+        if any(ginv * x * g not in pset for x in Q.generators):
+            continue
+        mapping = {x: ginv * x * g for x in Q.elements}
+        mkey = tuple(tuple(mapping[x]) for x in Q.elements)
+        if mkey in found:
+            continue
+        image = frozenset(mapping.values())
+        if conjugate_element(eQ, g) == fs.sub_pair[image].idempotent:
+            found[mkey] = (mapping, g, image)
+    return [found[k] for k in sorted(found)]
 
 
 # -- the list-row certificate and the frozenset commuting poset ---------------

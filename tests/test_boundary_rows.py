@@ -51,9 +51,9 @@ def assert_same_as_oracle(C, label):
     assert [entries_of(m) for m in rows] == expect, label
     assert [len(m) for m in rows] == counts[:-1], label
     for n, (m, entries) in enumerate(zip(rows, expect)):
-        got = smith_normal_form(m, counts[n], counts[n + 1]).diagonal
-        want = smith_normal_form(row_dicts(entries, counts[n]), counts[n],
-                                 counts[n + 1]).diagonal
+        got = smith_normal_form(m, counts[n]).diagonal
+        want = smith_normal_form(row_dicts(entries, counts[n]),
+                                 counts[n]).diagonal
         assert got == want, (label, n)
 
 
@@ -100,7 +100,7 @@ def test_every_flipped_sign_is_caught():
 def test_smith_form_reads_stored_zeros_as_absent():
     entries = {(0, 0): 0, (0, 1): 2, (1, 0): 3, (1, 1): 0}
     rows = row_dicts(entries, 2)
-    assert smith_normal_form(rows, 2, 2).diagonal == [1, 6]
+    assert smith_normal_form(rows, 2).diagonal == [1, 6]
     with pytest.raises(ValueError):
-        smith_normal_form(row_dicts(entries, 2), 3, 2)
+        smith_normal_form(row_dicts(entries, 2), 3)
 

@@ -7,7 +7,7 @@ from blockposets.brauer import (
     GroupContext,
     brauer_hom,
 )
-from blockposets.errors import TheoryViolation
+from blockposets.fusion import FusionSystem
 from blockposets.gf import PrimeField, field_context
 from blockposets.perms import (
     PermGroup,
@@ -18,7 +18,7 @@ from blockposets.perms import (
     symmetric_group,
 )
 
-from oracles import conjugate_subgroup
+from oracles import conjugate_subgroup, subpair_by_chain
 
 GF2 = PrimeField(2)
 
@@ -237,19 +237,24 @@ class TestInclusionDiagram:
 
 
 class TestUniqueSubpair:
+    """F's subpairs, read off the pair poset, against the chain walk."""
+
     def test_reflexive(self, s3_blocks):
         group, principal, _ = s3_blocks
         ctx = BlockContext(group, principal)
-        Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
-        top = ctx.pairs_at(Q)[0]
-        assert ctx.unique_subpair(top, Q) == top
+        fs = FusionSystem.from_block_context(ctx)
+        P = fs.P
+        assert P.order == 2
+        assert fs.sub_pair[P.element_set] == fs.top == \
+            subpair_by_chain(ctx, fs.top, P)
 
     def test_down_to_trivial(self, s3_blocks):
         group, principal, _ = s3_blocks
         ctx = BlockContext(group, principal)
-        Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
-        top = ctx.pairs_at(Q)[0]
-        bottom = ctx.unique_subpair(top, PermGroup.trivial(3))
+        fs = FusionSystem.from_block_context(ctx)
+        trivial = PermGroup.trivial(3)
+        bottom = fs.sub_pair[trivial.element_set]
+        assert bottom == subpair_by_chain(ctx, fs.top, trivial)
         assert bottom.idempotent == principal.element
 
     def test_chain_inside_d8(self):
@@ -257,15 +262,16 @@ class TestUniqueSubpair:
         group = GroupContext(G, GF2)
         (b,) = group.blocks
         ctx = BlockContext(group, b)
-        dd = ctx.defect_data()
-        P = dd.representative
-        top = ctx.pairs_at(P)[0]
+        fs = FusionSystem.from_block_context(ctx)
+        P = fs.P
+        assert P.element_set == ctx.defect_data().representative.element_set
         # center of D8 inside S4 is generated by a double transposition
         centre = [x for x in P.elements
                   if not x.is_identity() and
                   all(x * y == y * x for y in P.elements)]
         Z = PermGroup.from_generators(4, centre)
-        pair = ctx.unique_subpair(top, Z)
+        pair = fs.sub_pair[Z.element_set]
+        assert pair == subpair_by_chain(ctx, fs.top, Z)
         assert pair.subgroup == Z
         assert pair in ctx.pairs_at(Z)
 

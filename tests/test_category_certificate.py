@@ -257,18 +257,20 @@ def test_single_map_deletions_raise_alike(systems, monkeypatch):
         for a in {A.element_set for A in base.products}:
             rows = [i for i, A in enumerate(base.products)
                     if A.element_set == a]
-            maps = fs._maps[a]
-            for k, (gone, _g, _image) in enumerate(maps):
-                monkeypatch.setitem(fs._maps, a, maps[:k] + maps[k + 1:])
+            pair = fs.sub_pair[a]
+            maps = fs.fusions(pair)
+            for k, (image, _g) in enumerate(maps):
+                gone = tuple(fs.ctx.G.elements[y] for y in image.values())
+                monkeypatch.setitem(fs._fusions, pair, maps[:k] + maps[k + 1:])
                 old = copy.copy(base)
                 old.homs = list(base.homs)
                 for i in rows:
-                    old.homs[i] = [[psi for psi in hs if psi.mapping is not gone]
+                    old.homs[i] = [[psi for psi in hs if psi.key() != gone]
                                    for hs in base.homs[i]]
                 new = raises(CommutingCategory, fs)
                 assert new == raises(check_by_triples, old, rows), \
                     (name, k)
                 cases += 1
                 raised += new
-            monkeypatch.setitem(fs._maps, a, maps)
+            monkeypatch.setitem(fs._fusions, pair, maps)
     assert (cases, raised) == (171, 169)

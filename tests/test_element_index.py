@@ -23,7 +23,6 @@ from blockposets.perms import (
     Permutation,
     centralizer,
     conjugacy_classes,
-    normalizer,
     p_subgroups_up_to_conjugacy,
     subgroup_orbit_transversal,
     symmetric_group,
@@ -38,6 +37,7 @@ from oracles import (
     element_set,
     index_tables_by_products,
     links_with_generators,
+    maps_from_by_products,
 )
 
 CASES = [("S3", 2), ("S4", 2), ("S5", 2), ("D8", 2), ("S6", 2), ("S7", 3)]
@@ -130,24 +130,6 @@ def eta_scan_by_products(G, geom, class_through, el_idx):
             first = image, g
     assert len(results) == 1
     return (results.pop(),) + first
-
-
-def maps_from_by_products(fs, Q):
-    eQ = fs.sub_pair[Q.element_set].idempotent
-    pset = fs.P.element_set
-    found = {}
-    for g in fs.ctx.G.elements:
-        ginv = g.inverse()
-        if any(ginv * x * g not in pset for x in Q.generators):
-            continue
-        mapping = {x: ginv * x * g for x in Q.elements}
-        mkey = tuple(tuple(mapping[x]) for x in Q.elements)
-        if mkey in found:
-            continue
-        image = frozenset(mapping.values())
-        if conjugate_element(eQ, g) == fs.sub_pair[image].idempotent:
-            found[mkey] = (mapping, g, image)
-    return [found[k] for k in sorted(found)]
 
 
 # -- fixtures --------------------------------------------------------------
@@ -271,11 +253,8 @@ class TestScansAgainstProducts:
             C = centralizer(G, R)
             if R.order > 1:
                 assert C.elements == tuple(centralizer_by_products(G, pins))
-            N = normalizer(G, R)
-            assert N.elements == tuple(normalizer_by_products(G, R))
-            expect = PermGroup.from_elements(G.degree,
-                                             normalizer_by_products(G, R))
-            assert N.generators == expect.generators
+            N = G.element_index().conjugators(R.generators, R.elements)
+            assert N == normalizer_by_products(G, R)
 
     def test_centralizers_of_class_representatives(self, name, p):
         G = group_of(name)
@@ -344,10 +323,8 @@ class TestCorpusScans:
             reps = {}
             for el in range(geom.kposet.n):
                 reps.setdefault(orbit_of[el], el)
-            scans = {}
             for rep in reps.values():
-                assert _eta_scan(ctx.G, geom, fs, class_through, rep,
-                                 scans) == \
+                assert _eta_scan(geom, fs, class_through, rep) == \
                     eta_scan_by_products(ctx.G, geom, class_through, rep), \
                     (name, rep)
                 checked += 1
@@ -369,7 +346,7 @@ class TestCorpusScans:
             family = [conjugate_subgroup(R, g)
                       for R, orbit in ctx.group.classes for g in orbit.values()]
             for apairs in (elementary_abelian_poset(ctx),
-                           ctx.pair_poset(family, check_uniqueness=False)):
+                           ctx.pair_poset(family)):
                 index = {pr.ident(): i for i, pr in enumerate(apairs.pairs)}
                 for g, perm in zip(ctx.G.generators, apairs.poset.action):
                     expect = [

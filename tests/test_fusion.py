@@ -44,7 +44,7 @@ class TestMaxBrauerPair:
         top = max_brauer_pair(ctx)
         assert top.subgroup.order == 2
         # centralizer of a transposition in S3 is the C2 itself: local algebra
-        assert len(ctx.blocks_at(top.subgroup)) == 1
+        assert len(ctx.site(top.subgroup).blocks) == 1
 
 
 class TestFusionSystem:

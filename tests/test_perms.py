@@ -10,7 +10,6 @@ from blockposets.perms import (
     conjugacy_classes,
     cyclic_group,
     dihedral_group,
-    normalizer,
     order_p_subgroups,
     p_subgroups_up_to_conjugacy,
     subgroup_orbit_transversal,
@@ -240,8 +239,8 @@ class TestNormalizer:
     def test_sylow_normalizer_in_s4(self):
         G = symmetric_group(4)
         P = sylow_p(G, 2)
-        N = normalizer(G, P)
-        assert N.order == 8  # three Sylow 2-subgroups in S4
+        N = G.element_index().conjugators(P.generators, P.elements)
+        assert len(N) == 8  # three Sylow 2-subgroups in S4
 
 
 def all_subgroups_every_extension(P):

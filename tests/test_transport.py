@@ -102,7 +102,7 @@ def pairs_by_filter(ctx, Q):
     br = ctx.brauer_image(Q)
     if not br:
         return []
-    return [e for e in ctx.blocks_at(Q) if e * br == e]
+    return [e for e in ctx.site(Q).blocks if e * br == e]
 
 
 def homs_by_scan(fs, Q):

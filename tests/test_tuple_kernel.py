@@ -8,8 +8,8 @@ poset and the direct Sylow search against the paths they replaced.
   contained subgroups, found by subset on position bitsets.  The oracle is
   the all-pairs build it replaced; both must give the same pairs, normal
   edges, up masks and G-action.
-* sylow_p walks N_G(H) straight off the element index; the oracle builds
-  each normalizer as a PermGroup first.
+* sylow_p walks N_G(H) straight off the element index; the oracle finds
+  each normalizer by conjugating H's generators by every element of G.
 """
 
 import random
@@ -24,7 +24,6 @@ from blockposets.perms import (
     PermGroup,
     Permutation,
     _power,
-    normalizer,
     symmetric_group,
     sylow_p,
 )
@@ -213,8 +212,9 @@ def sylow_by_normalizers(G, p):
         n //= p
     H = PermGroup.trivial(G.degree)
     while H.order < target:
-        N = normalizer(G, H)
-        ext = next(x for x in N.elements
+        N = [g for g in G.elements
+             if all(x.conjugate(g) in H.element_set for x in H.generators)]
+        ext = next(x for x in N
                    if x not in H.element_set
                    and _power(x, p) in H.element_set)
         H = PermGroup.from_generators(G.degree, tuple(H.generators) + (ext,),
