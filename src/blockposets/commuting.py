@@ -55,13 +55,6 @@ class CommutingGraph:
         self.vertices = vertices      # order-p subgroups, canonically sorted
         self.adjacency = adjacency    # bitmask per vertex
 
-    def edges(self):
-        return [(i, j) for i, mask in enumerate(self.adjacency)
-                for j in iter_bits(mask & ~((2 << i) - 1))]
-
-    def num_edges(self):
-        return len(self.edges())
-
 
 def commuting_adjacency(vertices):
     """Adjacency bitmasks joining the order-p subgroups that commute elementwise.

@@ -235,33 +235,38 @@ def check_theorem2(ctx, geom):
 def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     """The class -> orbit map and its inverse via conjugation into P.
 
-    forward: an object kappa (subgroups of P) decorates, through the unique
-    pair below the maximal pair at its product, to a commuting-poset element;
-    the orbit must not depend on the member chosen in the class (asserted).
+    forward: an object kappa (a mask of the category's vertices) decorates,
+    through the unique pair below the maximal pair at its product, to a
+    commuting-poset element; the orbit must not depend on the member chosen
+    in the class (asserted).
 
     eta: a commuting-poset element conjugates into P by some g aligning its
     pair (Q, e) with the one below the maximal pair; the class of the image
-    object is eta of its orbit.  g acts on Q, on kappa's members (inside Q)
-    and on e only through the coset C_G(Q) g, as e^(cg) = e^g for c in
-    C_G(Q), so admissibility and the class are constant on each coset.
-    Along the commuting poset's orbit walk (GPoset.orbit_walk), an orbit's
-    first element reads the fusions of its pair, one g per coset
-    (_eta_scan): the admissible ones must give one class (asserted), and
-    the first is kept with its map Q -> P on G's element positions.  Every
+    object is eta of its orbit.  The map of g is held as F holds its maps,
+    on G's element positions, and the image object is found by the
+    category's own lookup (CommutingCategory.object_at).  g acts on Q, on
+    kappa's members (inside Q) and on e only through the coset C_G(Q) g,
+    as e^(cg) = e^g for c in C_G(Q), so admissibility and the class are
+    constant on each coset.  Along the commuting poset's orbit walk
+    (GPoset.orbit_walk), an orbit's first element reads the fusions of its
+    pair, one g per coset, each already passed by FusionSystem.target
+    (_eta_scan): those whose images of the members form an object must
+    give one class (asserted), and the first is kept with its map.  Every
     other element y = x^t carries x's map through t's conjugation table,
-    image_y[z^t] = image_x[z], with the one candidate g_y = t^-1 g_x, which
-    must pass class_through, and with it F's own test FusionSystem.target,
-    on y's own data and give the orbit's class, else TheoryViolation is
-    raised, whatever the action says.  Carried maps are kept only for the
-    walk's queue.
+    image_y[z^t] = image_x[z], with the one candidate g_y = t^-1 g_x.  On
+    y's own data the carried map must be defined on Q, pass target and
+    give an object of the orbit's class, else TheoryViolation is raised,
+    whatever the action says.  Carried maps are kept only for the walk's
+    queue.
     """
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
     aindex = {pr.ident(): i for i, pr in enumerate(geom.apairs.pairs)}
     kindex = {ke: i for i, ke in enumerate(geom.elements)}
     forward = [None] * icp.n
     for obj_idx, obj in enumerate(cat.objects):
-        kmask = sum(1 << vindex[cat.vertices[v].element_set] for v in obj)
-        pair = fs.sub_pair[cat.products[obj_idx].element_set]
+        kmask = sum(1 << vindex[cat.vertices[v].element_set]
+                    for v in iter_bits(obj))
+        pair = fs.sub_pair[cat.products[obj_idx]]
         orbit = orbit_of[kindex[kmask, aindex[pair.ident()]]]
         cls = icp.class_of[obj_idx]
         if forward[cls] is None:
@@ -270,9 +275,13 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
             raise TheoryViolation("class members land in different orbits",
                                   witness=cat.object_label(obj_idx))
 
-    class_through = _admissible_class(ctx, geom, fs, cat, icp)
+    class_at = _class_lookup(ctx, geom, cat, icp)
     walk = geom.kposet.orbit_walk
-    conj = ctx.G.element_index().conj
+    pairs = geom.apairs.pairs
+    index = ctx.G.element_index()
+    conj = index.conj
+    # each pair's Q on positions, for the domain test of a carried map
+    domains = [frozenset(index.key(pr.subgroup)) for pr in pairs]
     inverses = [t.inverse() for t in ctx.G.generators]
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []
     queue = deque()                 # (walk position, map, g), not stepped from
@@ -280,7 +289,7 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
                                             walk.via)):
         orbit = orbit_of[y]
         if parent < 0:
-            eta[orbit], image, g = _eta_scan(geom, fs, class_through, y)
+            eta[orbit], image, g = _eta_scan(geom, fs, class_at, y)
             queue.clear()
         else:
             while queue[0][0] != parent:
@@ -288,7 +297,12 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
             _k, image_x, g_x = queue[0]
             image = _carry(image_x, conj[t])
             g = inverses[t] * g_x
-            cls = class_through(y, image, g)
+            kmask, pid = geom.elements[y]
+            pair = pairs[pid]
+            cls = None
+            if image.keys() == domains[pid] \
+                    and fs.target(pair, image, g) is not None:
+                cls = class_at(kmask, image)
             if cls is None:
                 raise TheoryViolation(
                     "transported conjugation is not admissible",
@@ -305,54 +319,36 @@ def _carry(image, table):
     return {table[z]: w for z, w in image.items()}
 
 
-def _admissible_class(ctx, geom, fs, cat, icp):
-    """class_through(el_idx, image, g): the class of the commuting-poset
-    element conjugated by g, or None if g is not admissible.  image is the
-    map x -> x^g on the element's subgroup Q, on G's element positions: it
-    must be defined on Q, fs.target must accept it with the element's pair
-    (Q^g a subgroup of P whose pair below the maximal pair has e^g as its
-    idempotent), and the images of the members, each the vertex holding its
-    generator's image, must form an object."""
-    index = ctx.G.element_index()
-    pairs = geom.apairs.pairs
-    domains = [frozenset(index.key(pr.subgroup)) for pr in pairs]
-    vertex_at = {index.pos[x]: v for v, V in enumerate(cat.vertices)
-                 for x in V.elements[1:]}
-    member = [index.pos[V.generators[0]] for V in geom.vertices]
-    object_index = {sum(1 << v for v in obj): i
-                    for i, obj in enumerate(cat.objects)}
+def _class_lookup(ctx, geom, cat, icp):
+    """class_at(kmask, image): the class of the object that a map on G's
+    element positions makes of kappa, given as its mask over the commuting
+    poset's vertices, or None when the images of kappa's members, each
+    found from its generator's image, form no object."""
+    pos = ctx.G.element_index().pos
+    member = [pos[V.generators[0]] for V in geom.vertices]
+    object_at, class_of = cat.object_at, icp.class_of
 
-    def class_through(el_idx, image, g):
-        kmask, pid = geom.elements[el_idx]
-        if image.keys() != domains[pid] or \
-                fs.target(pairs[pid], image, g) is None:
-            return None
-        obj = 0
-        for v in iter_bits(kmask):
-            w = vertex_at.get(image.get(member[v]))
-            if w is None:
-                return None
-            obj |= 1 << w
-        obj_idx = object_index.get(obj)
-        return None if obj_idx is None else icp.class_of[obj_idx]
+    def class_at(kmask, image):
+        obj = object_at(image.get(member[v]) for v in iter_bits(kmask))
+        return None if obj is None else class_of[obj]
 
-    return class_through
+    return class_at
 
 
-def _eta_scan(geom, fs, class_through, el_idx):
+def _eta_scan(geom, fs, class_at, el_idx):
     """(class, map, first admissible g) of a commuting-poset element over G.
 
-    class_through is constant on each coset C_G(Q) g of the element's
-    subgroup Q (see _theorem2_maps), so it runs once per coset that
+    class_at is constant on each coset C_G(Q) g of the element's subgroup Q
+    (see _theorem2_maps), so it runs once per coset that
     FusionSystem.fusions keeps for the element's pair: on the first g, in
     G's order, of each coset that conjugates the pair into a pair below the
     maximal pair.  A coset whose members' images form no object is skipped.
     The first admissible one of these is the first admissible g of G.
     """
-    pair = geom.apairs.pairs[geom.elements[el_idx][1]]
+    kmask, pid = geom.elements[el_idx]
     found = []
-    for image, g in fs.fusions(pair):
-        cls = class_through(el_idx, image, g)
+    for image, g in fs.fusions(geom.apairs.pairs[pid]):
+        cls = class_at(kmask, image)
         if cls is not None:
             found.append((cls, image, g))
     if not found:

@@ -28,7 +28,9 @@
 * the pair below a maximal pair at a subgroup, walked down a normalizer
   chain and a centre-seeded chain with a unique normally contained block
   at each step, against the fusion system's subpairs read off the pair
-  poset, and its maps out of a subgroup by a scan of every g in G.
+  poset, and its maps out of a subgroup by a scan of every g in G;
+* the hom sets of the commuting category, filtered from each object's
+  maps out of its product.
 """
 
 import itertools
@@ -498,10 +500,12 @@ def _center_seeded_chain(R, Q):
 
 
 def maps_from_by_products(fs, Q):
-    """fs._maps_from(Q) by a scan of every g in G: Q's generators sent into
+    """fs.hom(Q, fs.P) by a scan of every g in G: Q's generators sent into
     P by products, the conjugated idempotent built term by term, the first
-    g of each set map kept."""
-    eQ = fs.sub_pair[Q.element_set].idempotent
+    g of each set map kept.  Each map comes out as F holds it, a dict from
+    the position of each x in Q to that of x^g, with g, in key order."""
+    pos = fs.ctx.G.element_index().pos
+    eQ = fs.sub_pair[key_of(pos, Q.elements)].idempotent
     pset = fs.P.element_set
     found = {}
     for g in fs.ctx.G.elements:
@@ -512,10 +516,22 @@ def maps_from_by_products(fs, Q):
         mkey = tuple(tuple(mapping[x]) for x in Q.elements)
         if mkey in found:
             continue
-        image = frozenset(mapping.values())
-        if conjugate_element(eQ, g) == fs.sub_pair[image].idempotent:
-            found[mkey] = (mapping, g, image)
+        if conjugate_element(eQ, g) == \
+                fs.sub_pair[key_of(pos, mapping.values())].idempotent:
+            found[mkey] = ({pos[x]: pos[y] for x, y in mapping.items()}, g)
     return [found[k] for k in sorted(found)]
+
+
+def key_of(pos, elements):
+    """The position key (sorted positions) of a set of group elements."""
+    return tuple(sorted(pos[x] for x in elements))
+
+
+def category_hom(cat, i, j):
+    """The morphisms i -> j of a commuting category, in key order: the maps
+    out of P_i whose image object lies in object j."""
+    return [psi for psi, t in cat.maps_out[i]
+            if cat.objects[t] & ~cat.objects[j] == 0]
 
 
 # -- the list-row certificate and the frozenset commuting poset ---------------

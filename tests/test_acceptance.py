@@ -19,17 +19,10 @@ from blockposets.gf import (
     PrimeField,
     field_context,
 )
-from blockposets.perms import PermGroup, Permutation, symmetric_group
-from blockposets.topology import (
-    boundary_matrices,
-    homology,
-    order_complex,
-    orbit_poset,
-    poset_iso_check,
-)
+from blockposets.perms import PermGroup, Permutation
+from blockposets.topology import boundary_matrices, homology, order_complex
 from blockposets.verify import (
     check_homology,
-    check_nonclique,
     check_principal_clique_complex,
     check_theorem1,
     check_theorem2,

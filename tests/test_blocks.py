@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from blockposets.blocks import (
-    Block,
     CentralAlgebra,
     GroupAlgebraElement,
     blocks,
@@ -13,13 +12,7 @@ from blockposets.blocks import (
 from blockposets import gf
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.gf import PrimeField, ExtensionField
-from blockposets.perms import (
-    Permutation,
-    conjugacy_classes,
-    cyclic_group,
-    dihedral_group,
-    symmetric_group,
-)
+from blockposets.perms import cyclic_group, dihedral_group, symmetric_group
 
 from oracles import (
     ORACLE_BOUND,

@@ -245,7 +245,8 @@ class TestUniqueSubpair:
         fs = FusionSystem.from_block_context(ctx)
         P = fs.P
         assert P.order == 2
-        assert fs.sub_pair[P.element_set] == fs.top == \
+        key = ctx.G.element_index().key
+        assert fs.sub_pair[key(P)] == fs.top == \
             subpair_by_chain(ctx, fs.top, P)
 
     def test_down_to_trivial(self, s3_blocks):
@@ -253,7 +254,7 @@ class TestUniqueSubpair:
         ctx = BlockContext(group, principal)
         fs = FusionSystem.from_block_context(ctx)
         trivial = PermGroup.trivial(3)
-        bottom = fs.sub_pair[trivial.element_set]
+        bottom = fs.sub_pair[ctx.G.element_index().key(trivial)]
         assert bottom == subpair_by_chain(ctx, fs.top, trivial)
         assert bottom.idempotent == principal.element
 
@@ -270,7 +271,7 @@ class TestUniqueSubpair:
                   if not x.is_identity() and
                   all(x * y == y * x for y in P.elements)]
         Z = PermGroup.from_generators(4, centre)
-        pair = fs.sub_pair[Z.element_set]
+        pair = fs.sub_pair[ctx.G.element_index().key(Z)]
         assert pair == subpair_by_chain(ctx, fs.top, Z)
         assert pair.subgroup == Z
         assert pair in ctx.pairs_at(Z)

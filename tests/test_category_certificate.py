@@ -9,7 +9,9 @@ The oracles below are the code it replaced:
 
 Hom sets, classes and order must agree on every non-slow corpus block and on
 both S6 p=2 blocks, and the closure certificate on F must raise exactly when
-the all-triples loop does when one map is deleted from F.
+the all-triples loop does when one map is deleted from F.  The oracles hold
+maps as F does, as dicts on G's element positions, and objects as masks of
+vertex ids.
 """
 
 import copy
@@ -27,6 +29,8 @@ from blockposets.errors import TheoryViolation
 from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
 from blockposets.perms import order_p_subgroups, symmetric_group
+
+from oracles import category_hom
 
 GF2 = field_context(2)
 
@@ -62,40 +66,56 @@ def systems():
 
 
 class PairwiseCategory:
-    """Objects as CommutingCategory builds them; hom sets per pair (i, j)."""
+    """Objects as CommutingCategory builds them; hom sets per pair (i, j).
+
+    An object is the mask of its vertex ids, and keys[i] is the position
+    key of its product.  A map is (image, g) as F gives it.
+    """
 
     def __init__(self, fusion):
+        index = fusion.ctx.G.element_index()
         self.vertices = order_p_subgroups(fusion.P, fusion.ctx.p)
         adj = commuting_adjacency(self.vertices)
-        self.objects = sorted((frozenset(kappa)
-                               for kappa, _ in iter_cliques(adj)), key=sorted)
-        self.products = [product_subgroup([self.vertices[v] for v in obj])
-                         for obj in self.objects]
+        cliques = sorted(kappa for kappa, _ in iter_cliques(adj))
+        self.objects = [sum(1 << v for v in kappa) for kappa in cliques]
+        self.products = [product_subgroup([self.vertices[v] for v in kappa])
+                         for kappa in cliques]
+        self.keys = [index.key(A) for A in self.products]
         self.member_sets = [
-            frozenset(self.vertices[v].element_set for v in obj)
-            for obj in self.objects]
+            frozenset(frozenset(index.key(self.vertices[v])) for v in kappa)
+            for kappa in cliques]
         between = {}                 # F's maps, once per pair of products
         self.homs = []               # homs[i][j]: hom(i, j) in key order
         for i, A in enumerate(self.products):
-            members = [self.vertices[v] for v in self.objects[i]]
+            members = [index.key(self.vertices[v]) for v in cliques[i]]
             row = []
             for j, B in enumerate(self.products):
-                key = (A.element_set, B.element_set)
-                if key not in between:
-                    between[key] = fusion.hom(A, B)
-                row.append([psi for psi in between[key]
-                            if all(psi.image_of(Q) in self.member_sets[j]
+                ends = (self.keys[i], self.keys[j])
+                if ends not in between:
+                    between[ends] = fusion.hom(A, B)
+                row.append([psi for psi in between[ends]
+                            if all(image_of(psi, Q) in self.member_sets[j]
                                    for Q in members)])
             self.homs.append(row)
 
 
+def image_of(psi, positions):
+    """The positions that the map psi sends the given positions to."""
+    return frozenset(psi[0][x] for x in positions)
+
+
+def key(psi):
+    """The image positions over the domain's elements, in their order."""
+    return tuple(psi[0].values())
+
+
 def inverse_key(psi, codomain):
-    inv = {y: x for x, y in psi.mapping.items()}
-    return tuple(inv[y] for y in codomain.elements)
+    inv = {y: x for x, y in psi[0].items()}
+    return tuple(inv[y] for y in codomain)
 
 
 def is_bijective(psi, codomain):
-    return psi.image_of(psi.domain) == codomain.element_set
+    return image_of(psi, psi[0]) == frozenset(codomain)
 
 
 def check_by_triples(cat, first=()):
@@ -107,27 +127,27 @@ def check_by_triples(cat, first=()):
     n = len(cat.objects)
     for i in range(n):
         endos = cat.homs[i][i]
-        keys = {psi.key() for psi in endos}
-        if cat.products[i].elements not in keys:
+        keys = {key(psi) for psi in endos}
+        if cat.keys[i] not in keys:
             raise TheoryViolation("identity morphism missing", witness=i)
         for psi in endos:
-            if not is_bijective(psi, cat.products[i]) \
-                    or inverse_key(psi, cat.products[i]) not in keys:
+            if not is_bijective(psi, cat.keys[i]) \
+                    or inverse_key(psi, cat.keys[i]) not in keys:
                 raise TheoryViolation("EI failure", witness=i)
     hom_keys = {}                    # (i, k) -> keys of hom(i, k)
     for i in list(first) + [i for i in range(n) if i not in first]:
-        domain = cat.products[i].elements
+        domain = cat.keys[i]
         for j in range(n):
-            mids = [[psi.mapping[x] for x in domain] for psi in cat.homs[i][j]]
+            mids = [[psi[0][x] for x in domain] for psi in cat.homs[i][j]]
             if not mids:
                 continue
             for k in range(n):
                 for chi in cat.homs[j][k]:
                     for mid in mids:
                         if (i, k) not in hom_keys:
-                            hom_keys[i, k] = {psi.key()
+                            hom_keys[i, k] = {key(psi)
                                               for psi in cat.homs[i][k]}
-                        if tuple(chi.mapping[y] for y in mid) \
+                        if tuple(chi[0][y] for y in mid) \
                                 not in hom_keys[i, k]:
                             raise TheoryViolation(
                                 "composite escapes its hom set",
@@ -147,10 +167,10 @@ def iso_classes_by_scan(cat):
 
     for i in range(n):
         for j in range(i + 1, n):
-            back = {chi.key() for chi in cat.homs[j][i]}
+            back = {key(chi) for chi in cat.homs[j][i]}
             for psi in cat.homs[i][j]:
-                if is_bijective(psi, cat.products[j]) \
-                        and inverse_key(psi, cat.products[j]) in back:
+                if is_bijective(psi, cat.keys[j]) \
+                        and inverse_key(psi, cat.keys[j]) in back:
                     parent[find(i)] = find(j)
                     break
     roots = sorted({find(i) for i in range(n)})
@@ -183,15 +203,13 @@ class TestAgainstPairwiseCategory:
             cat = CommutingCategory(fs)
             assert cat.objects == old.objects, name
             n = len(cat.objects)
+            assert cat.products == old.keys, name
             for i in range(n):
                 for j in range(n):
-                    got = cat.hom(i, j)
-                    assert [(psi.key(), psi.witness_g) for psi in got] == \
-                        [(psi.key(), psi.witness_g)
+                    got = category_hom(cat, i, j)
+                    assert [(key(psi), psi[1]) for psi in got] == \
+                        [(key(psi), psi[1])
                          for psi in old.homs[i][j]], (name, i, j)
-                    assert all(psi.domain is cat.products[i]
-                               and psi.codomain is cat.products[j]
-                               for psi in got)
                     pairs += 1
         assert pairs > 60_000
 
@@ -223,7 +241,6 @@ def test_family_short_one_elementary_abelian_subgroup_is_caught(
         if name.split("/")[0] not in ("S4_p2", "S5_p2", "S6_p2"):
             continue
         family = fs.family
-        products = [A.element_set for A in old.products]
         for k, S in enumerate(family):
             if S.order == 1 or not S.is_elementary_abelian(2)[0]:
                 continue
@@ -233,12 +250,11 @@ def test_family_short_one_elementary_abelian_subgroup_is_caught(
             except TheoryViolation:
                 pass
             else:
-                assert (cat.objects, [A.element_set for A in cat.products]) \
-                    != (old.objects, products), (name, S.label)
+                assert (cat.objects, cat.products) \
+                    != (old.objects, old.keys), (name, S.label)
             cases += 1
         monkeypatch.setattr(fs, "family", family)
-        assert [A.element_set for A in CommutingCategory(fs).products] == \
-            products
+        assert CommutingCategory(fs).products == old.keys
     assert cases == 41
 
 
@@ -254,18 +270,17 @@ def test_single_map_deletions_raise_alike(systems, monkeypatch):
     for name, fs, base in systems:
         if name.split("/")[0] not in ("S4_p2", "S5_p2", "S6_p2"):
             continue
-        for a in {A.element_set for A in base.products}:
-            rows = [i for i, A in enumerate(base.products)
-                    if A.element_set == a]
+        for a in set(base.keys):
+            rows = [i for i, b in enumerate(base.keys) if b == a]
             pair = fs.sub_pair[a]
             maps = fs.fusions(pair)
-            for k, (image, _g) in enumerate(maps):
-                gone = tuple(fs.ctx.G.elements[y] for y in image.values())
+            for k, psi in enumerate(maps):
+                gone = key(psi)
                 monkeypatch.setitem(fs._fusions, pair, maps[:k] + maps[k + 1:])
                 old = copy.copy(base)
                 old.homs = list(base.homs)
                 for i in rows:
-                    old.homs[i] = [[psi for psi in hs if psi.key() != gone]
+                    old.homs[i] = [[psi for psi in hs if key(psi) != gone]
                                    for hs in base.homs[i]]
                 new = raises(CommutingCategory, fs)
                 assert new == raises(check_by_triples, old, rows), \

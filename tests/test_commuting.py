@@ -27,6 +27,11 @@ from blockposets.topology import (
 GF2 = PrimeField(2)
 
 
+def num_edges(graph):
+    """Edge count from the adjacency masks: each edge sets two bits."""
+    return sum(mask.bit_count() for mask in graph.adjacency) // 2
+
+
 def cyc(degree, *cycles):
     return Permutation.from_cycles(degree, cycles)
 
@@ -82,7 +87,7 @@ class TestCommutingGraph:
     def test_s3_no_edges(self):
         g = commuting_graph(symmetric_group(3), 2)
         assert len(g.vertices) == 3
-        assert g.num_edges() == 0
+        assert num_edges(g) == 0
 
     def test_abelian_complete(self):
         g = commuting_graph(cyclic_group(6), 2)
@@ -90,7 +95,7 @@ class TestCommutingGraph:
         E = product_subgroup([sub(6, [1, 2]), sub(6, [3, 4]), sub(6, [5, 6])])
         g2 = commuting_graph(E, 2)
         assert len(g2.vertices) == 7
-        assert g2.num_edges() == 7 * 6 // 2
+        assert num_edges(g2) == 7 * 6 // 2
 
     def test_s4_edge_count_oracle(self):
         G = symmetric_group(4)
@@ -103,7 +108,7 @@ class TestCommutingGraph:
                 a, b = g.vertices[i], g.vertices[j]
                 if all(x * y == y * x for x in a.elements for y in b.elements):
                     count += 1
-        assert g.num_edges() == count == 12
+        assert num_edges(g) == count == 12
 
 
 class TestPairPosets:

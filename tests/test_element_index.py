@@ -28,7 +28,7 @@ from blockposets.perms import (
     symmetric_group,
 )
 from blockposets.topology import iter_bits, orbit_poset
-from blockposets.verify import _admissible_class, _eta_scan
+from blockposets.verify import _class_lookup, _eta_scan
 
 from oracles import (
     conjugate_element,
@@ -114,15 +114,19 @@ def class_counts_by_products(classes):
     return counts
 
 
-def eta_scan_by_products(G, geom, class_through, el_idx):
-    Q = geom.apairs.pairs[geom.elements[el_idx][1]].subgroup
+def eta_scan_by_products(G, geom, fs, class_at, el_idx):
+    kmask, pid = geom.elements[el_idx]
+    pair = geom.apairs.pairs[pid]
+    Q = pair.subgroup
     pos = G.element_index().pos
     results = set()
     first = None
     for g in G.elements:
         ginv = g.inverse()
         image = {pos[x]: pos[ginv * x * g] for x in Q.elements}
-        cls = class_through(el_idx, image, g)
+        if fs.target(pair, image, g) is None:
+            continue
+        cls = class_at(kmask, image)
         if cls is None:
             continue
         results.add(cls)
@@ -319,13 +323,13 @@ class TestCorpusScans:
             if icp.n == 0:
                 continue
             _quotient, orbit_of = orbit_poset(geom.kposet)
-            class_through = _admissible_class(ctx, geom, fs, cat, icp)
+            class_at = _class_lookup(ctx, geom, cat, icp)
             reps = {}
             for el in range(geom.kposet.n):
                 reps.setdefault(orbit_of[el], el)
             for rep in reps.values():
-                assert _eta_scan(geom, fs, class_through, rep) == \
-                    eta_scan_by_products(ctx.G, geom, class_through, rep), \
+                assert _eta_scan(geom, fs, class_at, rep) == \
+                    eta_scan_by_products(ctx.G, geom, fs, class_at, rep), \
                     (name, rep)
                 checked += 1
         assert checked > 20
@@ -335,7 +339,7 @@ class TestCorpusScans:
         for name, ctx in corpus_contexts():
             fs = FusionSystem.from_block_context(ctx)
             for Q in fs.family:
-                assert fs._maps_from(Q) == maps_from_by_products(fs, Q), \
+                assert fs.hom(Q, fs.P) == maps_from_by_products(fs, Q), \
                     (name, Q.label)
                 checked += 1
         assert checked > 20
@@ -370,5 +374,5 @@ class TestCorpusScans:
             cat = CommutingCategory(FusionSystem.from_block_context(ctx))
             for i, obj in enumerate(cat.objects):
                 names = sorted(cat.vertices[v].generators[0].cycle_string()
-                               for v in obj)
+                               for v in iter_bits(obj))
                 assert cat.object_label(i) == "{" + ",".join(names) + "}"

@@ -4,9 +4,7 @@ import pytest
 
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.topology import (
-    EquivalenceCertificate,
     GPoset,
-    HomologyResult,
     Poset,
     SimplicialComplex,
     boundary_matrices,

@@ -20,15 +20,16 @@ from blockposets.errors import TheoryViolation
 from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
 from blockposets.perms import (
+    ElementIndex,
     PermGroup,
     Permutation,
     dihedral_group,
     symmetric_group,
 )
 from blockposets.topology import iter_bits, orbit_poset
-from blockposets.verify import _theorem2_maps
+from blockposets.verify import _theorem2_maps, check_theorem2
 
-from oracles import conjugate_element
+from oracles import conjugate_element, key_of
 
 GF2 = field_context(2)
 
@@ -66,6 +67,7 @@ def eta_by_full_scan(ctx, geom, fs, cat, icp):
     """
     object_index = {obj: i for i, obj in enumerate(cat.objects)}
     cat_vertex = {Q.element_set: v for v, Q in enumerate(cat.vertices)}
+    pos = ctx.G.element_index().pos
     pset = fs.P.element_set
     moves = [(g, g.inverse()) for g in ctx.G.elements]
     admissible = {}                 # pair index -> positions of admissible g
@@ -79,20 +81,21 @@ def eta_by_full_scan(ctx, geom, fs, cat, icp):
                 if any(ginv * x * g not in pset
                        for x in pair.subgroup.generators):
                     continue
-                image = frozenset(ginv * x * g for x in pair.subgroup.elements)
+                image = key_of(pos, (ginv * x * g
+                                     for x in pair.subgroup.elements))
                 if conjugate_element(pair.idempotent, g) == \
                         fs.sub_pair[image].idempotent:
                     admissible[pid].append(k)
         results = set()
         for k in admissible[pid]:
             g, ginv = moves[k]
-            members = set()
+            members = 0
             for v in iter_bits(kmask):
                 if (v, k) not in vertex_image:
                     vertex_image[v, k] = cat_vertex[frozenset(
                         ginv * x * g for x in geom.vertices[v].elements)]
-                members.add(vertex_image[v, k])
-            results.add(icp.class_of[object_index[frozenset(members)]])
+                members |= 1 << vertex_image[v, k]
+            results.add(icp.class_of[object_index[members]])
         assert len(results) == 1
         out.append(results.pop())
     return out
@@ -111,9 +114,13 @@ def homs_by_scan(fs, Q):
 
     The scans share their work per g: Q's image and the idempotent test are
     found once, for every g with Q^g <= P, and each R keeps the first g of
-    each set map among those with Q^g <= R that pass.
+    each set map among those with Q^g <= R that pass.  The maps come out
+    under R's position key, each as its key, the image positions over Q's
+    elements, with its g.
     """
-    eQ = fs.sub_pair[Q.element_set].idempotent
+    index = fs.ctx.G.element_index()
+    pos = index.pos
+    eQ = fs.sub_pair[index.key(Q)].idempotent
     pset = fs.P.element_set
     scan = []                       # (set map, image, g, passes), G's order
     for g in fs.ctx.G.elements:
@@ -121,9 +128,10 @@ def homs_by_scan(fs, Q):
         if any(ginv * x * g not in pset for x in Q.generators):
             continue
         mapping = {x: ginv * x * g for x in Q.elements}
-        mkey = tuple(tuple(mapping[x]) for x in Q.elements)
+        mkey = tuple(pos[mapping[x]] for x in Q.elements)
         image = frozenset(mapping.values())
-        passes = conjugate_element(eQ, g) == fs.sub_pair[image].idempotent
+        passes = conjugate_element(eQ, g) == \
+            fs.sub_pair[key_of(pos, image)].idempotent
         scan.append((mkey, image, g, passes))
     out = {}
     for R in fs.family:
@@ -131,7 +139,7 @@ def homs_by_scan(fs, Q):
         for mkey, image, g, passes in scan:
             if passes and image <= R.element_set and mkey not in found:
                 found[mkey] = g
-        out[R.element_set] = [(k, found[k]) for k in sorted(found)]
+        out[index.key(R)] = [(k, found[k]) for k in sorted(found)]
     return out
 
 
@@ -163,14 +171,13 @@ def assert_eta_matches_full_scan(contexts):
 
 def assert_homs_match_per_pair_scan(ctx):
     fs = FusionSystem.from_block_context(ctx)
+    key = ctx.G.element_index().key
     for Q in fs.family:
         expect = homs_by_scan(fs, Q)
         for R in fs.family:
             homs = fs.hom(Q, R)
-            assert [(psi.key(), psi.witness_g) for psi in homs] == \
-                expect[R.element_set], (Q.label, R.label)
-            assert all(psi.domain is Q and psi.codomain is R
-                       for psi in homs)
+            assert [(tuple(image.values()), g) for image, g in homs] == \
+                expect[key(R)], (Q.label, R.label)
     return len(fs.family)
 
 
@@ -282,6 +289,37 @@ class TestEta:
         _forward, eta = _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of)
         assert geom.kposet.n == 3495 and len(eta) == 71
         assert 0 < counted[0] < 7000
+
+    @pytest.mark.parametrize("n, calls", [(5, 119), (6, 3558)],
+                             ids=["S5", "S6"])
+    def test_target_runs_once_per_coset_and_step(self, n, calls,
+                                                 monkeypatch):
+        """Inside check_theorem2 on the principal 2-block of S_n, F's test
+        runs once on each coset that FusionSystem.fusions scans and once on
+        each step of eta's orbit walk: the scan of an orbit's first element
+        reads the cosets that fusions already passed."""
+        ctx = principal_context(symmetric_group(n))
+        geom = block_geometry(ctx)
+        counted = {"target": 0, "cosets": 0}
+        target = FusionSystem.target
+        coset_conjugators = ElementIndex.coset_conjugators
+
+        def counting_target(fs, pair, image, g):
+            counted["target"] += 1
+            return target(fs, pair, image, g)
+
+        def counting_cosets(index, xs, within):
+            out = coset_conjugators(index, xs, within)
+            counted["cosets"] += len(out)
+            return out
+
+        monkeypatch.setattr(FusionSystem, "target", counting_target)
+        monkeypatch.setattr(ElementIndex, "coset_conjugators",
+                            counting_cosets)
+        assert check_theorem2(ctx, geom).passed
+        steps = sum(1 for parent in geom.kposet.orbit_walk.parent
+                    if parent >= 0)
+        assert counted["target"] == counted["cosets"] + steps == calls
 
 
 class TestPairs:

@@ -1,11 +1,11 @@
-"""No library module imports a name it never uses.
+"""No library or test module imports a name it never uses.
 
 The project installs no linter, so this standard-library check stands in
 for one.  Each src/blockposets/*.py except __init__.py (which imports in
-order to re-export) is parsed with ast.  Every name bound by an import
-statement, at any depth, must be read somewhere in the module as a plain
-name, which covers the root of an attribute chain.  `from __future__`
-imports bind no name and are exempt.
+order to re-export), and each tests/*.py, is parsed with ast.  Every name
+bound by an import statement, at any depth, must be read somewhere in the
+module as a plain name, which covers the root of an attribute chain.
+`from __future__` imports bind no name and are exempt.
 """
 
 import ast
@@ -13,8 +13,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "blockposets"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "blockposets"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source, filename="<source>"):
@@ -35,10 +37,17 @@ def unused_imports(source, filename="<source>"):
 
 def test_sources_are_found():
     assert {p.name for p in MODULES} >= {"perms.py", "brauer.py", "cli.py"}
+    assert {p.name for p in TEST_MODULES} >= {"oracles.py",
+                                               "test_unused_imports.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(), str(path)) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_every_test_import_is_used(path):
     assert unused_imports(path.read_text(), str(path)) == []
 
 

@@ -226,3 +226,19 @@ class TestReportDrift:
               "principal", "--out", str(out)])
         assert out.read_bytes() == (Path(__file__).parent / "data"
                                     / "s7_p2_principal.json").read_bytes()
+
+    @pytest.mark.parametrize("name, p", [
+        ("s6_p2_principal_iso_classes", 2),
+        ("s6_p3_principal_iso_classes", 3),
+    ])
+    def test_iso_class_exports_match_recorded(self, name, p, tmp_path):
+        """`poset --which iso-classes` on the principal blocks of S6 at
+        p = 2 (71 classes) and p = 3: the class labels, their order and the
+        covering relation of the commuting category's iso-class poset, which
+        theorem2 reports only as counts.  Recorded under tests/, as no
+        benchmark workload exports it."""
+        out = tmp_path / "poset.json"
+        main(["poset", "--group", "S6", "--prime", str(p), "--block",
+              "principal", "--which", "iso-classes", "--out", str(out)])
+        assert out.read_bytes() == \
+            (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
