@@ -20,7 +20,6 @@ from .perms import (                                        # noqa: F401
     PermGroup,
     centralizer,
     conjugacy_classes,
-    cyclic_group,
     dihedral_group,
     order_p_subgroups,
     p_subgroups_up_to_conjugacy,
@@ -39,7 +38,6 @@ from .brauer import (                                       # noqa: F401
     BlockContext,
     BrauerPair,
     GroupContext,
-    brauer_hom,
 )
 from .commuting import (                                    # noqa: F401
     block_geometry,

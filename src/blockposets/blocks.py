@@ -80,8 +80,9 @@ class GroupAlgebraElement:
                 out[z] = F.add(prev, F.mul(cx, cy))
         return GroupAlgebraElement(self.group, F, out)
 
-    def conjugates_to(self, g, other):
-        """self ** g == other, decided term by term without building self ** g.
+    def conjugates_to(self, g, ginv, other):
+        """self ** g == other, decided term by term without building self ** g;
+        ginv is g's inverse, which the caller holds.
 
         The supports must have one size; then each conjugated term is looked
         up in other, stopping at the first mismatch.
@@ -89,13 +90,12 @@ class GroupAlgebraElement:
         target = other.support
         if len(self.support) != len(target):
             return False
-        ginv = g.inverse()
         get = target.get
         return all(get(x.conjugate(g, ginv)) == c
                    for x, c in self.support.items())
 
     def is_fixed_by(self, gens):
-        return all(self.conjugates_to(g, self) for g in gens)
+        return all(self.conjugates_to(g, g.inverse(), self) for g in gens)
 
     def truncate(self, members):
         """Keep only the support at members, an iterable of distinct
@@ -111,9 +111,6 @@ class GroupAlgebraElement:
         for c in self.support.values():
             s = F.add(s, c)
         return s
-
-    def is_idempotent(self):
-        return bool(self) and self * self == self
 
     def __repr__(self):
         n = len(self.support)

@@ -40,17 +40,6 @@ from .perms import PermGroup, centralizer, p_subgroups_up_to_conjugacy
 from .topology import GPoset, Poset, closure_masks
 
 
-def brauer_hom(Q, a):
-    """Truncate the Q-fixed element a of kG to kC_G(Q).
-
-    Raises ValueError when a is not fixed by Q-conjugation.
-    """
-    if not a.is_fixed_by(Q.generators):
-        raise ValueError("element is not Q-stable")
-    C = centralizer(a.group, Q)
-    return a.truncate(C.elements)
-
-
 class BrauerPair:
     """(Q, e): a p-subgroup with a block e of kC_G(Q)."""
 

@@ -30,14 +30,17 @@ element is (kappa as a bitmask of vertex ids, pair index), and its label is
 formatted from that pair of ints when it is read.  The elements of one
 kappa are consecutive, so an element is found from the index of the first
 element of its kappa and the position of its pair among the pairs at the
-product of kappa.  The order is built from masks: the up-set of (kappa, e)
-is "elements at a pair above e" ANDed with "elements whose kappa contains
-v" over v in kappa.  A generator acts on kappa through the image bits of
-its vertices, read once from G's conjugation tables.
+product of kappa.  The up-set of (kappa, e) is "elements at a pair above
+e" ANDed with "elements whose kappa contains v" over v in kappa; each such
+mask is yielded to the poset, which reads it into its row table, so no
+two of these |K|-bit masks exist together.  A generator acts on kappa
+through the image bits of its vertices, read once from G's conjugation
+tables, and the action is held as one array('i') per generator.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from operator import itemgetter
 
@@ -241,7 +244,7 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     """Build the pair poset, the commuting poset, and the two maps."""
     apairs = elementary_abelian_poset(ctx)
     aposet = apairs.poset
-    # the build tables die with the call, before the certificate's rows
+    # up yields K's masks one at a time; its build tables die with it
     vertices, adj, elements, up, action, expand_map = _commuting_elements(
         ctx, apairs, max_elements)
     labels = CommutingLabels(
@@ -256,7 +259,8 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
 
 def _commuting_elements(ctx, apairs, max_elements):
     """(vertices, their adjacency, elements, up masks, action, expand map)
-    of the commuting poset over the pair poset apairs."""
+    of the commuting poset over the pair poset apairs; the up masks come
+    from a generator, one per element in order."""
     aposet = apairs.poset
     # the family: the subgroups with a pair, each with the pairs at it
     family_index = {}
@@ -291,26 +295,19 @@ def _commuting_elements(ctx, apairs, max_elements):
         run = (1 << len(elements)) - (1 << first)
         for v in kappa:
             containing[v] |= run
-    above_pair = _above_pair_masks(aposet, elements)
     # each generator's image of each vertex, as a bit, read once from G's
     # conjugation tables
     gindex = ctx.G.element_index()
     vimage = [[1 << vindex[frozenset(gindex.conj_image(gi, V.elements))]
                for V in vertices]
               for gi in range(len(ctx.G.generators))]
-    # order: subset on kappa, pair containment on the decorations; action:
-    # kappa's image from its vertices' image bits, the pair's image from
-    # the pair poset's action, which must lie at the product of the image
-    up = []
-    action = [[] for _ in vimage]
+    # action: kappa's image from its vertices' image bits, the pair's image
+    # from the pair poset's action, which must lie at the product of the
+    # image
+    action = [array("i") for _ in vimage]
     for kmask, first in first_of.items():
         members = iter_bits(kmask)
         pids = pairs_at[family_of_pair[elements[first][1]]]
-        for pid in pids:
-            mask = above_pair[pid]
-            for v in members:
-                mask &= containing[v]
-            up.append(mask)
         for bits, pair_image, perm in zip(vimage, aposet.action, action):
             image = 0
             for v in members:
@@ -333,7 +330,19 @@ def _commuting_elements(ctx, apairs, max_elements):
                 "order-p subgroups of a pair's subgroup generate another",
                 witness=aposet.labels[pid])
         expand_map.append(first + slot[pid])
-    return vertices, adj, elements, up, action, expand_map
+
+    def up():
+        # order: subset on kappa, pair containment on the decorations
+        above_pair = _above_pair_masks(aposet, elements)
+        for kmask, first in first_of.items():
+            members = iter_bits(kmask)
+            for pid in pairs_at[family_of_pair[elements[first][1]]]:
+                mask = above_pair[pid]
+                for v in members:
+                    mask &= containing[v]
+                yield mask
+
+    return vertices, adj, elements, up(), action, expand_map
 
 
 def _above_pair_masks(aposet, elements):
@@ -341,10 +350,11 @@ def _above_pair_masks(aposet, elements):
     at_pair = [0] * aposet.n
     for i, (_kmask, pid) in enumerate(elements):
         at_pair[pid] |= 1 << i
+    members, offsets = aposet.members, aposet.offsets
     above_pair = []
     for pid in range(aposet.n):
         mask = 0
-        for above in iter_bits(aposet.up[pid]):
+        for above in members[offsets[pid]:offsets[pid + 1]]:
             mask |= at_pair[above]
         above_pair.append(mask)
     return above_pair
@@ -369,13 +379,22 @@ def uncovered_minimal_clique(poset):
     """The first clique of minimal elements with no common upper bound.
 
     Two minimal elements are joined when their up-sets meet, i.e. some
-    element lies above both, so every clique of size <= 2 is covered.  The
-    search carries down the clique DFS the AND of the chosen elements' up-sets;
-    a clique is covered iff that AND is nonzero.  Returns the clique as a
-    tuple of element indices, or None when every clique is covered.
+    element lies above both, so every clique of size <= 2 is covered.  An
+    element above some elements lies below a maximal element, which is also
+    above them, so up-sets are read as masks over the maximal elements
+    only.  The search carries down the clique DFS the AND of the chosen
+    elements' up-sets; a clique is covered iff that AND is nonzero.  Returns
+    the clique as a tuple of element indices, or None when every clique is
+    covered.
     """
     minimal = poset.minimal_elements()
-    ups = [poset.up[m] for m in minimal]
+    top_bit = [0] * poset.n
+    for k, x in enumerate(poset.maximal_elements()):
+        top_bit[x] = 1 << k
+    members, offsets = poset.members, poset.offsets
+    # a row holds each element once, so the sum of its bits is their OR
+    ups = [sum(map(top_bit.__getitem__, members[offsets[m]:offsets[m + 1]]))
+           for m in minimal]
     gadj = [0] * len(minimal)
     for a, up_a in enumerate(ups):
         for b in range(a + 1, len(ups)):

@@ -88,16 +88,16 @@ class FusionSystem:
                        if inside.issuperset(m[0].values())),
                       key=lambda m: tuple(m[0].values()))
 
-    def target(self, pair, image, g):
+    def target(self, pair, image, g, ginv):
         """The pair below top at Q^g if e^g is its idempotent, else None.
 
         pair is (Q, e); image maps the position of each x in Q, in G's
-        element index, to that of x^g.  None also when Q^g is not a
-        subgroup of P.
+        element index, to that of x^g; ginv is g's inverse.  None also when
+        Q^g is not a subgroup of P.
         """
         below = self.sub_pair.get(tuple(sorted(image.values())))
         if below is None or not pair.idempotent.conjugates_to(
-                g, below.idempotent):
+                g, ginv, below.idempotent):
             return None
         return below
 
@@ -124,7 +124,7 @@ class FusionSystem:
             if tuple(sorted(image.values())) not in self.sub_pair:
                 raise TheoryViolation("image subgroup missing from family",
                                       witness=Q.label)
-            if self.target(pair, image, g) is not None:
+            if self.target(pair, image, g, ginv) is not None:
                 out.append((image, g))
         self._fusions[pair] = out
         return out

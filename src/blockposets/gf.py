@@ -57,9 +57,6 @@ class PrimeField:
             return self.inv(self.pow(a, -n))
         return pow(a, n, self.p)
 
-    def frobenius(self, a):
-        return a  # a^p = a in GF(p)
-
     def from_int(self, n):
         return n % self.p
 
@@ -157,9 +154,6 @@ class ExtensionField:
         if a == self.zero:
             raise ZeroDivisionError("inversion of zero field element")
         return self.pow(a, self.q - 2)
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
 
     def from_int(self, n):
         return (n % self.p,) + (0,) * (self.d - 1)

@@ -737,13 +737,6 @@ def dihedral_group(order, label=None):
     return PermGroup.from_generators(n, [rot, refl], label or f"D{order}")
 
 
-def cyclic_group(n, label=None):
-    if n == 1:
-        return PermGroup.trivial(1, label or "C1")
-    g = Permutation.from_cycles(n, [list(range(1, n + 1))])
-    return PermGroup.from_generators(n, [g], label or f"C{n}")
-
-
 def exponent_p_part_complement(G, p):
     """p'-part of the exponent of G (lcm of element orders with p stripped)."""
     e = G.exponent()

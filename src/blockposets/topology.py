@@ -1,31 +1,41 @@
 """Finite posets with group actions, order complexes, and integral homology.
 
-Posets keep their relation as per-element up-set bitmasks, and their labels
-as whatever sequence they are given: a list, or one that formats each label
-when it is read.  Every walk over a mask goes through one set-bit kernel,
-`iter_bits`, which peels the top bit (``b = mask.bit_length() - 1;
-mask ^= 1 << b``) and returns the row as an increasing list.  The mask
-narrows as its top bits go, where the low-bit step ``mask & -mask`` works
-on the full width for every bit.
+A poset holds its order as one flat row table: the up-set of i is
+members[offsets[i]:offsets[i + 1]], increasing, in two array('i') of 4 bytes
+per relation and per element.  It is read once from the up-set bitmasks it
+is built from, one mask at a time, so a caller can stream its masks and no
+n-bit mask per element stays alive; the minimal elements are found in the
+same pass.  Masks are rebuilt from the rows (`Poset.up_masks`) only where a
+consumer works on them: the order complex (within its size bound),
+covering pairs and down-sets for exports, and the order check of a plain
+Poset, which has no action and is small.  Every walk over a mask goes
+through one set-bit kernel, `iter_bits`, which peels the top bit (``b =
+mask.bit_length() - 1; mask ^= 1 << b``) and returns the row as an
+increasing list.
 
-The checks read each row's set bits once, into an array('i') of 4 bytes per
-relation, and cost per relation pair, with no per-pair bit test on a wide
-int:
+The checks read the rows, and a group acting by order-automorphisms lets
+them read one row per orbit:
 
-* transitivity is one OR per row: the up-sets of the elements above i,
-  ORed together, must give back the up-set of i;
-* given reflexivity and transitivity, i <= j <= i makes the up-sets of i and
-  j equal, and equal up-sets give i <= j <= i, so antisymmetry holds iff
-  the up-set masks are pairwise distinct;
+* reflexivity is checked on every element, as the masks are read;
 * a permutation a of the elements is an order-automorphism iff a maps each
-  row i onto the row of a(i), and a bijection is an order isomorphism iff
-  it maps each row onto the row of the image;
-* a map f is order-preserving iff each up-set of x lies inside the
-  preimage of the up-set of f(x), one mask test per x;
-* down-sets come from transposed index lists, one mask each.
+  row i onto the row of a(i); this is checked on every element, for each
+  generator;
+* once the generators act by automorphisms, a failure of transitivity or
+  antisymmetry at x is one at the first element of x's orbit, so both are
+  checked there only: row(j) lies inside row(r), and is shorter, for each
+  j != r in row(r);
+* a map f is order-preserving iff f maps each row of x into the row of
+  f(x); for equivariant maps between such posets that, and the round-trip
+  comparisons, are tested at orbit representatives first;
+* chain counts are constant on orbits, and are counted on one row per
+  orbit;
+* a bijection is an order isomorphism iff it maps each row onto the row of
+  the image.
 
-On a failure the first offending row is scanned pair by pair, so the
-witness is the first offending pair in row order.
+On any failure the all-element scan runs, so each verdict, failure list and
+witness is the one that scan gives: the first offending pair in row order.
+A plain Poset checks transitivity by one OR of masks per row, and
+antisymmetry by the masks being pairwise distinct.
 
 Homology of a simplicial complex is unreduced integral homology computed
 from Smith normal forms of the boundary matrices.  Each boundary map is
@@ -41,8 +51,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import defaultdict, namedtuple
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 
 from .errors import SizeLimitExceeded, TheoryViolation
 
@@ -93,19 +105,32 @@ class Poset:
     def __init__(self, labels, up_masks):
         self.n = len(labels)
         self.labels = labels      # any sequence; kept as given
-        self.up = list(up_masks)  # bit j of up[i] set iff i <= j
-        self._check([array("i", iter_bits(m)) for m in self.up])
+        # the up-set of i is members[offsets[i]:offsets[i + 1]], increasing
+        members, offsets = array("i"), array("i", [0])
+        unreflexive = None
+        above = 0       # the elements strictly above some element
+        for i, mask in enumerate(up_masks):
+            row = iter_bits(mask)
+            if unreflexive is None and i not in row:
+                unreflexive = i
+            above |= mask ^ (1 << i)    # a missing own bit raises below
+            members.extend(row)
+            offsets.append(len(members))
+        if len(offsets) != self.n + 1:
+            raise ValueError(f"{len(offsets) - 1} up-sets for {self.n} labels")
+        self.members, self.offsets = members, offsets
+        self._minimal = iter_bits(~above & ((1 << self.n) - 1))
+        if unreflexive is not None:
+            raise TheoryViolation("relation not reflexive", witness=unreflexive)
+        self._check()
 
-    def _check(self, rows):
-        """Raise TheoryViolation unless the relation is a partial order.
-
-        rows[i] holds the set bits of up[i] as an array('i'); subclasses
-        check more on them.
-        """
-        up = self.up
-        for i in range(self.n):
-            if not (up[i] >> i) & 1:
-                raise TheoryViolation("relation not reflexive", witness=i)
+    def _check(self):
+        """Raise TheoryViolation unless the reflexive relation is a partial
+        order: the masks must be pairwise distinct, and the up-sets of the
+        elements above i ORed together must give back the up-set of i."""
+        up = self.up_masks()
+        members, offsets = self.members, self.offsets
+        rows = [members[offsets[i]:offsets[i + 1]] for i in range(self.n)]
         if len(set(up)) == self.n and all(
                 _row_or(up, row) == up[i] for i, row in enumerate(rows)):
             return
@@ -122,25 +147,32 @@ class Poset:
                     raise TheoryViolation("relation not transitive",
                                           witness=(self.labels[i], self.labels[j]))
 
-    @classmethod
-    def from_leq_pairs(cls, labels, pairs):
-        """Build from the full relation given as (i, j) pairs; reflexivity added."""
-        n = len(labels)
-        up = [1 << i for i in range(n)]
-        for i, j in pairs:
-            up[i] |= 1 << j
-        return cls(labels, up)
+    def up_masks(self):
+        """Every up-set as a bitmask, rebuilt from the rows."""
+        members, offsets = self.members, self.offsets
+        out = []
+        for i in range(self.n):
+            mask = 0
+            for j in members[offsets[i]:offsets[i + 1]]:
+                mask |= 1 << j
+            out.append(mask)
+        return out
 
     def leq(self, i, j):
-        return (self.up[i] >> j) & 1 == 1
+        members, hi = self.members, self.offsets[i + 1]
+        k = bisect_left(members, j, self.offsets[i], hi)
+        return k < hi and members[k] == j
 
     def leq_pairs(self):
-        return [(i, j) for i in range(self.n) for j in iter_bits(self.up[i])]
+        members, offsets = self.members, self.offsets
+        return [(i, j) for i in range(self.n)
+                for j in members[offsets[i]:offsets[i + 1]]]
 
     def down_masks(self):
+        members, offsets = self.members, self.offsets
         below = [[] for _ in range(self.n)]
-        for i, m in enumerate(self.up):
-            for j in iter_bits(m):
+        for i in range(self.n):
+            for j in members[offsets[i]:offsets[i + 1]]:
                 below[j].append(i)
         down = []
         for lst in below:
@@ -152,23 +184,24 @@ class Poset:
 
     def covering_pairs(self):
         """(i, j) with i < j and nothing strictly between."""
-        down = self.down_masks()
+        up, down = self.up_masks(), self.down_masks()
         out = []
         for i in range(self.n):
-            strict = self.up[i] & ~(1 << i)
+            strict = up[i] & ~(1 << i)
             for j in iter_bits(strict):
                 if not (strict & down[j] & ~(1 << j)):
                     out.append((i, j))
         return out
 
     def minimal_elements(self):
-        above = 0   # the elements strictly above some element
-        for i, m in enumerate(self.up):
-            above |= m ^ (1 << i)
-        return iter_bits(~above & ((1 << self.n) - 1))
+        """The elements above no other, found as the masks were read."""
+        return list(self._minimal)
 
     def maximal_elements(self):
-        return [i for i in range(self.n) if self.up[i] == (1 << i)]
+        """The elements whose row holds only themselves."""
+        offsets = self.offsets.tolist()
+        return [i for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+                if hi - lo == 1]
 
     def is_empty(self):
         return self.n == 0
@@ -209,27 +242,70 @@ class GPoset(Poset):
     """A poset with a group acting by order-automorphisms.
 
     The action is stored as one permutation of the elements per group
-    generator; each generator's image is checked to be an order-automorphism
-    at construction.
+    generator, each an array('i'); each generator's image is checked to be
+    an order-automorphism at construction.
     """
 
     def __init__(self, labels, up_masks, action):
-        self.action = [list(a) for a in action]
+        self.action = [array("i", a) for a in action]
         super().__init__(labels, up_masks)
 
-    def _check(self, rows):
-        super()._check(rows)
+    def _check(self):
+        """Raise TheoryViolation unless the relation is a partial order and
+        each generator an order-automorphism.
+
+        The automorphism test runs on every element; transitivity and
+        antisymmetry run at the orbit representatives only, which is sound
+        once the generators act by automorphisms.  On any failure the
+        all-element scan runs: Poset's check, then the action's.
+        """
+        if all(self._maps_rows_onto_rows(a) for a in self.action) \
+                and self._order_at(self.orbit_representatives()):
+            return
+        super()._check()
+        self._scan_action()
+
+    def _maps_rows_onto_rows(self, a):
+        """Does the permutation a map each row i onto the row of a(i)?"""
+        members = self.members
+        if sorted(a) != list(range(self.n)):
+            return False
+        a, offsets = a.tolist(), self.offsets.tolist()  # lists index faster
+        image_of = a.__getitem__
+        lo = 0
+        for t, hi in zip(a, islice(offsets, 1, None)):
+            if sorted(map(image_of, members[lo:hi])) \
+                    != members[offsets[t]:offsets[t + 1]].tolist():
+                return False
+            lo = hi
+        return True
+
+    def _order_at(self, reps):
+        """Transitivity and antisymmetry at each r in reps: every j != r in
+        row(r) has a row inside row(r), and a shorter one (given
+        transitivity, an equal row would put r in row(j))."""
+        members, offsets = self.members, self.offsets
+        for r in reps:
+            lo, hi = offsets[r], offsets[r + 1]
+            row = set(members[lo:hi])
+            for j in members[lo:hi]:
+                if j != r and (offsets[j + 1] - offsets[j] >= hi - lo
+                               or not row.issuperset(
+                                   members[offsets[j]:offsets[j + 1]])):
+                    return False
+        return True
+
+    def _scan_action(self):
+        """The first pair, in row order, whose image is not a relation."""
+        members, offsets = self.members, self.offsets
         everything = list(range(self.n))
         for a in self.action:
             if sorted(a) != everything:
                 raise TheoryViolation("generator does not permute poset elements")
-            if all(sorted([a[j] for j in row]) == rows[a[i]].tolist()
-                   for i, row in enumerate(rows)):
-                continue
-            # the first pair whose image is not a relation
-            for i, row in enumerate(rows):
-                target = set(rows[a[i]])
-                for j in row:
+            for i in range(self.n):
+                t = a[i]
+                target = set(members[offsets[t]:offsets[t + 1]])
+                for j in members[offsets[i]:offsets[i + 1]]:
                     if a[j] not in target:
                         raise TheoryViolation(
                             "generator action is not an order-automorphism",
@@ -244,6 +320,7 @@ class GPoset(Poset):
         numbers x's orbit."""
         order, parent, via = array("i"), array("i"), array("i")
         orbit_of = [-1] * self.n
+        action = list(enumerate(a.tolist() for a in self.action))
         orbits = 0
         for start in range(self.n):
             if orbit_of[start] < 0:
@@ -253,8 +330,9 @@ class GPoset(Poset):
                 parent.append(-1)
                 via.append(-1)
                 while k < len(order):       # order is the BFS queue
-                    for t, a in enumerate(self.action):
-                        y = a[order[k]]
+                    x = order[k]
+                    for t, a in action:
+                        y = a[x]
                         if orbit_of[y] < 0:
                             orbit_of[y] = orbits
                             order.append(y)
@@ -271,20 +349,27 @@ class GPoset(Poset):
             out[orbit].append(x)
         return [tuple(orbit) for orbit in out]
 
+    def orbit_representatives(self):
+        """The least element of each orbit, in orbit order."""
+        walk = self.orbit_walk
+        return [x for x, k in zip(walk.order, walk.parent) if k < 0]
+
 
 def orbit_poset(X):
     """The quotient poset of orbits; [x] <= [y] iff some representatives compare.
 
     Returns (poset, orbit_of), read off X's orbit walk.  The group acts by
     order-automorphisms, so x^h <= y iff x <= y^(h^-1): the orbits above
-    [x] are those met by the up-set of any one member, and one up-set per
+    [x] are those met by the up-set of any one member, and one row per
     orbit is read.  Reflexivity and transitivity of the orbit relation are
     automatic; antisymmetry is asserted by the Poset constructor and failure
     raises with a witness.
     """
     orbits = X.orbits()
     orbit_of = X.orbit_walk.orbit_of
-    up = [sum({1 << orbit_of[j] for j in iter_bits(X.up[orb[0]])})
+    members, offsets = X.members, X.offsets
+    up = [sum({1 << orbit_of[j]
+               for j in members[offsets[orb[0]]:offsets[orb[0] + 1]]})
           for orb in orbits]
     labels = [f"[{X.labels[orb[0]]}] x{len(orb)}" for orb in orbits]
     return Poset(labels, up), orbit_of
@@ -345,9 +430,6 @@ class SimplicialComplex:
     def num_simplices(self):
         return sum(self.face_counts())
 
-    def euler_characteristic(self):
-        return sum((-1) ** n * len(fs) for n, fs in enumerate(self.faces_by_dim))
-
     def is_empty(self):
         return not self.faces_by_dim
 
@@ -358,23 +440,34 @@ def chain_counts(X):
     With c_k[x] the number of k-simplices x = x_0 < ... < x_k starting at x,
     c_0[x] = 1 and c_k[x] is the sum of c_{k-1}[y] over y > x; the k-th face
     count is the sum of c_k over x.  This equals
-    order_complex(X).face_counts().  The strict up-sets are listed once, as
-    array('i') rows of 4 bytes per relation, and each dimension costs one
-    pass over those rows.
+    order_complex(X).face_counts().  An automorphism maps the chains
+    starting at x onto those starting at its image, so c_k is constant on
+    orbits: the strict up-set of one element per orbit is read once, as an
+    array('i') of orbit ids, and each orbit's count is weighted by its
+    size.  A plain Poset counts each element as its own orbit.
     """
-    strict_up = [array("i", iter_bits(X.up[i] & ~(1 << i)))
-                 for i in range(X.n)]
+    members, offsets = X.members, X.offsets
+    if isinstance(X, GPoset):
+        orbits = X.orbits()
+        orbit_of = X.orbit_walk.orbit_of
+        reps, sizes = [orb[0] for orb in orbits], [len(orb) for orb in orbits]
+    else:
+        orbit_of = reps = range(X.n)
+        sizes = [1] * X.n
+    strict_up = [array("i", [orbit_of[j] for j
+                             in members[offsets[r]:offsets[r + 1]] if j != r])
+                 for r in reps]
     counts = []
-    c = [1] * X.n
+    c = [1] * len(reps)
     while any(c):
-        counts.append(sum(c))
-        c = [sum([c[j] for j in row]) for row in strict_up]
+        counts.append(sum(size * x for size, x in zip(sizes, c)))
+        c = [sum([c[o] for o in row]) for row in strict_up]
     return counts
 
 
 def order_complex(X, max_simplices=MAX_SIMPLICES):
     """Chains of the poset X as simplices (x_0 < ... < x_n)."""
-    strict_up = [X.up[i] & ~(1 << i) for i in range(X.n)]
+    strict_up = [m & ~(1 << i) for i, m in enumerate(X.up_masks())]
     by_dim = []
     count = 0
     frontier = [((i,), strict_up[i]) for i in range(X.n)]
@@ -684,9 +777,6 @@ class HomologyResult:
     def torsion(self, n):
         return self.groups[n][1] if n < len(self.groups) else ()
 
-    def euler_characteristic(self):
-        return sum((-1) ** n * b for n, (b, _t) in enumerate(self.groups))
-
     def __eq__(self, other):
         return isinstance(other, HomologyResult) and self.groups == other.groups
 
@@ -755,25 +845,27 @@ class EquivalenceCertificate:
         self.failures = failures
 
 
-def _order_preserving(X, Y, fmap, failures, tag):
-    """Is fmap order-preserving?  Failing pairs go on failures in row order."""
-    fibre = [0] * Y.n
-    for i in range(X.n):
-        fibre[fmap[i]] |= 1 << i
-    preimage_up = {}
+def _order_preserving(X, Y, fmap, tag, elements, failures):
+    """Does fmap map the row of each x in elements into the row of f(x)?
+    Failing pairs go on failures in row order."""
+    members, offsets = X.members, X.offsets
+    y_members, y_offsets = Y.members, Y.offsets
+    allowed_at = {}
     ok = True
-    for i in range(X.n):
+    for i in elements:
         y = fmap[i]
-        allowed = preimage_up.get(y)
+        allowed = allowed_at.get(y)
         if allowed is None:
-            allowed = preimage_up[y] = _row_or(fibre, iter_bits(Y.up[y]))
-        for j in iter_bits(X.up[i] & ~allowed):
-            failures.append((tag, "order", X.labels[i], X.labels[j]))
-            ok = False
+            allowed = allowed_at[y] = set(
+                y_members[y_offsets[y]:y_offsets[y + 1]])
+        for j in members[offsets[i]:offsets[i + 1]]:
+            if fmap[j] not in allowed:
+                failures.append((tag, "order", X.labels[i], X.labels[j]))
+                ok = False
     return ok
 
 
-def _equivariant(X, Y, fmap, failures, tag):
+def _equivariant(X, Y, fmap, tag, failures):
     ok = True
     for a_x, a_y in zip(X.action, Y.action):
         for i in range(X.n):
@@ -783,10 +875,11 @@ def _equivariant(X, Y, fmap, failures, tag):
     return ok
 
 
-def _uniform_direction(X, roundtrip, failures, tag):
-    """Compare x with roundtrip(x) pointwise; require one uniform direction."""
+def _uniform_direction(X, roundtrip, tag, elements, failures):
+    """Compare x with roundtrip(x) over elements; require one uniform
+    direction."""
     saw_up = saw_down = False
-    for i in range(X.n):
+    for i in elements:
         j = roundtrip[i]
         if i == j:
             continue
@@ -809,25 +902,47 @@ def _uniform_direction(X, roundtrip, failures, tag):
     return "id=" + tag
 
 
+def _orbitwise(test, reps, n, failures):
+    """test(elements, failures) at the orbit representatives reps, when
+    given; without them, or when they fail, over every element, so that a
+    failure is reported as the all-element scan reports it."""
+    if reps is not None:
+        out = test(reps, [])
+        if out:
+            return out
+    return test(range(n), failures)
+
+
 def quillen_pair_check(X, Y, fmap, hmap):
     """Certificate for an inverse pair of equivariant poset maps.
 
     fmap: X -> Y and hmap: Y -> X as index lists.  Passing means: both maps
     order-preserving, both equivariant on generators, and both round trips
-    uniformly comparable with the identity.
+    uniformly comparable with the identity.  Equivariance is tested on
+    every element.  When both maps pass it, the order and round-trip tests
+    are invariant under the group, and run at orbit representatives first.
     """
-    failures = []
-    f_ord = _order_preserving(X, Y, fmap, failures, "F")
-    h_ord = _order_preserving(Y, X, hmap, failures, "H")
-    f_eq = _equivariant(X, Y, fmap, failures, "F")
-    h_eq = _equivariant(Y, X, hmap, failures, "H")
-    rt_x = _uniform_direction(X, [hmap[fmap[i]] for i in range(X.n)],
-                              failures, "HF")
-    rt_y = _uniform_direction(Y, [fmap[hmap[i]] for i in range(Y.n)],
-                              failures, "FH")
+    f_ord_out, h_ord_out, f_eq_out, h_eq_out, hf_out, fh_out = (
+        [] for _ in range(6))
+    f_eq = _equivariant(X, Y, fmap, "F", f_eq_out)
+    h_eq = _equivariant(Y, X, hmap, "H", h_eq_out)
+    reps_x = reps_y = None
+    if f_eq and h_eq:
+        reps_x, reps_y = X.orbit_representatives(), Y.orbit_representatives()
+    f_ord = _orbitwise(partial(_order_preserving, X, Y, fmap, "F"),
+                       reps_x, X.n, f_ord_out)
+    h_ord = _orbitwise(partial(_order_preserving, Y, X, hmap, "H"),
+                       reps_y, Y.n, h_ord_out)
+    hf = [hmap[fmap[i]] for i in range(X.n)]
+    fh = [fmap[hmap[i]] for i in range(Y.n)]
+    rt_x = _orbitwise(partial(_uniform_direction, X, hf, "HF"),
+                      reps_x, X.n, hf_out)
+    rt_y = _orbitwise(partial(_uniform_direction, Y, fh, "FH"),
+                      reps_y, Y.n, fh_out)
     ok = all([f_ord, h_ord, f_eq, h_eq, rt_x is not None, rt_y is not None])
-    return EquivalenceCertificate(ok, f_ord, h_ord, f_eq, h_eq, rt_x, rt_y,
-                                  failures)
+    return EquivalenceCertificate(
+        ok, f_ord, h_ord, f_eq, h_eq, rt_x, rt_y,
+        f_ord_out + h_ord_out + f_eq_out + h_eq_out + hf_out + fh_out)
 
 
 def poset_iso_check(X, Y, fmap):
@@ -836,9 +951,12 @@ def poset_iso_check(X, Y, fmap):
         return False, ("size", X.n, Y.n)
     if sorted(fmap) != list(range(Y.n)):
         return False, ("not a bijection",)
+    members, offsets = X.members, X.offsets
+    y_members, y_offsets = Y.members, Y.offsets
     for i in range(X.n):
-        if sorted([fmap[j] for j in iter_bits(X.up[i])]) \
-                == iter_bits(Y.up[fmap[i]]):
+        t = fmap[i]
+        if sorted([fmap[j] for j in members[offsets[i]:offsets[i + 1]]]) \
+                == y_members[y_offsets[t]:y_offsets[t + 1]].tolist():
             continue
         for j in range(X.n):
             if X.leq(i, j) != Y.leq(fmap[i], fmap[j]):

@@ -63,10 +63,6 @@ class CheckResult:
         self.witnesses = [] if witnesses is None else witnesses
         self.elapsed = elapsed
 
-    @property
-    def passed(self):
-        return self.status == "pass"
-
     def to_json_dict(self, include_timing=False):
         out = {
             "name": self.name,
@@ -96,8 +92,12 @@ def check_theorem1(ctx, geom):
     cert = quillen_pair_check(A, K, geom.expand_map, geom.collapse_map)
     collapse_expand_identity = all(
         geom.collapse_map[geom.expand_map[i]] == i for i in range(A.n))
+    # with both maps equivariant, j <= expand(collapse(j)) holds on all of
+    # an orbit iff it holds at the orbit's representative
+    equivariant = cert.forward_equivariant and cert.backward_equivariant
     pointwise_below = all(
-        K.leq(j, geom.expand_map[geom.collapse_map[j]]) for j in range(K.n))
+        K.leq(j, geom.expand_map[geom.collapse_map[j]])
+        for j in (K.orbit_representatives() if equivariant else range(K.n)))
     ok = cert.ok and collapse_expand_identity and pointwise_below \
         and cert.roundtrip_x == "id=HF"
     details = {
@@ -256,8 +256,9 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     image_y[z^t] = image_x[z], with the one candidate g_y = t^-1 g_x.  On
     y's own data the carried map must be defined on Q, pass target and
     give an object of the orbit's class, else TheoryViolation is raised,
-    whatever the action says.  Carried maps are kept only for the walk's
-    queue.
+    whatever the action says.  g's inverse is carried beside it, g_y^-1 =
+    g_x^-1 t, one product per step.  Carried maps are kept only for the
+    walk's queue.
     """
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
     aindex = {pr.ident(): i for i, pr in enumerate(geom.apairs.pairs)}
@@ -282,26 +283,29 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     conj = index.conj
     # each pair's Q on positions, for the domain test of a carried map
     domains = [frozenset(index.key(pr.subgroup)) for pr in pairs]
-    inverses = [t.inverse() for t in ctx.G.generators]
+    generators = ctx.G.generators
+    inverses = [t.inverse() for t in generators]
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []
-    queue = deque()                 # (walk position, map, g), not stepped from
+    queue = deque()     # (walk position, map, g, g^-1), not stepped from
     for k, (y, parent, t) in enumerate(zip(walk.order, walk.parent,
                                             walk.via)):
         orbit = orbit_of[y]
         if parent < 0:
             eta[orbit], image, g = _eta_scan(geom, fs, class_at, y)
+            ginv = g.inverse()
             queue.clear()
         else:
             while queue[0][0] != parent:
                 queue.popleft()
-            _k, image_x, g_x = queue[0]
+            _k, image_x, g_x, ginv_x = queue[0]
             image = _carry(image_x, conj[t])
             g = inverses[t] * g_x
+            ginv = ginv_x * generators[t]
             kmask, pid = geom.elements[y]
             pair = pairs[pid]
             cls = None
             if image.keys() == domains[pid] \
-                    and fs.target(pair, image, g) is not None:
+                    and fs.target(pair, image, g, ginv) is not None:
                 cls = class_at(kmask, image)
             if cls is None:
                 raise TheoryViolation(
@@ -310,7 +314,7 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
             if cls != eta[orbit]:
                 raise TheoryViolation("eta differs across an orbit",
                                       witness=geom.kposet.labels[y])
-        queue.append((k, image, g))
+        queue.append((k, image, g, ginv))
     return forward, eta
 
 

@@ -25,12 +25,20 @@
 * the commuting poset as it was first built, each kappa a frozenset of
   vertex ids, every label formatted up front and the certificate reading
   each up-set row as a list of indices, against the mask-keyed builder;
+* the commuting poset's up masks all listed together, as block_geometry held
+  them before they were streamed into the row table, and chain counts
+  taken at every element instead of once per orbit;
 * the pair below a maximal pair at a subgroup, walked down a normalizer
   chain and a centre-seeded chain with a unique normally contained block
   at each step, against the fusion system's subpairs read off the pair
   poset, and its maps out of a subgroup by a scan of every g in G;
 * the hom sets of the commuting category, filtered from each object's
-  maps out of its product.
+  maps out of its product;
+* the equivalence certificate with every test run at every element;
+* names the library no longer reads: the Frobenius map, the Brauer
+  homomorphism, cyclic groups, the idempotent test, a poset from its
+  relation pairs and the Euler characteristics of a complex and of its
+  homology.
 """
 
 import itertools
@@ -51,10 +59,12 @@ from blockposets.commuting import (
     commuting_adjacency,
     elementary_abelian_poset,
     iter_cliques,
+    product_walk,
 )
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
-from blockposets.perms import PermGroup, SubgroupOrbit
-from blockposets.topology import GPoset, Poset, _row_or, iter_bits
+from blockposets.perms import Permutation, PermGroup, SubgroupOrbit
+from blockposets.perms import centralizer as perms_centralizer
+from blockposets.topology import Poset, _row_or, iter_bits
 from blockposets.verify import CheckResult, _target
 
 
@@ -538,7 +548,7 @@ def category_hom(cat, i, j):
 
 
 def list_row_axioms(P, rows):
-    """Poset's partial-order check on rows given as lists of indices."""
+    """The partial-order check on rows given as lists of indices."""
     up = P.up
     for i in range(P.n):
         if not (up[i] >> i) & 1:
@@ -546,7 +556,7 @@ def list_row_axioms(P, rows):
     if len(set(up)) == P.n and all(
             _row_or(up, row) == up[i] for i, row in enumerate(rows)):
         return
-    down = P.down_masks()
+    down = down_masks(up)
     for i, row in enumerate(rows):
         if _row_or(up, row) == up[i] and up[i] & down[i] == 1 << i:
             continue
@@ -560,7 +570,7 @@ def list_row_axioms(P, rows):
 
 
 def list_row_action(P, rows):
-    """GPoset's order-automorphism check on rows given as lists."""
+    """The order-automorphism check on rows given as lists."""
     everything = list(range(P.n))
     for a in P.action:
         if sorted(a) != everything:
@@ -577,30 +587,128 @@ def list_row_action(P, rows):
                         witness=(P.labels[i], P.labels[j]))
 
 
-class ListRowPoset(Poset):
-    """A Poset whose labels are copied into a list and whose certificate
-    reads each up-set row as a list of indices."""
+def down_masks(up):
+    """The down-set masks of a relation given by its up masks."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for j in iter_bits(mask):
+            down[j] |= 1 << i
+    return down
+
+
+class ListRowPoset:
+    """The poset check as it was first made: the labels copied into a list,
+    the up masks kept, and every row read as a list of indices, each
+    element checked.  Raises as Poset does."""
 
     def __init__(self, labels, up_masks):
         self.n = len(labels)
         self.labels = list(labels)
         self.up = list(up_masks)
-        self._check([iter_bits(m) for m in self.up])
-
-    def _check(self, rows):
-        list_row_axioms(self, rows)
+        list_row_axioms(self, [iter_bits(m) for m in self.up])
 
 
-class ListRowGPoset(GPoset):
-    """GPoset with the list-row certificate of ListRowPoset."""
+class ListRowGPoset(ListRowPoset):
+    """ListRowPoset with GPoset's action check after the axioms."""
 
     def __init__(self, labels, up_masks, action):
         self.action = [list(a) for a in action]
-        ListRowPoset.__init__(self, labels, up_masks)
+        super().__init__(labels, up_masks)
+        list_row_action(self, [iter_bits(m) for m in self.up])
 
-    def _check(self, rows):
-        list_row_axioms(self, rows)
-        list_row_action(self, rows)
+
+def chain_counts_by_element(X):
+    """Face counts of the order complex of X, counted at every element
+    over its strict up mask (the count before it was taken on orbits)."""
+    up = X.up_masks()
+    strict_up = [iter_bits(up[i] & ~(1 << i)) for i in range(X.n)]
+    counts = []
+    c = [1] * X.n
+    while any(c):
+        counts.append(sum(c))
+        c = [sum([c[j] for j in row]) for row in strict_up]
+    return counts
+
+
+def commuting_up_masks(ctx, apairs):
+    """The up mask of every commuting-poset element, listed together as
+    block_geometry first held them: "elements at a pair above e" ANDed with
+    "elements whose kappa holds v" over v in kappa, in element order."""
+    aposet = apairs.poset
+    family_index = {}
+    pairs_at = []
+    family_of_pair = []
+    for i, pr in enumerate(apairs.pairs):
+        f = family_index.setdefault(pr.subgroup.element_set, len(pairs_at))
+        if f == len(pairs_at):
+            pairs_at.append([])
+        pairs_at[f].append(i)
+        family_of_pair.append(f)
+    family = [apairs.pairs[at[0]].subgroup for at in pairs_at]
+    _vertices, _adj, _vmask, cliques = product_walk(family, ctx.p)
+    elements = []
+    containing = defaultdict(int)
+    for kappa, kmask, A in cliques:
+        for pid in pairs_at[A]:
+            for v in kappa:
+                containing[v] |= 1 << len(elements)
+            elements.append((kmask, pid))
+    up_a = aposet.up_masks()
+    at_pair = [0] * aposet.n
+    for i, (_kmask, pid) in enumerate(elements):
+        at_pair[pid] |= 1 << i
+    up = []
+    for kmask, pid in elements:
+        mask = _row_or(at_pair, iter_bits(up_a[pid]))
+        for v in iter_bits(kmask):
+            mask &= containing[v]
+        up.append(mask)
+    return up
+
+
+# -- names only the tests read --------------------------------------------
+
+
+def frobenius(F, a):
+    """a^p in the field F."""
+    return F.pow(a, F.p)
+
+
+def brauer_hom(Q, a):
+    """Truncate the Q-fixed element a of kG to kC_G(Q).
+
+    Raises ValueError when a is not fixed by Q-conjugation.
+    """
+    if not a.is_fixed_by(Q.generators):
+        raise ValueError("element is not Q-stable")
+    return a.truncate(perms_centralizer(a.group, Q).elements)
+
+
+def cyclic_group(n, label=None):
+    if n == 1:
+        return PermGroup.trivial(1, label or "C1")
+    g = Permutation.from_cycles(n, [list(range(1, n + 1))])
+    return PermGroup.from_generators(n, [g], label or f"C{n}")
+
+
+def is_idempotent(a):
+    return bool(a) and a * a == a
+
+
+def poset_from_leq_pairs(labels, pairs):
+    """A Poset from its relation given as (i, j) pairs; reflexivity added."""
+    up = [1 << i for i in range(len(labels))]
+    for i, j in pairs:
+        up[i] |= 1 << j
+    return Poset(labels, up)
+
+
+def complex_euler_characteristic(C):
+    return sum((-1) ** n * len(fs) for n, fs in enumerate(C.faces_by_dim))
+
+
+def homology_euler_characteristic(H):
+    return sum((-1) ** n * b for n, (b, _t) in enumerate(H.groups))
 
 
 def frozenset_block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
@@ -669,10 +777,11 @@ def frozenset_block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
         at_pair[pid] |= bit
         for v in kappa:
             containing[v] |= bit
+    up_a = aposet.up_masks()
     above_pair = []
     for pid in range(aposet.n):
         mask = 0
-        for above in iter_bits(aposet.up[pid]):
+        for above in iter_bits(up_a[pid]):
             mask |= at_pair[above]
         above_pair.append(mask)
     up = []
@@ -698,3 +807,54 @@ def frozenset_block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     collapse_map = [pi for _k, pi in elements]
     return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
                          expand_map, collapse_map)
+
+
+def quillen_pair_check_by_element(X, Y, fmap, hmap):
+    """(ok, the five verdicts, failures) of quillen_pair_check, every test
+    run at every element and every relation tested pair by pair."""
+    failures = []
+
+    def order_preserving(X, Y, fmap, tag):
+        ok = True
+        for i, j in X.leq_pairs():
+            if not Y.leq(fmap[i], fmap[j]):
+                failures.append((tag, "order", X.labels[i], X.labels[j]))
+                ok = False
+        return ok
+
+    def equivariant(X, Y, fmap, tag):
+        ok = True
+        for a_x, a_y in zip(X.action, Y.action):
+            for i in range(X.n):
+                if fmap[a_x[i]] != a_y[fmap[i]]:
+                    failures.append((tag, "equivariance", X.labels[i]))
+                    ok = False
+        return ok
+
+    def uniform_direction(X, roundtrip, tag):
+        seen = set()
+        for i in range(X.n):
+            j = roundtrip[i]
+            if i == j:
+                continue
+            if X.leq(i, j):
+                seen.add("up")
+            elif X.leq(j, i):
+                seen.add("down")
+            else:
+                failures.append((tag, "incomparable", X.labels[i]))
+                return None
+        if len(seen) == 2:
+            failures.append((tag, "mixed directions"))
+            return None
+        return {"up": "id<=" + tag, "down": tag + "<=id"}.get(
+            seen.pop() if seen else None, "id=" + tag)
+
+    f_ord = order_preserving(X, Y, fmap, "F")
+    h_ord = order_preserving(Y, X, hmap, "H")
+    f_eq = equivariant(X, Y, fmap, "F")
+    h_eq = equivariant(Y, X, hmap, "H")
+    rt_x = uniform_direction(X, [hmap[f] for f in fmap], "HF")
+    rt_y = uniform_direction(Y, [fmap[h] for h in hmap], "FH")
+    ok = all([f_ord, h_ord, f_eq, h_eq, rt_x is not None, rt_y is not None])
+    return ok, f_ord, h_ord, f_eq, h_eq, rt_x, rt_y, failures

@@ -128,7 +128,7 @@ class TestBlockGeometryOrder:
     def test_up_masks_match_pairwise_test(self, geometries):
         assert len(geometries) == 7
         for name, geom in geometries:
-            assert geom.kposet.up == pairwise_up_masks(geom), name
+            assert geom.kposet.up_masks() == pairwise_up_masks(geom), name
 
     def test_elements_arrive_in_key_order(self, geometries):
         # the clique walk yields the commuting poset's elements already in

@@ -5,7 +5,6 @@ from blockposets.brauer import (
     BlockContext,
     BrauerPair,
     GroupContext,
-    brauer_hom,
 )
 from blockposets.fusion import FusionSystem
 from blockposets.gf import PrimeField, field_context
@@ -18,7 +17,7 @@ from blockposets.perms import (
     symmetric_group,
 )
 
-from oracles import conjugate_subgroup, subpair_by_chain
+from oracles import brauer_hom, conjugate_subgroup, subpair_by_chain
 
 GF2 = PrimeField(2)
 

@@ -225,7 +225,7 @@ class TestAgainstPairwiseCategory:
             class_of, classes, up = iso_classes_by_scan(old)
             assert icp.class_of == class_of, name
             assert icp.classes == classes, name
-            assert icp.poset.up == up, name
+            assert icp.poset.up_masks() == up, name
             classes_seen += icp.n
         assert classes_seen > 50
 

@@ -12,7 +12,6 @@ from blockposets.gf import PrimeField
 from blockposets.perms import (
     PermGroup,
     Permutation,
-    cyclic_group,
     dihedral_group,
     order_p_subgroups,
     symmetric_group,
@@ -23,6 +22,8 @@ from blockposets.topology import (
     orbit_poset,
     order_complex,
 )
+
+from oracles import complex_euler_characteristic, cyclic_group
 
 GF2 = PrimeField(2)
 
@@ -187,7 +188,8 @@ class TestBlockGeometry:
                 geom = block_geometry(BlockContext(group, b))
                 ca = order_complex(geom.aposet)
                 ck = order_complex(geom.kposet)
-                assert ca.euler_characteristic() == ck.euler_characteristic()
+                assert complex_euler_characteristic(ca) \
+                    == complex_euler_characteristic(ck)
 
     def test_normal_2_subgroup_gives_acyclic_complexes(self):
         # a nontrivial normal 2-subgroup cones off both posets, so their
@@ -212,7 +214,8 @@ class TestBlockGeometry:
         ck = order_complex(geom.kposet)
         assert ca.face_counts() == [45, 60]
         assert ck.face_counts() == [105, 240, 120]
-        assert ca.euler_characteristic() == ck.euler_characteristic() == -15
+        assert complex_euler_characteristic(ca) \
+            == complex_euler_characteristic(ck) == -15
 
 
 class TestOrbitPoset:
@@ -244,7 +247,7 @@ class TestPrincipalCliqueComplex:
             b = next(x for x in group.blocks if x.principal)
             ctx = BlockContext(group, b)
             result = check_principal_clique_complex(ctx, block_geometry(ctx))
-            assert result.passed, (G.label, p, result.witnesses)
+            assert result.status == "pass", (G.label, p, result.witnesses)
 
 
 class TestCliqueWitness:

@@ -89,7 +89,7 @@ class TestConjugatesTo:
         for e in elements:
             for f in elements:
                 for g in G.elements:
-                    verdict = e.conjugates_to(g, f)
+                    verdict = e.conjugates_to(g, g.inverse(), f)
                     assert verdict == (conjugate_element(e, g) == f)
                     seen[verdict] += 1
         assert seen[True] and seen[False]

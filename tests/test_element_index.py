@@ -124,7 +124,7 @@ def eta_scan_by_products(G, geom, fs, class_at, el_idx):
     for g in G.elements:
         ginv = g.inverse()
         image = {pos[x]: pos[ginv * x * g] for x in Q.elements}
-        if fs.target(pair, image, g) is None:
+        if fs.target(pair, image, g, ginv) is None:
             continue
         cls = class_at(kmask, image)
         if cls is None:
@@ -357,7 +357,7 @@ class TestCorpusScans:
                         index[(conjugate_subgroup(pr.subgroup, g).element_set,
                                conjugate_element(pr.idempotent, g).key())]
                         for pr in apairs.pairs]
-                    assert perm == expect, name
+                    assert perm.tolist() == expect, name
                     acted += len(perm)
         assert acted > 100
 

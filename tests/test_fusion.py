@@ -14,9 +14,9 @@ from blockposets.perms import (
     Permutation,
     symmetric_group,
 )
-from blockposets.topology import Poset, poset_iso_check
+from blockposets.topology import poset_iso_check
 
-from oracles import category_hom
+from oracles import category_hom, poset_from_leq_pairs
 
 GF2 = PrimeField(2)
 
@@ -132,7 +132,7 @@ class TestCommutingCategory:
         # ordered exactly by subset inclusion
         subset_pairs = [(i, j) for i, a in enumerate(cat.objects)
                         for j, bb in enumerate(cat.objects) if a & ~bb == 0]
-        expect = Poset.from_leq_pairs([str(o) for o in cat.objects],
+        expect = poset_from_leq_pairs([str(o) for o in cat.objects],
                                       subset_pairs)
         fmap = [icp.class_of[i] for i in range(7)]
         ok, _ = poset_iso_check(expect, icp.poset, fmap)

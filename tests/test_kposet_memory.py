@@ -1,10 +1,12 @@
 """The commuting poset of S6 at p=2, principal block, stays lean in memory.
 
 K keeps each kappa as a mask of vertex ids, formats its labels when they
-are read and certifies its order on up-set rows held as array('i').  The
-traced peak of one block_geometry build on a warm GroupContext was 6.51 MB
-with frozenset kappas, eager labels and list rows, and is 2.64 MB now
-(CPython 3.11); the bound sits halfway between the two.
+are read and holds its order as one flat table of up-set rows, read from
+masks that block_geometry streams one at a time.  The traced peak of one
+block_geometry build on a warm GroupContext was 6.51 MB with frozenset
+kappas, eager labels and list rows, 2.65 MB with one up mask per element
+held beside array('i') rows, and is 1.42 MB now (CPython 3.11); the bound
+sits halfway between the last two.
 """
 
 import gc
@@ -15,7 +17,7 @@ from blockposets.commuting import block_geometry
 from blockposets.gf import field_context
 from blockposets.perms import symmetric_group
 
-PEAK_BOUND_MB = 4.58
+PEAK_BOUND_MB = 2.03
 
 
 def test_s6_p2_principal_geometry_peak():

@@ -8,7 +8,6 @@ from blockposets.perms import (
     all_subgroups,
     centralizer,
     conjugacy_classes,
-    cyclic_group,
     dihedral_group,
     order_p_subgroups,
     p_subgroups_up_to_conjugacy,
@@ -17,6 +16,8 @@ from blockposets.perms import (
     symmetric_group,
 )
 from blockposets.errors import SizeLimitExceeded
+
+from oracles import cyclic_group
 
 
 def cyc(degree, *cycles):

@@ -55,6 +55,7 @@ from oracles import (
     ListRowPoset,
     conjugate_subgroup,
     frozenset_block_geometry,
+    poset_from_leq_pairs,
 )
 
 # -- the per-pair loops ------------------------------------------------------
@@ -62,31 +63,34 @@ from oracles import (
 
 def pairwise_axioms(P):
     """The per-pair axiom loop: raises like Poset's check, or returns None."""
+    up = P.up_masks()
     for i in range(P.n):
-        if not (P.up[i] >> i) & 1:
+        if not (up[i] >> i) & 1:
             raise TheoryViolation("relation not reflexive", witness=i)
     for i in range(P.n):
-        mask = P.up[i]
+        mask = up[i]
         for j in iter_bits(mask):
-            if j != i and (P.up[j] >> i) & 1:
+            if j != i and (up[j] >> i) & 1:
                 raise TheoryViolation("relation not antisymmetric",
                                       witness=(P.labels[i], P.labels[j]))
-            if P.up[j] & ~mask:
+            if up[j] & ~mask:
                 raise TheoryViolation("relation not transitive",
                                       witness=(P.labels[i], P.labels[j]))
 
 
 def unchecked(labels, up):
     """A relation as pairwise_axioms reads it, without Poset's own check."""
-    return SimpleNamespace(n=len(up), labels=list(labels), up=up)
+    return SimpleNamespace(n=len(up), labels=list(labels),
+                           up_masks=lambda: up)
 
 
 def pairwise_action(P, action):
+    up = P.up_masks()
     for a in action:
         if sorted(a) != list(range(P.n)):
             raise TheoryViolation("generator does not permute poset elements")
         for i in range(P.n):
-            for j in iter_bits(P.up[i]):
+            for j in iter_bits(up[i]):
                 if not P.leq(a[i], a[j]):
                     raise TheoryViolation(
                         "generator action is not an order-automorphism",
@@ -94,9 +98,10 @@ def pairwise_action(P, action):
 
 
 def pairwise_order_preserving(X, Y, fmap, failures, tag):
+    up = X.up_masks()
     ok = True
     for i in range(X.n):
-        for j in iter_bits(X.up[i]):
+        for j in iter_bits(up[i]):
             if not Y.leq(fmap[i], fmap[j]):
                 failures.append((tag, "order", X.labels[i], X.labels[j]))
                 ok = False
@@ -116,10 +121,11 @@ def pairwise_iso_check(X, Y, fmap):
 
 
 def bitwise_down_masks(P):
+    up = P.up_masks()
     down = [0] * P.n
     for i in range(P.n):
         bit = 1 << i
-        for j in iter_bits(P.up[i]):
+        for j in iter_bits(up[i]):
             down[j] |= bit
     return down
 
@@ -161,10 +167,11 @@ def doubled(rng, P):
     n = P.n
     sigma = list(range(2 * n))
     rng.shuffle(sigma)
+    masks = P.up_masks()
     up = [0] * (2 * n)
     for copy in (0, 1):
         for i in range(n):
-            for j in iter_bits(P.up[i]):
+            for j in iter_bits(masks[i]):
                 up[sigma[copy * n + i]] |= 1 << sigma[copy * n + j]
     swap = [0] * (2 * n)
     for i in range(n):
@@ -177,9 +184,10 @@ def relabelled(rng, P):
     """(Q, sigma): Q is P with element i renamed sigma[i]."""
     sigma = list(range(P.n))
     rng.shuffle(sigma)
+    masks = P.up_masks()
     up = [0] * P.n
     for i in range(P.n):
-        for j in iter_bits(P.up[i]):
+        for j in iter_bits(masks[i]):
             up[sigma[i]] |= 1 << sigma[j]
     return Poset([f"z{i}" for i in range(P.n)], up), sigma
 
@@ -209,10 +217,10 @@ class TestRandomPosets:
         for P in random_posets:
             assert outcome(pairwise_axioms, P) is None
             for _ in range(10):
-                up = flip_one_pair(rng, P.up)
+                up = flip_one_pair(rng, P.up_masks())
                 expected = outcome(pairwise_axioms, unchecked(P.labels, up))
                 got = outcome(Poset, P.labels, up)
-                assert got == expected, (P.up, up)
+                assert got == expected, (P.up_masks(), up)
                 verdicts.add(expected and expected[0])
         assert verdicts == {None, "relation not reflexive",
                             "relation not antisymmetric",
@@ -246,7 +254,7 @@ class TestRandomPosets:
                 a, b = rng.randrange(X.n), rng.randrange(X.n)
                 swap[a], swap[b] = swap[b], swap[a]
                 expected = outcome(pairwise_action, X, [swap])
-                got = outcome(GPoset, X.labels, X.up, [swap])
+                got = outcome(GPoset, X.labels, X.up_masks(), [swap])
                 assert got == expected
                 failed += expected is not None
         assert failed > 50
@@ -254,7 +262,7 @@ class TestRandomPosets:
     def test_action_must_permute(self):
         P = Poset("abc", closure_masks(3, [(0, 1)]))
         with pytest.raises(TheoryViolation, match="does not permute"):
-            GPoset(P.labels, P.up, [[0, 0, 2]])
+            GPoset(P.labels, P.up_masks(), [[0, 0, 2]])
 
     def test_order_preserving_agrees(self, random_posets):
         rng = random.Random(3)
@@ -264,17 +272,18 @@ class TestRandomPosets:
             fmaps = [[rng.randrange(Y.n) for _ in range(X.n)]]
             # onto a chain by the length of the longest chain below: monotone
             height = [0] * X.n
-            for i in sorted(range(X.n), key=lambda i: -bin(X.up[i]).count("1")):
-                for j in iter_bits(X.up[i]):
+            up = X.up_masks()
+            for i in sorted(range(X.n), key=lambda i: -bin(up[i]).count("1")):
+                for j in iter_bits(up[i]):
                     if j != i:
                         height[j] = max(height[j], height[i] + 1)
-            chain = Poset.from_leq_pairs(list(range(X.n)),
+            chain = poset_from_leq_pairs(list(range(X.n)),
                                          [(a, b) for a in range(X.n)
                                           for b in range(a, X.n)])
             for Z, fmap in [(Y, fmaps[0]), (chain, height)]:
                 expected, got = [], []
                 ok_expected = pairwise_order_preserving(X, Z, fmap, expected, "F")
-                ok_got = _order_preserving(X, Z, fmap, got, "F")
+                ok_got = _order_preserving(X, Z, fmap, "F", range(X.n), got)
                 assert (ok_got, got) == (ok_expected, expected)
                 kept += ok_got
         assert kept >= len(random_posets)
@@ -343,7 +352,7 @@ class TestCorpusPosets:
                                (K, A, geom.collapse_map)):
                 expected, got = [], []
                 assert pairwise_order_preserving(X, Y, fmap, expected, "F")
-                assert _order_preserving(X, Y, fmap, got, "F"), name
+                assert _order_preserving(X, Y, fmap, "F", range(X.n), got), name
                 assert got == expected == []
 
     def test_face_poset_matches_subset_loop(self):
@@ -351,7 +360,8 @@ class TestCorpusPosets:
             adj = commuting_graph(symmetric_group(n), 2).adjacency
             C = SimplicialComplex.from_faces([c for c, _ in iter_cliques(adj)])
             new, old = face_poset(C), subset_face_poset(C)
-            assert (new.labels, new.up) == (old.labels, old.up), n
+            assert (new.labels, new.up_masks()) \
+                == (old.labels, old.up_masks()), n
 
 
 # -- the compact rows against the list rows ----------------------------------
@@ -360,9 +370,10 @@ class TestCorpusPosets:
 def noncover_pairs(P):
     """(i, j) with i < j and some element strictly between."""
     down = P.down_masks()
+    up = P.up_masks()
     out = []
     for i in range(P.n):
-        strict = P.up[i] & ~(1 << i)
+        strict = up[i] & ~(1 << i)
         for j in iter_bits(strict):
             if strict & down[j] & ~(1 << j):
                 out.append((i, j))
@@ -398,8 +409,9 @@ class TestCompactRows:
                 action = [list(a) for a in P.action]
                 a, b = rng.sample(range(P.n), 2)
                 action[0][a], action[0][b] = action[0][b], action[0][a]
-                expected = outcome(ListRowGPoset, P.labels, P.up, action)
-                assert outcome(GPoset, P.labels, P.up, action) == expected, \
+                up = P.up_masks()
+                expected = outcome(ListRowGPoset, P.labels, up, action)
+                assert outcome(GPoset, P.labels, up, action) == expected, \
                     name
                 failed += expected is not None
         assert failed > 20
@@ -410,7 +422,7 @@ class TestCompactRows:
         for name, P in mutated_posets:
             pairs = noncover_pairs(P)
             for i, j in rng.sample(pairs, min(8, len(pairs))):
-                up = list(P.up)
+                up = P.up_masks()
                 up[i] &= ~(1 << j)
                 expected = outcome(ListRowPoset, P.labels, up)
                 assert expected[0] == "relation not transitive", name
@@ -423,10 +435,9 @@ class TestCompactRows:
         rng = random.Random(8)
         checked = 0
         for name, P in mutated_posets:
-            pairs = [(i, j) for i in range(P.n)
-                     for j in iter_bits(P.up[i]) if j != i]
+            pairs = [(i, j) for i, j in P.leq_pairs() if j != i]
             for x, y in rng.sample(pairs, min(8, len(pairs))):
-                up = merged(P.up, x, y)
+                up = merged(P.up_masks(), x, y)
                 assert up[x] == up[y]
                 expected = outcome(ListRowPoset, P.labels, up)
                 assert expected[0] == "relation not antisymmetric", name
@@ -444,8 +455,8 @@ def assert_same_as_frozenset_builder(name, ctx):
     old = frozenset_block_geometry(ctx)
     assert [(frozenset(iter_bits(kmask)), pid)
             for kmask, pid in new.elements] == old.elements, name
-    assert new.kposet.up == old.kposet.up, name
-    assert new.kposet.action == old.kposet.action, name
+    assert new.kposet.up_masks() == old.kposet.up, name
+    assert [a.tolist() for a in new.kposet.action] == old.kposet.action, name
     assert new.expand_map == old.expand_map, name
     assert new.collapse_map == old.collapse_map, name
     labels = new.kposet.labels
@@ -507,10 +518,11 @@ def product_set_geometry(ctx):
         at_pair[pid] |= 1 << i
         for v in kappa:
             containing[v] |= 1 << i
+    up_a = aposet.up_masks()
     up = []
     for kappa, pid in elements:
         mask = 0
-        for above in iter_bits(aposet.up[pid]):
+        for above in iter_bits(up_a[pid]):
             mask |= at_pair[above]
         for v in kappa:
             mask &= containing[v]
@@ -535,8 +547,8 @@ def assert_same_geometry(name, ctx):
     elements, up, action, expand_map = product_set_geometry(ctx)
     assert [(frozenset(iter_bits(kmask)), pid)
             for kmask, pid in geom.elements] == elements, name
-    assert geom.kposet.up == up, name
-    assert geom.kposet.action == action, name
+    assert geom.kposet.up_masks() == up, name
+    assert [a.tolist() for a in geom.kposet.action] == action, name
     assert geom.expand_map == expand_map, name
     return geom
 

@@ -20,8 +20,11 @@ from blockposets.topology import (
 )
 
 from oracles import (
+    complex_euler_characteristic,
     homology_betti_rational,
+    homology_euler_characteristic,
     invariant_factors_by_minors,
+    poset_from_leq_pairs,
     rank_over_rationals,
     row_dicts,
 )
@@ -30,17 +33,17 @@ from oracles import (
 def chain_poset(n):
     labels = list(range(n))
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return Poset.from_leq_pairs(labels, pairs)
+    return poset_from_leq_pairs(labels, pairs)
 
 
 def antichain(n):
-    return Poset.from_leq_pairs(list(range(n)), [])
+    return poset_from_leq_pairs(list(range(n)), [])
 
 
 class TestPoset:
     def test_axioms_reject_nontransitive(self):
         with pytest.raises(TheoryViolation):
-            Poset.from_leq_pairs("abc", [(0, 1), (1, 2)])
+            poset_from_leq_pairs("abc", [(0, 1), (1, 2)])
 
     def test_closure_constructor(self):
         P = Poset("abc", closure_masks(3, [(0, 1), (1, 2)]))
@@ -133,7 +136,8 @@ class TestHomology:
         for _ in range(30):
             C = random_complex(rng)
             H = homology(C)
-            assert C.euler_characteristic() == H.euler_characteristic()
+            assert complex_euler_characteristic(C) \
+                == homology_euler_characteristic(H)
 
     def test_invariance_under_relabel(self):
         faces = [(0, 1, 2), (1, 2, 3), (3, 4)]
@@ -252,7 +256,7 @@ class TestGPosetAndOrbits:
 
     def test_trivial_action_is_identity_quotient(self):
         P = chain_poset(3)
-        X = GPoset(P.labels, P.up, [])
+        X = GPoset(P.labels, P.up_masks(), [])
         Q, orbit_of = orbit_poset(X)
         ok, _ = poset_iso_check(P, Q, orbit_of)
         assert ok
@@ -261,7 +265,7 @@ class TestGPosetAndOrbits:
 class TestChecks:
     def test_identity_pair_passes(self):
         P = chain_poset(3)
-        X = GPoset(P.labels, P.up, [])
+        X = GPoset(P.labels, P.up_masks(), [])
         cert = quillen_pair_check(X, X, [0, 1, 2], [0, 1, 2])
         assert cert.ok and cert.roundtrip_x == "id=HF"
 
@@ -287,4 +291,4 @@ class TestChecks:
 
 
 def _as_g(P):
-    return P.labels, P.up, []
+    return P.labels, P.up_masks(), []
