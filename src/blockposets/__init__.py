@@ -47,7 +47,6 @@ from .commuting import (                                    # noqa: F401
     product_subgroup,
 )
 from .topology import (                                     # noqa: F401
-    GPoset,
     Poset,
     SimplicialComplex,
     homology,

@@ -37,7 +37,7 @@ from __future__ import annotations
 from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
 from .errors import TheoryViolation
 from .perms import PermGroup, centralizer, p_subgroups_up_to_conjugacy
-from .topology import GPoset, Poset, closure_masks
+from .topology import Poset, closure_masks
 
 
 class BrauerPair:
@@ -117,7 +117,7 @@ class BrauerPairPoset:
     def __init__(self, pairs, normal_edges, poset):
         self.pairs = pairs
         self.normal_edges = normal_edges
-        self.poset = poset  # GPoset when the family is conjugation closed
+        self.poset = poset  # G acts when the family is conjugation closed
 
     @property
     def n(self):
@@ -474,7 +474,7 @@ class BlockContext:
             if not closed:
                 break
             action.append(perm)
-        poset = GPoset(labels, up, action) if closed else Poset(labels, up)
+        poset = Poset(labels, up, action if closed else ())
         self._assert_unique_subpairs(pairs, poset, subgroups, subsets, slot,
                                      at)
         return BrauerPairPoset(pairs, edges, poset)

@@ -37,7 +37,7 @@ from .perms import (
     exponent_p_part_complement,
     symmetric_group,
 )
-from .topology import GPoset, orbit_poset
+from .topology import orbit_poset
 from .verify import (
     CHECKS_BY_NAME,
     DEFAULT_CHECKS,
@@ -340,12 +340,10 @@ def cmd_poset(args):
         poset = IsoClassPoset(CommutingCategory(fs)).poset
     else:
         _bad_input(f"unknown poset kind {args.which!r}")
-    orbit_of = (poset.orbit_walk.orbit_of if isinstance(poset, GPoset)
-                else None)
     if args.format == "dot":
-        _emit(poset.to_dot(orbit_of), args.out)
+        _emit(poset.to_dot(), args.out)
     else:
-        _emit(json.dumps(poset.to_json_dict(orbit_of), indent=2,
+        _emit(json.dumps(poset.to_json_dict(), indent=2,
                          sort_keys=True) + "\n", args.out)
     return 0
 

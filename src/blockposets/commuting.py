@@ -46,7 +46,7 @@ from operator import itemgetter
 
 from .errors import SizeLimitExceeded, TheoryViolation
 from .perms import PermGroup, order_p_subgroups
-from .topology import GPoset, iter_bits
+from .topology import Poset, iter_bits
 
 MAX_POSET_ELEMENTS = 100_000
 
@@ -210,7 +210,7 @@ class BlockGeometry:
         self.vertices = vertices      # order-p subgroups with Br != 0
         self.vertex_adj = vertex_adj
         self.elements = elements      # (kappa mask, apairs index)
-        self.kposet = kposet          # GPoset on the elements
+        self.kposet = kposet          # Poset on the elements, G acting
         self.expand_map = expand_map  # apairs index -> kposet index
         self.collapse_map = collapse_map  # kposet index -> apairs index
 
@@ -250,7 +250,7 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     labels = CommutingLabels(
         elements, [V.generators[0].cycle_string() for V in vertices],
         aposet.labels)
-    kposet = GPoset(labels, up, action)
+    kposet = Poset(labels, up, action)
     # collapse: (kappa, e) -> (product of kappa, e)
     collapse_map = [pid for _kmask, pid in elements]
     return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,

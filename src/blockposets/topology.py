@@ -5,16 +5,16 @@ members[offsets[i]:offsets[i + 1]], increasing, in two array('i') of 4 bytes
 per relation and per element.  It is read once from the up-set bitmasks it
 is built from, one mask at a time, so a caller can stream its masks and no
 n-bit mask per element stays alive; the minimal elements are found in the
-same pass.  Masks are rebuilt from the rows (`Poset.up_masks`) only where a
-consumer works on them: the order complex (within its size bound),
-covering pairs and down-sets for exports, and the order check of a plain
-Poset, which has no action and is small.  Every walk over a mask goes
-through one set-bit kernel, `iter_bits`, which peels the top bit (``b =
-mask.bit_length() - 1; mask ^= 1 << b``) and returns the row as an
-increasing list.
+same pass.  Masks are rebuilt from the rows (`Poset.up_masks`) only for
+the order complex, within its size bound; covering pairs for exports are
+read off the rows.  Every walk over a mask goes through one set-bit
+kernel, `iter_bits`, which peels the top bit (``b = mask.bit_length() - 1;
+mask ^= 1 << b``) and returns the row as an increasing list.
 
-The checks read the rows, and a group acting by order-automorphisms lets
-them read one row per orbit:
+Every poset is a G-poset: a poset without generators is one for the
+trivial group, each element its own orbit, and runs the same code.  The
+checks read the rows, and a group acting by order-automorphisms lets them
+read one row per orbit:
 
 * reflexivity is checked on every element, as the masks are read;
 * a permutation a of the elements is an order-automorphism iff a maps each
@@ -34,8 +34,6 @@ them read one row per orbit:
 
 On any failure the all-element scan runs, so each verdict, failure list and
 witness is the one that scan gives: the first offending pair in row order.
-A plain Poset checks transitivity by one OR of masks per row, and
-antisymmetry by the masks being pairwise distinct.
 
 Homology of a simplicial complex is unreduced integral homology computed
 from Smith normal forms of the boundary matrices.  Each boundary map is
@@ -52,7 +50,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property, partial
 from itertools import islice
 
@@ -70,14 +68,6 @@ def iter_bits(mask):
         mask ^= 1 << top
     out.reverse()
     return out
-
-
-def _row_or(up, row):
-    """The OR of the up-sets of the elements listed in row."""
-    acc = 0
-    for j in row:
-        acc |= up[j]
-    return acc
 
 
 def closure_masks(n, edges):
@@ -99,12 +89,23 @@ def closure_masks(n, edges):
     return up
 
 
-class Poset:
-    """A finite poset on elements 0..n-1 with printable labels."""
+OrbitWalk = namedtuple("OrbitWalk", "order parent via orbit_of")
 
-    def __init__(self, labels, up_masks):
+
+class Poset:
+    """A finite poset on elements 0..n-1 with printable labels, and a group
+    acting on it by order-automorphisms.
+
+    The action is stored as one permutation of the elements per group
+    generator, each an array('i'); each generator's image is checked to be
+    an order-automorphism at construction.  A poset without generators is
+    one for the trivial group, with each element its own orbit.
+    """
+
+    def __init__(self, labels, up_masks, action=()):
         self.n = len(labels)
         self.labels = labels      # any sequence; kept as given
+        self.action = [array("i", a) for a in action]
         # the up-set of i is members[offsets[i]:offsets[i + 1]], increasing
         members, offsets = array("i"), array("i", [0])
         unreflexive = None
@@ -126,143 +127,17 @@ class Poset:
 
     def _check(self):
         """Raise TheoryViolation unless the reflexive relation is a partial
-        order: the masks must be pairwise distinct, and the up-sets of the
-        elements above i ORed together must give back the up-set of i."""
-        up = self.up_masks()
-        members, offsets = self.members, self.offsets
-        rows = [members[offsets[i]:offsets[i + 1]] for i in range(self.n)]
-        if len(set(up)) == self.n and all(
-                _row_or(up, row) == up[i] for i, row in enumerate(rows)):
-            return
-        # the first row holding an offending pair, then the pair in it
-        down = self.down_masks()
-        for i, row in enumerate(rows):
-            if _row_or(up, row) == up[i] and up[i] & down[i] == 1 << i:
-                continue
-            for j in row:
-                if j != i and (down[i] >> j) & 1:
-                    raise TheoryViolation("relation not antisymmetric",
-                                          witness=(self.labels[i], self.labels[j]))
-                if up[j] & ~up[i]:
-                    raise TheoryViolation("relation not transitive",
-                                          witness=(self.labels[i], self.labels[j]))
-
-    def up_masks(self):
-        """Every up-set as a bitmask, rebuilt from the rows."""
-        members, offsets = self.members, self.offsets
-        out = []
-        for i in range(self.n):
-            mask = 0
-            for j in members[offsets[i]:offsets[i + 1]]:
-                mask |= 1 << j
-            out.append(mask)
-        return out
-
-    def leq(self, i, j):
-        members, hi = self.members, self.offsets[i + 1]
-        k = bisect_left(members, j, self.offsets[i], hi)
-        return k < hi and members[k] == j
-
-    def leq_pairs(self):
-        members, offsets = self.members, self.offsets
-        return [(i, j) for i in range(self.n)
-                for j in members[offsets[i]:offsets[i + 1]]]
-
-    def down_masks(self):
-        members, offsets = self.members, self.offsets
-        below = [[] for _ in range(self.n)]
-        for i in range(self.n):
-            for j in members[offsets[i]:offsets[i + 1]]:
-                below[j].append(i)
-        down = []
-        for lst in below:
-            mask = 0
-            for i in lst:
-                mask |= 1 << i
-            down.append(mask)
-        return down
-
-    def covering_pairs(self):
-        """(i, j) with i < j and nothing strictly between."""
-        up, down = self.up_masks(), self.down_masks()
-        out = []
-        for i in range(self.n):
-            strict = up[i] & ~(1 << i)
-            for j in iter_bits(strict):
-                if not (strict & down[j] & ~(1 << j)):
-                    out.append((i, j))
-        return out
-
-    def minimal_elements(self):
-        """The elements above no other, found as the masks were read."""
-        return list(self._minimal)
-
-    def maximal_elements(self):
-        """The elements whose row holds only themselves."""
-        offsets = self.offsets.tolist()
-        return [i for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
-                if hi - lo == 1]
-
-    def is_empty(self):
-        return self.n == 0
-
-    def to_json_dict(self, orbit_of=None):
-        elements = [{"id": i, "label": str(self.labels[i]),
-                     "orbit": (orbit_of[i] if orbit_of is not None else i)}
-                    for i in range(self.n)]
-        return {
-            "empty": self.n == 0,
-            "elements": elements,
-            "leq": [[i, j] for i, j in self.leq_pairs()],
-            "covering": [[i, j] for i, j in self.covering_pairs()],
-        }
-
-    def to_dot(self, orbit_of=None, name="poset"):
-        palette = ["#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f", "#cab2d6",
-                   "#ffff99", "#1f78b4", "#33a02c", "#e31a1c", "#ff7f00"]
-        lines = [f"digraph {name} {{", "  rankdir=BT;",
-                 "  node [shape=box, style=filled];"]
-        if self.n == 0:
-            lines.append("  // empty poset")
-        for i in range(self.n):
-            orbit = orbit_of[i] if orbit_of is not None else i
-            color = palette[orbit % len(palette)]
-            label = str(self.labels[i]).replace('"', "'")
-            lines.append(f'  n{i} [label="{label}", fillcolor="{color}"];')
-        for i, j in self.covering_pairs():
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-OrbitWalk = namedtuple("OrbitWalk", "order parent via orbit_of")
-
-
-class GPoset(Poset):
-    """A poset with a group acting by order-automorphisms.
-
-    The action is stored as one permutation of the elements per group
-    generator, each an array('i'); each generator's image is checked to be
-    an order-automorphism at construction.
-    """
-
-    def __init__(self, labels, up_masks, action):
-        self.action = [array("i", a) for a in action]
-        super().__init__(labels, up_masks)
-
-    def _check(self):
-        """Raise TheoryViolation unless the relation is a partial order and
-        each generator an order-automorphism.
+        order and each generator an order-automorphism.
 
         The automorphism test runs on every element; transitivity and
         antisymmetry run at the orbit representatives only, which is sound
         once the generators act by automorphisms.  On any failure the
-        all-element scan runs: Poset's check, then the action's.
+        all-element scans run: the order's, then the action's.
         """
         if all(self._maps_rows_onto_rows(a) for a in self.action) \
                 and self._order_at(self.orbit_representatives()):
             return
-        super()._check()
+        self._scan_order()
         self._scan_action()
 
     def _maps_rows_onto_rows(self, a):
@@ -295,6 +170,21 @@ class GPoset(Poset):
                     return False
         return True
 
+    def _scan_order(self):
+        """The first pair (i, j), in row order, with j <= i for j != i
+        (antisymmetry) or with row(j) not inside row(i) (transitivity)."""
+        members, offsets, labels = self.members, self.offsets, self.labels
+        for i in range(self.n):
+            row = members[offsets[i]:offsets[i + 1]]
+            row_set = set(row)
+            for j in row:
+                if j != i and self.leq(j, i):
+                    raise TheoryViolation("relation not antisymmetric",
+                                          witness=(labels[i], labels[j]))
+                if not row_set.issuperset(members[offsets[j]:offsets[j + 1]]):
+                    raise TheoryViolation("relation not transitive",
+                                          witness=(labels[i], labels[j]))
+
     def _scan_action(self):
         """The first pair, in row order, whose image is not a relation."""
         members, offsets = self.members, self.offsets
@@ -310,6 +200,52 @@ class GPoset(Poset):
                         raise TheoryViolation(
                             "generator action is not an order-automorphism",
                             witness=(self.labels[i], self.labels[j]))
+
+    def up_masks(self):
+        """Every up-set as a bitmask, rebuilt from the rows."""
+        members, offsets = self.members, self.offsets
+        out = []
+        for i in range(self.n):
+            mask = 0
+            for j in members[offsets[i]:offsets[i + 1]]:
+                mask |= 1 << j
+            out.append(mask)
+        return out
+
+    def leq(self, i, j):
+        members, hi = self.members, self.offsets[i + 1]
+        k = bisect_left(members, j, self.offsets[i], hi)
+        return k < hi and members[k] == j
+
+    def leq_pairs(self):
+        members, offsets = self.members, self.offsets
+        return [(i, j) for i in range(self.n)
+                for j in members[offsets[i]:offsets[i + 1]]]
+
+    def covering_pairs(self):
+        """(i, j) with i < j and nothing strictly between: j lies in the
+        row of i and in no row of another strict member of it, so exactly
+        one row of a strict member holds j (its own; none holds i)."""
+        members, offsets = self.members, self.offsets
+        out = []
+        for i in range(self.n):
+            row = members[offsets[i]:offsets[i + 1]]
+            held = Counter()
+            for k in row:
+                if k != i:
+                    held.update(members[offsets[k]:offsets[k + 1]])
+            out.extend((i, j) for j in row if held[j] == 1)
+        return out
+
+    def minimal_elements(self):
+        """The elements above no other, found as the masks were read."""
+        return list(self._minimal)
+
+    def maximal_elements(self):
+        """The elements whose row holds only themselves."""
+        offsets = self.offsets.tolist()
+        return [i for i, (lo, hi) in enumerate(zip(offsets, offsets[1:]))
+                if hi - lo == 1]
 
     @cached_property
     def orbit_walk(self):
@@ -353,6 +289,34 @@ class GPoset(Poset):
         """The least element of each orbit, in orbit order."""
         walk = self.orbit_walk
         return [x for x, k in zip(walk.order, walk.parent) if k < 0]
+
+    def to_json_dict(self):
+        orbit_of = self.orbit_walk.orbit_of
+        elements = [{"id": i, "label": str(self.labels[i]),
+                     "orbit": orbit_of[i]} for i in range(self.n)]
+        return {
+            "empty": self.n == 0,
+            "elements": elements,
+            "leq": [[i, j] for i, j in self.leq_pairs()],
+            "covering": [[i, j] for i, j in self.covering_pairs()],
+        }
+
+    def to_dot(self, name="poset"):
+        palette = ["#a6cee3", "#b2df8a", "#fb9a99", "#fdbf6f", "#cab2d6",
+                   "#ffff99", "#1f78b4", "#33a02c", "#e31a1c", "#ff7f00"]
+        lines = [f"digraph {name} {{", "  rankdir=BT;",
+                 "  node [shape=box, style=filled];"]
+        if self.n == 0:
+            lines.append("  // empty poset")
+        orbit_of = self.orbit_walk.orbit_of
+        for i in range(self.n):
+            color = palette[orbit_of[i] % len(palette)]
+            label = str(self.labels[i]).replace('"', "'")
+            lines.append(f'  n{i} [label="{label}", fillcolor="{color}"];')
+        for i, j in self.covering_pairs():
+            lines.append(f"  n{i} -> n{j};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def orbit_poset(X):
@@ -444,16 +408,12 @@ def chain_counts(X):
     starting at x onto those starting at its image, so c_k is constant on
     orbits: the strict up-set of one element per orbit is read once, as an
     array('i') of orbit ids, and each orbit's count is weighted by its
-    size.  A plain Poset counts each element as its own orbit.
+    size.  Without generators each element is its own orbit.
     """
     members, offsets = X.members, X.offsets
-    if isinstance(X, GPoset):
-        orbits = X.orbits()
-        orbit_of = X.orbit_walk.orbit_of
-        reps, sizes = [orb[0] for orb in orbits], [len(orb) for orb in orbits]
-    else:
-        orbit_of = reps = range(X.n)
-        sizes = [1] * X.n
+    orbits = X.orbits()
+    orbit_of = X.orbit_walk.orbit_of
+    reps, sizes = [orb[0] for orb in orbits], [len(orb) for orb in orbits]
     strict_up = [array("i", [orbit_of[j] for j
                              in members[offsets[r]:offsets[r + 1]] if j != r])
                  for r in reps]

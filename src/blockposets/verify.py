@@ -248,7 +248,7 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     kappa's members (inside Q) and on e only through the coset C_G(Q) g,
     as e^(cg) = e^g for c in C_G(Q), so admissibility and the class are
     constant on each coset.  Along the commuting poset's orbit walk
-    (GPoset.orbit_walk), an orbit's first element reads the fusions of its
+    (Poset.orbit_walk), an orbit's first element reads the fusions of its
     pair, one g per coset, each already passed by FusionSystem.target
     (_eta_scan): those whose images of the members form an object must
     give one class (asserted), and the first is kept with its map.  Every

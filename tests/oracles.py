@@ -26,8 +26,9 @@
   vertex ids, every label formatted up front and the certificate reading
   each up-set row as a list of indices, against the mask-keyed builder;
 * the commuting poset's up masks all listed together, as block_geometry held
-  them before they were streamed into the row table, and chain counts
-  taken at every element instead of once per orbit;
+  them before they were streamed into the row table, chain counts taken at
+  every element instead of once per orbit, and covering pairs read off the
+  up and down masks instead of the rows;
 * the pair below a maximal pair at a subgroup, walked down a normalizer
   chain and a centre-seeded chain with a unique normally contained block
   at each step, against the fusion system's subpairs read off the pair
@@ -64,7 +65,7 @@ from blockposets.commuting import (
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.perms import Permutation, PermGroup, SubgroupOrbit
 from blockposets.perms import centralizer as perms_centralizer
-from blockposets.topology import Poset, _row_or, iter_bits
+from blockposets.topology import Poset, iter_bits
 from blockposets.verify import CheckResult, _target
 
 
@@ -547,6 +548,14 @@ def category_hom(cat, i, j):
 # -- the list-row certificate and the frozenset commuting poset ---------------
 
 
+def _row_or(up, row):
+    """The OR of the up-sets of the elements listed in row."""
+    acc = 0
+    for j in row:
+        acc |= up[j]
+    return acc
+
+
 def list_row_axioms(P, rows):
     """The partial-order check on rows given as lists of indices."""
     up = P.up
@@ -609,12 +618,27 @@ class ListRowPoset:
 
 
 class ListRowGPoset(ListRowPoset):
-    """ListRowPoset with GPoset's action check after the axioms."""
+    """ListRowPoset with Poset's action check after the axioms."""
 
     def __init__(self, labels, up_masks, action):
         self.action = [list(a) for a in action]
         super().__init__(labels, up_masks)
         list_row_action(self, [iter_bits(m) for m in self.up])
+
+
+def covering_pairs_by_masks(P):
+    """(i, j) with i < j and nothing strictly between, read off P's up and
+    down masks: no strict member of i's up mask has j in its strict up
+    mask."""
+    up = P.up_masks()
+    down = down_masks(up)
+    out = []
+    for i in range(P.n):
+        strict = up[i] & ~(1 << i)
+        for j in iter_bits(strict):
+            if not (strict & down[j] & ~(1 << j)):
+                out.append((i, j))
+    return out
 
 
 def chain_counts_by_element(X):

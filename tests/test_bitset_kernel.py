@@ -21,6 +21,8 @@ from blockposets.gf import field_context
 from blockposets.perms import symmetric_group
 from blockposets.topology import Poset, closure_masks, iter_bits
 
+from oracles import down_masks
+
 
 def shift_loop_bits(mask):
     out = []
@@ -65,7 +67,7 @@ def recursive_cliques(adj):
 def min_sets_scan(poset):
     """First uncovered clique (>= 3) of minimal elements, by subset tests."""
     minimal = poset.minimal_elements()
-    down = poset.down_masks()
+    down = down_masks(poset.up_masks())
     pos = {m: t for t, m in enumerate(minimal)}
     min_sets = [frozenset(pos[m] for m in minimal if (down[i] >> m) & 1)
                 for i in range(poset.n)]

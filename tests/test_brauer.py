@@ -143,7 +143,7 @@ class TestContainmentPoset:
         family = [conjugate_subgroup(rep, g)
                   for rep, orbit in group.classes for g in orbit.values()]
         pp = BlockContext(group, principal).pair_poset(family)
-        # GPoset construction validates the action; reaching here suffices,
+        # Poset construction validates the action; reaching here suffices,
         # but check the orbit structure explicitly
         orbits = pp.poset.orbits()
         assert sorted(len(o) for o in orbits) == [1, 3]

@@ -9,15 +9,19 @@ row per orbit.
   must equal the count at every element on A and K of every corpus block
   and of both S6 p=2 blocks, and a count with one orbit's size off by one
   must not.
-* GPoset checks transitivity and antisymmetry at orbit representatives
+* Poset checks transitivity and antisymmetry at orbit representatives
   only, and quillen_pair_check its order and round-trip tests.  Under
   mutations that a representative's row does not show (a relation dropped
   in one other row, an expand or collapse value changed at one other
   element) and one that every row of an orbit shows, they must fail with
   the message, witness and failure list of the all-element scan.
-* The default checks on S6 p=2's principal block never rebuild K's masks,
-  and theorem2 carries g^-1 along its orbit walk instead of inverting g
-  at every step.
+* Covering pairs are read off the rows.  They must equal those read off
+  the up and down masks on A, K, K's orbit poset, the iso-class poset and
+  F's pair poset of every non-slow corpus block and both S6 p=2 blocks.
+* The default checks on S6 p=2's principal block rebuild no poset's
+  masks, a `poset --which K` export there never rebuilds K's, and
+  theorem2 carries g^-1 along its orbit walk instead of inverting g at
+  every step.
 """
 
 import random
@@ -26,16 +30,17 @@ from types import SimpleNamespace
 import pytest
 
 from blockposets.brauer import BlockContext, GroupContext
-from blockposets.cli import CORPUS, build_group, select_blocks
+from blockposets.cli import CORPUS, build_group, main, select_blocks
 from blockposets.commuting import block_geometry
 from blockposets.errors import TheoryViolation
+from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
 from blockposets.perms import Permutation, symmetric_group
 from blockposets.topology import (
-    GPoset,
     Poset,
     chain_counts,
     iter_bits,
+    orbit_poset,
     quillen_pair_check,
 )
 from blockposets.verify import (
@@ -49,6 +54,8 @@ from oracles import (
     ListRowGPoset,
     chain_counts_by_element,
     commuting_up_masks,
+    covering_pairs_by_masks,
+    down_masks,
     quillen_pair_check_by_element,
 )
 
@@ -145,6 +152,24 @@ class TestRowTable:
                 == [i for i in range(K.n) if up[i] == 1 << i], name
 
 
+def test_covering_pairs_match_masks(geometries):
+    """A, K, K's orbit poset, the iso-class poset and F's pair poset."""
+    checked = []
+    for name, ctx, geom in geometries:
+        if name.startswith("S7"):
+            continue
+        fs = FusionSystem.from_block_context(ctx)
+        posets = {"A": geom.aposet, "K": geom.kposet,
+                  "K-orbit": orbit_poset(geom.kposet)[0],
+                  "iso-classes": IsoClassPoset(CommutingCategory(fs)).poset,
+                  "F-pairs": ctx.pair_poset(fs.family).poset}
+        for which, P in posets.items():
+            assert P.covering_pairs() == covering_pairs_by_masks(P), \
+                f"{name}/{which}"
+            checked.append(bool(P.action))
+    assert len(checked) == 5 * (7 + 2) and set(checked) == {True, False}
+
+
 class TestChainCounts:
     def test_orbit_counts_match_every_element(self, geometries):
         sizes = []
@@ -166,7 +191,7 @@ class TestChainCounts:
         _ctx, geom = s5_principal
         K = geom.kposet
         expected = chain_counts_by_element(K)
-        orbits = GPoset.orbits
+        orbits = Poset.orbits
 
         def one_off(X):
             out = orbits(X)
@@ -174,7 +199,7 @@ class TestChainCounts:
             out[k] = out[k] + out[k][:1] if delta > 0 else out[k][:-1]
             return out
 
-        monkeypatch.setattr(GPoset, "orbits", one_off)
+        monkeypatch.setattr(Poset, "orbits", one_off)
         assert chain_counts(K) != expected
 
 
@@ -200,7 +225,7 @@ class TestRepresentativeChecks:
                 up[i] &= ~(1 << j)
                 expected = outcome(ListRowGPoset, P.labels, up, P.action)
                 assert expected is not None, name
-                assert outcome(GPoset, P.labels, up, P.action) == expected
+                assert outcome(Poset, P.labels, up, P.action) == expected
                 seen.add(expected[0])
         assert seen == {"relation not transitive",
                         "generator action is not an order-automorphism"}
@@ -227,7 +252,7 @@ class TestRepresentativeChecks:
                     up[x] &= ~(1 << y)
                 expected = outcome(ListRowGPoset, P.labels, up, P.action)
                 assert expected[0] == "relation not transitive", name
-                assert outcome(GPoset, P.labels, up, P.action) == expected
+                assert outcome(Poset, P.labels, up, P.action) == expected
                 checked += 1
         assert checked >= 8
 
@@ -264,7 +289,7 @@ class TestRepresentativeChecks:
         all-element scan must give the full failure list."""
         for name, _ctx, geom in geometries:
             A = geom.aposet
-            dual = GPoset(A.labels, A.down_masks(), A.action)
+            dual = Poset(A.labels, down_masks(A.up_masks()), A.action)
             identity = list(range(A.n))
             got = as_certificate(quillen_pair_check(A, dual, identity,
                                                     identity))
@@ -284,11 +309,8 @@ class TestRepresentativeChecks:
             assert cert.ok, name
 
 
-def test_default_checks_never_rebuild_k_masks(monkeypatch):
-    """S6 p=2 principal: its homology check is skipped at the simplex
-    bound, so no check needs K as masks."""
-    group = GroupContext(symmetric_group(6), field_context(2, 1))
-    (principal,) = [b for b in group.blocks if b.principal]
+def spy_on_up_masks(monkeypatch):
+    """The sizes of the posets whose masks are rebuilt, as they are."""
     rebuilt = []
     up_masks = Poset.up_masks
 
@@ -297,11 +319,31 @@ def test_default_checks_never_rebuild_k_masks(monkeypatch):
         return up_masks(P)
 
     monkeypatch.setattr(Poset, "up_masks", spy)
+    return rebuilt
+
+
+def test_default_checks_never_rebuild_k_masks(monkeypatch):
+    """S6 p=2 principal: its homology check is skipped at the simplex
+    bound, so no check needs any poset as masks."""
+    group = GroupContext(symmetric_group(6), field_context(2, 1))
+    (principal,) = [b for b in group.blocks if b.principal]
+    rebuilt = spy_on_up_masks(monkeypatch)
     results = run_block_checks(group, principal, DEFAULT_CHECKS)
     assert [r.status for r in results] \
         == ["pass", "pass", "pass", "pass", "skipped"]
     assert results[1].details["orbits"] == 71
-    assert rebuilt and 3495 not in rebuilt and max(rebuilt) < 3495
+    assert rebuilt == []
+
+
+def test_k_export_never_rebuilds_masks(monkeypatch, tmp_path):
+    """`poset --which K` on S6 p=2 principal reads its leq and covering
+    pairs off the rows."""
+    rebuilt = spy_on_up_masks(monkeypatch)
+    out = tmp_path / "k.json"
+    assert main(["poset", "--group", "S6", "--prime", "2", "--block",
+                 "principal", "--which", "K", "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+    assert rebuilt == []
 
 
 def test_theorem2_carries_inverses_along_the_walk(monkeypatch):

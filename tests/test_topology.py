@@ -4,7 +4,6 @@ import pytest
 
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.topology import (
-    GPoset,
     Poset,
     SimplicialComplex,
     boundary_matrices,
@@ -236,7 +235,7 @@ class TestGPosetAndOrbits:
         pairs = [(0, 1), (2, 3)]
         up = closure_masks(len(labels), pairs)
         action = [[2, 3, 0, 1]]
-        return GPoset(labels, up, action)
+        return Poset(labels, up, action)
 
     def test_action_validated(self):
         X = self.g_chain_pair()
@@ -246,7 +245,7 @@ class TestGPosetAndOrbits:
         labels = ["a", "b"]
         up = closure_masks(len(labels), [(0, 1)])
         with pytest.raises(TheoryViolation):
-            GPoset(labels, up, [[1, 0]])  # swap breaks the order
+            Poset(labels, up, [[1, 0]])  # swap breaks the order
 
     def test_orbit_poset(self):
         X = self.g_chain_pair()
@@ -256,22 +255,19 @@ class TestGPosetAndOrbits:
 
     def test_trivial_action_is_identity_quotient(self):
         P = chain_poset(3)
-        X = GPoset(P.labels, P.up_masks(), [])
-        Q, orbit_of = orbit_poset(X)
+        Q, orbit_of = orbit_poset(P)
         ok, _ = poset_iso_check(P, Q, orbit_of)
         assert ok
 
 
 class TestChecks:
     def test_identity_pair_passes(self):
-        P = chain_poset(3)
-        X = GPoset(P.labels, P.up_masks(), [])
+        X = chain_poset(3)
         cert = quillen_pair_check(X, X, [0, 1, 2], [0, 1, 2])
         assert cert.ok and cert.roundtrip_x == "id=HF"
 
     def test_order_violation_fails(self):
-        X = GPoset(*_as_g(chain_poset(2)))
-        Y = GPoset(*_as_g(antichain(2)))
+        X, Y = chain_poset(2), antichain(2)
         cert = quillen_pair_check(X, Y, [0, 1], [0, 1])
         assert not cert.ok
         assert not cert.forward_order_preserving
@@ -288,7 +284,3 @@ class TestChecks:
     def test_iso_check_rejects_nonbijection(self):
         ok, _ = poset_iso_check(antichain(2), antichain(2), [0, 0])
         assert not ok
-
-
-def _as_g(P):
-    return P.labels, P.up_masks(), []

@@ -277,3 +277,18 @@ class TestReportDrift:
               "principal", "--which", "iso-classes", "--out", str(out)])
         assert out.read_bytes() == \
             (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("group, which", [
+        ("S5", "A"), ("S5", "K"), ("S5", "K-orbit"), ("S4", "brauer-pairs"),
+    ])
+    def test_poset_exports_match_recorded(self, group, which, fmt, tmp_path):
+        """`poset` on the p = 2 principal block: the elements, their
+        orbits, the order and the covering relation, as JSON and DOT."""
+        out = tmp_path / f"poset.{fmt}"
+        assert main(["poset", "--group", group, "--prime", "2", "--block",
+                     "principal", "--which", which, "--format", fmt,
+                     "--out", str(out)]) == 0
+        name = f"{group.lower()}_p2_principal_{which.replace('-', '_')}"
+        assert out.read_bytes() == \
+            (Path(__file__).parent / "data" / f"{name}.{fmt}").read_bytes()
