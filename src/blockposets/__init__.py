@@ -21,7 +21,6 @@ from .perms import (                                        # noqa: F401
     centralizer,
     conjugacy_classes,
     dihedral_group,
-    order_p_subgroups,
     p_subgroups_up_to_conjugacy,
     sylow_p,
     symmetric_group,
@@ -42,7 +41,6 @@ from .brauer import (                                       # noqa: F401
 from .commuting import (                                    # noqa: F401
     block_geometry,
     clique_witness,
-    commuting_graph,
     elementary_abelian_poset,
     product_subgroup,
 )

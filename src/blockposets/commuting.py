@@ -1,4 +1,5 @@
-"""Commuting graphs and the commuting poset of a block.
+"""The clique walk over commuting order-p subgroups, and the commuting poset
+of a block.
 
 The commuting poset of a block has elements (kappa, e): kappa a nonempty set
 of pairwise commuting order-p subgroups whose product has nonvanishing Brauer
@@ -23,7 +24,10 @@ vertex v keeps A when v lies in A.  Otherwise v commutes with A, so
 <A, v> = A x <v> has order p|A|, and it is the one family subgroup of that
 order holding both; when there is none the product has zero Brauer image
 and the clique is cut.  The commuting category finds its objects and their
-products with the same walk, `product_walk`.
+products with the same walk, `product_walk`, over the elementary abelian
+subgroups of the defect group, and the principal-clique check finds the
+cliques of the commuting graph on all order-p subgroups of G with it, over
+every nontrivial elementary abelian subgroup of G, where it cuts nothing.
 
 The commuting poset holds no Python container or string per element: an
 element is (kappa as a bitmask of vertex ids, pair index), and its label is
@@ -45,18 +49,10 @@ from collections.abc import Sequence
 from operator import itemgetter
 
 from .errors import SizeLimitExceeded, TheoryViolation
-from .perms import PermGroup, order_p_subgroups
+from .perms import PermGroup
 from .topology import Poset, iter_bits
 
 MAX_POSET_ELEMENTS = 100_000
-
-
-class CommutingGraph:
-    __slots__ = ("vertices", "adjacency")
-
-    def __init__(self, vertices, adjacency):
-        self.vertices = vertices      # order-p subgroups, canonically sorted
-        self.adjacency = adjacency    # bitmask per vertex
 
 
 def commuting_adjacency(vertices):
@@ -76,12 +72,6 @@ def commuting_adjacency(vertices):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return adjacency
-
-
-def commuting_graph(G, p):
-    """All order-p subgroups of G, joined when they commute elementwise."""
-    vertices = order_p_subgroups(G, p)
-    return CommutingGraph(list(vertices), commuting_adjacency(vertices))
 
 
 def iter_cliques(adjacency, grow=lambda state, v: state, state=True):
@@ -176,17 +166,19 @@ def product_walk(family, p):
     return vertices, adjacency, vmask, cliques
 
 
+def elementary_abelian_classes(group):
+    """The indices of the classes of nontrivial elementary abelian
+    subgroups in group.classes."""
+    return [i for i, (rep, _orbit) in enumerate(group.classes)
+            if rep.order > 1 and rep.is_elementary_abelian(group.p)[0]]
+
+
 def elementary_abelian_family(ctx):
     """Every nontrivial elementary abelian subgroup with nonzero Brauer image."""
-    family = []
-    for i, (rep, _orbit) in enumerate(ctx.group.classes):
-        if rep.order == 1:
-            continue
-        flag, _rank = rep.is_elementary_abelian(ctx.p)
-        if not flag or not ctx.brauer_nonzero(rep):
-            continue
-        family.extend(ctx.group.conjugates(i))
-    return family
+    classes = ctx.group.classes
+    return [S for i in elementary_abelian_classes(ctx.group)
+            if ctx.brauer_nonzero(classes[i][0])
+            for S in ctx.group.conjugates(i)]
 
 
 def elementary_abelian_poset(ctx):
@@ -203,12 +195,11 @@ class BlockGeometry:
     it is read.
     """
 
-    def __init__(self, ctx, apairs, vertices, vertex_adj, elements, kposet,
-                 expand_map, collapse_map):
+    def __init__(self, ctx, apairs, vertices, elements, kposet, expand_map,
+                 collapse_map):
         self.ctx = ctx
         self.apairs = apairs          # BrauerPairPoset (elementary abelian)
         self.vertices = vertices      # order-p subgroups with Br != 0
-        self.vertex_adj = vertex_adj
         self.elements = elements      # (kappa mask, apairs index)
         self.kposet = kposet          # Poset on the elements, G acting
         self.expand_map = expand_map  # apairs index -> kposet index
@@ -245,7 +236,7 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     apairs = elementary_abelian_poset(ctx)
     aposet = apairs.poset
     # up yields K's masks one at a time; its build tables die with it
-    vertices, adj, elements, up, action, expand_map = _commuting_elements(
+    vertices, elements, up, action, expand_map = _commuting_elements(
         ctx, apairs, max_elements)
     labels = CommutingLabels(
         elements, [V.generators[0].cycle_string() for V in vertices],
@@ -253,14 +244,14 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     kposet = Poset(labels, up, action)
     # collapse: (kappa, e) -> (product of kappa, e)
     collapse_map = [pid for _kmask, pid in elements]
-    return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
-                         expand_map, collapse_map)
+    return BlockGeometry(ctx, apairs, vertices, elements, kposet, expand_map,
+                         collapse_map)
 
 
 def _commuting_elements(ctx, apairs, max_elements):
-    """(vertices, their adjacency, elements, up masks, action, expand map)
-    of the commuting poset over the pair poset apairs; the up masks come
-    from a generator, one per element in order."""
+    """(vertices, elements, up masks, action, expand map) of the commuting
+    poset over the pair poset apairs; the up masks come from a generator,
+    one per element in order."""
     aposet = apairs.poset
     # the family: the subgroups with a pair, each with the pairs at it
     family_index = {}
@@ -276,7 +267,7 @@ def _commuting_elements(ctx, apairs, max_elements):
         slot.append(len(pairs_at[f]))
         pairs_at[f].append(i)
         family_of_pair.append(f)
-    vertices, adj, vmask, cliques = product_walk(family, ctx.p)
+    vertices, _adj, vmask, cliques = product_walk(family, ctx.p)
     vindex = {Q.element_set: i for i, Q in enumerate(vertices)}
     # Cliques come in depth-first preorder of increasing tuples, which is
     # lexicographic order, and each pairs_at list is increasing: elements
@@ -342,7 +333,7 @@ def _commuting_elements(ctx, apairs, max_elements):
                     mask &= containing[v]
                 yield mask
 
-    return vertices, adj, elements, up(), action, expand_map
+    return vertices, elements, up(), action, expand_map
 
 
 def _above_pair_masks(aposet, elements):

@@ -91,16 +91,14 @@ class ExtensionField:
     Elements are tuples of d residues, lowest degree first.
     """
 
-    def __init__(self, p, d, modulus=None):
+    def __init__(self, p, d):
         if d < 2:
             raise ValueError("use PrimeField for d = 1")
-        self.base = PrimeField(p)
         self.p = p
         self.d = d
         self.q = p ** d
-        if modulus is None:
-            modulus = least_irreducible(p, d)
-        self.modulus = tuple(modulus)  # ints, length d+1, monic
+        # ints, length d+1, monic; least_irreducible refuses a p not prime
+        self.modulus = least_irreducible(p, d)
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
 

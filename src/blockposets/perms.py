@@ -571,18 +571,6 @@ def _power(x, n):
     return y
 
 
-def order_p_subgroups(G, p):
-    """All subgroups of order p, sorted canonically."""
-    found = {}
-    for x in G.elements:
-        if x.order() == p:
-            members = frozenset(_power(x, k) for k in range(p))
-            if members not in found:
-                found[members] = PermGroup.from_elements(G.degree, members,
-                                                         label=f"<{x.cycle_string()}>")
-    return sorted(found.values(), key=PermGroup.key)
-
-
 _MAX_TABLE_ORDER = 2048
 
 

@@ -347,7 +347,7 @@ class SimplicialComplex:
     """Faces stored by dimension as sorted tuples of vertex ids.
 
     Each dimension's list is kept as given, so it must already be sorted and
-    free of duplicates, as `from_faces` and `order_complex` make it.
+    free of duplicates, as `order_complex` makes it.
     """
 
     def __init__(self, faces_by_dim):
@@ -355,26 +355,6 @@ class SimplicialComplex:
         while self.faces_by_dim and not self.faces_by_dim[-1]:
             self.faces_by_dim.pop()
         self._check_closed()
-
-    @classmethod
-    def from_faces(cls, faces):
-        """Downward closure of the given faces."""
-        by_dim = {}
-        stack = [tuple(sorted(set(f))) for f in faces]
-        seen = set(stack)
-        while stack:
-            f = stack.pop()
-            by_dim.setdefault(len(f) - 1, set()).add(f)
-            if len(f) > 1:
-                for k in range(len(f)):
-                    sub = f[:k] + f[k + 1:]
-                    if sub not in seen:
-                        seen.add(sub)
-                        stack.append(sub)
-        if not by_dim:
-            return cls([])
-        top = max(by_dim)
-        return cls([sorted(by_dim.get(n, ())) for n in range(top + 1)])
 
     def _check_closed(self):
         for n in range(1, len(self.faces_by_dim)):
@@ -443,22 +423,6 @@ def order_complex(X, max_simplices=MAX_SIMPLICES):
                 new.append((chain + (j,), mask & strict_up[j]))
         frontier = new
     return SimplicialComplex(by_dim)
-
-
-def face_poset(C):
-    """Nonempty faces of a complex, ordered by inclusion."""
-    faces = [f for fs in C.faces_by_dim for f in fs]
-    containing = defaultdict(int)   # vertex -> mask of the faces holding it
-    for i, f in enumerate(faces):
-        for v in f:
-            containing[v] |= 1 << i
-    up = []
-    for f in faces:
-        mask = -1
-        for v in f:
-            mask &= containing[v]
-        up.append(mask)
-    return Poset([str(tuple(v for v in f)) for f in faces], up)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,13 @@ format of the command line interface.  The suites:
                    isomorphic to the orbit poset of the commuting poset, with
                    the explicit mutually inverse maps.
 * principal-clique: for a principal block, the commuting poset is the face
-                   poset of the clique complex of the commuting graph
-                   (skipped on other blocks; not in DEFAULT_CHECKS).
+                   poset of the clique complex of the commuting graph,
+                   whose cliques and products come from the commuting
+                   poset's own clique walk (skipped on other blocks; not in
+                   DEFAULT_CHECKS).
+
+run_block_checks builds the block's geometry once, for the checks that
+read it, and times each check alone.
 """
 
 from __future__ import annotations
@@ -29,16 +34,15 @@ from .brauer import BlockContext
 from .commuting import (
     block_geometry,
     clique_witness,
-    commuting_graph,
+    elementary_abelian_classes,
     iter_cliques,
-    product_subgroup,
+    product_walk,
 )
 from .errors import SizeLimitExceeded, TheoryViolation
 from .fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from .topology import (
-    SimplicialComplex,
+    Poset,
     chain_counts,
-    face_poset,
     homology,
     iter_bits,
     orbit_poset,
@@ -54,14 +58,13 @@ class CheckResult:
     __slots__ = ("name", "target", "status", "details", "witnesses",
                  "elapsed")
 
-    def __init__(self, name, target, status, details=None, witnesses=None,
-                 elapsed=0.0):
+    def __init__(self, name, target, status, details=None, witnesses=None):
         self.name = name
         self.target = target
         self.status = status              # "pass" | "fail" | "skipped"
         self.details = {} if details is None else details
         self.witnesses = [] if witnesses is None else witnesses
-        self.elapsed = elapsed
+        self.elapsed = 0.0               # set by run_block_checks
 
     def to_json_dict(self, include_timing=False):
         out = {
@@ -87,19 +90,13 @@ def _target(G, F, block=None):
 
 def check_theorem1(ctx, geom):
     """Inverse equivariant order maps between the two posets of the block."""
-    start = time.monotonic()
     A, K = geom.aposet, geom.kposet
     cert = quillen_pair_check(A, K, geom.expand_map, geom.collapse_map)
-    collapse_expand_identity = all(
-        geom.collapse_map[geom.expand_map[i]] == i for i in range(A.n))
-    # with both maps equivariant, j <= expand(collapse(j)) holds on all of
-    # an orbit iff it holds at the orbit's representative
-    equivariant = cert.forward_equivariant and cert.backward_equivariant
-    pointwise_below = all(
-        K.leq(j, geom.expand_map[geom.collapse_map[j]])
-        for j in (K.orbit_representatives() if equivariant else range(K.n)))
-    ok = cert.ok and collapse_expand_identity and pointwise_below \
-        and cert.roundtrip_x == "id=HF"
+    # the round trips as the certificate found them: collapse after expand
+    # fixes every pair, and each element lies below its expansion
+    collapse_expand_identity = cert.roundtrip_x == "id=HF"
+    pointwise_below = cert.roundtrip_y in ("id<=FH", "id=FH")
+    ok = cert.ok and collapse_expand_identity and pointwise_below
     details = {
         "pairs": A.n,
         "commuting_elements": K.n,
@@ -116,8 +113,7 @@ def check_theorem1(ctx, geom):
     }
     return CheckResult("theorem1", _target(ctx.G, ctx.F, ctx.block),
                        "pass" if ok else "fail", details=details,
-                       witnesses=list(cert.failures),
-                       elapsed=time.monotonic() - start)
+                       witnesses=list(cert.failures))
 
 
 def check_homology(ctx, geom, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
@@ -127,7 +123,6 @@ def check_homology(ctx, geom, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     size bound is checked before any complex is built; the complexes are
     built only within the bound, and their face counts must match the count.
     """
-    start = time.monotonic()
     counts_a, counts_k = chain_counts(geom.aposet), chain_counts(geom.kposet)
     target = _target(ctx.G, ctx.F, ctx.block)
     chi_a, chi_k = _euler(counts_a), _euler(counts_k)
@@ -138,24 +133,20 @@ def check_homology(ctx, geom, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     }
     if chi_a != chi_k:
         return CheckResult("homology", target, "fail", details=details,
-                           witnesses=["euler characteristic mismatch"],
-                           elapsed=time.monotonic() - start)
+                           witnesses=["euler characteristic mismatch"])
     if max(size_a, size_k) > max_simplices:
         details["reason"] = "complex exceeds homology bound; Euler check only"
-        return CheckResult("homology", target, "skipped", details=details,
-                           elapsed=time.monotonic() - start)
+        return CheckResult("homology", target, "skipped", details=details)
     ca = order_complex(geom.aposet)
     ck = order_complex(geom.kposet)
     if ca.face_counts() != counts_a or ck.face_counts() != counts_k:
         return CheckResult("homology", target, "fail", details=details,
-                           witnesses=["face counts disagree with the chain count"],
-                           elapsed=time.monotonic() - start)
+                           witnesses=["face counts disagree with the chain count"])
     ha, hk = homology(ca), homology(ck)
     details["homology"] = [repr(ha), repr(hk)]
     status = "pass" if ha == hk else "fail"
     return CheckResult("homology", target, status, details=details,
-                       witnesses=[] if status == "pass" else [repr(ha), repr(hk)],
-                       elapsed=time.monotonic() - start)
+                       witnesses=[] if status == "pass" else [repr(ha), repr(hk)])
 
 
 def _euler(counts):
@@ -164,13 +155,11 @@ def _euler(counts):
 
 def check_nonclique(ctx, geom):
     """Obstruction search; a principal block finding one is a failure."""
-    start = time.monotonic()
     witness = clique_witness(geom)
     target = _target(ctx.G, ctx.F, ctx.block)
     if witness is None:
         return CheckResult("nonclique", target, "pass",
-                           details={"obstruction": None},
-                           elapsed=time.monotonic() - start)
+                           details={"obstruction": None})
     details = {
         "obstruction": list(witness.pair_labels),
         "generated_subgroup_order": witness.generated_subgroup.order,
@@ -178,17 +167,15 @@ def check_nonclique(ctx, geom):
     }
     if ctx.block.principal:
         return CheckResult("nonclique", target, "fail", details=details,
-                           witnesses=["principal block cannot have an obstruction"],
-                           elapsed=time.monotonic() - start)
+                           witnesses=["principal block cannot have an obstruction"])
     status = "pass" if witness.brauer_vanishes else "fail"
     witnesses = [] if witness.brauer_vanishes else \
         ["obstruction without vanishing Brauer image"]
     return CheckResult("nonclique", target, status, details=details,
-                       witnesses=witnesses, elapsed=time.monotonic() - start)
+                       witnesses=witnesses)
 
 
 def check_principal_type(ctx):
-    start = time.monotonic()
     ok, outcomes, first_failure = ctx.principal_type()
     details = {
         "classes_checked": len(outcomes),
@@ -198,12 +185,11 @@ def check_principal_type(ctx):
     witnesses = [] if ok else [first_failure.label]
     return CheckResult("principal-type", _target(ctx.G, ctx.F, ctx.block),
                        "pass" if ok else "fail", details=details,
-                       witnesses=witnesses, elapsed=time.monotonic() - start)
+                       witnesses=witnesses)
 
 
 def check_theorem2(ctx, geom):
     """Iso-class poset of the commuting category vs the orbit poset."""
-    start = time.monotonic()
     target = _target(ctx.G, ctx.F, ctx.block)
     fs = FusionSystem.from_block_context(ctx)
     cat = CommutingCategory(fs)
@@ -213,11 +199,9 @@ def check_theorem2(ctx, geom):
                "defect_order": fs.P.order}
     if icp.n != quotient.n:
         return CheckResult("theorem2", target, "fail", details=details,
-                           witnesses=["cardinality mismatch"],
-                           elapsed=time.monotonic() - start)
+                           witnesses=["cardinality mismatch"])
     if icp.n == 0:
-        return CheckResult("theorem2", target, "pass", details=details,
-                           elapsed=time.monotonic() - start)
+        return CheckResult("theorem2", target, "pass", details=details)
     forward, eta = _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of)
     mutually_inverse = (
         all(eta[forward[c]] == c for c in range(icp.n))
@@ -228,8 +212,7 @@ def check_theorem2(ctx, geom):
     details["order_isomorphism"] = iso_ok
     witnesses = [] if ok else [iso_witness]
     return CheckResult("theorem2", target, "pass" if ok else "fail",
-                       details=details, witnesses=witnesses,
-                       elapsed=time.monotonic() - start)
+                       details=details, witnesses=witnesses)
 
 
 def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
@@ -366,51 +349,77 @@ def _eta_scan(geom, fs, class_at, el_idx):
 
 def check_principal_clique_complex(ctx, geom):
     """For a principal block: the commuting poset is the face poset of the
-    clique complex of the commuting graph on all order-p subgroups."""
-    start = time.monotonic()
+    clique complex of the commuting graph on all order-p subgroups.
+
+    The graph, its cliques and their products come from the commuting
+    poset's own clique walk, product_walk, run over every nontrivial
+    elementary abelian subgroup of G with no Brauer filter.  Two counts keep
+    the certificate independent of the classes of p-subgroups that the
+    walk and the commuting poset are both read from: the vertices must hold
+    every element of order p of G, p - 1 in each, or a vertex is missing;
+    and the walk must cut no clique of its graph, or a clique's product is
+    missing.  The faces are taken by size, then lexicographically; each
+    maps to the element of the commuting poset with the same vertices and
+    the one pair at the face's product.  The face poset's up-set of a face
+    is the AND, over its vertices v, of the faces holding v.
+    """
     target = _target(ctx.G, ctx.F, ctx.block)
     if not ctx.block.principal:
         return CheckResult("principal-clique", target, "skipped",
-                           details={"reason": "block is not principal"},
-                           elapsed=time.monotonic() - start)
-    graph = commuting_graph(ctx.G, ctx.p)
-    faces = [clique for clique, _ in iter_cliques(graph.adjacency)]
-    n = len(graph.vertices)
-    complex_ = SimplicialComplex.from_faces(faces) if faces \
-        else SimplicialComplex([])
-    fposet = face_poset(complex_)
-    details = {"graph_vertices": n, "cliques": len(faces),
-               "commuting_elements": geom.kposet.n}
-    # map: clique -> (same vertex set, the unique pair at its product)
+                           details={"reason": "block is not principal"})
+    p, K = ctx.p, geom.kposet
+    family = [S for i in elementary_abelian_classes(ctx.group)
+              for S in ctx.group.conjugates(i)]
+    order_p = sum(len(c.members) for c in ctx.group.algebra.classes
+                  if c.representative.order() == p)
+    details = {"graph_vertices": order_p // (p - 1),
+               "commuting_elements": K.n}
+    if (p - 1) * sum(1 for S in family if S.order == p) != order_p:
+        return _clique_failure(target, details,
+                               "vertex missing from the block poset")
+    vertices, adjacency, _vmask, cliques = product_walk(family, p)
+    faces = sorted(((kappa, A) for kappa, _kmask, A in cliques),
+                   key=lambda face: (len(face[0]), face[0]))
+    details["cliques"] = sum(1 for _ in iter_cliques(adjacency))
+    if len(faces) != details["cliques"]:
+        return _clique_failure(target, details, "0 pairs at a product")
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
-    kindex = {ke: i for i, ke in enumerate(geom.elements)}
-    pairs_by_subgroup = {}
+    in_k = [vindex.get(V.element_set) for V in vertices]
+    pairs_at = {}
     for i, pr in enumerate(geom.apairs.pairs):
-        pairs_by_subgroup.setdefault(pr.subgroup.element_set, []).append(i)
+        pairs_at.setdefault(pr.subgroup.element_set, []).append(i)
+    kindex = {ke: i for i, ke in enumerate(geom.elements)}
     fmap = []
-    face_list = [f for fs in complex_.faces_by_dim for f in fs]
-    for f in face_list:
-        members = [graph.vertices[v] for v in f]
-        try:
-            kmask = sum(1 << vindex[Q.element_set] for Q in members)
-        except KeyError:
-            return CheckResult("principal-clique", target, "fail",
-                               details=details,
-                               witnesses=["vertex missing from the block poset"],
-                               elapsed=time.monotonic() - start)
-        prod = product_subgroup(members)
-        pids = pairs_by_subgroup.get(prod.element_set, [])
+    holding = [0] * len(vertices)       # the faces holding each vertex
+    for f, (kappa, A) in enumerate(faces):
+        if any(in_k[v] is None for v in kappa):
+            return _clique_failure(target, details,
+                                   "vertex missing from the block poset")
+        pids = pairs_at.get(family[A].element_set, ())
         if len(pids) != 1:
-            return CheckResult("principal-clique", target, "fail",
-                               details=details,
-                               witnesses=[f"{len(pids)} pairs at a product"],
-                               elapsed=time.monotonic() - start)
-        fmap.append(kindex[(kmask, pids[0])])
-    ok, witness = poset_iso_check(fposet, geom.kposet, fmap)
+            return _clique_failure(target, details,
+                                   f"{len(pids)} pairs at a product")
+        fmap.append(kindex[sum(1 << in_k[v] for v in kappa), pids[0]])
+        for v in kappa:
+            holding[v] |= 1 << f
+
+    def up():
+        for kappa, _A in faces:
+            mask = -1
+            for v in kappa:
+                mask &= holding[v]
+            yield mask
+
+    fposet = Poset([str(kappa) for kappa, _A in faces], up())
+    ok, witness = poset_iso_check(fposet, K, fmap)
     return CheckResult("principal-clique", target, "pass" if ok else "fail",
                        details=details,
-                       witnesses=[] if ok else [witness],
-                       elapsed=time.monotonic() - start)
+                       witnesses=[] if ok else [witness])
+
+
+def _clique_failure(target, details, witness):
+    return CheckResult("principal-clique", target, "fail", details=details,
+                       witnesses=[witness])
 
 
 CHECKS_BY_NAME = {
@@ -443,24 +452,24 @@ def run_block_checks(group, block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
             raise ValueError(f"unknown check {name!r}")
         start = time.monotonic()
         try:
-            if name == "principal-type":
-                results.append(check_principal_type(ctx))
-                continue
-            if geom_bound is not None:
-                raise geom_bound
-            if geom is None:
-                try:
-                    geom = block_geometry(ctx)
-                except SizeLimitExceeded as exc:
-                    geom_bound = exc
-                    raise
-            if name == "homology":
-                results.append(check_homology(ctx, geom, max_simplices))
-            else:
-                results.append(CHECKS_BY_NAME[name](ctx, geom))
+            args = (ctx,)
+            if name != "principal-type":
+                if geom_bound is not None:
+                    raise geom_bound
+                if geom is None:
+                    try:
+                        geom = block_geometry(ctx)
+                    except SizeLimitExceeded as exc:
+                        geom_bound = exc
+                        raise
+                args = (ctx, geom, max_simplices) if name == "homology" \
+                    else (ctx, geom)
+            start = time.monotonic()
+            result = CHECKS_BY_NAME[name](*args)
         except SizeLimitExceeded as exc:
-            results.append(CheckResult(
+            result = CheckResult(
                 name, _target(ctx.G, ctx.F, ctx.block), "skipped",
-                details={"reason": f"resource bound: {exc}"},
-                elapsed=time.monotonic() - start))
+                details={"reason": f"resource bound: {exc}"})
+        result.elapsed = time.monotonic() - start
+        results.append(result)
     return results

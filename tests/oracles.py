@@ -35,7 +35,12 @@
   poset, and its maps out of a subgroup by a scan of every g in G;
 * the hom sets of the commuting category, filtered from each object's
   maps out of its product;
-* the equivalence certificate with every test run at every element;
+* the equivalence certificate with every test run at every element, and
+  theorem1's two round-trip fields by a scan of every element;
+* the principal-clique check on a commuting graph of its own: every
+  order-p subgroup by closure, each face's product by a permutation
+  closure and the face poset from the downward closure of the cliques,
+  against the check on the commuting poset's clique walk;
 * names the library no longer reads: the Frobenius map, the Brauer
   homomorphism, cyclic groups, the idempotent test, a poset from its
   relation pairs and the Euler characteristics of a complex and of its
@@ -44,7 +49,6 @@
 
 import itertools
 import math
-import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -60,12 +64,18 @@ from blockposets.commuting import (
     commuting_adjacency,
     elementary_abelian_poset,
     iter_cliques,
+    product_subgroup,
     product_walk,
 )
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.perms import Permutation, PermGroup, SubgroupOrbit
 from blockposets.perms import centralizer as perms_centralizer
-from blockposets.topology import Poset, iter_bits
+from blockposets.topology import (
+    Poset,
+    SimplicialComplex,
+    iter_bits,
+    poset_iso_check,
+)
 from blockposets.verify import CheckResult, _target
 
 
@@ -358,7 +368,6 @@ def brute_force_central_idempotents(A, bound=ORACLE_BOUND):
 
 def check_blocks_oracle(G, F, algebra=None, oracle_bound=ORACLE_BOUND):
     """Blocks from the splitter must equal the brute-force idempotent set."""
-    start = time.monotonic()
     A = algebra if algebra is not None else class_sum_algebra(G, F)
     out = blocks(G, F, algebra=A)
     target = _target(G, F)
@@ -366,16 +375,14 @@ def check_blocks_oracle(G, F, algebra=None, oracle_bound=ORACLE_BOUND):
         oracle = brute_force_central_idempotents(A, bound=oracle_bound)
     except SizeLimitExceeded as exc:
         return CheckResult("blocks-oracle", target, "skipped",
-                           details={"reason": str(exc)},
-                           elapsed=time.monotonic() - start)
+                           details={"reason": str(exc)})
     computed = sorted(b.coords for b in out)
     expected = sorted(tuple(u) for u in oracle)
     status = "pass" if computed == expected else "fail"
     witnesses = [] if status == "pass" else [computed, expected]
     return CheckResult("blocks-oracle", target, status,
                        details={"count": len(out)},
-                       witnesses=witnesses,
-                       elapsed=time.monotonic() - start)
+                       witnesses=witnesses)
 
 
 def index_tables_by_products(G):
@@ -829,8 +836,8 @@ def frozenset_block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
     expand_map = [kindex[(frozenset(iter_bits(vmask[f])), pid)]
                   for pid, f in enumerate(family_of_pair)]
     collapse_map = [pi for _k, pi in elements]
-    return BlockGeometry(ctx, apairs, vertices, adj, elements, kposet,
-                         expand_map, collapse_map)
+    return BlockGeometry(ctx, apairs, vertices, elements, kposet, expand_map,
+                         collapse_map)
 
 
 def quillen_pair_check_by_element(X, Y, fmap, hmap):
@@ -882,3 +889,126 @@ def quillen_pair_check_by_element(X, Y, fmap, hmap):
     rt_y = uniform_direction(Y, [fmap[h] for h in hmap], "FH")
     ok = all([f_ord, h_ord, f_eq, h_eq, rt_x is not None, rt_y is not None])
     return ok, f_ord, h_ord, f_eq, h_eq, rt_x, rt_y, failures
+
+
+def theorem1_scans(geom):
+    """(collapse_expand_is_identity, pointwise_below_expansion) of theorem1
+    by a scan of every pair and every commuting-poset element, as the check
+    found them before it read them off the certificate's round trips."""
+    A, K = geom.aposet, geom.kposet
+    expand, collapse = geom.expand_map, geom.collapse_map
+    identity = all(collapse[expand[i]] == i for i in range(A.n))
+    below = all(K.leq(j, expand[collapse[j]]) for j in range(K.n))
+    return identity, below
+
+
+def _power(x, n):
+    y = Permutation.identity(x.degree)
+    for _ in range(n):
+        y = y * x
+    return y
+
+
+def order_p_subgroups(G, p):
+    """All subgroups of order p, sorted canonically: one closure per
+    element of order p, against the order-p conjugates of the p-subgroup
+    classes."""
+    found = {}
+    for x in G.elements:
+        if x.order() == p:
+            members = frozenset(_power(x, k) for k in range(p))
+            if members not in found:
+                found[members] = PermGroup.from_elements(
+                    G.degree, members, label=f"<{x.cycle_string()}>")
+    return sorted(found.values(), key=PermGroup.key)
+
+
+class CommutingGraph:
+    __slots__ = ("vertices", "adjacency")
+
+    def __init__(self, vertices, adjacency):
+        self.vertices = vertices      # order-p subgroups, canonically sorted
+        self.adjacency = adjacency    # bitmask per vertex
+
+
+def commuting_graph(G, p):
+    """All order-p subgroups of G, joined when they commute elementwise."""
+    vertices = order_p_subgroups(G, p)
+    return CommutingGraph(list(vertices), commuting_adjacency(vertices))
+
+
+def complex_from_faces(faces):
+    """The simplicial complex that is the downward closure of faces."""
+    by_dim = {}
+    stack = [tuple(sorted(set(f))) for f in faces]
+    seen = set(stack)
+    while stack:
+        f = stack.pop()
+        by_dim.setdefault(len(f) - 1, set()).add(f)
+        if len(f) > 1:
+            for k in range(len(f)):
+                sub = f[:k] + f[k + 1:]
+                if sub not in seen:
+                    seen.add(sub)
+                    stack.append(sub)
+    if not by_dim:
+        return SimplicialComplex([])
+    top = max(by_dim)
+    return SimplicialComplex([sorted(by_dim.get(n, ()))
+                              for n in range(top + 1)])
+
+
+def face_poset(C):
+    """Nonempty faces of a complex, ordered by inclusion."""
+    faces = [f for fs in C.faces_by_dim for f in fs]
+    containing = defaultdict(int)   # vertex -> mask of the faces holding it
+    for i, f in enumerate(faces):
+        for v in f:
+            containing[v] |= 1 << i
+    up = []
+    for f in faces:
+        mask = -1
+        for v in f:
+            mask &= containing[v]
+        up.append(mask)
+    return Poset([str(tuple(v for v in f)) for f in faces], up)
+
+
+def principal_clique_by_closures(ctx, geom):
+    """The principal-clique check on its own commuting graph: every order-p
+    subgroup of G found by closure, each face's product by a permutation
+    closure, and the face poset from the downward closure of the cliques."""
+    target = _target(ctx.G, ctx.F, ctx.block)
+    if not ctx.block.principal:
+        return CheckResult("principal-clique", target, "skipped",
+                           details={"reason": "block is not principal"})
+    graph = commuting_graph(ctx.G, ctx.p)
+    faces = [clique for clique, _ in iter_cliques(graph.adjacency)]
+    complex_ = complex_from_faces(faces)
+    fposet = face_poset(complex_)
+    details = {"graph_vertices": len(graph.vertices), "cliques": len(faces),
+               "commuting_elements": geom.kposet.n}
+    vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
+    kindex = {ke: i for i, ke in enumerate(geom.elements)}
+    pairs_by_subgroup = {}
+    for i, pr in enumerate(geom.apairs.pairs):
+        pairs_by_subgroup.setdefault(pr.subgroup.element_set, []).append(i)
+    fmap = []
+    for f in (f for fs in complex_.faces_by_dim for f in fs):
+        members = [graph.vertices[v] for v in f]
+        try:
+            kmask = sum(1 << vindex[Q.element_set] for Q in members)
+        except KeyError:
+            return CheckResult("principal-clique", target, "fail",
+                               details=details,
+                               witnesses=["vertex missing from the block poset"])
+        pids = pairs_by_subgroup.get(product_subgroup(members).element_set,
+                                     [])
+        if len(pids) != 1:
+            return CheckResult("principal-clique", target, "fail",
+                               details=details,
+                               witnesses=[f"{len(pids)} pairs at a product"])
+        fmap.append(kindex[(kmask, pids[0])])
+    ok, witness = poset_iso_check(fposet, geom.kposet, fmap)
+    return CheckResult("principal-clique", target, "pass" if ok else "fail",
+                       details=details, witnesses=[] if ok else [witness])

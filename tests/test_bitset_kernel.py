@@ -13,7 +13,6 @@ from blockposets.brauer import BlockContext, GroupContext
 from blockposets.cli import CORPUS, build_group, select_blocks
 from blockposets.commuting import (
     block_geometry,
-    commuting_graph,
     iter_cliques,
     uncovered_minimal_clique,
 )
@@ -21,7 +20,7 @@ from blockposets.gf import field_context
 from blockposets.perms import symmetric_group
 from blockposets.topology import Poset, closure_masks, iter_bits
 
-from oracles import down_masks
+from oracles import commuting_graph, down_masks
 
 
 def shift_loop_bits(mask):

@@ -17,7 +17,6 @@ from blockposets.commuting import block_geometry
 from blockposets.errors import TheoryViolation
 from blockposets.gf import field_context
 from blockposets.topology import (
-    SimplicialComplex,
     _assert_composite_zero,
     boundary_matrices,
     order_complex,
@@ -25,7 +24,7 @@ from blockposets.topology import (
 )
 
 import oracles
-from oracles import entries_of, row_dicts
+from oracles import complex_from_faces, entries_of, row_dicts
 from test_topology import random_complex
 
 
@@ -80,7 +79,7 @@ def composites(mats):
 def test_every_flipped_sign_is_caught():
     """The full 3-simplex: each entry of each boundary, flipped alone, makes
     some composite nonzero, for the rows and for the dict oracle alike."""
-    C = SimplicialComplex.from_faces([(0, 1, 2, 3)])
+    C = complex_from_faces([(0, 1, 2, 3)])
     flips = 0
     for n, m in enumerate(boundary_matrices(C)):
         for i, j in [(i, j) for i, row in enumerate(m) for j in row]:

@@ -28,9 +28,9 @@ from blockposets.commuting import (
 from blockposets.errors import TheoryViolation
 from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
-from blockposets.perms import order_p_subgroups, symmetric_group
+from blockposets.perms import symmetric_group
 
-from oracles import category_hom
+from oracles import category_hom, order_p_subgroups
 
 GF2 = field_context(2)
 

@@ -63,6 +63,7 @@ class TestBadInput:
         ["blocks", "--group", "S3", "--prime", "1"],
         ["blocks", "--group", "S3", "--prime", "1", "--auto-split"],
         ["verify", "--group", "S3", "--prime", "4"],
+        ["verify", "--group", "S3", "--prime", "4", "--field-degree", "2"],
         ["blocks", "--group", GENS % "[[[1, 2, 1, 3]]]"],
         ["blocks", "--group", GENS % "[[[1, 5]]]"],
         ["blocks", "--group", '{"type": "generators", "degree": 3}'],
@@ -95,7 +96,7 @@ class TestBadInput:
         ["verify", "--group", GENS % "[[[1, true]]]"],
         ["verify", "--group", GENS % "[[1, 2]]"],
     ], ids=["prime-4", "prime-0", "prime-1", "prime-1-auto-split",
-            "verify-prime-4", "repeated-point", "point-out-of-range",
+            "verify-prime-4", "prime-4-field-degree-2", "repeated-point", "point-out-of-range",
             "no-gens", "no-degree", "no-n", "unknown-check", "bad-block",
             "degree-negative", "degree-zero", "n-negative", "n-zero",
             "check-twice", "check-twice-apart", "corpus-check-twice",

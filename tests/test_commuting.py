@@ -4,7 +4,6 @@ from blockposets.brauer import BlockContext, GroupContext
 from blockposets.commuting import (
     block_geometry,
     clique_witness,
-    commuting_graph,
     elementary_abelian_poset,
     product_subgroup,
 )
@@ -13,7 +12,6 @@ from blockposets.perms import (
     PermGroup,
     Permutation,
     dihedral_group,
-    order_p_subgroups,
     symmetric_group,
 )
 from blockposets.topology import (
@@ -23,7 +21,12 @@ from blockposets.topology import (
     order_complex,
 )
 
-from oracles import complex_euler_characteristic, cyclic_group
+from oracles import (
+    commuting_graph,
+    complex_euler_characteristic,
+    cyclic_group,
+    order_p_subgroups,
+)
 
 GF2 = PrimeField(2)
 

@@ -14,7 +14,9 @@ row per orbit.
   mutations that a representative's row does not show (a relation dropped
   in one other row, an expand or collapse value changed at one other
   element) and one that every row of an orbit shows, they must fail with
-  the message, witness and failure list of the all-element scan.
+  the message, witness and failure list of the all-element scan, and
+  theorem1's two round-trip fields, read off the certificate, must equal
+  those of a scan of every element.
 * Covering pairs are read off the rows.  They must equal those read off
   the up and down masks on A, K, K's orbit poset, the iso-class poset and
   F's pair poset of every non-slow corpus block and both S6 p=2 blocks.
@@ -57,6 +59,7 @@ from oracles import (
     covering_pairs_by_masks,
     down_masks,
     quillen_pair_check_by_element,
+    theorem1_scans,
 )
 
 
@@ -280,6 +283,9 @@ class TestRepresentativeChecks:
                 result = check_theorem1(ctx, mutated)
                 assert result.status == "fail", name
                 assert result.witnesses == expected[-1], name
+                assert (result.details["collapse_expand_is_identity"],
+                        result.details["pointwise_below_expansion"]) \
+                    == theorem1_scans(mutated), name
                 checked += 1
         assert checked == 8
 

@@ -9,7 +9,6 @@ from blockposets.perms import (
     centralizer,
     conjugacy_classes,
     dihedral_group,
-    order_p_subgroups,
     p_subgroups_up_to_conjugacy,
     subgroup_orbit_transversal,
     sylow_p,
@@ -17,7 +16,7 @@ from blockposets.perms import (
 )
 from blockposets.errors import SizeLimitExceeded
 
-from oracles import cyclic_group
+from oracles import cyclic_group, order_p_subgroups
 
 
 def cyc(degree, *cycles):

@@ -32,19 +32,16 @@ from blockposets.cli import CORPUS, build_group
 from blockposets.commuting import (
     block_geometry,
     commuting_adjacency,
-    commuting_graph,
     elementary_abelian_poset,
     iter_cliques,
 )
 from blockposets.errors import TheoryViolation
 from blockposets.gf import field_context
-from blockposets.perms import PermGroup, order_p_subgroups, symmetric_group
+from blockposets.perms import PermGroup, symmetric_group
 from blockposets.topology import (
     Poset,
-    SimplicialComplex,
     _order_preserving,
     closure_masks,
-    face_poset,
     iter_bits,
     poset_iso_check,
 )
@@ -53,9 +50,13 @@ from blockposets.verify import check_nonclique, check_theorem1
 from oracles import (
     ListRowGPoset,
     ListRowPoset,
+    commuting_graph,
+    complex_from_faces,
     conjugate_subgroup,
     covering_pairs_by_masks,
+    face_poset,
     frozenset_block_geometry,
+    order_p_subgroups,
     poset_from_leq_pairs,
 )
 
@@ -358,7 +359,7 @@ class TestCorpusPosets:
     def test_face_poset_matches_subset_loop(self):
         for n in (3, 4, 5):
             adj = commuting_graph(symmetric_group(n), 2).adjacency
-            C = SimplicialComplex.from_faces([c for c, _ in iter_cliques(adj)])
+            C = complex_from_faces([c for c, _ in iter_cliques(adj)])
             new, old = face_poset(C), subset_face_poset(C)
             assert (new.labels, new.up_masks()) \
                 == (old.labels, old.up_masks()), n
