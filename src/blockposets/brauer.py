@@ -37,7 +37,7 @@ from __future__ import annotations
 from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
 from .errors import TheoryViolation
 from .perms import PermGroup, centralizer, p_subgroups_up_to_conjugacy
-from .topology import Poset, closure_masks
+from .topology import Poset
 
 
 class BrauerPair:
@@ -454,7 +454,12 @@ class BlockContext:
                         edges.append((i, j))
         edges.sort()
         labels = [pr.label() for pr in pairs]
-        up = closure_masks(len(labels), edges)
+        # pairs sort by subgroup order first, so every edge (i, j) has
+        # i < j, and the up-sets close in one pass from the last pair down
+        up = [1 << i for i in range(len(pairs))]
+        for i, j in reversed(edges):
+            assert i < j
+            up[i] |= up[j]
         action = []
         closed = True
         for t in range(len(self.G.generators)):

@@ -5,11 +5,12 @@ members[offsets[i]:offsets[i + 1]], increasing, in two array('i') of 4 bytes
 per relation and per element.  It is read once from the up-set bitmasks it
 is built from, one mask at a time, so a caller can stream its masks and no
 n-bit mask per element stays alive; the minimal elements are found in the
-same pass.  Masks are rebuilt from the rows (`Poset.up_masks`) only for
-the order complex, within its size bound; covering pairs for exports are
-read off the rows.  Every walk over a mask goes through one set-bit
-kernel, `iter_bits`, which peels the top bit (``b = mask.bit_length() - 1;
-mask ^= 1 << b``) and returns the row as an increasing list.
+same pass.  Nothing rebuilds a mask from the rows: the order complex
+extends each chain by the row of its last element, and covering pairs for
+exports are read off the rows.  Every walk over a mask goes through one
+set-bit kernel, `iter_bits`, which peels the top bit
+(``b = mask.bit_length() - 1; mask ^= 1 << b``) and returns the row as an
+increasing list.
 
 Every poset is a G-poset: a poset without generators is one for the
 trivial group, each element its own orbit, and runs the same code.  The
@@ -42,12 +43,15 @@ built once, in the form the Smith reduction works on: a list of rows, one
 consecutive boundaries compose to zero runs one row at a time with one
 accumulator, and each matrix is reduced in place and dropped as soon as its
 Smith form is done.  The reduction is a sparse elimination over Python ints
-(no overflow), with pivots chosen by least absolute value and least fill.
+(no overflow) with two operations, adding a multiple of one row or one
+column to another.  One clearing step reduces a pivot's column and row by
+floor quotients; unit pivots are swept first, and on what remains the
+pivot, chosen by least absolute value and least fill, moves to the least
+remainder until its row and column are clear (Euclid's algorithm).
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict, namedtuple
@@ -68,25 +72,6 @@ def iter_bits(mask):
         mask ^= 1 << top
     out.reverse()
     return out
-
-
-def closure_masks(n, edges):
-    """Up masks of the reflexive-transitive closure of (i, j) arcs on 0..n-1."""
-    up = [1 << i for i in range(n)]
-    for i, j in edges:
-        up[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            mask = up[i]
-            acc = mask
-            for j in iter_bits(mask):
-                acc |= up[j]
-            if acc != mask:
-                up[i] = acc
-                changed = True
-    return up
 
 
 OrbitWalk = namedtuple("OrbitWalk", "order parent via orbit_of")
@@ -200,17 +185,6 @@ class Poset:
                         raise TheoryViolation(
                             "generator action is not an order-automorphism",
                             witness=(self.labels[i], self.labels[j]))
-
-    def up_masks(self):
-        """Every up-set as a bitmask, rebuilt from the rows."""
-        members, offsets = self.members, self.offsets
-        out = []
-        for i in range(self.n):
-            mask = 0
-            for j in members[offsets[i]:offsets[i + 1]]:
-                mask |= 1 << j
-            out.append(mask)
-        return out
 
     def leq(self, i, j):
         members, hi = self.members, self.offsets[i + 1]
@@ -364,10 +338,6 @@ class SimplicialComplex:
                     if f[:k] + f[k + 1:] not in lower:
                         raise ValueError(f"face {f} missing a boundary facet")
 
-    @property
-    def dim(self):
-        return len(self.faces_by_dim) - 1
-
     def face_counts(self):
         return [len(fs) for fs in self.faces_by_dim]
 
@@ -406,22 +376,24 @@ def chain_counts(X):
 
 
 def order_complex(X, max_simplices=MAX_SIMPLICES):
-    """Chains of the poset X as simplices (x_0 < ... < x_n)."""
-    strict_up = [m & ~(1 << i) for i, m in enumerate(X.up_masks())]
+    """Chains of the poset X as simplices (x_0 < ... < x_n), read off the
+    rows.  By transitivity the strict up-set of a chain's last element lies
+    in that of every earlier one, so a chain extends by the strict row of
+    its last element alone."""
+    members, offsets = X.members, X.offsets
+    strict_up = [[j for j in members[offsets[i]:offsets[i + 1]] if j != i]
+                 for i in range(X.n)]
     by_dim = []
     count = 0
-    frontier = [((i,), strict_up[i]) for i in range(X.n)]
+    frontier = [(i,) for i in range(X.n)]
     while frontier:
-        by_dim.append(sorted(chain for chain, _m in frontier))
+        by_dim.append(sorted(frontier))
         count += len(frontier)
         if count > max_simplices:
             raise SizeLimitExceeded(
                 f"order complex exceeded {max_simplices} simplices")
-        new = []
-        for chain, mask in frontier:
-            for j in iter_bits(mask):
-                new.append((chain + (j,), mask & strict_up[j]))
-        frontier = new
+        frontier = [chain + (j,) for chain in frontier
+                    for j in strict_up[chain[-1]]]
     return SimplicialComplex(by_dim)
 
 
@@ -445,17 +417,25 @@ class SNFResult:
 
 def smith_normal_form(matrix, rows):
     """Smith normal form of a sparse integer matrix, given as its rows: a
-    list of `rows` dicts {column: value}.  The rows are reduced in place, so
-    the matrix is used up.
+    list of `rows` dicts {column: value}.  Stored zeros are dropped, and
+    the rows are then reduced in place, so the matrix is used up.  It
+    changes only by adding a multiple of one row to another
+    (`row_addmul`) or of one column to another (`col_addmul`).
 
-    Unit pivots go first: the columns are swept once in index order, and a
-    column with a +-1 entry in a live row takes the shortest such row as its
-    pivot (ties to the lower index).  The column is cleared by row
-    operations and the pivot row by column operations, with no gcd steps,
-    and 1 is appended to the diagonal.  Boundary matrices of order complexes
-    are mostly +-1, so this removes most of the matrix before any search
-    (coreduction, Mrozek-Batko 2009).  On what remains, pivots are the
-    least-|value| entries with least fill-in, so entry growth stays tame.
+    One clearing step serves every pivot: the rest of the pivot's column
+    and of its row are reduced by the pivot with floor quotients.  Unit
+    pivots go first: the columns are swept once in index order, and a
+    column with a +-1 entry takes the shortest such row as its pivot (ties
+    to the lower index), which one clearing step leaves alone in its row
+    and column.  Boundary matrices of order complexes are mostly +-1, so
+    this removes most of the matrix before any search (coreduction,
+    Mrozek-Batko 2009).  On what remains, the pivot is the least-|value|
+    entry with least fill-in, and Euclid's algorithm runs on it: after each
+    clearing step the pivot moves to the least nonzero remainder, whose
+    absolute value is smaller, until its row and column are clear.  If the
+    pivot then fails to divide some remaining row, that row is added to
+    the pivot row and the reduction goes on.  The diagonal records |pivot|:
+    a finished row and column are never changed again, so no sign is fixed.
     Invariant factors are unique and the 1s lead the divisibility chain, so
     the diagonal is the same as without the sweep.  All arithmetic is plain
     Python int (arbitrary precision).
@@ -485,27 +465,8 @@ def smith_normal_form(matrix, rows):
                 del dst_row[j]
                 col[j].discard(dst)
 
-    def row_combine(i0, i1, x, y, z, w):
-        """(row[i0], row[i1]) <- (x row[i0] + y row[i1], z row[i0] + w row[i1])"""
-        r0, r1 = row[i0], row[i1]
-        new0, new1 = {}, {}
-        for j in set(r0) | set(r1):
-            a, b = r0.get(j, 0), r1.get(j, 0)
-            n0, n1 = x * a + y * b, z * a + w * b
-            if n0:
-                new0[j] = n0
-            if n1:
-                new1[j] = n1
-            members = col.setdefault(j, set())
-            members.discard(i0)
-            members.discard(i1)
-            if n0:
-                members.add(i0)
-            if n1:
-                members.add(i1)
-        row[i0], row[i1] = new0, new1
-
     def col_addmul(dst, src, c):
+        """column dst += c * column src"""
         if c == 0:
             return
         for i in list(col.get(src, set())):
@@ -518,136 +479,49 @@ def smith_normal_form(matrix, rows):
                 del row[i][dst]
                 col[dst].discard(i)
 
-    def col_combine(j0, j1, x, y, z, w):
-        touched = col.get(j0, set()) | col.get(j1, set())
-        for i in list(touched):
-            a = row[i].get(j0, 0)
-            b = row[i].get(j1, 0)
-            n0, n1 = x * a + y * b, z * a + w * b
-            for j, nv in ((j0, n0), (j1, n1)):
-                if nv:
-                    row[i][j] = nv
-                    col.setdefault(j, set()).add(i)
-                elif j in row[i]:
-                    del row[i][j]
-                    col[j].discard(i)
+    def clear(i0, j0):
+        """Reduce the rest of column j0, then the rest of row i0, by the
+        pivot at (i0, j0) with floor quotients."""
+        p = row[i0][j0]
+        for i in [i for i in col[j0] if i != i0]:
+            row_addmul(i, i0, -(row[i][j0] // p))
+        for j in [j for j in row[i0] if j != j0]:
+            col_addmul(j, j0, -(row[i0][j] // p))
 
     diagonal = []
-    done_rows = set()
-    done_cols = set()
+    done = set()            # the finished columns
     for j0 in sorted(col):
-        units = [i for i in col[j0]
-                 if i not in done_rows and row[i][j0] in (1, -1)]
-        if not units:
-            continue
-        i0 = min(units, key=lambda i: (len(row[i]), i))
-        p = row[i0][j0]
-        for i in [i for i in col[j0] if i != i0 and i not in done_rows]:
-            row_addmul(i, i0, -row[i][j0] * p)
-        for j in [j for j in row[i0] if j != j0 and j not in done_cols]:
-            col_addmul(j, j0, -row[i0][j] * p)
-        if p < 0:
-            row_addmul(i0, i0, -2)  # negate the row: r += -2r
-        diagonal.append(1)
-        done_rows.add(i0)
-        done_cols.add(j0)
+        units = [i for i in col[j0] if row[i][j0] in (1, -1)]
+        if units:
+            i0 = min(units, key=lambda i: (len(row[i]), i))
+            clear(i0, j0)
+            diagonal.append(1)
+            done.add(j0)
     while True:
-        pivot = None
-        best = None
-        for i, r in enumerate(row):
-            if i in done_rows or not r:
-                continue
-            for j, v in r.items():
-                if j in done_cols:
-                    continue
-                score = (abs(v), (len(r) - 1) * (len(col[j]) - 1), i, j)
-                if best is None or score < best:
-                    best = score
-                    pivot = (i, j)
-        if pivot is None:
+        # a finished row holds one entry, in a finished column
+        live = [(abs(v), (len(r) - 1) * (len(col[j]) - 1), i, j)
+                for i, r in enumerate(row) for j, v in r.items()
+                if j not in done]
+        if not live:
             break
-        i0, j0 = pivot
+        _, _, i0, j0 = min(live)
         while True:
-            # clear the pivot column
-            cleared = False
-            while True:
-                others = [i for i in col.get(j0, set()) if i != i0 and i not in done_rows]
-                if not others:
-                    break
-                for i in others:
-                    p = row[i0][j0]
-                    a = row[i].get(j0, 0)
-                    if a == 0:
-                        continue
-                    if a % p == 0:
-                        row_addmul(i, i0, -(a // p))
-                    else:
-                        g = math.gcd(p, a)
-                        # x p + y a = g (extended euclid)
-                        x, y = _bezout(p, a)
-                        row_combine(i0, i, x, y, -(a // g), p // g)
-            # clear the pivot row
-            while True:
-                others = [j for j in row[i0] if j != j0 and j not in done_cols]
-                if not others:
-                    break
-                for j in others:
-                    p = row[i0][j0]
-                    a = row[i0].get(j, 0)
-                    if a == 0:
-                        continue
-                    if a % p == 0:
-                        col_addmul(j, j0, -(a // p))
-                    else:
-                        g = math.gcd(p, a)
-                        x, y = _bezout(p, a)
-                        col_combine(j0, j, x, y, -(a // g), p // g)
-            # both clean?
-            col_dirty = any(i != i0 and i not in done_rows
-                            for i in col.get(j0, set()))
-            row_dirty = any(j != j0 and j not in done_cols
-                            for j in row[i0])
-            if col_dirty or row_dirty:
+            clear(i0, j0)
+            rest = [(abs(row[i][j0]), i, j0) for i in col[j0] if i != i0]
+            rest += [(abs(v), i0, j) for j, v in row[i0].items() if j != j0]
+            if rest:
+                _, i0, j0 = min(rest)
                 continue
-            # divisibility: pivot must divide every remaining entry
             p = row[i0][j0]
-            offender = None
-            for i, r in enumerate(row):
-                if i in done_rows or i == i0:
-                    continue
-                for j, v in r.items():
-                    if j in done_cols or j == j0:
-                        continue
-                    if v % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i, r in enumerate(row) if i != i0
+                             and any(v % p for j, v in r.items()
+                                     if j not in done)), None)
             if offender is None:
                 break
             row_addmul(i0, offender, 1)
-        p = row[i0][j0]
-        if p < 0:
-            row_addmul(i0, i0, -2)  # negate the row: r += -2r
         diagonal.append(abs(p))
-        done_rows.add(i0)
-        done_cols.add(j0)
+        done.add(j0)
     return SNFResult(diagonal)
-
-
-def _bezout(a, b):
-    """(x, y) with x*a + y*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        return -old_x, -old_y
-    return old_x, old_y
 
 
 def boundary_matrices(C):
@@ -694,12 +568,6 @@ class HomologyResult:
         self.empty = empty
         while self.groups and self.groups[-1] == (0, ()):
             self.groups.pop()
-
-    def betti(self, n):
-        return self.groups[n][0] if n < len(self.groups) else 0
-
-    def torsion(self, n):
-        return self.groups[n][1] if n < len(self.groups) else ()
 
     def __eq__(self, other):
         return isinstance(other, HomologyResult) and self.groups == other.groups

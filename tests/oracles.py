@@ -29,6 +29,10 @@
   them before they were streamed into the row table, chain counts taken at
   every element instead of once per orbit, and covering pairs read off the
   up and down masks instead of the rows;
+* any poset's up masks rebuilt from its rows, the closure of a relation
+  given by arcs by a fixed-point loop (against the one-pass closure of the
+  Brauer pair poset), and the order complex built from the up masks,
+  against the one read off the rows;
 * the pair below a maximal pair at a subgroup, walked down a normalizer
   chain and a centre-seeded chain with a unique normally contained block
   at each step, against the fusion system's subpairs read off the pair
@@ -71,6 +75,7 @@ from blockposets.errors import SizeLimitExceeded, TheoryViolation
 from blockposets.perms import Permutation, PermGroup, SubgroupOrbit
 from blockposets.perms import centralizer as perms_centralizer
 from blockposets.topology import (
+    MAX_SIMPLICES,
     Poset,
     SimplicialComplex,
     iter_bits,
@@ -603,6 +608,60 @@ def list_row_action(P, rows):
                         witness=(P.labels[i], P.labels[j]))
 
 
+def up_masks(P):
+    """Every up-set of P as a bitmask, rebuilt from its rows."""
+    members, offsets = P.members, P.offsets
+    out = []
+    for i in range(P.n):
+        mask = 0
+        for j in members[offsets[i]:offsets[i + 1]]:
+            mask |= 1 << j
+        out.append(mask)
+    return out
+
+
+def closure_masks(n, edges):
+    """Up masks of the reflexive-transitive closure of (i, j) arcs on
+    0..n-1, by a fixed-point loop over every element."""
+    up = [1 << i for i in range(n)]
+    for i, j in edges:
+        up[i] |= 1 << j
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            mask = up[i]
+            acc = mask
+            for j in iter_bits(mask):
+                acc |= up[j]
+            if acc != mask:
+                up[i] = acc
+                changed = True
+    return up
+
+
+def order_complex_by_masks(X, max_simplices=MAX_SIMPLICES):
+    """The order complex of X as it was built from its up masks: each chain
+    carries the AND of its members' strict up masks, and extends by its
+    set bits."""
+    strict_up = [m & ~(1 << i) for i, m in enumerate(up_masks(X))]
+    by_dim = []
+    count = 0
+    frontier = [((i,), strict_up[i]) for i in range(X.n)]
+    while frontier:
+        by_dim.append(sorted(chain for chain, _m in frontier))
+        count += len(frontier)
+        if count > max_simplices:
+            raise SizeLimitExceeded(
+                f"order complex exceeded {max_simplices} simplices")
+        new = []
+        for chain, mask in frontier:
+            for j in iter_bits(mask):
+                new.append((chain + (j,), mask & strict_up[j]))
+        frontier = new
+    return SimplicialComplex(by_dim)
+
+
 def down_masks(up):
     """The down-set masks of a relation given by its up masks."""
     down = [0] * len(up)
@@ -637,7 +696,7 @@ def covering_pairs_by_masks(P):
     """(i, j) with i < j and nothing strictly between, read off P's up and
     down masks: no strict member of i's up mask has j in its strict up
     mask."""
-    up = P.up_masks()
+    up = up_masks(P)
     down = down_masks(up)
     out = []
     for i in range(P.n):
@@ -651,7 +710,7 @@ def covering_pairs_by_masks(P):
 def chain_counts_by_element(X):
     """Face counts of the order complex of X, counted at every element
     over its strict up mask (the count before it was taken on orbits)."""
-    up = X.up_masks()
+    up = up_masks(X)
     strict_up = [iter_bits(up[i] & ~(1 << i)) for i in range(X.n)]
     counts = []
     c = [1] * X.n
@@ -684,7 +743,7 @@ def commuting_up_masks(ctx, apairs):
             for v in kappa:
                 containing[v] |= 1 << len(elements)
             elements.append((kmask, pid))
-    up_a = aposet.up_masks()
+    up_a = up_masks(aposet)
     at_pair = [0] * aposet.n
     for i, (_kmask, pid) in enumerate(elements):
         at_pair[pid] |= 1 << i
@@ -808,7 +867,7 @@ def frozenset_block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
         at_pair[pid] |= bit
         for v in kappa:
             containing[v] |= bit
-    up_a = aposet.up_masks()
+    up_a = up_masks(aposet)
     above_pair = []
     for pid in range(aposet.n):
         mask = 0

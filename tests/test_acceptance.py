@@ -32,6 +32,7 @@ from oracles import (
     brute_force_central_idempotents,
     complex_euler_characteristic,
     homology_betti_rational,
+    up_masks,
 )
 
 ORACLE_EXPECTED_COUNTS = {
@@ -187,7 +188,7 @@ def test_criterion_7_nonclique_obstruction(corpus_geometries):
     assert w.brauer_vanishes, "generated subgroup must have zero Brauer image"
     # pairwise bounded above inside the commuting poset
     kposet = geom.kposet
-    up = kposet.up_masks()
+    up = up_masks(kposet)
     for i in w.minimal_indices:
         for j in w.minimal_indices:
             if i != j:

@@ -18,9 +18,9 @@ from blockposets.commuting import (
 )
 from blockposets.gf import field_context
 from blockposets.perms import symmetric_group
-from blockposets.topology import Poset, closure_masks, iter_bits
+from blockposets.topology import Poset, iter_bits
 
-from oracles import commuting_graph, down_masks
+from oracles import closure_masks, commuting_graph, down_masks, up_masks
 
 
 def shift_loop_bits(mask):
@@ -66,7 +66,7 @@ def recursive_cliques(adj):
 def min_sets_scan(poset):
     """First uncovered clique (>= 3) of minimal elements, by subset tests."""
     minimal = poset.minimal_elements()
-    down = down_masks(poset.up_masks())
+    down = down_masks(up_masks(poset))
     pos = {m: t for t, m in enumerate(minimal)}
     min_sets = [frozenset(pos[m] for m in minimal if (down[i] >> m) & 1)
                 for i in range(poset.n)]
@@ -129,7 +129,7 @@ class TestBlockGeometryOrder:
     def test_up_masks_match_pairwise_test(self, geometries):
         assert len(geometries) == 7
         for name, geom in geometries:
-            assert geom.kposet.up_masks() == pairwise_up_masks(geom), name
+            assert up_masks(geom.kposet) == pairwise_up_masks(geom), name
 
     def test_elements_arrive_in_key_order(self, geometries):
         # the clique walk yields the commuting poset's elements already in

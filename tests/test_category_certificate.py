@@ -30,7 +30,7 @@ from blockposets.fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from blockposets.gf import field_context
 from blockposets.perms import symmetric_group
 
-from oracles import category_hom, order_p_subgroups
+from oracles import category_hom, order_p_subgroups, up_masks
 
 GF2 = field_context(2)
 
@@ -225,7 +225,7 @@ class TestAgainstPairwiseCategory:
             class_of, classes, up = iso_classes_by_scan(old)
             assert icp.class_of == class_of, name
             assert icp.classes == classes, name
-            assert icp.poset.up_masks() == up, name
+            assert up_masks(icp.poset) == up, name
             classes_seen += icp.n
         assert classes_seen > 50
 

@@ -20,9 +20,9 @@ row per orbit.
 * Covering pairs are read off the rows.  They must equal those read off
   the up and down masks on A, K, K's orbit poset, the iso-class poset and
   F's pair poset of every non-slow corpus block and both S6 p=2 blocks.
-* The default checks on S6 p=2's principal block rebuild no poset's
-  masks, a `poset --which K` export there never rebuilds K's, and
-  theorem2 carries g^-1 along its orbit walk instead of inverting g at
+* The default checks on S6 p=2's principal block and a `poset --which K`
+  export there run with no mask rebuild in the library, and theorem2
+  carries g^-1 along its orbit walk instead of inverting g at
   every step.
 """
 
@@ -60,6 +60,7 @@ from oracles import (
     down_masks,
     quillen_pair_check_by_element,
     theorem1_scans,
+    up_masks,
 )
 
 
@@ -118,7 +119,7 @@ class TestRowTable:
         for name, ctx, geom in geometries:
             if name.startswith("S7"):
                 continue
-            assert geom.kposet.up_masks() \
+            assert up_masks(geom.kposet) \
                 == commuting_up_masks(ctx, geom.apairs), name
             checked += geom.kposet.n
         assert checked > 3495
@@ -136,7 +137,7 @@ class TestRowTable:
     def test_leq_reads_the_rows(self, s5_principal):
         _ctx, geom = s5_principal
         for P in (geom.aposet, geom.kposet):
-            up = P.up_masks()
+            up = up_masks(P)
             assert [[P.leq(i, j) for j in range(P.n)] for i in range(P.n)] \
                 == [[(up[i] >> j) & 1 == 1 for j in range(P.n)]
                     for i in range(P.n)]
@@ -150,7 +151,7 @@ class TestRowTable:
     def test_maximal_elements_have_singleton_rows(self, geometries):
         for name, _ctx, geom in geometries:
             K = geom.kposet
-            up = K.up_masks()
+            up = up_masks(K)
             assert K.maximal_elements() \
                 == [i for i in range(K.n) if up[i] == 1 << i], name
 
@@ -185,7 +186,7 @@ class TestChainCounts:
     def test_plain_poset_counts_each_element(self, s5_principal):
         _ctx, geom = s5_principal
         K = geom.kposet
-        plain = Poset(list(K.labels), K.up_masks())
+        plain = Poset(list(K.labels), up_masks(K))
         assert chain_counts(plain) == chain_counts(K) == [105, 240, 120]
 
     @pytest.mark.parametrize("delta", [1, -1])
@@ -224,7 +225,7 @@ class TestRepresentativeChecks:
             pairs = [(i, j) for i, j in P.leq_pairs()
                      if i != j and i in others]
             for i, j in rng.sample(pairs, 6):
-                up = P.up_masks()
+                up = up_masks(P)
                 up[i] &= ~(1 << j)
                 expected = outcome(ListRowGPoset, P.labels, up, P.action)
                 assert expected is not None, name
@@ -237,7 +238,7 @@ class TestRepresentativeChecks:
         rng = random.Random(12)
         checked = 0
         for name, P in posets:
-            up = P.up_masks()
+            up = up_masks(P)
             starts = [(i, j) for i in P.orbit_representatives()
                       for j in iter_bits(up[i])
                       if any((up[k] >> j) & 1 for k in iter_bits(up[i])
@@ -250,7 +251,7 @@ class TestRepresentativeChecks:
                         if image not in orbit:
                             orbit.add(image)
                             queue.append(image)
-                up = P.up_masks()
+                up = up_masks(P)
                 for x, y in orbit:
                     up[x] &= ~(1 << y)
                 expected = outcome(ListRowGPoset, P.labels, up, P.action)
@@ -295,7 +296,7 @@ class TestRepresentativeChecks:
         all-element scan must give the full failure list."""
         for name, _ctx, geom in geometries:
             A = geom.aposet
-            dual = Poset(A.labels, down_masks(A.up_masks()), A.action)
+            dual = Poset(A.labels, down_masks(up_masks(A)), A.action)
             identity = list(range(A.n))
             got = as_certificate(quillen_pair_check(A, dual, identity,
                                                     identity))
@@ -315,41 +316,25 @@ class TestRepresentativeChecks:
             assert cert.ok, name
 
 
-def spy_on_up_masks(monkeypatch):
-    """The sizes of the posets whose masks are rebuilt, as they are."""
-    rebuilt = []
-    up_masks = Poset.up_masks
-
-    def spy(P):
-        rebuilt.append(P.n)
-        return up_masks(P)
-
-    monkeypatch.setattr(Poset, "up_masks", spy)
-    return rebuilt
-
-
-def test_default_checks_never_rebuild_k_masks(monkeypatch):
+def test_default_checks_never_rebuild_k_masks():
     """S6 p=2 principal: its homology check is skipped at the simplex
-    bound, so no check needs any poset as masks."""
+    bound, and no check can rebuild a poset's masks, as src/ has no
+    mask rebuild left (the order complex reads the rows)."""
     group = GroupContext(symmetric_group(6), field_context(2, 1))
     (principal,) = [b for b in group.blocks if b.principal]
-    rebuilt = spy_on_up_masks(monkeypatch)
     results = run_block_checks(group, principal, DEFAULT_CHECKS)
     assert [r.status for r in results] \
         == ["pass", "pass", "pass", "pass", "skipped"]
     assert results[1].details["orbits"] == 71
-    assert rebuilt == []
 
 
-def test_k_export_never_rebuilds_masks(monkeypatch, tmp_path):
+def test_k_export_never_rebuilds_masks(tmp_path):
     """`poset --which K` on S6 p=2 principal reads its leq and covering
     pairs off the rows."""
-    rebuilt = spy_on_up_masks(monkeypatch)
     out = tmp_path / "k.json"
     assert main(["poset", "--group", "S6", "--prime", "2", "--block",
                  "principal", "--which", "K", "--out", str(out)]) == 0
     assert out.stat().st_size > 0
-    assert rebuilt == []
 
 
 def test_theorem2_carries_inverses_along_the_walk(monkeypatch):

@@ -32,7 +32,7 @@ from blockposets.gf import field_context
 from blockposets.topology import Poset
 from blockposets.verify import check_principal_clique_complex
 
-from oracles import principal_clique_by_closures
+from oracles import principal_clique_by_closures, up_masks
 from test_verify import PEAK_CHILD
 
 DATA = Path(__file__).parent / "data"
@@ -149,7 +149,7 @@ def with_duplicate(geom, x):
         return mask & below_x | (mask >> (x + 1)) << (x + 2)
 
     up = []
-    for i, mask in enumerate(K.up_masks()):
+    for i, mask in enumerate(up_masks(K)):
         mask = shift(mask)
         if i != x and (mask >> x) & 1:
             mask |= 1 << (x + 1)

@@ -23,7 +23,6 @@ subgroup lattice against the code they replaced.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +40,6 @@ from blockposets.perms import PermGroup, symmetric_group
 from blockposets.topology import (
     Poset,
     _order_preserving,
-    closure_masks,
     iter_bits,
     poset_iso_check,
 )
@@ -50,6 +48,7 @@ from blockposets.verify import check_nonclique, check_theorem1
 from oracles import (
     ListRowGPoset,
     ListRowPoset,
+    closure_masks,
     commuting_graph,
     complex_from_faces,
     conjugate_subgroup,
@@ -58,36 +57,30 @@ from oracles import (
     frozenset_block_geometry,
     order_p_subgroups,
     poset_from_leq_pairs,
+    up_masks,
 )
 
 # -- the per-pair loops ------------------------------------------------------
 
 
-def pairwise_axioms(P):
-    """The per-pair axiom loop: raises like Poset's check, or returns None."""
-    up = P.up_masks()
-    for i in range(P.n):
+def pairwise_axioms(labels, up):
+    """The per-pair axiom loop on a relation given by its up masks: raises
+    like Poset's check, or returns None."""
+    for i in range(len(up)):
         if not (up[i] >> i) & 1:
             raise TheoryViolation("relation not reflexive", witness=i)
-    for i in range(P.n):
-        mask = up[i]
+    for i, mask in enumerate(up):
         for j in iter_bits(mask):
             if j != i and (up[j] >> i) & 1:
                 raise TheoryViolation("relation not antisymmetric",
-                                      witness=(P.labels[i], P.labels[j]))
+                                      witness=(labels[i], labels[j]))
             if up[j] & ~mask:
                 raise TheoryViolation("relation not transitive",
-                                      witness=(P.labels[i], P.labels[j]))
-
-
-def unchecked(labels, up):
-    """A relation as pairwise_axioms reads it, without Poset's own check."""
-    return SimpleNamespace(n=len(up), labels=list(labels),
-                           up_masks=lambda: up)
+                                      witness=(labels[i], labels[j]))
 
 
 def pairwise_action(P, action):
-    up = P.up_masks()
+    up = up_masks(P)
     for a in action:
         if sorted(a) != list(range(P.n)):
             raise TheoryViolation("generator does not permute poset elements")
@@ -100,7 +93,7 @@ def pairwise_action(P, action):
 
 
 def pairwise_order_preserving(X, Y, fmap, failures, tag):
-    up = X.up_masks()
+    up = up_masks(X)
     ok = True
     for i in range(X.n):
         for j in iter_bits(up[i]):
@@ -123,7 +116,7 @@ def pairwise_iso_check(X, Y, fmap):
 
 
 def bitwise_down_masks(P):
-    up = P.up_masks()
+    up = up_masks(P)
     down = [0] * P.n
     for i in range(P.n):
         bit = 1 << i
@@ -169,7 +162,7 @@ def doubled(rng, P):
     n = P.n
     sigma = list(range(2 * n))
     rng.shuffle(sigma)
-    masks = P.up_masks()
+    masks = up_masks(P)
     up = [0] * (2 * n)
     for copy in (0, 1):
         for i in range(n):
@@ -186,7 +179,7 @@ def relabelled(rng, P):
     """(Q, sigma): Q is P with element i renamed sigma[i]."""
     sigma = list(range(P.n))
     rng.shuffle(sigma)
-    masks = P.up_masks()
+    masks = up_masks(P)
     up = [0] * P.n
     for i in range(P.n):
         for j in iter_bits(masks[i]):
@@ -217,12 +210,12 @@ class TestRandomPosets:
         rng = random.Random(1)
         verdicts = set()
         for P in random_posets:
-            assert outcome(pairwise_axioms, P) is None
+            assert outcome(pairwise_axioms, P.labels, up_masks(P)) is None
             for _ in range(10):
-                up = flip_one_pair(rng, P.up_masks())
-                expected = outcome(pairwise_axioms, unchecked(P.labels, up))
+                up = flip_one_pair(rng, up_masks(P))
+                expected = outcome(pairwise_axioms, P.labels, up)
                 got = outcome(Poset, P.labels, up)
-                assert got == expected, (P.up_masks(), up)
+                assert got == expected, (up_masks(P), up)
                 verdicts.add(expected and expected[0])
         assert verdicts == {None, "relation not reflexive",
                             "relation not antisymmetric",
@@ -232,7 +225,7 @@ class TestRandomPosets:
         # 0 <= 1 <= 0 (antisymmetry) comes before 2 <= 3 <= 4 without 2 <= 4
         up = [0b00011, 0b00011, 0b01100, 0b11000, 0b10000]
         labels = list("abcde")
-        expected = outcome(pairwise_axioms, unchecked(labels, up))
+        expected = outcome(pairwise_axioms, labels, up)
         assert expected == ("relation not antisymmetric", ("a", "b"))
         assert outcome(Poset, labels, up) == expected
         up[0], up[1] = 0b00001, 0b00010
@@ -256,7 +249,7 @@ class TestRandomPosets:
                 a, b = rng.randrange(X.n), rng.randrange(X.n)
                 swap[a], swap[b] = swap[b], swap[a]
                 expected = outcome(pairwise_action, X, [swap])
-                got = outcome(Poset, X.labels, X.up_masks(), [swap])
+                got = outcome(Poset, X.labels, up_masks(X), [swap])
                 assert got == expected
                 failed += expected is not None
         assert failed > 50
@@ -264,7 +257,7 @@ class TestRandomPosets:
     def test_action_must_permute(self):
         P = Poset("abc", closure_masks(3, [(0, 1)]))
         with pytest.raises(TheoryViolation, match="does not permute"):
-            Poset(P.labels, P.up_masks(), [[0, 0, 2]])
+            Poset(P.labels, up_masks(P), [[0, 0, 2]])
 
     def test_order_preserving_agrees(self, random_posets):
         rng = random.Random(3)
@@ -274,7 +267,7 @@ class TestRandomPosets:
             fmaps = [[rng.randrange(Y.n) for _ in range(X.n)]]
             # onto a chain by the length of the longest chain below: monotone
             height = [0] * X.n
-            up = X.up_masks()
+            up = up_masks(X)
             for i in sorted(range(X.n), key=lambda i: -bin(up[i]).count("1")):
                 for j in iter_bits(up[i]):
                     if j != i:
@@ -341,7 +334,8 @@ class TestCorpusPosets:
         for name, geom in corpus_geometries:
             A, K = geom.aposet, geom.kposet
             for P in (A, K):
-                assert outcome(pairwise_axioms, P) is None, name
+                assert outcome(pairwise_axioms, P.labels,
+                               up_masks(P)) is None, name
                 assert outcome(pairwise_action, P, P.action) is None, name
                 down = bitwise_down_masks(P)
                 assert P.minimal_elements() == \
@@ -361,8 +355,8 @@ class TestCorpusPosets:
             adj = commuting_graph(symmetric_group(n), 2).adjacency
             C = complex_from_faces([c for c, _ in iter_cliques(adj)])
             new, old = face_poset(C), subset_face_poset(C)
-            assert (new.labels, new.up_masks()) \
-                == (old.labels, old.up_masks()), n
+            assert (new.labels, up_masks(new)) \
+                == (old.labels, up_masks(old)), n
 
 
 # -- the compact rows against the list rows ----------------------------------
@@ -371,7 +365,7 @@ class TestCorpusPosets:
 def noncover_pairs(P):
     """(i, j) with i < j and some element strictly between."""
     down = bitwise_down_masks(P)
-    up = P.up_masks()
+    up = up_masks(P)
     out = []
     for i in range(P.n):
         strict = up[i] & ~(1 << i)
@@ -410,7 +404,7 @@ class TestCompactRows:
                 action = [list(a) for a in P.action]
                 a, b = rng.sample(range(P.n), 2)
                 action[0][a], action[0][b] = action[0][b], action[0][a]
-                up = P.up_masks()
+                up = up_masks(P)
                 expected = outcome(ListRowGPoset, P.labels, up, action)
                 assert outcome(Poset, P.labels, up, action) == expected, \
                     name
@@ -425,7 +419,7 @@ class TestCompactRows:
         for name, P in mutated_posets:
             pairs = noncover_pairs(P)
             for i, j in rng.sample(pairs, min(8, len(pairs))):
-                up = P.up_masks()
+                up = up_masks(P)
                 up[i] &= ~(1 << j)
                 expected = outcome(ListRowPoset, P.labels, up)
                 assert expected[0] == "relation not transitive", name
@@ -440,7 +434,7 @@ class TestCompactRows:
         for name, P in mutated_posets:
             pairs = [(i, j) for i, j in P.leq_pairs() if j != i]
             for x, y in rng.sample(pairs, min(8, len(pairs))):
-                up = merged(P.up_masks(), x, y)
+                up = merged(up_masks(P), x, y)
                 assert up[x] == up[y]
                 expected = outcome(ListRowPoset, P.labels, up)
                 assert expected[0] == "relation not antisymmetric", name
@@ -458,7 +452,7 @@ def assert_same_as_frozenset_builder(name, ctx):
     old = frozenset_block_geometry(ctx)
     assert [(frozenset(iter_bits(kmask)), pid)
             for kmask, pid in new.elements] == old.elements, name
-    assert new.kposet.up_masks() == old.kposet.up, name
+    assert up_masks(new.kposet) == old.kposet.up, name
     assert [a.tolist() for a in new.kposet.action] == old.kposet.action, name
     assert new.expand_map == old.expand_map, name
     assert new.collapse_map == old.collapse_map, name
@@ -521,7 +515,7 @@ def product_set_geometry(ctx):
         at_pair[pid] |= 1 << i
         for v in kappa:
             containing[v] |= 1 << i
-    up_a = aposet.up_masks()
+    up_a = up_masks(aposet)
     up = []
     for kappa, pid in elements:
         mask = 0
@@ -550,7 +544,7 @@ def assert_same_geometry(name, ctx):
     elements, up, action, expand_map = product_set_geometry(ctx)
     assert [(frozenset(iter_bits(kmask)), pid)
             for kmask, pid in geom.elements] == elements, name
-    assert geom.kposet.up_masks() == up, name
+    assert up_masks(geom.kposet) == up, name
     assert [a.tolist() for a in geom.kposet.action] == action, name
     assert geom.expand_map == expand_map, name
     return geom

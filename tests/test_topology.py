@@ -7,7 +7,6 @@ from blockposets.topology import (
     Poset,
     SimplicialComplex,
     boundary_matrices,
-    closure_masks,
     chain_counts,
     homology,
     orbit_poset,
@@ -18,12 +17,14 @@ from blockposets.topology import (
 )
 
 from oracles import (
+    closure_masks,
     complex_euler_characteristic,
     complex_from_faces,
     face_poset,
     homology_betti_rational,
     homology_euler_characteristic,
     invariant_factors_by_minors,
+    order_complex_by_masks,
     poset_from_leq_pairs,
     rank_over_rationals,
     row_dicts,
@@ -70,6 +71,19 @@ class TestPoset:
         assert "empty poset" in P.to_dot()
 
 
+def random_posets():
+    """40 posets on at most 9 elements, each the closure of random arcs
+    i -> j with i < j."""
+    rng = random.Random(2011)
+    out = []
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.35]
+        out.append(Poset(list(range(n)), closure_masks(n, edges)))
+    return out
+
+
 class TestOrderComplex:
     def test_chain_gives_full_simplex(self):
         C = order_complex(chain_poset(3))
@@ -88,6 +102,11 @@ class TestOrderComplex:
         with pytest.raises(SizeLimitExceeded):
             order_complex(chain_poset(8), max_simplices=10)
 
+    def test_rows_match_masks_on_random_posets(self):
+        for P in random_posets():
+            assert order_complex(P).faces_by_dim \
+                == order_complex_by_masks(P).faces_by_dim
+
 
 class TestChainCounts:
     def test_chain(self):
@@ -97,12 +116,7 @@ class TestChainCounts:
         assert chain_counts(Poset([], [])) == []
 
     def test_matches_order_complex_on_random_posets(self):
-        rng = random.Random(2011)
-        for _ in range(40):
-            n = rng.randint(1, 9)
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                     if rng.random() < 0.35]
-            P = Poset(list(range(n)), closure_masks(n, edges))
+        for P in random_posets():
             assert chain_counts(P) == order_complex(P).face_counts()
 
 

@@ -6,7 +6,9 @@ test_unused_imports.py.  Each src/blockposets/*.py except __init__.py is
 parsed with ast.  Every function, class and method defined in one of them,
 at any depth, must be read somewhere in those modules: as a plain name, or
 as the attribute of an attribute access, which covers methods called on an
-instance.  Every attribute stored on self must be loaded somewhere in them,
+instance.  A function defined directly in a class body is reached only
+through an attribute, so only an attribute access reads it: a local
+variable or parameter of the same name does not.  Every attribute stored on self must be loaded somewhere in them,
 from any object; storing it again is not a read.  Names re-exported by
 __init__.py are not reads, and dunder methods are exempt, as Python calls
 them.  What only the tests read belongs in tests/oracles.py; what a reader
@@ -41,16 +43,20 @@ ALLOWED = {
 }
 
 
-def definitions(tree, prefix):
-    """[qualified name] of the functions, classes and methods in tree."""
+def definitions(tree, prefix, in_class=False):
+    """[(qualified name, name, is_method)] of the functions, classes and
+    methods in tree; is_method marks a function defined directly in a class
+    body."""
     out = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            out.append((prefix + node.name, node.name))
-            out += definitions(node, f"{prefix}{node.name}.")
+            is_class = isinstance(node, ast.ClassDef)
+            out.append((prefix + node.name, node.name,
+                        in_class and not is_class))
+            out += definitions(node, f"{prefix}{node.name}.", is_class)
         else:
-            out += definitions(node, prefix)
+            out += definitions(node, prefix, in_class)
     return out
 
 
@@ -75,20 +81,21 @@ def unused_definitions(sources):
     """Sorted qualified names, as module.name, of the definitions in
     sources, a {module: source text} dict, that no source reads, and of
     the attributes stored on self that no source loads."""
-    defined, stored, read, loaded = [], [], set(), set()
+    defined, stored, names, attributes, loaded = [], [], set(), set(), set()
     for module, source in sources.items():
         tree = ast.parse(source, filename=module)
         defined += definitions(tree, module + ".")
         stored += stored_attributes(tree, module + ".")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     loaded.add(node.attr)
-    unused = {qual for qual, name in defined
-              if name not in read
+    unused = {qual for qual, name, is_method in defined
+              if name not in attributes
+              and (is_method or name not in names)
               and not (name.startswith("__") and name.endswith("__"))}
     unused.update(qual for qual, name in stored if name not in loaded)
     return sorted(unused)
@@ -104,8 +111,8 @@ def test_allowed_names_still_exist():
     defined = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for qual, _name in (definitions(tree, module + ".")
-                            + stored_attributes(tree, module + ".")):
+        for qual, *_ in (definitions(tree, module + ".")
+                         + stored_attributes(tree, module + ".")):
             defined.add(qual)
     assert set(ALLOWED) <= defined
 
@@ -119,13 +126,21 @@ def test_guard_flags_an_unread_definition():
               "        self.n = 0\n"
               "    def size(self):\n"
               "        return self.n\n"
+              "    def shadowed(self):\n"
+              "        return 1\n"
               "    def unread(self):\n"
               "        def inner():\n"
               "            return 0\n"
               "        return inner()\n"
               "def helper():\n"
               "    return Box\n"),
-        "b": "def orphan():\n    return 2\n\nx = Box().size()\n",
+        "b": ("def orphan(shadowed=1):\n"
+              "    size = shadowed\n"
+              "    return size\n"
+              "\n"
+              "x = Box().size()\n"),
     }
-    assert unused_definitions(sources) == ["a.Box.unread", "a.Box.v",
-                                           "a.Box.w", "b.orphan"]
+    # Box.shadowed is named only by a parameter and a Name load, neither
+    # of which reaches a method; Box.size is also read through Box().size
+    assert unused_definitions(sources) == ["a.Box.shadowed", "a.Box.unread",
+                                           "a.Box.v", "a.Box.w", "b.orphan"]
