@@ -8,10 +8,11 @@ Polynomials are coefficient lists over a field, lowest degree first, with no
 trailing zeros (the zero polynomial is ``[]``).  The integer encoding of a
 polynomial over GF(p) is ``sum(c_i * p^i)``; "least" irreducible always means
 least under this encoding, which puts low-degree coefficients in low
-positions.  The polynomial layer has two callers: `least_irreducible`, which
-picks the modulus of GF(p^d) by trial division, and the block splitter, which
-certifies that a minimal polynomial divides x^q - x and then finds its roots
-with `poly_roots`.
+positions.  The polynomial layer has three callers: `least_irreducible`,
+which picks the modulus of GF(p^d) by trial division; `ExtensionField.mul`,
+which multiplies over GF(p) and reduces by that modulus; and the block
+splitter, which certifies that a minimal polynomial divides x^q - x and then
+finds its roots with `poly_roots`.
 
 Matrices are lists of rows of field values.  Everything is exact; there is no
 floating point anywhere in this module.
@@ -60,20 +61,11 @@ class PrimeField:
     def from_int(self, n):
         return n % self.p
 
-    def to_int(self, a):
-        return a
-
-    def elements(self):
-        return range(self.p)
-
     def rand(self, rng):
         return rng.randrange(self.p)
 
     def encode(self, a):
         return a
-
-    def decode(self, obj):
-        return obj % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -97,23 +89,11 @@ class ExtensionField:
         self.p = p
         self.d = d
         self.q = p ** d
-        # ints, length d+1, monic; least_irreducible refuses a p not prime
+        self.base = PrimeField(p)       # refuses a p not prime
+        # ints, length d+1, monic
         self.modulus = least_irreducible(p, d)
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
-
-    def _reduce(self, coeffs):
-        # coeffs: list of ints, any length; reduce mod modulus, return length-d tuple
-        p, d = self.p, self.d
-        coeffs = [c % p for c in coeffs]
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[i]
-            if c:
-                for j in range(d + 1):
-                    coeffs[i - d + j] = (coeffs[i - d + j] - c * self.modulus[j]) % p
-        coeffs = coeffs[:d]
-        coeffs += [0] * (d - len(coeffs))
-        return tuple(coeffs)
 
     def add(self, a, b):
         p = self.p
@@ -128,13 +108,9 @@ class ExtensionField:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        d = self.d
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduce(prod)
+        F = self.base
+        r = poly_mod(poly_mul(a, b, F), self.modulus, F)
+        return tuple(r) + (0,) * (self.d - len(r))
 
     def pow(self, a, n):
         if n < 0:
@@ -156,28 +132,11 @@ class ExtensionField:
     def from_int(self, n):
         return (n % self.p,) + (0,) * (self.d - 1)
 
-    def to_int(self, a):
-        return sum(c * self.p ** i for i, c in enumerate(a))
-
-    def elements(self):
-        # enumerate in increasing integer encoding
-        for n in range(self.q):
-            yield self.decode(n)
-
     def rand(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.d))
 
     def encode(self, a):
-        return self.to_int(a)
-
-    def decode(self, obj):
-        if isinstance(obj, int):
-            coeffs = []
-            for _ in range(self.d):
-                coeffs.append(obj % self.p)
-                obj //= self.p
-            return tuple(coeffs)
-        return tuple(int(c) % self.p for c in obj)
+        return sum(c * self.p ** i for i, c in enumerate(a))
 
     def __repr__(self):
         return f"GF({self.p}^{self.d})"

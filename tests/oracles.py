@@ -45,7 +45,10 @@
   order-p subgroup by closure, each face's product by a permutation
   closure and the face poset from the downward closure of the cliques,
   against the check on the commuting poset's clique walk;
-* names the library no longer reads: the Frobenius map, the Brauer
+* the product of GF(p^d) with its own schoolbook loop and reduction by
+  the modulus, against `ExtensionField.mul` on the polynomial layer;
+* names the library no longer reads: the Frobenius map, the field element
+  of an integer encoding and a field's elements in that order, the Brauer
   homomorphism, cyclic groups, the idempotent test, a poset from its
   relation pairs and the Euler characteristics of a complex and of its
   homology.
@@ -330,7 +333,7 @@ def brute_force_central_idempotents(A, bound=ORACLE_BOUND):
             f"oracle space {F.q}^{dim} exceeds bound {bound}")
     if F.p == 2:
         d = F.d
-        units = [F.decode(1 << m) for m in range(d)]    # a GF(2)-basis of F
+        units = [decode(F, 1 << m) for m in range(d)]   # a GF(2)-basis of F
 
         def pack(v):
             return sum(F.encode(c) << (k * d) for k, c in enumerate(v))
@@ -346,11 +349,11 @@ def brute_force_central_idempotents(A, bound=ORACLE_BOUND):
             low = e & (-e)
             square[e] = square[e ^ low] ^ bit_squares[low.bit_length() - 1]
         digit = (1 << d) - 1
-        idems = [tuple(F.decode((e >> (k * d)) & digit) for k in range(dim))
+        idems = [tuple(decode(F, (e >> (k * d)) & digit) for k in range(dim))
                  for e in range(1, total) if square[e] == e]
     else:
         idems = []
-        for combo in itertools.product(list(F.elements()), repeat=dim):
+        for combo in itertools.product(field_elements(F), repeat=dim):
             v = list(combo)
             if all(c == F.zero for c in v):
                 continue
@@ -762,6 +765,38 @@ def commuting_up_masks(ctx, apairs):
 def frobenius(F, a):
     """a^p in the field F."""
     return F.pow(a, F.p)
+
+
+def decode(F, n):
+    """The element of F whose integer encoding is n: the residue in GF(p),
+    the base-p digits of n, lowest first, in GF(p^d)."""
+    if F.d == 1:
+        return n % F.p
+    return tuple(n // F.p ** i % F.p for i in range(F.d))
+
+
+def field_elements(F):
+    """The elements of F in increasing integer encoding."""
+    return [decode(F, n) for n in range(F.q)]
+
+
+def extension_mul_by_loop(F, a, b):
+    """The product of a and b in GF(p^d) = F: schoolbook over the integers,
+    then each coefficient above degree d - 1 cleared by the monic modulus,
+    from the top down."""
+    p, d, modulus = F.p, F.d, F.modulus
+    coeffs = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                coeffs[i + j] += x * y
+    coeffs = [c % p for c in coeffs]
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(d + 1):
+                coeffs[i - d + j] = (coeffs[i - d + j] - c * modulus[j]) % p
+    return tuple(coeffs[:d])
 
 
 def brauer_hom(Q, a):

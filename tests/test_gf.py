@@ -13,7 +13,7 @@ from blockposets.gf import (
     solve,
 )
 
-from oracles import frobenius
+from oracles import extension_mul_by_loop, field_elements, frobenius
 
 
 # Test-only helpers: evaluation and matrix routines the library does not need.
@@ -57,16 +57,26 @@ class TestFieldArithmetic:
         F = ExtensionField(2, 2)
         assert frobenius(F, (0, 1)) == (1, 1)  # x^2 = x + 1
 
+    def test_product_matches_loop_oracle(self):
+        # the polynomial layer's product against the schoolbook loop and
+        # top-down reduction that ExtensionField.mul ran before, every pair
+        for p, d in ((2, 3), (3, 2), (2, 4), (5, 2), (3, 3)):
+            F = ExtensionField(p, d)
+            elements = field_elements(F)
+            for a in elements:
+                for b in elements:
+                    assert F.mul(a, b) == extension_mul_by_loop(F, a, b)
+
     def test_inverse_everywhere(self):
         for F in (PrimeField(5), ExtensionField(2, 3), ExtensionField(3, 2)):
-            for a in F.elements():
+            for a in field_elements(F):
                 if a == F.zero:
                     continue
                 assert F.mul(a, F.inv(a)) == F.one
 
     def test_power_order(self):
         for F in (PrimeField(7), ExtensionField(2, 4), ExtensionField(5, 2)):
-            for a in F.elements():
+            for a in field_elements(F):
                 assert F.pow(a, F.q) == a  # a^(q) = a
 
     def test_frobenius_additivity_bulk(self):
@@ -202,7 +212,7 @@ class TestPolyRoots:
         for i in range(60):
             F = fields[i % len(fields)]
             count = rng.randrange(1, min(F.q, 4) + 1)
-            picked = rng.sample(list(F.elements()), count)
+            picked = rng.sample(field_elements(F), count)
             f = [F.one]
             for r in picked:
                 f = poly_mul(f, [F.neg(r), F.one], F)

@@ -10,9 +10,13 @@ cliques.
 * The reports on S5 and S6 p=2 principal are pinned under tests/data/.
 * Both give the same result on every block of S3-S6 at p = 2, 3, 5 and of
   S7 at p = 3, once as given and once with the block taken as principal.
-* Under three mutations both fail alike: an order-p class dropped from the
-  p-subgroup classes, a rank-2 class dropped (its cliques are cut), and an
-  element of the commuting poset duplicated at its kappa.
+* Under five mutations both fail alike: an order-p class dropped from the
+  p-subgroup classes, a rank-2 class dropped (its cliques are cut), an
+  element of the commuting poset duplicated at its kappa, two elements of
+  one orbit swapped in the element list (a row then holds elements whose
+  vertices do not contain the face's), and one covering relation dropped
+  from a minimal element's row (a row then has fewer members than the
+  faces above the face).
 * On S7 p=2 principal the check runs in a fresh process under 60 MB.
 """
 
@@ -173,6 +177,55 @@ def test_element_duplicated_at_a_kappa(name, p):
         assert new["status"] == "fail"
         assert new["witnesses"] == \
             [str(("size", geom.kposet.n, geom.kposet.n + 1))]
+
+
+def minimal_off_representatives(K):
+    """The least minimal element of K that is not its orbit's
+    representative."""
+    reps = set(K.orbit_representatives())
+    return next(x for x in K.minimal_elements() if x not in reps)
+
+
+@pytest.mark.parametrize("name, p", [("S5", 2), ("S6", 3)])
+def test_orbit_elements_swapped(name, p):
+    """Two elements of one orbit, neither its representative, trade places
+    in the element list: each face maps to the other's row, of the same
+    size, but holding elements whose vertices do not contain its own."""
+    ctx = principal_context(group_context(name, p))
+    geom = block_geometry(ctx)
+    K = geom.kposet
+    x = minimal_off_representatives(K)
+    reps = set(K.orbit_representatives())
+    y = next(z for z in K.orbits()[K.orbit_walk.orbit_of[x]]
+             if z != x and z not in reps)
+    elements = list(geom.elements)
+    elements[x], elements[y] = elements[y], elements[x]
+    new, old = both(ctx, SimpleNamespace(
+        vertices=geom.vertices, apairs=geom.apairs, elements=elements,
+        kposet=K))
+    assert new == old, (name, p, x, y)
+    assert new["status"] == "fail"
+    assert new["witnesses"][0].startswith("('order', ")
+
+
+@pytest.mark.parametrize("name, p", [("S5", 2), ("S6", 3)])
+def test_covering_relation_dropped(name, p):
+    """One covering relation x < y left out of the row of a minimal x
+    that is not a representative, and K rebuilt without its action: x's
+    row holds only elements above its face, but one too few."""
+    ctx = principal_context(group_context(name, p))
+    geom = block_geometry(ctx)
+    K = geom.kposet
+    x = minimal_off_representatives(K)
+    y = next(j for i, j in K.covering_pairs() if i == x)
+    up = up_masks(K)
+    up[x] ^= 1 << y
+    new, old = both(ctx, SimpleNamespace(
+        vertices=geom.vertices, apairs=geom.apairs, elements=geom.elements,
+        kposet=Poset(K.labels, up)))
+    assert new == old, (name, p, x, y)
+    assert new["status"] == "fail"
+    assert new["witnesses"][0].startswith("('order', ")
 
 
 @pytest.mark.slow
