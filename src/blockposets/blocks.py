@@ -42,10 +42,6 @@ class GroupAlgebraElement:
     def zero(cls, group, field):
         return cls(group, field, {})
 
-    @classmethod
-    def one(cls, group, field):
-        return cls(group, field, {group.identity(): field.one})
-
     def key(self):
         if self._key is None:
             self._key = tuple(sorted((x, self.field.encode(c))

@@ -130,9 +130,10 @@ class GroupContext:
     Built once and shared by every block of a run:
 
     * the class-sum algebra of G and the blocks of kG;
-    * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit
-      mapping the position key of each conjugate Q (the increasing tuple of
-      its elements' positions in G) to one g with Q = R^g.  Q is located by
+    * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit:
+      a Schreier vector mapping the position key of each conjugate Q (the
+      increasing tuple of its elements' positions in G) to the generator
+      that reached it, with a link to its parent's key.  Q is located by
       probing the orbit of each class of its order with Q's own key;
     * per class representative R, on first request: C_G(R), the class-sum
       algebra Z(kC_G(R)) and the blocks of kC_G(R) (at the trivial subgroup
@@ -142,15 +143,15 @@ class GroupContext:
       eta, and the stability test of normal containment, rest on
       e^(cg) = e^g for c in C_G(R).
     * the site of any other Q in the class, carried down the orbit tree:
-      Q's parent site conjugated by the generator t that links them (the
-      orbit link holds the parent's key; t is recovered from the two keys),
-      every element and every block's support through t's conjugation
-      table.  The Brauer truncations read the carried centralizer as its
-      sorted elements tuple, so its element set is never built.  The
-      tree's conjugators compose to Q's g, so the i-th block at Q is the
-      i-th block at R conjugated by g, and the sites at conjugates inherit
-      the centrality of R's.  Every site reached is memoised under its
-      position key.
+      Q's parent site conjugated by the generator t the orbit recorded at
+      Q, every element and every block's support through t's conjugation
+      table, and the carried subgroup's key checked against Q's (else
+      TheoryViolation).  The Brauer truncations read the carried
+      centralizer as its sorted elements tuple, so its element set is
+      never built.  The tree's generators compose to a g with Q = R^g, so
+      the i-th block at Q is the i-th block at R conjugated by g, and the
+      sites at conjugates inherit the centrality of R's.  Every site
+      reached is memoised under its position key.
     """
 
     def __init__(self, G, F):
@@ -178,7 +179,7 @@ class GroupContext:
             return None
 
     def locate(self, Q):
-        """(i, g) with Q = R^g for the representative R of class i.
+        """The index i of the class whose orbit holds Q.
 
         Raises ValueError when Q is not a p-subgroup of G.
         """
@@ -186,7 +187,7 @@ class GroupContext:
         if key is not None:
             for i, (R, orbit) in enumerate(self.classes):
                 if R.order == Q.order and key in orbit:
-                    return i, orbit[key]
+                    return i
         raise ValueError(f"not a {self.p}-subgroup of {self.G.label}: "
                          f"{Q.label or Q!r}")
 
@@ -199,8 +200,7 @@ class GroupContext:
         key = self._key(Q)
         site = self._sites.get(key)
         if site is None:
-            i, _g = self.locate(Q)
-            site = self._site_at(i, key)
+            site = self._site_at(self.locate(Q), key)
         return site
 
     def _site_at(self, i, key):
@@ -214,10 +214,14 @@ class GroupContext:
         site = self._sites.get(key)
         if site is None:
             site = self._sites[key] = self._representative_site(i, R)
-        step = self.G.element_index().generator_between
+        key_of = self.G.element_index().key
         for child in reversed(path):
-            site = self._sites[child] = self._carry(site, step(key, child))
-            key = child
+            site = self._carry(site, orbit[child])
+            if key_of(site.subgroup) != child:
+                raise TheoryViolation(
+                    "orbit generator does not carry the parent to the child",
+                    witness=(R.label, orbit[child]))
+            self._sites[child] = site
         return site
 
     def _carry(self, site, t):

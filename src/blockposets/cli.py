@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import namedtuple
 
@@ -126,9 +125,12 @@ def build_group(spec, max_elements=MAX_GROUP_ORDER):
             n = _size(spec, "n")
             if n < 1:
                 raise ValueError("n >= 1")
-            if math.factorial(n) > max_elements:
-                raise SizeLimitExceeded(f"symmetric group of degree {n} "
-                                        f"exceeds {max_elements} elements")
+            order = 1
+            for k in range(2, n + 1):       # stops at the first excess
+                order *= k
+                if order > max_elements:
+                    raise SizeLimitExceeded(f"symmetric group of degree {n} "
+                                            f"exceeds {max_elements} elements")
             return symmetric_group(n)
         if kind == "dihedral":
             order = _size(spec, "order")
@@ -324,7 +326,7 @@ def cmd_poset(args):
                   "use --block principal|nonprincipal|<index>")
     ctx = BlockContext(group, selected[0])
     if args.which in ("A", "K", "K-orbit"):
-        geom = block_geometry(ctx, max_elements=args.max_elements)
+        geom = block_geometry(ctx)
         if args.which == "A":
             poset = geom.aposet
         elif args.which == "K":
@@ -400,8 +402,6 @@ def _common_flags(sub, with_block=True):
                          help="principal | nonprincipal | all | <index>")
     sub.add_argument("--out", help="write output to a file instead of stdout")
     sub.add_argument("--max-elements", type=int, default=MAX_GROUP_ORDER)
-    sub.add_argument("--max-simplices", type=int,
-                     default=HOMOLOGY_SIMPLEX_BOUND)
 
 
 def main(argv=None):
@@ -419,6 +419,8 @@ def main(argv=None):
 
     p_verify = subs.add_parser("verify", help="run verification suites")
     _common_flags(p_verify)
+    p_verify.add_argument("--max-simplices", type=int,
+                          default=HOMOLOGY_SIMPLEX_BOUND)
     p_verify.add_argument("--corpus", action="store_true",
                           help="run the shipped corpus instead of a single group")
     p_verify.add_argument("--checks",

@@ -231,13 +231,13 @@ class CommutingLabels(Sequence):
                 + "}|" + self.pair_labels[pid])
 
 
-def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
+def block_geometry(ctx):
     """Build the pair poset, the commuting poset, and the two maps."""
     apairs = elementary_abelian_poset(ctx)
     aposet = apairs.poset
     # up yields K's masks one at a time; its build tables die with it
     vertices, elements, up, action, expand_map = _commuting_elements(
-        ctx, apairs, max_elements)
+        ctx, apairs)
     labels = CommutingLabels(
         elements, [V.generators[0].cycle_string() for V in vertices],
         aposet.labels)
@@ -248,7 +248,7 @@ def block_geometry(ctx, max_elements=MAX_POSET_ELEMENTS):
                          collapse_map)
 
 
-def _commuting_elements(ctx, apairs, max_elements):
+def _commuting_elements(ctx, apairs):
     """(vertices, elements, up masks, action, expand map) of the commuting
     poset over the pair poset apairs; the up masks come from a generator,
     one per element in order."""
@@ -280,9 +280,9 @@ def _commuting_elements(ctx, apairs, max_elements):
         first = first_of[kmask] = len(elements)
         for pid in pairs_at[A]:
             elements.append((kmask, pid))
-        if len(elements) > max_elements:
+        if len(elements) > MAX_POSET_ELEMENTS:
             raise SizeLimitExceeded(
-                f"commuting poset exceeded {max_elements} elements")
+                f"commuting poset exceeded {MAX_POSET_ELEMENTS} elements")
         run = (1 << len(elements)) - (1 << first)
         for v in kappa:
             containing[v] |= run

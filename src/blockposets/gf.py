@@ -53,11 +53,6 @@ class PrimeField:
             raise ZeroDivisionError("inversion of zero field element")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a, n):
-        if n < 0:
-            return self.inv(self.pow(a, -n))
-        return pow(a, n, self.p)
-
     def from_int(self, n):
         return n % self.p
 
@@ -113,8 +108,7 @@ class ExtensionField:
         return tuple(r) + (0,) * (self.d - len(r))
 
     def pow(self, a, n):
-        if n < 0:
-            return self.inv(self.pow(a, -n))
+        """a^n for n >= 0, by squaring."""
         result = self.one
         base = a
         while n:

@@ -33,13 +33,18 @@ P are enumerated on P's own index, as bitsets over its positions, so their
 cost scales with |P| rather than |G|.  The G-conjugates of a subgroup are
 found and keyed on positions too: each is the increasing tuple of its
 elements' positions in G, and no conjugate is named by its permutations.
-Permutation stays the public and printed type.
+Every orbit is recorded as a Schreier vector, each point with its parent
+and the generator that reached it (ibid.): orbit_walk does so on integer
+points, for the conjugacy classes and for a poset's orbits, and
+subgroup_orbit_transversal on position keys.  Permutation stays the public
+and printed type.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import islice
 from operator import itemgetter
 
 from .errors import SizeLimitExceeded
@@ -289,16 +294,6 @@ class ElementIndex:
         pos = self.pos
         return tuple([pos[x] for x in H.elements])
 
-    def generator_between(self, parent, child):
-        """The first t whose conjugation table carries the position key
-        parent to the key child; ValueError when no generator does."""
-        for t, table in enumerate(self.conj):
-            image = [table[i] for i in parent]
-            image.sort()
-            if tuple(image) == child:
-                return t
-        raise ValueError("no generator conjugates the one key to the other")
-
     def conj_image(self, t, xs):
         """[x^t for x in xs], t the t-th generator, by table lookups."""
         pos, elements, table = self.pos, self.elements, self.conj[t]
@@ -486,6 +481,50 @@ def _lcm(a, b):
     return a * b // math.gcd(a, b)
 
 
+class OrbitWalk(namedtuple("OrbitWalk", "order parent via orbit_of")):
+    """The orbits of a group on 0..n-1 as Schreier vectors: order lists the
+    points as visited, each orbit breadth first from its least point along
+    the generators in turn; order[k] is the via[k]-th generator applied to
+    order[parent[k]], both -1 at an orbit's first point; orbit_of[x]
+    numbers x's orbit, in order of least point."""
+
+    __slots__ = ()
+
+    def orbits(self):
+        """Each orbit's points as an increasing list, in orbit order."""
+        out = [[] for _ in range(self.parent.count(-1))]
+        for x, k in enumerate(self.orbit_of):
+            out[k].append(x)
+        return out
+
+
+def orbit_walk(action, n):
+    """The OrbitWalk of the group generated by action, a list of the
+    generators' image lists on 0..n-1, its four fields plain lists."""
+    order, parent, via = [], [], []
+    orbit_of = [-1] * n
+    steps = list(enumerate(action))
+    orbits = 0
+    for start in range(n):
+        if orbit_of[start] < 0:
+            orbit_of[start] = orbits
+            k = len(order)
+            order.append(start)
+            parent.append(-1)
+            via.append(-1)
+            for x in islice(order, k, None):    # order grows while walked
+                for t, a in steps:
+                    y = a[x]
+                    if orbit_of[y] < 0:
+                        orbit_of[y] = orbits
+                        order.append(y)
+                        parent.append(k)
+                        via.append(t)
+                k += 1
+            orbits += 1
+    return OrbitWalk(order, parent, via, orbit_of)
+
+
 class ConjugacyClass(namedtuple("ConjugacyClass", "representative members")):
     """A conjugacy class: its minimal member and all members, sorted."""
 
@@ -493,30 +532,14 @@ class ConjugacyClass(namedtuple("ConjugacyClass", "representative members")):
 
 
 def conjugacy_classes(G):
-    """Classes ordered by their minimal member under the fixed element order."""
-    index = G.element_index()
+    """Classes ordered by their minimal member under the fixed element order:
+    the orbits of G's conjugation tables on positions, each read in
+    position order."""
     elements = G.elements
-    seen = bytearray(G.order)
-    classes = []
-    for x in range(G.order):  # elements are sorted, so representatives are minimal
-        if seen[x]:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for table in index.conj:
-                    z = table[y]
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        for y in orbit:
-            seen[y] = 1
-        classes.append(ConjugacyClass(elements[x],
-                                      tuple(elements[i] for i in sorted(orbit))))
-    return classes
+    walk = orbit_walk(G.element_index().conj, G.order)
+    return [ConjugacyClass(elements[members[0]],
+                           tuple([elements[i] for i in members]))
+            for members in walk.orbits()]
 
 
 def centralizer(G, S, label=""):
@@ -632,49 +655,45 @@ def all_subgroups(P, max_count=10_000):
 
 
 class SubgroupOrbit(dict):
-    """The G-conjugates of a subgroup H, in BFS order from H.
+    """The G-conjugates of a subgroup H, in BFS order from H, as a Schreier
+    vector.
 
     Each conjugate is keyed by the increasing tuple of its elements'
-    positions in G (ElementIndex.key) and mapped to one g, an element of G,
-    with H^g = it.  links maps every key but H's to its parent's key, the
-    orbit's own key object: the conjugate is its parent conjugated by a
-    generator t of G, and its g is the parent's g times t.  t is not
-    stored; ElementIndex.generator_between recovers it as the first
-    generator that carries the parent's key to the child's, which is the
-    one the BFS recorded, as the BFS tries the generators in order.
-    Following the links from H conjugates by g one generator table at a
-    time.
+    positions in G (ElementIndex.key) and mapped to the index t of the
+    generator of G that reached it, H's own key to -1.  links maps every
+    key but H's to its parent's key, the orbit's own key object: the
+    conjugate is its parent conjugated by the t-th generator.  Following
+    the links from H conjugates one generator table at a time, and the
+    generators met on the way compose to a g with H^g = the conjugate.
     """
 
     __slots__ = ("links",)
 
 
 def subgroup_orbit_transversal(G, H):
-    """The SubgroupOrbit of H: each G-conjugate of H with one g, H^g = it.
+    """The SubgroupOrbit of H: each G-conjugate of H with the generator
+    that reached it.
 
     The BFS runs on the position keys: the conjugate of a key by the t-th
-    generator is its conjugation table read at the key's positions, sorted,
-    and g t is g's entry in the t-th right-multiplication table.
+    generator is its conjugation table read at the key's positions, sorted.
     """
     index = G.element_index()
-    elements = G.elements
     start = index.key(H)
-    orbit = SubgroupOrbit({start: elements[index.root]})
+    orbit = SubgroupOrbit({start: -1})
     orbit.links = links = {}
-    tables = list(zip(index.conj, index.right))
-    frontier = [(start, index.root)]
+    tables = list(enumerate(index.conj))
+    frontier = [start]
     while frontier:
         new = []
-        for ids, g in frontier:
-            for conj, right in tables:
+        for ids in frontier:
+            for t, conj in tables:
                 image = [conj[i] for i in ids]
                 image.sort()
                 image = tuple(image)
                 if image not in orbit:
-                    gt = right[g]
-                    orbit[image] = elements[gt]
+                    orbit[image] = t
                     links[image] = ids
-                    new.append((image, gt))
+                    new.append(image)
         frontier = new
     return orbit
 

@@ -54,13 +54,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, defaultdict
 from functools import cached_property, partial
 from itertools import islice
 
-from .errors import SizeLimitExceeded, TheoryViolation
-
-MAX_SIMPLICES = 1_000_000
+from .errors import TheoryViolation
+from .perms import orbit_walk
 
 
 def iter_bits(mask):
@@ -72,9 +71,6 @@ def iter_bits(mask):
         mask ^= 1 << top
     out.reverse()
     return out
-
-
-OrbitWalk = namedtuple("OrbitWalk", "order parent via orbit_of")
 
 
 class Poset:
@@ -223,41 +219,16 @@ class Poset:
 
     @cached_property
     def orbit_walk(self):
-        """The orbit BFS, walked on first read and kept: order lists the
-        elements as visited, each orbit breadth first from its least element
-        along the generators in turn; order[k] is action[via[k]] applied to
-        order[parent[k]], both -1 at an orbit's first element; orbit_of[x]
-        numbers x's orbit."""
-        order, parent, via = array("i"), array("i"), array("i")
-        orbit_of = [-1] * self.n
-        action = list(enumerate(a.tolist() for a in self.action))
-        orbits = 0
-        for start in range(self.n):
-            if orbit_of[start] < 0:
-                orbit_of[start] = orbits
-                k = len(order)
-                order.append(start)
-                parent.append(-1)
-                via.append(-1)
-                while k < len(order):       # order is the BFS queue
-                    x = order[k]
-                    for t, a in action:
-                        y = a[x]
-                        if orbit_of[y] < 0:
-                            orbit_of[y] = orbits
-                            order.append(y)
-                            parent.append(k)
-                            via.append(t)
-                    k += 1
-                orbits += 1
-        return OrbitWalk(order, parent, via, orbit_of)
+        """The orbit walk of the action (perms.orbit_walk), walked on first
+        read and kept, with order, parent and via as arrays."""
+        walk = orbit_walk([a.tolist() for a in self.action], self.n)
+        return walk._replace(order=array("i", walk.order),
+                             parent=array("i", walk.parent),
+                             via=array("i", walk.via))
 
     def orbits(self):
         """Orbits of the generated group, each a sorted tuple, in order of min."""
-        out = [[] for _ in range(self.orbit_walk.parent.count(-1))]
-        for x, orbit in enumerate(self.orbit_walk.orbit_of):
-            out[orbit].append(x)
-        return [tuple(orbit) for orbit in out]
+        return [tuple(orbit) for orbit in self.orbit_walk.orbits()]
 
     def orbit_representatives(self):
         """The least element of each orbit, in orbit order."""
@@ -375,7 +346,7 @@ def chain_counts(X):
     return counts
 
 
-def order_complex(X, max_simplices=MAX_SIMPLICES):
+def order_complex(X):
     """Chains of the poset X as simplices (x_0 < ... < x_n), read off the
     rows.  By transitivity the strict up-set of a chain's last element lies
     in that of every earlier one, so a chain extends by the strict row of
@@ -384,14 +355,9 @@ def order_complex(X, max_simplices=MAX_SIMPLICES):
     strict_up = [[j for j in members[offsets[i]:offsets[i + 1]] if j != i]
                  for i in range(X.n)]
     by_dim = []
-    count = 0
     frontier = [(i,) for i in range(X.n)]
     while frontier:
         by_dim.append(sorted(frontier))
-        count += len(frontier)
-        if count > max_simplices:
-            raise SizeLimitExceeded(
-                f"order complex exceeded {max_simplices} simplices")
         frontier = [chain + (j,) for chain in frontier
                     for j in strict_up[chain[-1]]]
     return SimplicialComplex(by_dim)

@@ -9,15 +9,17 @@
   the Smith form, and the conversion of a hand-written {(i, j): value}
   matrix into those rows;
 * each G-conjugate of a subgroup named by the frozenset of its elements,
-  against the orbits keyed by element positions;
+  against the orbits keyed by element positions, and the g with R^g = Q
+  composed by permutation products along an orbit's links;
+* the conjugacy classes by one set-based BFS per class, against the orbit
+  walk of the conjugation tables;
 * conjugation of a whole subgroup and of a group-algebra element, term by
   term, against the conjugation tables and orbit trees of the library;
 * the primitive idempotents of Z(kG) by exhaustive enumeration of its
   elements, and the blocks of kG from the recursive splitter against them,
   as a check result;
 * the sparse class-algebra constants read back as the dense
-  const[i][j][k], and the orbit links read back as (parent, t) with t found
-  by Permutation conjugation;
+  const[i][j][k];
 * the index tables built from permutation products, every subgroup of a
   small group by one closure per extension, and a centralizer narrowed by
   one G-wide column per generator, against the tables that the closure
@@ -47,8 +49,10 @@
   against the check on the commuting poset's clique walk;
 * the product of GF(p^d) with its own schoolbook loop and reduction by
   the modulus, against `ExtensionField.mul` on the polynomial layer;
-* names the library no longer reads: the Frobenius map, the field element
-  of an integer encoding and a field's elements in that order, the Brauer
+* names the library no longer reads: powers in a field, with negative
+  exponents, the Frobenius map, the field element of an integer encoding
+  and a field's elements in that order, the unit of a group algebra, the
+  Brauer
   homomorphism, cyclic groups, the idempotent test, a poset from its
   relation pairs and the Euler characteristics of a complex and of its
   homology.
@@ -56,6 +60,7 @@
 
 import itertools
 import math
+import random
 from collections import defaultdict
 from fractions import Fraction
 
@@ -75,10 +80,14 @@ from blockposets.commuting import (
     product_walk,
 )
 from blockposets.errors import SizeLimitExceeded, TheoryViolation
-from blockposets.perms import Permutation, PermGroup, SubgroupOrbit
+from blockposets.perms import (
+    ConjugacyClass,
+    Permutation,
+    PermGroup,
+    SubgroupOrbit,
+)
 from blockposets.perms import centralizer as perms_centralizer
 from blockposets.topology import (
-    MAX_SIMPLICES,
     Poset,
     SimplicialComplex,
     iter_bits,
@@ -256,18 +265,63 @@ def element_set(G, key):
     return frozenset([G.elements[i] for i in key])
 
 
-def links_with_generators(G, orbit):
-    """orbit.links as {child: (parent, t)}: t is the first generator of G
-    that conjugates the parent's elements onto the child's, found by
-    Permutation conjugation of the elements."""
-    out = {}
-    for child, parent in orbit.links.items():
-        target = element_set(G, child)
-        members = element_set(G, parent)
-        out[child] = (parent, next(
-            t for t, s in enumerate(G.generators)
-            if frozenset([x.conjugate(s) for x in members]) == target))
-    return out
+def transversal_element(G, orbit, key):
+    """The g with R^g = the conjugate keyed key, R the orbit's first
+    subgroup: the product of the generators recorded along the links from
+    R down to key, by Permutation products."""
+    path = []
+    while key in orbit.links:
+        path.append(orbit[key])
+        key = orbit.links[key]
+    g = G.identity()
+    for t in reversed(path):
+        g = g * G.generators[t]
+    return g
+
+
+def every_conjugate(G, classes):
+    """R^g for every class (R, orbit) and every key of its orbit, in orbit
+    order, g by transversal_element."""
+    return [conjugate_subgroup(R, transversal_element(G, orbit, key))
+            for R, orbit in classes for key in orbit]
+
+
+def relabelled_symmetric(n, seed):
+    """S_n as a generators spec, its points renamed by a seeded shuffle."""
+    image = list(range(1, n + 1))
+    random.Random(seed).shuffle(image)
+    gens = [[[1, 2]], [list(range(1, n + 1))]]
+    return {"type": "generators", "degree": n,
+            "gens": [[[image[x - 1] for x in cycle] for cycle in gen]
+                     for gen in gens]}
+
+
+def conjugacy_classes_by_sets(G):
+    """The classes as they were found before the orbit walk: one BFS per
+    class over a set of positions, along G's conjugation tables."""
+    index = G.element_index()
+    elements = G.elements
+    seen = bytearray(G.order)
+    classes = []
+    for x in range(G.order):  # elements are sorted, so representatives are minimal
+        if seen[x]:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            new = []
+            for y in frontier:
+                for table in index.conj:
+                    z = table[y]
+                    if z not in orbit:
+                        orbit.add(z)
+                        new.append(z)
+            frontier = new
+        for y in orbit:
+            seen[y] = 1
+        classes.append(ConjugacyClass(elements[x],
+                                      tuple(elements[i] for i in sorted(orbit))))
+    return classes
 
 
 def dense_constants(A):
@@ -643,20 +697,15 @@ def closure_masks(n, edges):
     return up
 
 
-def order_complex_by_masks(X, max_simplices=MAX_SIMPLICES):
+def order_complex_by_masks(X):
     """The order complex of X as it was built from its up masks: each chain
     carries the AND of its members' strict up masks, and extends by its
     set bits."""
     strict_up = [m & ~(1 << i) for i, m in enumerate(up_masks(X))]
     by_dim = []
-    count = 0
     frontier = [((i,), strict_up[i]) for i in range(X.n)]
     while frontier:
         by_dim.append(sorted(chain for chain, _m in frontier))
-        count += len(frontier)
-        if count > max_simplices:
-            raise SizeLimitExceeded(
-                f"order complex exceeded {max_simplices} simplices")
         new = []
         for chain, mask in frontier:
             for j in iter_bits(mask):
@@ -762,9 +811,21 @@ def commuting_up_masks(ctx, apairs):
 # -- names only the tests read --------------------------------------------
 
 
+def field_pow(F, a, n):
+    """a^n in the field F; a negative n inverts a^-n."""
+    if n < 0:
+        return F.inv(field_pow(F, a, -n))
+    return pow(a, n, F.p) if F.d == 1 else F.pow(a, n)
+
+
 def frobenius(F, a):
     """a^p in the field F."""
-    return F.pow(a, F.p)
+    return field_pow(F, a, F.p)
+
+
+def algebra_one(group, field):
+    """The identity of the group algebra: 1 at the group's identity."""
+    return GroupAlgebraElement(group, field, {group.identity(): field.one})
 
 
 def decode(F, n):

@@ -7,6 +7,7 @@ default; deselect them with `-m "not slow"` for a quick pass.
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from blockposets.verify import (
 from oracles import (
     brute_force_central_idempotents,
     complex_euler_characteristic,
+    frobenius,
     homology_betti_rational,
     up_masks,
 )
@@ -243,7 +245,8 @@ def test_criterion_9_infrastructure_oracles():
     for i in range(10_000):
         F = ext[i % len(ext)]
         a, b = F.rand(rng), F.rand(rng)
-        assert F.pow(F.add(a, b), F.p) == F.add(F.pow(a, F.p), F.pow(b, F.p))
+        assert frobenius(F, F.add(a, b)) == \
+            F.add(frobenius(F, a), frobenius(F, b))
     _report(9, "infrastructure oracles", True,
             "100 complexes, 10^4 Frobenius samples")
 
@@ -252,7 +255,8 @@ def test_criterion_9_infrastructure_oracles():
 def test_s7_p3_verify_every_block(tmp_path):
     # S7 at p=3: every check on all three blocks, the block 2 homology
     # pinned to the values recorded before the class-coordinate Brauer pairs
-    # and the unit-pivot Smith form
+    # and the unit-pivot Smith form, and the whole report to the one in
+    # tests/data, whose pair posets read sites carried down the orbit trees
     out = tmp_path / "s7p3.json"
     start = time.monotonic()
     rc = main(["verify", "--group", "S7", "--prime", "3", "--out", str(out)])
@@ -269,4 +273,6 @@ def test_s7_p3_verify_every_block(tmp_path):
     assert hom["details"]["euler_characteristics"] == [-35, -35]
     assert hom["details"]["homology"] == \
         ["HomologyResult(H0=Z^1, H1=Z^36)"] * 2
+    assert out.read_bytes() == \
+        (Path(__file__).parent / "data" / "s7_p3_all.json").read_bytes()
     _report("S7p3", "verify S7 p=3", True, f"15 checks in {elapsed:.1f}s")

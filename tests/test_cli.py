@@ -1,4 +1,7 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,8 @@ from blockposets.cli import (
 from blockposets.gf import PrimeField, field_context
 from blockposets.perms import symmetric_group
 from blockposets.verify import CHECKS_BY_NAME, DEFAULT_CHECKS
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGroupSpecs:
@@ -161,6 +166,17 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err == "blockposets: --min must be >= 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["blocks", "--group", "S3"],
+        ["poset", "--group", "S3", "--which", "K"],
+    ], ids=["blocks", "poset"])
+    def test_simplex_bound_is_a_verify_flag_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-simplices", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "unrecognized arguments: --max-simplices 5\n")
+
     def test_zero_simplex_bound_is_allowed(self, capsys):
         # a zero bound skips homology as a resource bound; it is not bad input
         rc = main(["verify", "--group", "S3", "--block", "principal",
@@ -231,6 +247,26 @@ class TestVerifyCommand:
         assert (entry["status"], entry["checks"]) == ("skipped", [])
         assert entry["reason"] == ("resource bound: symmetric group of "
                                    "degree 5 exceeds 10 elements")
+
+    def test_huge_symmetric_degree_is_skipped_at_once(self):
+        # the bound is checked on the running product n!, so a degree of
+        # 10^9 is refused after a few multiplications; a subprocess with a
+        # timeout fails instead of hanging should the whole factorial come
+        # back
+        script = (f"import sys\n"
+                  f"sys.path.insert(0, {str(SRC)!r})\n"
+                  f"from blockposets.cli import main\n"
+                  f"sys.exit(main(sys.argv[1:]))\n")
+        spec = '{"type": "symmetric", "n": 1000000000}'
+        done = subprocess.run([sys.executable, "-c", script, "verify",
+                               "--group", spec],
+                              capture_output=True, text=True, timeout=10)
+        assert done.returncode == 2
+        (entry,) = json.loads(done.stdout)["entries"]
+        assert (entry["status"], entry["checks"]) == ("skipped", [])
+        assert entry["reason"] == ("resource bound: symmetric group of "
+                                   "degree 1000000000 exceeds 100000 "
+                                   "elements")
 
     def test_principal_clique_on_request(self, tmp_path):
         rc = main(["verify", "--group", "S4", "--prime", "2",

@@ -35,9 +35,10 @@ from oracles import (
     conjugate_subgroup,
     dense_constants,
     element_set,
+    every_conjugate,
     index_tables_by_products,
-    links_with_generators,
     maps_from_by_products,
+    transversal_element,
 )
 
 CASES = [("S3", 2), ("S4", 2), ("S5", 2), ("D8", 2), ("S6", 2), ("S7", 3)]
@@ -272,18 +273,19 @@ class TestScansAgainstProducts:
         G = group_of(name)
         for R, orbit in p_subgroups_up_to_conjugacy(G, p):
             expect = orbit_transversal_by_products(G, R)
-            named = [(element_set(G, key), g) for key, g in orbit.items()]
+            named = [(element_set(G, key), transversal_element(G, orbit, key))
+                     for key in orbit]
             assert named == list(expect.items())
             assert list(subgroup_orbit_transversal(G, R).items()) == \
                 list(orbit.items())
-            # the tree: each conjugate but R is its parent conjugated by one
-            # generator, and its g is the parent's times that generator;
-            # the index recovers the generator the products find
+            # the tree: each conjugate but R is its parent conjugated by the
+            # generator recorded at it
             index = G.element_index()
             assert set(orbit.links) == set(orbit) - {index.key(R)}
-            for child, (parent, t) in links_with_generators(G, orbit).items():
-                assert index.generator_between(parent, child) == t
-                assert orbit[child] == orbit[parent] * G.generators[t]
+            for child, parent in orbit.links.items():
+                s = G.generators[orbit[child]]
+                assert element_set(G, child) == frozenset(
+                    [x.conjugate(s) for x in element_set(G, parent)])
 
     def test_conjugacy_classes(self, name, p):
         G = group_of(name)
@@ -347,8 +349,7 @@ class TestCorpusScans:
     def test_pair_action_matches_conjugated_pairs(self):
         acted = 0
         for name, ctx in corpus_contexts():
-            family = [conjugate_subgroup(R, g)
-                      for R, orbit in ctx.group.classes for g in orbit.values()]
+            family = every_conjugate(ctx.G, ctx.group.classes)
             for apairs in (elementary_abelian_poset(ctx),
                            ctx.pair_poset(family)):
                 index = {pr.ident(): i for i, pr in enumerate(apairs.pairs)}

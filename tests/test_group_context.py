@@ -20,15 +20,16 @@ from blockposets.perms import (
     symmetric_group,
 )
 
-from oracles import conjugate_element, conjugate_subgroup, element_set
+from oracles import (
+    conjugate_element,
+    conjugate_subgroup,
+    element_set,
+    every_conjugate,
+    transversal_element,
+)
 
 # (group, p, number of blocks)
 CASES = [("S4", 2, 1), ("S5", 2, 2), ("D8", 2, 1), ("S6", 2, 2), ("S7", 3, 3)]
-
-
-def every_p_subgroup(group):
-    return [conjugate_subgroup(R, g)
-            for R, orbit in group.classes for g in orbit.values()]
 
 
 def summary(ctx, subgroups):
@@ -49,7 +50,7 @@ class TestSharedAgainstFresh:
     def test_shared_context_matches_fresh_ones(self, name, p, n):
         G, F = build_group(PRESETS[name]), PrimeField(p)
         shared = GroupContext(G, F)
-        subgroups = every_p_subgroup(shared)
+        subgroups = every_conjugate(G, shared.classes)
         assert len(shared.blocks) == n
         forward = [summary(BlockContext(shared, b), subgroups)
                    for b in shared.blocks]
@@ -66,14 +67,14 @@ class TestSharedAgainstFresh:
 
 
 class TestLookup:
-    def test_locate_gives_the_conjugating_element(self):
+    def test_locate_gives_the_class(self):
         group = GroupContext(symmetric_group(4), PrimeField(2))
         G = group.G
         for i, (R, orbit) in enumerate(group.classes):
-            for key, g in orbit.items():
-                Q = conjugate_subgroup(R, g)
+            for key in orbit:
+                Q = conjugate_subgroup(R, transversal_element(G, orbit, key))
                 assert Q.element_set == element_set(G, key)
-                assert group.locate(Q) == (i, g)
+                assert group.locate(Q) == i
 
     def test_non_p_subgroup_raises_value_error(self):
         G = symmetric_group(4)
@@ -143,6 +144,14 @@ def same_group(H, K):
             and H.label == K.label)
 
 
+def carries(G, parent, t, child):
+    """Does the t-th generator of G conjugate the subgroup keyed parent
+    onto the one keyed child?"""
+    s = G.generators[t]
+    return frozenset(x.conjugate(s) for x in element_set(G, parent)) == \
+        element_set(G, child)
+
+
 TREE_CASES = [("S5", 2), ("S6", 2), ("S7", 3)]
 
 
@@ -156,8 +165,9 @@ class TestSitesOnTheOrbitTree:
             rep = group._site(R)
             assert rep.subgroup is R and rep.index == i
             # the last conjugates first: their walks up the tree are longest
-            for key, g in reversed(list(orbit.items())):
-                Q, C, block_list = site_by_conjugation(rep, g)
+            for key in reversed(list(orbit)):
+                Q, C, block_list = site_by_conjugation(
+                    rep, transversal_element(group.G, orbit, key))
                 site = group._site(Q)
                 assert site.index == i
                 assert site.subgroup.element_set == element_set(group.G, key)
@@ -174,8 +184,36 @@ class TestSitesOnTheOrbitTree:
         for i, (R, orbit) in enumerate(group.classes):
             got = group.conjugates(i)
             assert len(got) == len(orbit)
-            for Q, g in zip(got, orbit.values()):
+            for Q, key in zip(got, orbit):
+                g = transversal_element(group.G, orbit, key)
                 assert same_group(Q, conjugate_subgroup(R, g))
+
+    @pytest.mark.parametrize("name, p", TREE_CASES,
+                             ids=[f"{name}-p{p}" for name, p in TREE_CASES])
+    def test_wrong_recorded_generator_is_caught(self, name, p):
+        # in the longest orbit, the last conjugate that the other of G's two
+        # generators does not reach from its parent records that generator
+        group = GroupContext(build_group(PRESETS[name]), PrimeField(p))
+        R, orbit = max(group.classes, key=lambda c: len(c[1]))
+        key = next(k for k in reversed(orbit) if k in orbit.links and
+                   not carries(group.G, orbit.links[k], 1 - orbit[k], k))
+        orbit[key] = 1 - orbit[key]
+        with pytest.raises(TheoryViolation, match="does not carry"):
+            group.conjugates(group.locate(R))
+
+    @pytest.mark.parametrize("name, p", TREE_CASES,
+                             ids=[f"{name}-p{p}" for name, p in TREE_CASES])
+    def test_wrong_parent_link_is_caught(self, name, p):
+        # in the longest orbit, the last conjugate that its generator does
+        # not reach from the orbit's root links to the root
+        group = GroupContext(build_group(PRESETS[name]), PrimeField(p))
+        R, orbit = max(group.classes, key=lambda c: len(c[1]))
+        root = next(iter(orbit))
+        key = next(k for k in reversed(orbit) if k in orbit.links and
+                   not carries(group.G, root, orbit[k], k))
+        orbit.links[key] = root
+        with pytest.raises(TheoryViolation, match="does not carry"):
+            group.conjugates(group.locate(R))
 
     def test_non_central_block_at_a_representative_is_rejected(
             self, monkeypatch):

@@ -16,7 +16,15 @@ from blockposets.perms import (
 )
 from blockposets.errors import SizeLimitExceeded
 
-from oracles import cyclic_group, order_p_subgroups
+from blockposets.cli import PRESETS, build_group
+
+from oracles import (
+    conjugacy_classes_by_sets,
+    cyclic_group,
+    order_p_subgroups,
+    relabelled_symmetric,
+    transversal_element,
+)
 
 
 def cyc(degree, *cycles):
@@ -120,6 +128,16 @@ class TestConjugacyClasses:
         sizes = sorted(len(c.members) for c in conjugacy_classes(symmetric_group(4)))
         assert sizes == [1, 3, 6, 6, 8]
 
+    @pytest.mark.parametrize("spec", [
+        PRESETS["S3"], PRESETS["S4"], PRESETS["S5"], PRESETS["S6"],
+        PRESETS["S7"], PRESETS["D8"], relabelled_symmetric(5, 12),
+        relabelled_symmetric(6, 11)],
+        ids=["S3", "S4", "S5", "S6", "S7", "D8", "relabelled-S5",
+             "relabelled-S6"])
+    def test_orbit_walk_matches_set_bfs(self, spec):
+        G = build_group(spec)
+        assert conjugacy_classes(G) == conjugacy_classes_by_sets(G)
+
     def test_classes_partition_group(self):
         for G in (symmetric_group(4), dihedral_group(8)):
             classes = conjugacy_classes(G)
@@ -193,7 +211,8 @@ class TestSubgroupClassification:
         H = PermGroup.from_generators(4, [cyc(4, [1, 2])])
         orbit = subgroup_orbit_transversal(G, H)
         assert len(orbit) == 6
-        for key, g in orbit.items():
+        for key in orbit:
+            g = transversal_element(G, orbit, key)
             assert frozenset(x.conjugate(g) for x in H.elements) == \
                 frozenset(G.elements[i] for i in key)
 

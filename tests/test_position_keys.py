@@ -1,16 +1,16 @@
 """Subgroup orbits keyed by element positions, against the naming oracle.
 
 `perms.subgroup_orbit_transversal` keys each G-conjugate of a subgroup by
-the increasing tuple of its elements' positions in G.  The oracle names
-every conjugate by the frozenset of its elements instead.  Read as element
-sets, the keys must give the same conjugates in the same BFS order, with
-the same g and the same links, each link's generator recovered from its
-parent and child; and `GroupContext.locate` and
-`_conjugate_into`, which probe the orbits with position keys, must agree
-with what the named orbits say.
+the increasing tuple of its elements' positions in G, and records for each
+the generator that reached it and its parent's key: a Schreier vector.  The
+oracle names every conjugate by the frozenset of its elements instead, with
+one g per conjugate and (parent, t) per link.  Read as element sets, the
+keys must give the same conjugates in the same BFS order, with the same
+links and generators, and the generators along each key's links must
+compose, by permutation products, to the oracle's g with R^g = Q; and
+`GroupContext.locate` and `_conjugate_into`, which probe the orbits with
+position keys, must agree with what the named orbits say.
 """
-
-import random
 
 import pytest
 
@@ -22,23 +22,14 @@ from blockposets.perms import p_subgroups_up_to_conjugacy, symmetric_group
 from oracles import (
     conjugate_subgroup,
     element_set,
-    links_with_generators,
+    relabelled_symmetric,
     subgroup_orbit_transversal,
+    transversal_element,
 )
 
-
-def relabelled(n, seed):
-    """S_n as a generators spec, its points renamed by a seeded shuffle."""
-    image = list(range(1, n + 1))
-    random.Random(seed).shuffle(image)
-    gens = [[[1, 2]], [list(range(1, n + 1))]]
-    return {"type": "generators", "degree": n,
-            "gens": [[[image[x - 1] for x in cycle] for cycle in gen]
-                     for gen in gens]}
-
-
 CASES = [(PRESETS[f"S{n}"], p) for n in (4, 5, 6, 7) for p in (2, 3)]
-CASES += [(PRESETS["D8"], 2), (relabelled(6, 11), 2), (relabelled(5, 12), 3)]
+CASES += [(PRESETS["D8"], 2), (relabelled_symmetric(6, 11), 2),
+          (relabelled_symmetric(5, 12), 3)]
 CASE_IDS = [f"S{n}-p{p}" for n in (4, 5, 6, 7) for p in (2, 3)]
 CASE_IDS += ["D8-p2", "relabelled-S6-p2", "relabelled-S5-p3"]
 
@@ -59,25 +50,25 @@ def test_orbits_match_the_named_oracle(case):
     assert [R for R, _orbit in group.classes] == \
         [R for R, _orbit in p_subgroups_up_to_conjugacy(G, group.p)]
     for (R, orbit), oracle in zip(group.classes, named):
-        # the same conjugates in the same BFS order, with the same g
-        assert [(element_set(G, key), g) for key, g in orbit.items()] == \
+        # the same conjugates in the same BFS order, each with the g that
+        # its recorded generators compose to, and R^g is the conjugate
+        composed = [(key, transversal_element(G, orbit, key))
+                    for key in orbit]
+        assert [(element_set(G, key), g) for key, g in composed] == \
             list(oracle.items())
-        for key, g in orbit.items():
+        for key, g in composed:
             assert type(key) is tuple and list(key) == sorted(set(key))
-            assert g is G.elements[index.pos[g]]      # G's own element
+            assert conjugate_subgroup(R, g).element_set == \
+                element_set(G, key)
         # the same links, in the same order, on the orbit's own keys, with
-        # the generator the oracle's BFS recorded: the first that carries
-        # the parent to the child, found by products and by the index
-        recovered = links_with_generators(G, orbit)
-        assert [(element_set(G, child), (element_set(G, parent), t))
-                for child, (parent, t) in recovered.items()] == \
+        # the generator the oracle's BFS recorded
+        assert [(element_set(G, child), (element_set(G, parent), orbit[child]))
+                for child, parent in orbit.links.items()] == \
             list(oracle.links.items())
-        assert all(index.generator_between(parent, child) == t
-                   for child, (parent, t) in recovered.items())
         keys = {id(key) for key in orbit}
         assert all(id(child) in keys and id(parent) in keys
                    for child, parent in orbit.links.items())
-        assert next(iter(orbit)) == index.key(R)
+        assert next(iter(orbit.items())) == (index.key(R), -1)
 
 
 def test_locate_agrees_with_the_named_oracle(case):
@@ -86,7 +77,7 @@ def test_locate_agrees_with_the_named_oracle(case):
         for elems, g in oracle.items():
             Q = conjugate_subgroup(R, g)
             assert Q.element_set == elems
-            assert group.locate(Q) == (i, g)
+            assert group.locate(Q) == i
 
 
 def test_conjugate_into_agrees_with_the_named_oracle(case):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blockposets.errors import SizeLimitExceeded, TheoryViolation
+from blockposets.errors import TheoryViolation
 from blockposets.topology import (
     Poset,
     SimplicialComplex,
@@ -97,10 +97,6 @@ class TestOrderComplex:
         # poset with a maximum: homology of a point
         P = Poset("abcd", closure_masks(4, [(0, 3), (1, 3), (2, 3), (0, 1)]))
         assert homology(order_complex(P)) == homology(order_complex(chain_poset(1)))
-
-    def test_simplex_cap(self):
-        with pytest.raises(SizeLimitExceeded):
-            order_complex(chain_poset(8), max_simplices=10)
 
     def test_rows_match_masks_on_random_posets(self):
         for P in random_posets():

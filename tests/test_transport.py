@@ -150,7 +150,7 @@ def principal_context(G):
 
 def representative_of(ctx, Q):
     """The class representative whose site Q's was transported from, or None."""
-    i, _g = ctx.group.locate(Q)
+    i = ctx.group.locate(Q)
     R = ctx.group.classes[i][0]
     return None if R.element_set == Q.element_set else R
 

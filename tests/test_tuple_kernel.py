@@ -32,6 +32,7 @@ from oracles import (
     closure_masks,
     conjugate_element,
     conjugate_subgroup,
+    every_conjugate,
     up_masks,
 )
 
@@ -138,8 +139,7 @@ def pair_poset_all_pairs(ctx, family):
 
 def all_conjugates(group):
     """The `poset --which brauer-pairs` family: every p-subgroup."""
-    return [conjugate_subgroup(R, g)
-            for R, orbit in group.classes for g in orbit.values()]
+    return every_conjugate(group.G, group.classes)
 
 
 def block_contexts(entries):
