@@ -61,8 +61,8 @@ class BrauerPair:
         return (self.subgroup.element_set, self.idempotent.key())
 
     def label(self):
-        gens = ",".join(x.cycle_string() for x in self.subgroup.generators) or "1"
-        return f"(<{gens}>, e[{len(self.idempotent.support)}])"
+        return (f"({self.subgroup.generators_string()}, "
+                f"e[{len(self.idempotent.support)}])")
 
     def __eq__(self, other):
         return isinstance(other, BrauerPair) and self.ident() == other.ident()
@@ -112,12 +112,19 @@ class DefectData:
 
 
 class BrauerPairPoset:
-    """All pairs over a family of subgroups, with the containment order."""
+    """All pairs over a family of subgroups, with the containment order.
 
-    def __init__(self, pairs, normal_edges, poset):
+    family is the subgroups sorted by PermGroup.key, and at[q] the range of
+    the indices of the pairs at family[q]: the pairs at one subgroup are
+    consecutive, in BrauerPair.key order.
+    """
+
+    def __init__(self, pairs, normal_edges, poset, family, at):
         self.pairs = pairs
         self.normal_edges = normal_edges
         self.poset = poset  # G acts when the family is conjugation closed
+        self.family = family
+        self.at = at
 
     @property
     def n(self):
@@ -220,7 +227,7 @@ class GroupContext:
             if key_of(site.subgroup) != child:
                 raise TheoryViolation(
                     "orbit generator does not carry the parent to the child",
-                    witness=(R.label, orbit[child]))
+                    witness=(R.generators_string(), orbit[child]))
             self._sites[child] = site
         return site
 
@@ -276,7 +283,7 @@ def _assert_central(site):
                    zip(index.conj_image(t, terms), terms.values())):
                 raise TheoryViolation(
                     "block of the centralizer is not fixed by the centralizer",
-                    witness=(site.subgroup.label, s))
+                    witness=(site.subgroup.generators_string(), s))
 
 
 class BlockContext:
@@ -330,7 +337,7 @@ class BlockContext:
         if A.expand(brc) != br:
             raise TheoryViolation(
                 "Brauer image of the block is not central in the centralizer",
-                witness=R.label)
+                witness=R.generators_string())
         slots = []
         for s, blk in enumerate(block_list):
             coords = list(blk.coords)
@@ -369,7 +376,7 @@ class BlockContext:
             if total != br:
                 raise TheoryViolation(
                     "Brauer image of the block is not the sum of its pair blocks",
-                    witness=Q.label)
+                    witness=Q.generators_string())
         self._pairs[key] = out
         return out
 
@@ -403,53 +410,49 @@ class BlockContext:
     def pair_poset(self, family):
         """Pairs over the family with the closure of normal containment.
 
-        Only pairs whose subgroups are strictly contained can be related, so
-        normal containment is tested on those alone.  They are found by
-        subset on int bitsets: each subgroup of the family is the mask of
-        its elements' positions in G's ElementIndex, and Q <= R iff
-        mask(Q) & ~mask(R) == 0.  Each subgroup is filed under its least
+        Each subgroup is named by its position key in G's ElementIndex, the
+        increasing tuple of its elements' positions; a subgroup repeated in
+        the family raises ValueError.  Only pairs whose subgroups are
+        strictly contained can be related, so normal containment is tested
+        on those alone.  Q <= R iff R holds Q's generators, read off R's
+        key as a set of positions.  Each subgroup is filed under its least
         non-identity position (the trivial one under the identity's), and
         only the subgroups filed under an element of R are tested against R.
 
         The G-action is attached only when the family is closed under
         conjugation (every conjugated pair must land back in the poset).
         A pair's image under a generator is read off the generator's
-        conjugation table, for the subgroup and the idempotent alike.
+        conjugation table, for the subgroup's key and the idempotent alike.
         Below each pair lies exactly one pair at each subgroup of its own in
         the family, which is asserted (else TheoryViolation).
         """
-        subgroups = _dedup_subgroups(family)
-        pairs = []
-        for Q in subgroups:
-            pairs.extend(self.pairs_at(Q))
-        pairs.sort(key=BrauerPair.key)
+        family = sorted(family, key=PermGroup.key)
         gindex = self.G.element_index()
         pos, root = gindex.pos, gindex.root
-        slot = {}                    # element set -> index in subgroups
-        masks = []
+        keys = [gindex.key(Q) for Q in family]
+        slot = {}                    # position key -> index in family
         filed = {}                   # least non-identity position -> subgroups
-        for r, R in enumerate(subgroups):
-            slot[R.element_set] = r
-            ids = [pos[x] for x in R.elements]
-            mask = 0
-            for k in ids:
-                mask |= 1 << k
-            masks.append(mask)
-            least = min((k for k in ids if k != root), default=root)
-            filed.setdefault(least, []).append(r)
+        for q, key in enumerate(keys):
+            if slot.setdefault(key, q) != q:
+                raise ValueError("subgroup repeated in the family: "
+                                 f"{family[q].generators_string()}")
+            filed.setdefault(key[1] if len(key) > 1 else root, []).append(q)
         # subsets[r]: the family's subgroups of R, sorted, R itself last
+        gens = [[pos[x] for x in Q.generators] for Q in family]
         subsets = []
-        for r, R in enumerate(subgroups):
-            outside = ~masks[r]
-            subsets.append(sorted(
-                q for x in R.elements for q in filed.get(pos[x], ())
-                if not masks[q] & outside))
-        at = [[] for _ in subgroups]  # subgroup index -> its pair indices
-        for i, pr in enumerate(pairs):
-            at[slot[pr.subgroup.element_set]].append(i)
+        for key in keys:
+            inside = set(key)
+            subsets.append(sorted(q for x in key for q in filed.get(x, ())
+                                  if inside.issuperset(gens[q])))
+        pairs, owner, at = [], [], []
+        for q, Q in enumerate(family):
+            first = len(pairs)
+            pairs.extend(sorted(self.pairs_at(Q), key=BrauerPair.key))
+            owner.extend([q] * (len(pairs) - first))
+            at.append(range(first, len(pairs)))
         edges = []
         for j, hi in enumerate(pairs):
-            r = slot[hi.subgroup.element_set]
+            r = owner[j]
             for q in subsets[r]:
                 if q == r:
                     continue
@@ -465,39 +468,39 @@ class BlockContext:
             assert i < j
             up[i] |= up[j]
         action = []
-        closed = True
-        for t in range(len(self.G.generators)):
+        for t, table in enumerate(gindex.conj):
+            images = [slot.get(tuple(sorted([table[x] for x in key])))
+                      for key in keys]
             perm = []
-            for pr in pairs:
-                image = slot.get(frozenset(
-                    gindex.conj_image(t, pr.subgroup.elements)))
+            for i, pr in enumerate(pairs):
+                image = images[owner[i]]
                 terms = pr.idempotent.support
                 moved = dict(zip(gindex.conj_image(t, terms), terms.values()))
                 target = None if image is None else next(
                     (k for k in at[image]
                      if pairs[k].idempotent.support == moved), None)
                 if target is None:
-                    closed = False
                     break
                 perm.append(target)
-            if not closed:
+            if len(perm) < len(pairs):
+                action = []          # the family is not conjugation closed
                 break
             action.append(perm)
-        poset = Poset(labels, up, action if closed else ())
-        self._assert_unique_subpairs(pairs, poset, subgroups, subsets, slot,
-                                     at)
-        return BrauerPairPoset(pairs, edges, poset)
+        poset = Poset(labels, up, action)
+        self._assert_unique_subpairs(pairs, poset, family, subsets, owner, at)
+        return BrauerPairPoset(pairs, edges, poset, family, at)
 
-    def _assert_unique_subpairs(self, pairs, poset, subgroups, subsets, slot,
+    def _assert_unique_subpairs(self, pairs, poset, family, subsets, owner,
                                 at):
         """Below each pair, exactly one pair at each subgroup of its own."""
         for j, hi in enumerate(pairs):
-            for q in subsets[slot[hi.subgroup.element_set]]:
+            for q in subsets[owner[j]]:
                 below = [i for i in at[q] if poset.leq(i, j)]
                 if len(below) != 1:
                     raise TheoryViolation(
                         "subpair existence/uniqueness failed",
-                        witness=(hi.label(), subgroups[q].label, len(below)))
+                        witness=(hi.label(), family[q].generators_string(),
+                                 len(below)))
 
     # -- defect groups ----------------------------------------------------
 
@@ -519,7 +522,7 @@ class BlockContext:
         if len(maximal) != 1:
             raise TheoryViolation(
                 "defect groups do not form a single conjugacy class",
-                witness=[classes[i][0].label for i in maximal])
+                witness=[classes[i][0].generators_string() for i in maximal])
         rep, orbit = classes[maximal[0]]
         # nonzero Brauer image must be exactly "conjugate into the defect class"
         for i, (Q, _orbit) in enumerate(classes):
@@ -527,7 +530,7 @@ class BlockContext:
             if self.brauer_nonzero(Q) != embeds:
                 raise TheoryViolation(
                     "Brauer image vanishing disagrees with defect containment",
-                    witness=Q.label)
+                    witness=Q.generators_string())
         self._defect = DefectData(self.block, rep, rep.order,
                                   rep.fingerprint(), len(orbit))
         return self._defect
@@ -552,9 +555,3 @@ class BlockContext:
                     first_failure = Q
         return ok, witnesses, first_failure
 
-
-def _dedup_subgroups(family):
-    seen = {}
-    for Q in family:
-        seen.setdefault(Q.element_set, Q)
-    return sorted(seen.values(), key=PermGroup.key)

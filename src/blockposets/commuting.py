@@ -253,24 +253,14 @@ def _commuting_elements(ctx, apairs):
     poset over the pair poset apairs; the up masks come from a generator,
     one per element in order."""
     aposet = apairs.poset
-    # the family: the subgroups with a pair, each with the pairs at it
-    family_index = {}
-    family = []
-    pairs_at = []
-    family_of_pair = []
-    slot = []                   # position of each pair in its pairs_at list
-    for i, pr in enumerate(apairs.pairs):
-        f = family_index.setdefault(pr.subgroup.element_set, len(family))
-        if f == len(family):
-            family.append(pr.subgroup)
-            pairs_at.append([])
-        slot.append(len(pairs_at[f]))
-        pairs_at[f].append(i)
-        family_of_pair.append(f)
-    vertices, _adj, vmask, cliques = product_walk(family, ctx.p)
+    # the pair poset's family, every member with a pair (its Brauer image
+    # is nonzero), and the family index of each pair
+    pairs_at = apairs.at
+    family_of_pair = [f for f, pids in enumerate(pairs_at) for _pid in pids]
+    vertices, _adj, vmask, cliques = product_walk(apairs.family, ctx.p)
     vindex = {Q.element_set: i for i, Q in enumerate(vertices)}
     # Cliques come in depth-first preorder of increasing tuples, which is
-    # lexicographic order, and each pairs_at list is increasing: elements
+    # lexicographic order, and each pairs_at range is increasing: elements
     # arrive sorted by (sorted kappa, pair index), those of one kappa
     # consecutive.
     elements = []
@@ -311,7 +301,7 @@ def _commuting_elements(ctx, apairs):
                     raise TheoryViolation(
                         "pair image does not lie at the image of kappa",
                         witness=aposet.labels[pimg])
-                perm.append(target + slot[pimg])
+                perm.append(target + pimg - pairs_at[product].start)
     # expand: (Q, e) -> (order-p subgroups of Q, e)
     expand_map = []
     for pid, f in enumerate(family_of_pair):
@@ -320,7 +310,7 @@ def _commuting_elements(ctx, apairs):
             raise TheoryViolation(
                 "order-p subgroups of a pair's subgroup generate another",
                 witness=aposet.labels[pid])
-        expand_map.append(first + slot[pid])
+        expand_map.append(first + pid - pairs_at[f].start)
 
     def up():
         # order: subset on kappa, pair containment on the decorations

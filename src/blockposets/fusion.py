@@ -35,7 +35,8 @@ def max_brauer_pair(ctx):
     P = dd.representative
     pairs = sorted(ctx.pairs_at(P), key=lambda pr: pr.idempotent.key())
     if not pairs:
-        raise TheoryViolation("defect group carries no pair", witness=P.label)
+        raise TheoryViolation("defect group carries no pair",
+                              witness=P.generators_string())
     return pairs[0]
 
 
@@ -123,7 +124,7 @@ class FusionSystem:
             image = {pos[x]: pos[x.conjugate(g, ginv)] for x in Q.elements}
             if tuple(sorted(image.values())) not in self.sub_pair:
                 raise TheoryViolation("image subgroup missing from family",
-                                      witness=Q.label)
+                                      witness=Q.generators_string())
             if self.target(pair, image, g, ginv) is not None:
                 out.append((image, g))
         self._fusions[pair] = out

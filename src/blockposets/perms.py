@@ -422,6 +422,12 @@ class PermGroup:
     def __repr__(self):
         return f"PermGroup({self.label or '?'}, degree={self.degree}, order={self.order})"
 
+    def generators_string(self):
+        """The subgroup's name in reports: its generators' cycles, as
+        <(1 2 3),(4 5)>, and <1> for the trivial group."""
+        return "<" + (",".join(x.cycle_string() for x in self.generators)
+                      or "1") + ">"
+
     def key(self):
         """Canonical sort key: (order, sorted element image tuples)."""
         if self._key is None:

@@ -182,7 +182,7 @@ def check_principal_type(ctx):
         "zero": sum(1 for _q, o in outcomes if o == "zero"),
         "single_block": sum(1 for _q, o in outcomes if o == "block"),
     }
-    witnesses = [] if ok else [first_failure.label]
+    witnesses = [] if ok else [first_failure.generators_string()]
     return CheckResult("principal-type", _target(ctx.G, ctx.F, ctx.block),
                        "pass" if ok else "fail", details=details,
                        witnesses=witnesses)
@@ -455,6 +455,8 @@ def run_block_checks(group, block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     a run.  A check that hits a resource bound is recorded as skipped, with
     the bound as its reason, and the other checks still run.  A bound hit
     while building the shared geometry skips each check that needs it.
+    A check's elapsed time covers its own work and, for the first check to
+    read the block's geometry, the geometry's build.
     """
     ctx = BlockContext(group, block)
     geom = geom_bound = None
@@ -476,7 +478,6 @@ def run_block_checks(group, block, names, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
                         raise
                 args = (ctx, geom, max_simplices) if name == "homology" \
                     else (ctx, geom)
-            start = time.monotonic()
             result = CHECKS_BY_NAME[name](*args)
         except SizeLimitExceeded as exc:
             result = CheckResult(

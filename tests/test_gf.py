@@ -85,19 +85,6 @@ class TestFieldArithmetic:
             for a in field_elements(F):
                 assert field_pow(F, a, F.q) == a  # a^(q) = a
 
-    def test_frobenius_additivity_bulk(self):
-        # (a+b)^p = a^p + b^p, 10^4 sampled pairs across several fields
-        rng = random.Random(20240501)
-        fields = [PrimeField(2), PrimeField(3), PrimeField(5),
-                  ExtensionField(2, 2), ExtensionField(2, 3),
-                  ExtensionField(3, 2), ExtensionField(5, 2)]
-        for i in range(10_000):
-            F = fields[i % len(fields)]
-            a, b = F.rand(rng), F.rand(rng)
-            lhs = frobenius(F, F.add(a, b))
-            rhs = F.add(frobenius(F, a), frobenius(F, b))
-            assert lhs == rhs
-
 
 class TestLeastIrreducible:
     def test_gf2_quadratic(self):

@@ -5,9 +5,13 @@ poset and the direct Sylow search against the paths they replaced.
   random permutations: products, inverses, one-pass conjugation, hashes
   and order.
 * BlockContext.pair_poset tests normal containment only on strictly
-  contained subgroups, found by subset on position bitsets.  The oracle is
-  the all-pairs build it replaced; both must give the same pairs, normal
-  edges, up masks and G-action.
+  contained subgroups, found on position keys: R holds Q iff R's key holds
+  the positions of Q's generators.  The oracle is the all-pairs build it
+  replaced; both must give the same pairs, normal edges, up masks and
+  G-action, on the elementary abelian family, every p-subgroup, and F's
+  family (every subgroup of the defect representative, usually not
+  closed under conjugation), and over GF(4) on an order-24 group with
+  two pairs at one subgroup.
 * sylow_p walks N_G(H) straight off the element index; the oracle finds
   each normalizer by conjugating H's generators by every element of G.
 """
@@ -24,6 +28,7 @@ from blockposets.perms import (
     PermGroup,
     Permutation,
     _power,
+    all_subgroups,
     symmetric_group,
     sylow_p,
 )
@@ -35,6 +40,7 @@ from oracles import (
     every_conjugate,
     up_masks,
 )
+from test_subpairs import order_24_group
 
 # -- plain image-tuple arithmetic -----------------------------------------
 
@@ -111,11 +117,8 @@ class TestPermutationKernel:
 
 def pair_poset_all_pairs(ctx, family):
     """(pairs, normal edges, up masks, action) from every ordered pair."""
-    subgroups = {}
-    for Q in family:
-        subgroups.setdefault(Q.element_set, Q)
     pairs = []
-    for Q in sorted(subgroups.values(), key=PermGroup.key):
+    for Q in family:
         pairs.extend(ctx.pairs_at(Q))
     pairs.sort(key=BrauerPair.key)
     edges = []
@@ -142,15 +145,22 @@ def all_conjugates(group):
     return every_conjugate(group.G, group.classes)
 
 
+def defect_subgroups(ctx):
+    """F's family: every subgroup of the defect representative."""
+    return all_subgroups(ctx.defect_data().representative)
+
+
 def block_contexts(entries):
-    for name, spec, p in entries:
-        group = GroupContext(build_group(spec), field_context(p, 1))
+    for name, G, F in entries:
+        group = GroupContext(G, F)
         for b in group.blocks:
             yield f"{name}/{b.index}", group, BlockContext(group, b)
 
 
-SMALL = [(e.name, e.spec, e.p) for e in CORPUS if not e.slow]
-S6_P2 = [("S6_p2", PRESETS["S6"], 2)]
+SMALL = [(e.name, build_group(e.spec), field_context(e.p, e.d))
+         for e in CORPUS if not e.slow]
+S6_P2 = [("S6_p2", build_group(PRESETS["S6"]), field_context(2, 1))]
+G24_GF4 = [("G24_GF4", order_24_group(), field_context(2, 2))]
 
 
 def assert_same_as_all_pairs(name, ctx, family):
@@ -158,7 +168,11 @@ def assert_same_as_all_pairs(name, ctx, family):
     plain = ctx.normal_containment
 
     def recording(lo, hi):
-        calls.append((lo.subgroup.element_set, hi.subgroup.element_set))
+        # only strictly contained subgroups are tested, checked at the call
+        # so that a wrong candidate fails here rather than in the subpair
+        # assertion it would trip next
+        assert lo.subgroup.element_set < hi.subgroup.element_set, name
+        calls.append((lo, hi))
         return plain(lo, hi)
 
     ctx.normal_containment = recording
@@ -169,18 +183,21 @@ def assert_same_as_all_pairs(name, ctx, family):
     pairs, edges, up, action = pair_poset_all_pairs(ctx, family)
     assert [pr.ident() for pr in pp.pairs] == [pr.ident() for pr in pairs], \
         name
+    assert pp.family == sorted(family, key=PermGroup.key), name
+    assert [pp.pairs[i].subgroup for q in pp.at for i in q] == \
+        [pp.family[q] for q, at in enumerate(pp.at) for _ in at], name
+    assert [i for q in pp.at for i in q] == list(range(pp.n)), name
     assert pp.normal_edges == edges, name
     assert up_masks(pp.poset) == up, name
     if action is None:
         assert pp.poset.action == [], name
     else:
         assert [a.tolist() for a in pp.poset.action] == action, name
-    # only strictly contained subgroups were tested, each pair once
-    assert all(q < r for q, r in calls), name
+    # each strictly contained pair was tested once
     strict = sum(1 for lo in pairs for hi in pairs
                  if lo.subgroup.element_set < hi.subgroup.element_set)
     assert len(calls) == strict, name
-    return len(pairs)
+    return pp
 
 
 class TestSubsetPairPoset:
@@ -188,21 +205,49 @@ class TestSubsetPairPoset:
         seen = 0
         for name, _group, ctx in block_contexts(SMALL):
             seen += assert_same_as_all_pairs(
-                name, ctx, elementary_abelian_family(ctx))
+                name, ctx, elementary_abelian_family(ctx)).n
         assert seen > 30
 
     def test_brauer_pairs_family_small_corpus(self):
         seen = 0
         for name, group, ctx in block_contexts(SMALL):
-            seen += assert_same_as_all_pairs(name, ctx, all_conjugates(group))
+            seen += assert_same_as_all_pairs(name, ctx,
+                                             all_conjugates(group)).n
         assert seen > 30
 
     def test_elementary_abelian_family_s6_p2(self):
         seen = []
         for name, _group, ctx in block_contexts(S6_P2):
             seen.append(assert_same_as_all_pairs(
-                name, ctx, elementary_abelian_family(ctx)))
+                name, ctx, elementary_abelian_family(ctx)).n)
         assert len(seen) == 2 and max(seen) == 270
+
+    def test_defect_subgroups_small_corpus_and_s6_p2(self):
+        seen = 0
+        for name, _group, ctx in block_contexts(SMALL + S6_P2):
+            seen += assert_same_as_all_pairs(name, ctx,
+                                             defect_subgroups(ctx)).n
+        assert seen > 30
+
+    def test_order_24_group_over_gf4(self):
+        """Every family on every block of the order-24 group over GF(4);
+        block 0 has two pairs at one subgroup, so a pair's image is chosen
+        among the pairs at the image subgroup."""
+        most = 0
+        for name, group, ctx in block_contexts(G24_GF4):
+            for family in (elementary_abelian_family(ctx),
+                           defect_subgroups(ctx), all_conjugates(group)):
+                pp = assert_same_as_all_pairs(name, ctx, family)
+                most = max([most] + [len(at) for at in pp.at])
+        assert most == 2
+
+    def test_repeated_subgroup_is_refused(self):
+        _name, group, ctx = next(block_contexts(S6_P2))
+        family = all_conjugates(group)
+        copy = PermGroup(family[3].degree, family[3].generators,
+                         family[3].elements)
+        with pytest.raises(ValueError, match="repeated"):
+            ctx.pair_poset(family + [copy])
 
 
 # -- Sylow subgroups through normalizer groups ---------------------------

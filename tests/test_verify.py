@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,26 @@ class TestResourceBoundContainment:
         assert len(calls) == 1
 
 
+class TestTimings:
+    def test_first_geometry_reader_includes_the_build(self, monkeypatch):
+        """--timings: the block's geometry is built inside the time of the
+        first check that reads it."""
+        build = verify.block_geometry
+
+        def slow_build(ctx):
+            time.sleep(0.2)
+            return build(ctx)
+
+        monkeypatch.setattr(verify, "block_geometry", slow_build)
+        group = GroupContext(symmetric_group(4), GF2)
+        (b,) = group.blocks
+        results = run_block_checks(
+            group, b, ["principal-type", "theorem1", "nonclique"])
+        assert [r.status for r in results] == ["pass"] * 3
+        assert results[1].elapsed >= 0.2
+        assert results[1].to_json_dict(include_timing=True)["time_s"] >= 0.2
+
+
 class TestReportDrift:
     """Seed-0 reports of the benchmark workloads, byte for byte.
 
@@ -222,6 +243,21 @@ class TestReportDrift:
         main(argv + ["--out", str(out)])
         assert out.read_bytes() == \
             (Path(__file__).parent / "data" / f"{name}.json").read_bytes()
+
+    def test_order_24_principal_type_witness_matches_recorded(self,
+                                                              tmp_path):
+        """<(1 2 3), (4 5), (6 7), (2 3)(4 6)(5 7)> over GF(4): block 0 fails
+        principal-type (its Brauer image at one class is a sum of 2
+        blocks), and the report names that class by its generators.
+        Recorded under tests/, as it is the one pinned report with a
+        failing check."""
+        out = tmp_path / "report.json"
+        spec = ('{"type":"generators","degree":7,"gens":[[[1,2,3]],[[4,5]],'
+                '[[6,7]],[[2,3],[4,6],[5,7]]]}')
+        assert main(["verify", "--group", spec, "--prime", "2",
+                     "--field-degree", "2", "--out", str(out)]) == 1
+        assert out.read_bytes() == (Path(__file__).parent / "data"
+                                    / "order_24_gf4.json").read_bytes()
 
     def test_s8_p2_nonprincipal_matches_recorded(self, tmp_path):
         """The defect-2 block of S8 (order 40,320), every check: its set-up
