@@ -12,10 +12,15 @@ commuting category has as objects the nonempty pairwise-commuting sets of
 order-p subgroups of P, each a mask of vertices, with its product found
 among the elementary abelian subgroups of F's family by the commuting
 poset's clique walk (`commuting.product_walk`).  Its morphisms are the
-fusion maps of the products that send members to members, read off F once
-per object; closure under composition is certified on F itself.  Every
-endomorphism is required to be invertible (checked, not assumed), which
-makes the hom-nonempty relation on isomorphism classes a partial order.
+fusion maps of the products that send members to members.  F's maps are
+held once per product, and an object's row (its maps, each with the object
+it sends the members to) is built on demand: the category walks each row
+once, for its identity, EI and isomorphism tests, and closure under
+composition is certified on F itself.  Every endomorphism is required to
+be invertible (checked, not assumed), which makes the hom-nonempty
+relation on isomorphism classes a partial order; with closure, that
+relation depends only on the classes, so the iso-class poset reads one row
+per class.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from operator import and_
 from .commuting import product_walk
 from .errors import TheoryViolation
 from .perms import all_subgroups
-from .topology import Poset, iter_bits
+from .topology import iter_bits, quotient_poset
 
 
 def max_brauer_pair(ctx):
@@ -139,16 +144,23 @@ class CommutingCategory:
     vertices, with its product P_i a member; products[i] is P_i's position
     key.  vertex_at maps the position of each nonidentity element of a
     vertex to the vertex, and object_of an object's mask to its index.
-    Read off F once per object i: maps_out[i] holds the maps (image, g) of
-    F out of P_i in key order, each with the object t = psi(kappa_i)
-    (asserted to be one), and keys_out[i] their keys.  The morphisms i -> j
-    are the psi with psi(kappa_i) <= kappa_j.  Identities and EI are checked
-    on these lists.  Closure is certified on F: for every product A, map phi
-    out of A, product B holding phi(A) and map psi out of B, psi o phi is a
-    map out of A.  That is enough: a morphism i -> j sends kappa_i into
-    kappa_j, hence P_i into P_j, so a composite i -> j -> k is such a
-    psi o phi, in F by the certificate; it sends kappa_i into kappa_k, so it
-    is a morphism i -> k.
+    F's maps are held per product only: the maps (image, g) out of it in
+    key order, and the set of their keys.  row(i) yields the maps out of
+    P_i, each with the object t = psi(kappa_i) (asserted to be one), and is
+    computed on each call.  The morphisms i -> j are the psi with
+    psi(kappa_i) <= kappa_j.
+
+    The constructor walks every row once.  The identity, image-is-an-object
+    and EI tests run there, and so does the isomorphism test: psi is an
+    isomorphism i -> t when its inverse is a map out of P_t, as psi sends
+    kappa_i onto kappa_t.  Isomorphic objects are joined by union-find, i
+    ascending and its targets t > i ascending; iso_root[i] is the root of
+    i's class.  Closure is certified on F: for every product A, map phi out
+    of A, product B holding phi(A) and map psi out of B, psi o phi is a map
+    out of A.  That is enough: a morphism i -> j sends kappa_i into kappa_j,
+    hence P_i into P_j, so a composite i -> j -> k is such a psi o phi, in F
+    by the certificate; it sends kappa_i into kappa_k, so it is a morphism
+    i -> k.
     """
 
     def __init__(self, fusion):
@@ -160,9 +172,10 @@ class CommutingCategory:
         self._names = [Q.generators[0].cycle_string() for Q in self.vertices]
         self.vertex_at = {index.pos[x]: v for v, V in enumerate(self.vertices)
                           for x in V.elements[1:]}
-        member = [index.pos[V.generators[0]] for V in self.vertices]
+        self._member = [index.pos[V.generators[0]] for V in self.vertices]
         self.objects, self.products = objects, products = [], []
-        maps, keys = {}, {}          # product key -> maps out, their keys
+        self._maps = maps = {}       # product key -> maps out, in key order
+        keys = {}                    # product key -> their keys
         for _kappa, kmask, f in cliques:
             objects.append(kmask)
             a = index.key(family[f])
@@ -171,29 +184,46 @@ class CommutingCategory:
                 out = maps[a] = fusion.hom(family[f], fusion.P)
                 keys[a] = {tuple(image.values()) for image, _g in out}
         self.object_of = {obj: i for i, obj in enumerate(objects)}
-        self.maps_out, self.keys_out = [], []
-        for i, (obj, a) in enumerate(zip(objects, products)):
-            own = keys[a]
-            if a not in own:
+        parent = list(range(len(objects)))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, a in enumerate(products):
+            if a not in keys[a]:
                 raise TheoryViolation("identity morphism missing",
                                       witness=self.object_label(i))
-            points = [member[v] for v in iter_bits(obj)]
-            row = []
-            for psi in maps[a]:
-                image = psi[0]
-                t = self.object_at(map(image.__getitem__, points))
-                if t is None:
-                    raise TheoryViolation("image of an object is not an object",
-                                          witness=(self.object_label(i),
-                                                   tuple(image.values())))
-                if t == i and _inverse_key(image, a) not in own:
+            isos = set()
+            for (image, _g), t in self.row(i):
+                if t < i:
+                    continue
+                back = {w: z for z, w in image.items()}
+                if tuple(map(back.get, products[t])) in keys[products[t]]:
+                    isos.add(t)
+                elif t == i:
                     raise TheoryViolation(
                         "endomorphism is not invertible (EI failure)",
                         witness=(self.object_label(i), tuple(image.values())))
-                row.append((psi, t))
-            self.maps_out.append(row)
-            self.keys_out.append(own)
+            for t in sorted(isos):      # t == i joins nothing
+                parent[find(i)] = find(t)
+        self.iso_root = [find(i) for i in range(len(objects))]
         self._certify_closure(maps, keys)
+
+    def row(self, i):
+        """(psi, t) for each map psi out of P_i, in key order, with t the
+        object psi(kappa_i); TheoryViolation when that image is no object."""
+        points = [self._member[v] for v in iter_bits(self.objects[i])]
+        for psi in self._maps[self.products[i]]:
+            image = psi[0]
+            t = self.object_at(map(image.__getitem__, points))
+            if t is None:
+                raise TheoryViolation("image of an object is not an object",
+                                      witness=(self.object_label(i),
+                                               tuple(image.values())))
+            yield psi, t
 
     def object_at(self, points):
         """The object whose members hold the given positions, one position
@@ -227,56 +257,43 @@ class CommutingCategory:
                                 witness=(tuple(mid), tuple(psi.values())))
 
 
-def _inverse_key(image, codomain):
-    """Key of a map's inverse as a map out of the position key codomain:
-    None where the map does not reach, so no key of F matches it then."""
-    back = {w: z for z, w in image.items()}
-    return tuple(map(back.get, codomain))
-
-
 class IsoClassPoset:
     """Isomorphism classes of objects, ordered by hom-nonemptiness.
 
-    i ~ j when a map out of P_i sends kappa_i onto kappa_j with its inverse
-    a map out of P_j.  hom(i, j) is nonempty when kappa_j holds an image
-    kappa_t: those j are the AND of "objects holding v" over v in kappa_t.
+    The classes are numbered in the order of their union-find roots
+    (CommutingCategory.iso_root), each listing its objects in order.  Once
+    closure is certified, hom(i, j) is nonempty iff hom(i', j') is, for
+    i' ~ i and j' ~ j: an isomorphism phi: i' -> i and a morphism psi: i -> j
+    compose to psi o phi: i' -> j, and likewise at the codomain.  So the
+    order is read at the least object of each class (quotient_poset), and
+    only those objects are codomains: hom(i, j) is nonempty when kappa_j
+    holds an image kappa_t, and the classes whose least object holds
+    kappa_t are the AND of "classes whose least object holds v" over v in
+    kappa_t.
     """
 
     def __init__(self, category):
-        objects, maps_out = category.objects, category.maps_out
-        n = len(objects)
-        parent = list(range(n))
+        objects, roots = category.objects, category.iso_root
+        number = {r: c for c, r in enumerate(sorted(set(roots)))}
+        self.class_of = [number[r] for r in roots]
+        self.classes = [[] for _ in number]
+        for i, c in enumerate(self.class_of):
+            self.classes[c].append(i)
+        holding = [0] * len(category.vertices)  # classes, by least object
+        for c, members in enumerate(self.classes):
+            for v in iter_bits(objects[members[0]]):
+                holding[v] |= 1 << c
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, row in enumerate(maps_out):
-            isos = {t for (image, _g), t in row if t > i and _inverse_key(
-                image, category.products[t]) in category.keys_out[t]}
-            for j in sorted(isos):
-                parent[find(i)] = find(j)
-        roots = sorted({find(i) for i in range(n)})
-        self.class_of = [roots.index(find(i)) for i in range(n)]
-        self.classes = [[i for i in range(n) if self.class_of[i] == c]
-                        for c in range(len(roots))]
-        holding = [0] * len(category.vertices)   # objects holding v, a mask
-        for j, obj in enumerate(objects):
-            for v in iter_bits(obj):
-                holding[v] |= 1 << j
-        up = [1 << c for c in range(len(roots))]
-        for i, row in enumerate(maps_out):
+        def above(i):
             reach = 0
-            for t in {t for _psi, t in row}:
+            for t in {t for _psi, t in category.row(i)}:
                 reach |= reduce(and_, map(holding.__getitem__,
                                           iter_bits(objects[t])))
-            for j in iter_bits(reach):
-                up[self.class_of[i]] |= 1 << self.class_of[j]
-        labels = [f"[{category.object_label(members[0])}] x{len(members)}"
-                  for members in self.classes]
-        self.poset = Poset(labels, up)  # raises on antisymmetry failure
+            return reach
+
+        # raises on antisymmetry failure
+        self.poset = quotient_poset(self.classes, above,
+                                    category.object_label)
 
     @property
     def n(self):

@@ -264,24 +264,37 @@ class Poset:
         return "\n".join(lines) + "\n"
 
 
+def quotient_poset(classes, above, label):
+    """The poset of classes of elements, [x] <= [y] iff some members
+    compare, read at one member per class.
+
+    classes lists the members of each class; above(x) is the mask of the
+    classes met by the elements above x, and label(x) names x.  Only the
+    first member of each class is read, which is sound when every member
+    meets the same classes above it.  Reflexivity and transitivity of the
+    class relation are then inherited; antisymmetry is asserted by the
+    Poset constructor and failure raises with a witness.
+    """
+    return Poset([f"[{label(c[0])}] x{len(c)}" for c in classes],
+                 [above(c[0]) for c in classes])
+
+
 def orbit_poset(X):
     """The quotient poset of orbits; [x] <= [y] iff some representatives compare.
 
     Returns (poset, orbit_of), read off X's orbit walk.  The group acts by
     order-automorphisms, so x^h <= y iff x <= y^(h^-1): the orbits above
     [x] are those met by the up-set of any one member, and one row per
-    orbit is read.  Reflexivity and transitivity of the orbit relation are
-    automatic; antisymmetry is asserted by the Poset constructor and failure
-    raises with a witness.
+    orbit is read (quotient_poset).
     """
-    orbits = X.orbits()
     orbit_of = X.orbit_walk.orbit_of
     members, offsets = X.members, X.offsets
-    up = [sum({1 << orbit_of[j]
-               for j in members[offsets[orb[0]]:offsets[orb[0] + 1]]})
-          for orb in orbits]
-    labels = [f"[{X.labels[orb[0]]}] x{len(orb)}" for orb in orbits]
-    return Poset(labels, up), orbit_of
+
+    def above(x):
+        return sum({1 << orbit_of[j]
+                    for j in members[offsets[x]:offsets[x + 1]]})
+
+    return quotient_poset(X.orbits(), above, X.labels.__getitem__), orbit_of
 
 
 # ---------------------------------------------------------------------------

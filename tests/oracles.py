@@ -610,7 +610,7 @@ def key_of(pos, elements):
 def category_hom(cat, i, j):
     """The morphisms i -> j of a commuting category, in key order: the maps
     out of P_i whose image object lies in object j."""
-    return [psi for psi, t in cat.maps_out[i]
+    return [psi for psi, t in cat.row(i)
             if cat.objects[t] & ~cat.objects[j] == 0]
 
 

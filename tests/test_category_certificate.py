@@ -1,17 +1,22 @@
-"""Differential tests of the commuting category read off F once per object.
+"""Differential tests of the commuting category walked once per object.
 
-The oracles below are the code it replaced:
+The category holds F's maps per product and builds an object's row (its
+maps, each with the object it sends kappa to) on demand; its constructor
+walks every row once for the identity, object, EI and isomorphism tests,
+and the iso-class poset reads one more row per class, at its least
+object.  The oracles below are the code this replaced:
 
 * every hom set filtered per pair (i, j) from the maps P_i -> P_j of F;
 * identities and EI on those hom sets, and closure under composition
   checked by composing every composable pair over every triple of objects;
-* the isomorphism classes and their order found by scanning every hom set.
+* the isomorphism classes and their order found by scanning every hom set
+  of every object.
 
 Hom sets, classes and order must agree on every non-slow corpus block and on
-both S6 p=2 blocks, and the closure certificate on F must raise exactly when
-the all-triples loop does when one map is deleted from F.  The oracles hold
-maps as F does, as dicts on G's element positions, and objects as masks of
-vertex ids.
+both S6 p=2 blocks, each row must be built as often as stated above, and the
+closure certificate on F must raise exactly when the all-triples loop does
+when one map is deleted from F.  The oracles hold maps as F does, as dicts
+on G's element positions, and objects as masks of vertex ids.
 """
 
 import copy
@@ -228,6 +233,29 @@ class TestAgainstPairwiseCategory:
             assert up_masks(icp.poset) == up, name
             classes_seen += icp.n
         assert classes_seen > 50
+
+
+def test_rows_read_once_per_object_then_once_per_class(systems, monkeypatch):
+    """The category builds each object's row once, in order; the iso-class
+    poset builds one more, at the least object of each class."""
+    calls = []
+    row = CommutingCategory.row
+
+    def spy(self, i):
+        calls.append(i)
+        return row(self, i)
+
+    monkeypatch.setattr(CommutingCategory, "row", spy)
+    rows = 0
+    for name, fs, _old in systems:
+        calls.clear()
+        cat = CommutingCategory(fs)
+        assert calls == list(range(len(cat.objects))), name
+        calls.clear()
+        icp = IsoClassPoset(cat)
+        assert calls == [members[0] for members in icp.classes], name
+        rows += len(calls)
+    assert rows > 50
 
 
 def test_family_short_one_elementary_abelian_subgroup_is_caught(
