@@ -154,7 +154,9 @@ class CommutingCategory:
     and EI tests run there, and so does the isomorphism test: psi is an
     isomorphism i -> t when its inverse is a map out of P_t, as psi sends
     kappa_i onto kappa_t.  Isomorphic objects are joined by union-find, i
-    ascending and its targets t > i ascending; iso_root[i] is the root of
+    ascending and its targets t > i ascending; a target already known
+    isomorphic to i (found earlier in its row, or joined to i before it)
+    joins nothing new, and is not tested again.  iso_root[i] is the root of
     i's class.  Closure is certified on F: for every product A, map phi out
     of A, product B holding phi(A) and map psi out of B, psi o phi is a map
     out of A.  That is enough: a morphism i -> j sends kappa_i into kappa_j,
@@ -197,8 +199,9 @@ class CommutingCategory:
                 raise TheoryViolation("identity morphism missing",
                                       witness=self.object_label(i))
             isos = set()
+            root = find(i)
             for (image, _g), t in self.row(i):
-                if t < i:
+                if t < i or t > i and (t in isos or find(t) == root):
                     continue
                 back = {w: z for z, w in image.items()}
                 if tuple(map(back.get, products[t])) in keys[products[t]]:

@@ -47,7 +47,9 @@ Smith form is done.  The reduction is a sparse elimination over Python ints
 column to another.  One clearing step reduces a pivot's column and row by
 floor quotients; unit pivots are swept first, and on what remains the
 pivot, chosen by least absolute value and least fill, moves to the least
-remainder until its row and column are clear (Euclid's algorithm).
+remainder until its row and column are clear (Euclid's algorithm).  The
+homology check reads the commuting poset's homology off its Stong core
+(`cores.stong_core`), which has the same homology and is often far smaller.
 """
 
 from __future__ import annotations

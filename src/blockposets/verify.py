@@ -7,7 +7,8 @@ format of the command line interface.  The suites:
                    pair poset and the commuting poset are inverse equivariant
                    order maps with one-sided comparison round trips.
 * homology:        integral homology of the two order complexes agrees in
-                   every degree; Euler characteristics compared regardless.
+                   every degree, K's computed on its Stong core; Euler
+                   characteristics compared regardless.
 * nonclique:       clique-complex obstruction search; principal blocks must
                    come back clean.
 * principal-type:  every Brauer image is zero or a single block.
@@ -39,6 +40,7 @@ from .commuting import (
     iter_cliques,
     product_walk,
 )
+from .cores import stong_core
 from .errors import SizeLimitExceeded, TheoryViolation
 from .fusion import CommutingCategory, FusionSystem, IsoClassPoset
 from .topology import (
@@ -120,8 +122,14 @@ def check_homology(ctx, geom, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
     """Homology of the two order complexes agrees degree by degree.
 
     Face counts and Euler characteristics come from the chain count, so the
-    size bound is checked before any complex is built; the complexes are
-    built only within the bound, and their face counts must match the count.
+    size bound is checked before any complex is built.  Within the bound
+    each full complex is built, checked closed, and its face counts must
+    match the count.  A's homology is then read off its full complex and
+    K's off the order complex of its Stong core, which has the same
+    homology (cores.stong_core).  K is where the chains are (S8 at p=3:
+    41,216 in K, 2,016 in A, 896 in K's core), and with A's side computed
+    without a core, a faulty core shows as a mismatch.  Above the bound
+    no core is computed.
     """
     counts_a, counts_k = chain_counts(geom.aposet), chain_counts(geom.kposet)
     target = _target(ctx.G, ctx.F, ctx.block)
@@ -138,11 +146,11 @@ def check_homology(ctx, geom, max_simplices=HOMOLOGY_SIMPLEX_BOUND):
         details["reason"] = "complex exceeds homology bound; Euler check only"
         return CheckResult("homology", target, "skipped", details=details)
     ca = order_complex(geom.aposet)
-    ck = order_complex(geom.kposet)
-    if ca.face_counts() != counts_a or ck.face_counts() != counts_k:
+    if ca.face_counts() != counts_a \
+            or order_complex(geom.kposet).face_counts() != counts_k:
         return CheckResult("homology", target, "fail", details=details,
                            witnesses=["face counts disagree with the chain count"])
-    ha, hk = homology(ca), homology(ck)
+    ha, hk = homology(ca), homology(order_complex(stong_core(geom.kposet)))
     details["homology"] = [repr(ha), repr(hk)]
     status = "pass" if ha == hk else "fail"
     return CheckResult("homology", target, status, details=details,

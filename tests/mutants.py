@@ -51,4 +51,41 @@ MUTANTS = [
         "for t in {t for _psi, t in category.row(i) if (i, t) != (28, 70)}:",
         ["tests/test_category_certificate.py::TestAgainstPairwiseCategory"
          "::test_iso_class_poset_matches_scan"]),
+    Mutant(
+        "least-element test dropped from the beat-point sweep",
+        "cores.py",
+        "any(len(up[y]) == len(u) - 1 for y in u)",
+        "u",
+        ["tests/test_stong_core.py::TestCertificate",
+         "tests/test_acceptance.py::test_criterion_5_homology_agreement"]),
+    Mutant(
+        "Smith pivot recorded with a nonzero remainder in its row or column",
+        "topology.py",
+        "_, i0, j0 = min(rest)\n                continue",
+        "p = row[i0][j0]\n                break",
+        ["tests/test_topology.py::TestSmithNormalForm::test_diag_2_3",
+         "tests/test_class_coords.py::TestSmithNormalForm"]),
+    Mutant(
+        "Smith divisibility step skipped",
+        "topology.py",
+        "if offender is None:",
+        "if True:",
+        ["tests/test_topology.py::TestSmithNormalForm::test_diag_2_3",
+         "tests/test_class_coords.py::TestSmithNormalForm"]),
+    Mutant(
+        "row-size test dropped from principal-clique",
+        "verify.py",
+        "if len(row) == above.bit_count() \\\n"
+        "                and all(kmasks[u] & mask == mask for u in row):",
+        "if all(kmasks[u] & mask == mask for u in row):",
+        ["tests/test_principal_clique.py::test_covering_relation_dropped"]),
+    Mutant(
+        "carried site's key not checked against the child's",
+        "brauer.py",
+        "if key_of(site.subgroup) != child:",
+        "if False:",
+        ["tests/test_group_context.py::TestSitesOnTheOrbitTree"
+         "::test_wrong_recorded_generator_is_caught",
+         "tests/test_group_context.py::TestSitesOnTheOrbitTree"
+         "::test_wrong_parent_link_is_caught"]),
 ]

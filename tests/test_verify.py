@@ -270,6 +270,19 @@ class TestReportDrift:
         assert out.read_bytes() == (Path(__file__).parent / "data"
                                     / "s8_p2_nonprincipal.json").read_bytes()
 
+    def test_c2cubed_p2_all_blocks_match_recorded(self, tmp_path):
+        """C2^3 = <(1 2), (3 4), (5 6)> at p=2, every check on its one
+        block: its K has 127 elements and 94,585 chains, just within the
+        homology bound, and a maximum, so its Stong core is a point.
+        Recorded under tests/, as no benchmark workload runs it."""
+        out = tmp_path / "report.json"
+        spec = ('{"type":"generators","degree":6,'
+                '"gens":[[[1,2]],[[3,4]],[[5,6]]]}')
+        assert main(["verify", "--group", spec, "--prime", "2",
+                     "--block", "all", "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data"
+                                    / "c2cubed_p2_all.json").read_bytes()
+
     def test_s7_p2_principal_matches_recorded(self, tmp_path):
         """The principal 2-block of S7, every default check: 19 classes of
         2-subgroups with 3,417 members in all, and a commuting poset of
