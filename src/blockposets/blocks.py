@@ -13,8 +13,8 @@ central element, filters idempotents, and picks out the primitive ones; the
 two routes are required to agree on everything the oracle can reach.
 
 Sparse group-algebra elements are keyed directly by Permutation objects, so
-an element computed inside a centralizer algebra can be multiplied, conjugated
-or truncated in the ambient group without any re-indexing.
+an element computed inside a centralizer algebra can be conjugated or
+truncated in the ambient group without any re-indexing.
 """
 
 from __future__ import annotations
@@ -65,17 +65,6 @@ class GroupAlgebraElement:
             out[x] = F.add(out.get(x, F.zero), c)
         return GroupAlgebraElement(self.group, F, out)
 
-    def __mul__(self, other):
-        F = self.field
-        out = {}
-        zero = F.zero
-        for x, cx in self.support.items():
-            for y, cy in other.support.items():
-                z = x * y
-                prev = out.get(z, zero)
-                out[z] = F.add(prev, F.mul(cx, cy))
-        return GroupAlgebraElement(self.group, F, out)
-
     def conjugates_to(self, g, ginv, other):
         """self ** g == other, decided term by term without building self ** g;
         ginv is g's inverse, which the caller holds.
@@ -89,9 +78,6 @@ class GroupAlgebraElement:
         get = target.get
         return all(get(x.conjugate(g, ginv)) == c
                    for x, c in self.support.items())
-
-    def is_fixed_by(self, gens):
-        return all(self.conjugates_to(g, g.inverse(), self) for g in gens)
 
     def truncate(self, members):
         """Keep only the support at members, an iterable of distinct

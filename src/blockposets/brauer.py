@@ -7,62 +7,62 @@ when e appears in that sum.
 
 Containment of pairs is generated by one-step normal containment:
 (Q, e) is normal in (R, f) iff Q is normal in R, e is R-stable, and the
-truncation of e to C_G(R) multiplies f to itself.  The full order is the
-transitive closure along subnormal chains; existence and uniqueness of the
-pair below a given one at each subgroup is asserted on the computed data
-rather than assumed, over every subnormal chain at once.  The fusion system
-reads its subpairs off this order (fusion.FusionSystem).
+truncation of e to C_G(R), then central in kC_G(R), multiplies f to itself.
+The order is its transitive closure; that below each pair lies exactly one
+pair at each subgroup is asserted, not assumed.  G acts on the pairs by
+conjugation (Alperin and Broue, Ann. Math. 110, 1979), so over a family
+closed under conjugation the order is decided below one pair per G-orbit.
 
-The work splits the way the definitions do.  C_G(Q), the blocks of kC_G(Q)
-and the G-orbit of Q depend only on G and Q: a GroupContext holds them once
-per (G, F), together with the blocks of kG and the p-subgroup classes, and
-is shared by every block of a run.  The block b only chooses which blocks of
-kC_G(Q) are pairs: a BlockContext holds b's choice at each class
-representative, the Brauer images and the pairs, and reaches every other
-subgroup of the class by conjugation.
-
-Sites are conjugated once per orbit step.  The orbit of a class is a BFS
-tree along G's generators, and a site is carried from parent to child
-through one generator's conjugation table.  A block e of kC_G(Q) is a sum
-of C_G(Q)-class sums, so e^(cg) = e^g for c in C_G(Q): whatever
-conjugating by g does to Q and its blocks depends only on the coset
-C_G(Q) g, which lets eta and the fusion maps scan one g per coset and
-normal containment test stability only under generators outside C_G(Q).
-This is asserted at each representative site (every block fixed by the
-generators of the centralizer) and inherited by its conjugates.
+C_G(Q), the blocks of kC_G(Q) and the G-orbit of Q depend only on G and Q:
+a GroupContext holds them once per (G, F), shared by every block of a run;
+a BlockContext decides b's pairs at each class representative.  A block e
+of kC_G(Q) is a sum of C_G(Q)-class sums, so e^(cg) = e^g for c in C_G(Q):
+eta and the fusion maps scan one g per coset C_G(Q) g, and normal
+containment tests stability only under generators outside C_G(Q).
 """
 
 from __future__ import annotations
 
 from .blocks import GroupAlgebraElement, blocks, class_sum_algebra
 from .errors import TheoryViolation
-from .perms import PermGroup, centralizer, p_subgroups_up_to_conjugacy
-from .topology import Poset
+from .perms import (PermGroup, centralizer, orbit_walk,
+                    p_subgroups_up_to_conjugacy)
+from .topology import Labels, Poset
 
 
 class BrauerPair:
-    """(Q, e): a p-subgroup with a block e of kC_G(Q)."""
+    """(Q, e): a p-subgroup with a block e of kC_G(Q), the slot-th block of
+    Q's site when a BlockContext built it.  Given reach = (group, i, size)
+    instead of e, with Q of class i in the GroupContext group and size e's
+    terms, it reads e off Q's site, carried to Q, on request."""
 
-    __slots__ = ("subgroup", "idempotent", "centralizer", "_key")
+    __slots__ = ("subgroup", "slot", "_idempotent", "_reach")
 
-    def __init__(self, subgroup, idempotent, centralizer_group):
+    def __init__(self, subgroup, idempotent, slot=None, reach=None):
         self.subgroup = subgroup
-        self.idempotent = idempotent
-        self.centralizer = centralizer_group
-        self._key = None
+        self.slot = slot
+        self._idempotent = idempotent
+        self._reach = reach
+
+    @property
+    def idempotent(self):
+        if self._idempotent is None:
+            group, i, _size = self._reach
+            key = group.G.element_index().key(self.subgroup)
+            self._idempotent = group._site_at(i, key).blocks[self.slot]
+        return self._idempotent
 
     def key(self):
-        if self._key is None:
-            self._key = (self.subgroup.key(), self.idempotent.key())
-        return self._key
+        return (self.subgroup.key(), self.idempotent.key())
 
     def ident(self):
         """Hashable identity (subgroup elements, idempotent support)."""
         return (self.subgroup.element_set, self.idempotent.key())
 
     def label(self):
-        return (f"({self.subgroup.generators_string()}, "
-                f"e[{len(self.idempotent.support)}])")
+        size = (self._reach[2] if self._idempotent is None
+                else len(self._idempotent.support))
+        return f"({self.subgroup.generators_string()}, e[{size}])"
 
     def __eq__(self, other):
         return isinstance(other, BrauerPair) and self.ident() == other.ident()
@@ -75,20 +75,45 @@ class BrauerPair:
 
 
 class _Site:
-    """What G says about one p-subgroup Q: C_G(Q) and the blocks of kC_G(Q).
+    """What G says about a p-subgroup Q of class index: C_G(Q), its
+    elements class by class (members[offsets[k]:offsets[k + 1]]) and the
+    blocks of kC_G(Q), in the orders and offsets of the class
+    representative's.  C_G(Q) as a group is built on first request."""
 
-    index is Q's class; every site of a class lists its blocks in the order
-    of the representative's, so a slot means the same block up to
-    conjugation anywhere in the class.
-    """
+    __slots__ = ("subgroup", "generators", "members", "blocks", "index",
+                 "_centralizer")
 
-    __slots__ = ("subgroup", "centralizer", "blocks", "index")
-
-    def __init__(self, subgroup, centralizer_group, block_elements, index):
+    def __init__(self, subgroup, generators, members, blocks, index,
+                 centralizer=None):
         self.subgroup = subgroup
-        self.centralizer = centralizer_group
-        self.blocks = block_elements
+        self.generators = generators    # of C_G(Q)
+        self.members = members
+        self.blocks = blocks
         self.index = index
+        self._centralizer = centralizer
+
+    @property
+    def centralizer(self):
+        if self._centralizer is None:
+            self._centralizer = PermGroup(
+                self.subgroup.degree, self.generators, self.members,
+                f"C({self.subgroup.label})")
+        return self._centralizer
+
+
+def _class_vector(e, members, offsets):
+    """e truncated to C_G(Q) as a class vector in Z(kC_G(Q)), for a site's
+    members and offsets: e's value at the first member of each class, or
+    None when e is not constant on some class."""
+    get, zero = e.support.get, e.field.zero
+    out = []
+    for k in range(len(offsets) - 1):
+        c = get(members[offsets[k]], zero)
+        if any(get(x, zero) != c
+               for x in members[offsets[k] + 1:offsets[k + 1]]):
+            return None
+        out.append(c)
+    return out
 
 
 class DefectData:
@@ -112,12 +137,9 @@ class DefectData:
 
 
 class BrauerPairPoset:
-    """All pairs over a family of subgroups, with the containment order.
-
-    family is the subgroups sorted by PermGroup.key, and at[q] the range of
-    the indices of the pairs at family[q]: the pairs at one subgroup are
-    consecutive, in BrauerPair.key order.
-    """
+    """All pairs over a family of subgroups, with the containment order:
+    family sorted by PermGroup.key, and at[q] the range of the indices of
+    the pairs at family[q], in BrauerPair.key order."""
 
     def __init__(self, pairs, normal_edges, poset, family, at):
         self.pairs = pairs
@@ -134,31 +156,17 @@ class BrauerPairPoset:
 class GroupContext:
     """Everything about (G, F) that does not depend on the block.
 
-    Built once and shared by every block of a run:
-
     * the class-sum algebra of G and the blocks of kG;
-    * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit:
-      a Schreier vector mapping the position key of each conjugate Q (the
-      increasing tuple of its elements' positions in G) to the generator
-      that reached it, with a link to its parent's key.  Q is located by
-      probing the orbit of each class of its order with Q's own key;
-    * per class representative R, on first request: C_G(R), the class-sum
-      algebra Z(kC_G(R)) and the blocks of kC_G(R) (at the trivial subgroup
-      these are G, the algebra and the blocks of kG).  Every block of
-      kC_G(R) must be fixed by the generators of C_G(R), which is asserted
-      (else TheoryViolation): the coset scans of the fusion maps and of
-      eta, and the stability test of normal containment, rest on
-      e^(cg) = e^g for c in C_G(R).
-    * the site of any other Q in the class, carried down the orbit tree:
-      Q's parent site conjugated by the generator t the orbit recorded at
-      Q, every element and every block's support through t's conjugation
-      table, and the carried subgroup's key checked against Q's (else
-      TheoryViolation).  The Brauer truncations read the carried
-      centralizer as its sorted elements tuple, so its element set is
-      never built.  The tree's generators compose to a g with Q = R^g, so
-      the i-th block at Q is the i-th block at R conjugated by g, and the
-      sites at conjugates inherit the centrality of R's.  Every site
-      reached is memoised under its position key.
+    * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit
+      on the position keys of the conjugates (perms);
+    * per class representative R, on first request, its site: C_G(R), the
+      algebra Z(kC_G(R)) and the blocks of kC_G(R), each of which must be
+      constant on the classes of C_G(R) (else TheoryViolation).
+    * the site of any other Q = R^g in the class, carried down the orbit
+      tree one generator t at a time through t's conjugation table, and
+      memoised under Q's key: the i-th block at Q is the i-th at R
+      conjugated by g.  Q's generators are its parent's carried, and must
+      lie in Q's key (else TheoryViolation), so they generate Q.
     """
 
     def __init__(self, G, F):
@@ -169,7 +177,8 @@ class GroupContext:
         self.blocks = blocks(G, F, algebra=self.algebra)
         self._classes = None
         self._sites = {}
-        self._centers = {}  # class index -> (Z(kC_G(R)), blocks of kC_G(R))
+        # class index -> (Z(kC_G(R)), blocks of kC_G(R), class offsets)
+        self._centers = {}
 
     @property
     def classes(self):
@@ -178,18 +187,9 @@ class GroupContext:
             self._classes = p_subgroups_up_to_conjugacy(self.G, self.p)
         return self._classes
 
-    def _key(self, Q):
-        """Q's position key in G, or None when Q is not a subgroup of G."""
-        try:
-            return self.G.element_index().key(Q)
-        except KeyError:
-            return None
-
     def locate(self, Q):
-        """The index i of the class whose orbit holds Q.
-
-        Raises ValueError when Q is not a p-subgroup of G.
-        """
+        """The index of the class whose orbit holds Q; ValueError when Q
+        is not a p-subgroup of G."""
         key = self._key(Q)
         if key is not None:
             for i, (R, orbit) in enumerate(self.classes):
@@ -198,53 +198,58 @@ class GroupContext:
         raise ValueError(f"not a {self.p}-subgroup of {self.G.label}: "
                          f"{Q.label or Q!r}")
 
+    def _key(self, Q):
+        """Q's position key in G, or None when Q is not a subgroup of G."""
+        try:
+            return self.G.element_index().key(Q)
+        except KeyError:
+            return None
+
+    def _child(self, R, parent, key, t):
+        """The subgroup at key, carried from parent by the t-th generator."""
+        index = self.G.element_index()
+        gens = index.conj_image(t, parent.generators)
+        if not set(key).issuperset(map(index.pos.__getitem__, gens)):
+            raise TheoryViolation(
+                "orbit generator does not carry the parent to the child",
+                witness=(R.generators_string(), t))
+        return PermGroup(R.degree, gens, [index.elements[x] for x in key],
+                         R.label)
+
     def conjugates(self, i):
-        """Every subgroup of class i, in orbit order: the subgroups of their
-        sites, each built down the orbit tree."""
-        return [self._site_at(i, key).subgroup for key in self.classes[i][1]]
+        """Every subgroup of class i, in orbit order, the representative
+        first, each carried down the orbit tree with no site."""
+        R, orbit = self.classes[i]
+        out = {}
+        for key, t in orbit.items():        # parents before children
+            out[key] = R if t < 0 else self._child(
+                R, out[orbit.links[key]], key, t)
+        return list(out.values())
 
     def _site(self, Q):
         key = self._key(Q)
-        site = self._sites.get(key)
-        if site is None:
-            site = self._site_at(self.locate(Q), key)
-        return site
+        return self._sites.get(key) or self._site_at(self.locate(Q), key)
 
     def _site_at(self, i, key):
         """The site at the subgroup of class i whose position key is key."""
         R, orbit = self.classes[i]
-        links = orbit.links
         path = []                       # conjugates, from key upwards
-        while key not in self._sites and key in links:
+        while key not in self._sites and key in orbit.links:
             path.append(key)
-            key = links[key]
+            key = orbit.links[key]
         site = self._sites.get(key)
         if site is None:
             site = self._sites[key] = self._representative_site(i, R)
-        key_of = self.G.element_index().key
-        for child in reversed(path):
-            site = self._carry(site, orbit[child])
-            if key_of(site.subgroup) != child:
-                raise TheoryViolation(
-                    "orbit generator does not carry the parent to the child",
-                    witness=(R.generators_string(), orbit[child]))
-            self._sites[child] = site
-        return site
-
-    def _carry(self, site, t):
-        """The site at Q^t from the site at Q, t the t-th generator of G."""
         image = self.G.element_index().conj_image
-        Q, C = site.subgroup, site.centralizer
-        blocks_t = []
-        for e in site.blocks:
-            terms = e.support
-            blocks_t.append(GroupAlgebraElement(
-                e.group, e.field, dict(zip(image(t, terms), terms.values()))))
-        return _Site(PermGroup(Q.degree, image(t, Q.generators),
-                               image(t, Q.elements), Q.label),
-                     PermGroup(C.degree, image(t, C.generators),
-                               image(t, C.elements), C.label),
-                     blocks_t, site.index)
+        for child in reversed(path):
+            t = orbit[child]
+            site = self._sites[child] = _Site(
+                self._child(R, site.subgroup, child, t),
+                image(t, site.generators), image(t, site.members),
+                [GroupAlgebraElement(e.group, e.field, dict(zip(
+                    image(t, e.support), e.support.values())))
+                 for e in site.blocks], i)
+        return site
 
     def _representative_site(self, i, R):
         if R.order == 1:
@@ -253,10 +258,18 @@ class GroupContext:
             C = centralizer(self.G, R, label=f"C({R.label})")
             A = class_sum_algebra(C, self.F)
             block_list = blocks(C, self.F, algebra=A)
-        self._centers[i] = (A, block_list)
-        site = _Site(R, A.group, [blk.element for blk in block_list], i)
-        _assert_central(site)
-        return site
+        members, offsets = [], [0]
+        for cls in A.classes:
+            members.extend(cls.members)
+            offsets.append(len(members))
+        self._centers[i] = (A, block_list, offsets)
+        for s, blk in enumerate(block_list):
+            if _class_vector(blk.element, members, offsets) is None:
+                raise TheoryViolation(
+                    "block of the centralizer is not fixed by the centralizer",
+                    witness=(R.generators_string(), s))
+        return _Site(R, A.group.generators, members,
+                     [b.element for b in block_list], i, A.group)
 
     def _conjugate_into(self, i, T):
         """Is some G-conjugate of class i's representative contained in T?"""
@@ -267,40 +280,15 @@ class GroupContext:
         return any(inside.issuperset(key) for key in orbit)
 
 
-def _assert_central(site):
-    """Every block at the site is fixed by the generators of C_G(Q).
-
-    Read on the centralizer's own conjugation tables: e is fixed by the
-    t-th generator iff each term x of e has the coefficient of x at the
-    image of x.
-    """
-    C = site.centralizer
-    index = C.element_index()
-    for s, e in enumerate(site.blocks):
-        terms = e.support
-        for t in range(len(C.generators)):
-            if any(terms.get(y) != c for y, c in
-                   zip(index.conj_image(t, terms), terms.values())):
-                raise TheoryViolation(
-                    "block of the centralizer is not fixed by the centralizer",
-                    witness=(site.subgroup.generators_string(), s))
-
-
 class BlockContext:
     """The pairs of one block b, over a GroupContext of its group.
 
-    b's pairs at a class representative R are decided inside
-    A = Z(kC_G(R)).  Br_R(b) is central in kC_G(R), so it is read off as its
-    coefficients at the C_G(R)-class representatives, and expanding those
-    coordinates must give back Br_R(b) exactly (else TheoryViolation).
-    Block i of kC_G(R) is a pair iff e_i * Br_R(b) == e_i as coordinate
-    vectors in A, which costs about dim^2 field operations instead of
-    |supp|^2 permutation products.  Only the resulting slot list is kept.
-
-    Any other Q = R^g reads R's slots against its own site, whose i-th block
-    is the i-th block at R conjugated by g (b is central, so
-    Br_Q(b) = Br_R(b)^g).  The pairs at every subgroup must sum to Br_Q(b),
-    which is asserted.
+    b's pairs at a class representative R are decided in A = Z(kC_G(R)):
+    Br_R(b) must be constant on the classes of C_G(R) (else
+    TheoryViolation), and block i of kC_G(R) is a pair iff
+    e_i * Br_R(b) == e_i as class vectors.  Any other Q = R^g reads R's
+    slots against its own site, whose i-th block is the i-th at R
+    conjugated by g (b is central, so Br_Q(b) = Br_R(b)^g).
     """
 
     def __init__(self, group, block):
@@ -322,28 +310,18 @@ class BlockContext:
         """Q's site, with b's pair slots decided for Q's class."""
         site = self.group._site(Q)
         if site.index not in self._slots:
-            self._slots[site.index] = self._decide_slots(site.index)
+            R = self.group.classes[site.index][0]
+            A, block_list, offsets = self.group._centers[site.index]
+            brc = _class_vector(self.block.element,
+                                self.group._site(R).members, offsets)
+            if brc is None:
+                raise TheoryViolation(
+                    "Brauer image of the block is not central in the "
+                    "centralizer", witness=R.generators_string())
+            self._slots[site.index] = [
+                s for s, blk in enumerate(block_list)
+                if A.mult(list(blk.coords), brc) == list(blk.coords)]
         return site
-
-    def _decide_slots(self, i):
-        """b's pair slots at class i's representative R, decided in
-        A = Z(kC_G(R))."""
-        R = self.group.classes[i][0]
-        A, block_list = self.group._centers[i]
-        br = self.block.element.truncate(A.group.elements)
-        self._brauer[R.element_set] = br
-        zero = self.F.zero
-        brc = [br.support.get(cls.representative, zero) for cls in A.classes]
-        if A.expand(brc) != br:
-            raise TheoryViolation(
-                "Brauer image of the block is not central in the centralizer",
-                witness=R.generators_string())
-        slots = []
-        for s, blk in enumerate(block_list):
-            coords = list(blk.coords)
-            if A.mult(coords, brc) == coords:
-                slots.append(s)
-        return slots
 
     def brauer_image(self, Q):
         """Br_Q(b); the block is central hence fixed by every subgroup."""
@@ -371,7 +349,7 @@ class BlockContext:
             total = GroupAlgebraElement.zero(self.G, self.F)
             for s in self._slots[site.index]:
                 e = site.blocks[s]
-                out.append(BrauerPair(Q, e, site.centralizer))
+                out.append(BrauerPair(Q, e, s))
                 total = total + e
             if total != br:
                 raise TheoryViolation(
@@ -383,52 +361,67 @@ class BlockContext:
     # -- containment ------------------------------------------------------
 
     def normal_containment(self, lo, hi):
-        """One-step containment (Q, e) normal-in (R, f).
+        """One-step containment (Q, e) normal-in (R, f), decided at R's site.
 
-        R-stability of e is tested per generator r of R that moves Q's
-        generators.  One that fixes them centralizes Q, and e, a block of
-        kC_G(Q), is fixed by C_G(Q) (asserted at the representative site).
+        Q <= R and Q normal in R are read off R's own element index.  e must
+        be fixed by each generator r of R that moves Q: e and e^r are
+        constant on the classes of C_G(Q), so they are compared at the first
+        member of each class of Q's site.  Br_R(e) must be constant on the
+        classes of C_G(R) (else TheoryViolation), and Br_R(e) f = f is one
+        product of class vectors in the algebra of R's class.
         """
         Q, R = lo.subgroup, hi.subgroup
-        qset = Q.element_set
-        if not qset <= R.element_set:
-            return False
+        index = R.element_index()
+        at = index.pos
+        gens = [at.get(x) for x in Q.generators]
+        if None in gens:
+            return False                        # Q is not inside R
         moving = []
-        for r in R.generators:
-            rinv = r.inverse()
-            images = tuple([x.conjugate(r, rinv) for x in Q.generators])
-            if any(y not in qset for y in images):
-                return False  # Q not normal in R
-            if images != Q.generators:
+        for r, table in zip(R.generators, index.conj):
+            images = [table[x] for x in gens]
+            if images != gens:
+                if not {at[x] for x in Q.elements}.issuperset(images):
+                    return False                # Q is not normal in R
                 moving.append(r)
         e = lo.idempotent
-        if not e.is_fixed_by(moving):
-            return False
-        br = e.truncate(hi.centralizer.elements)
-        return br * hi.idempotent == hi.idempotent
+        get = e.support.get
+        if moving:
+            site = self.group._site(Q)
+            offsets = self.group._centers[site.index][2]
+            firsts = [site.members[k] for k in offsets[:-1]]
+            for r in moving:
+                rinv = r.inverse()
+                if any(get(x.conjugate(r, rinv)) != get(x) for x in firsts):
+                    return False
+        site = self.group._site(R)
+        A, block_list, offsets = self.group._centers[site.index]
+        br = _class_vector(e, site.members, offsets)
+        if br is None:
+            raise TheoryViolation(
+                "Brauer image of a pair's block is not central in the "
+                "centralizer", witness=(lo.label(), hi.label()))
+        s = hi.slot if hi.slot is not None else site.blocks.index(
+            hi.idempotent)
+        f = list(block_list[s].coords)
+        return A.mult(br, f) == f
 
     def pair_poset(self, family):
         """Pairs over the family with the closure of normal containment.
 
-        Each subgroup is named by its position key in G's ElementIndex, the
-        increasing tuple of its elements' positions; a subgroup repeated in
-        the family raises ValueError.  Only pairs whose subgroups are
-        strictly contained can be related, so normal containment is tested
-        on those alone.  Q <= R iff R holds Q's generators, read off R's
-        key as a set of positions.  Each subgroup is filed under its least
-        non-identity position (the trivial one under the identity's), and
-        only the subgroups filed under an element of R are tested against R.
-
-        The G-action is attached only when the family is closed under
-        conjugation (every conjugated pair must land back in the poset).
-        A pair's image under a generator is read off the generator's
-        conjugation table, for the subgroup's key and the idempotent alike.
-        Below each pair lies exactly one pair at each subgroup of its own in
-        the family, which is asserted (else TheoryViolation).
+        Subgroups are named by their position keys; one repeated raises
+        ValueError.  Q <= R iff R's key holds Q's generators, and only the
+        subgroups filed under an element of R, by their least non-identity
+        position, are candidates below R.  When the generators' conjugation
+        tables map the keys into the family, G acts: each class
+        representative R0 gets its pairs from pairs_at, and any other
+        member with one pair gets R0's slot without its site.  Containment
+        is tested below the first pair of each orbit, a pair at an R0, and
+        carried along the orbit walk; otherwise below every pair.  Below
+        each tested pair lies one pair at each of its subgroups (else
+        TheoryViolation).
         """
         family = sorted(family, key=PermGroup.key)
         gindex = self.G.element_index()
-        pos, root = gindex.pos, gindex.root
         keys = [gindex.key(Q) for Q in family]
         slot = {}                    # position key -> index in family
         filed = {}                   # least non-identity position -> subgroups
@@ -436,71 +429,95 @@ class BlockContext:
             if slot.setdefault(key, q) != q:
                 raise ValueError("subgroup repeated in the family: "
                                  f"{family[q].generators_string()}")
-            filed.setdefault(key[1] if len(key) > 1 else root, []).append(q)
-        # subsets[r]: the family's subgroups of R, sorted, R itself last
-        gens = [[pos[x] for x in Q.generators] for Q in family]
-        subsets = []
-        for key in keys:
-            inside = set(key)
-            subsets.append(sorted(q for x in key for q in filed.get(x, ())
-                                  if inside.issuperset(gens[q])))
+            filed.setdefault(key[1] if len(key) > 1 else gindex.root,
+                             []).append(q)
+        images = []                  # images[t][q]: the index of Q^t
+        for table in gindex.conj:
+            images.append([slot.get(tuple(sorted([table[x] for x in key])))
+                           for key in keys])
+            if None in images[-1]:
+                images = []          # the family is not conjugation closed
+                break
+        class_of, tops = [None] * len(family), {}   # R0's index: its blocks
+        for i, (_R, orbit) in enumerate(self.group.classes if images else ()):
+            top = slot.get(next(iter(orbit)))       # R0's key comes first
+            if top is not None:
+                tops[top] = self.site(family[top]).blocks
+                for key in orbit:
+                    class_of[slot[key]] = (i, top)
         pairs, owner, at = [], [], []
         for q, Q in enumerate(family):
             first = len(pairs)
-            pairs.extend(sorted(self.pairs_at(Q), key=BrauerPair.key))
+            i, top = class_of[q] or (None, q)
+            if top != q and len(self._slots[i]) < 2:
+                pairs.extend(BrauerPair(Q, None, s, (
+                    self.group, i, len(tops[top][s].support)))
+                    for s in self._slots[i])
+            else:
+                pairs.extend(sorted(self.pairs_at(Q), key=BrauerPair.key))
             owner.extend([q] * (len(pairs) - first))
             at.append(range(first, len(pairs)))
-        edges = []
-        for j, hi in enumerate(pairs):
+        action = [self._pair_image(pairs, at, row, t)
+                  for t, row in enumerate(images)]
+        gens = [[gindex.pos[x] for x in Q.generators] for Q in family]
+        subsets = {}   # tested R -> the family's subgroups of R, R last
+        lower = [None] * len(pairs)  # the pairs normal in each pair
+        if action:
+            walk = orbit_walk(action, len(pairs),
+                              [j for top in sorted(tops) for j in at[top]])
+            steps = zip(walk.order, walk.parent, walk.via)
+        else:
+            steps = ((j, -1, -1) for j in range(len(pairs)))
+        for j, parent, t in steps:
+            if parent >= 0:
+                lower[j] = [action[t][i] for i in lower[walk.order[parent]]]
+                continue
             r = owner[j]
-            for q in subsets[r]:
-                if q == r:
-                    continue
-                for i in at[q]:
-                    if self.normal_containment(pairs[i], hi):
-                        edges.append((i, j))
-        edges.sort()
-        labels = [pr.label() for pr in pairs]
+            if r not in subsets:
+                inside = set(keys[r])
+                subsets[r] = sorted(q for x in keys[r]
+                                    for q in filed.get(x, ())
+                                    if inside.issuperset(gens[q]))
+            lower[j] = [i for q in subsets[r] if q != r for i in at[q]
+                        if self.normal_containment(pairs[i], pairs[j])]
+        edges = sorted((i, j) for j, below in enumerate(lower) for i in below)
         # pairs sort by subgroup order first, so every edge (i, j) has
         # i < j, and the up-sets close in one pass from the last pair down
         up = [1 << i for i in range(len(pairs))]
         for i, j in reversed(edges):
             assert i < j
             up[i] |= up[j]
-        action = []
-        for t, table in enumerate(gindex.conj):
-            images = [slot.get(tuple(sorted([table[x] for x in key])))
-                      for key in keys]
-            perm = []
-            for i, pr in enumerate(pairs):
-                image = images[owner[i]]
-                terms = pr.idempotent.support
-                moved = dict(zip(gindex.conj_image(t, terms), terms.values()))
-                target = None if image is None else next(
-                    (k for k in at[image]
-                     if pairs[k].idempotent.support == moved), None)
-                if target is None:
-                    break
-                perm.append(target)
-            if len(perm) < len(pairs):
-                action = []          # the family is not conjugation closed
-                break
-            action.append(perm)
-        poset = Poset(labels, up, action)
-        self._assert_unique_subpairs(pairs, poset, family, subsets, owner, at)
-        return BrauerPairPoset(pairs, edges, poset, family, at)
-
-    def _assert_unique_subpairs(self, pairs, poset, family, subsets, owner,
-                                at):
-        """Below each pair, exactly one pair at each subgroup of its own."""
+        poset = Poset(Labels(len(pairs), lambda i: pairs[i].label()), up,
+                      action)
         for j, hi in enumerate(pairs):
-            for q in subsets[owner[j]]:
+            for q in subsets.get(owner[j], ()):
                 below = [i for i in at[q] if poset.leq(i, j)]
                 if len(below) != 1:
                     raise TheoryViolation(
                         "subpair existence/uniqueness failed",
                         witness=(hi.label(), family[q].generators_string(),
                                  len(below)))
+        return BrauerPairPoset(pairs, edges, poset, family, at)
+
+    def _pair_image(self, pairs, at, row, t):
+        """The t-th generator's permutation of the pairs, row on the family."""
+        image = self.G.element_index().conj_image
+        perm = []
+        for q, pids in enumerate(at):
+            there = at[row[q]]
+            if len(pids) == 1 == len(there):
+                perm.append(there.start)
+                continue
+            for i in pids:
+                terms = pairs[i].idempotent.support
+                moved = dict(zip(image(t, terms), terms.values()))
+                target = next((k for k in there
+                               if pairs[k].idempotent.support == moved), None)
+                if target is None:
+                    raise TheoryViolation("conjugate of a pair is not a pair",
+                                          witness=pairs[i].label())
+                perm.append(target)
+        return perm
 
     # -- defect groups ----------------------------------------------------
 
@@ -536,22 +553,17 @@ class BlockContext:
         return self._defect
 
     def principal_type(self):
-        """(flag, per-class outcomes): every Brauer image zero or one block."""
-        witnesses = []
-        ok = True
-        first_failure = None
+        """(flag, per-class outcomes, first failing class representative):
+        every Brauer image zero or one block."""
+        witnesses, failures = [], []
         for Q, _orbit in self.group.classes:
-            br = self.brauer_image(Q)
-            if not br:
+            hits = self.pairs_at(Q)
+            if not hits:
                 witnesses.append((Q, "zero"))
-                continue
-            hits = [pr.idempotent for pr in self.pairs_at(Q)]
-            if len(hits) == 1 and hits[0] == br:
+            elif len(hits) == 1:
                 witnesses.append((Q, "block"))
             else:
                 witnesses.append((Q, f"sum-of-{len(hits)}"))
-                ok = False
-                if first_failure is None:
-                    first_failure = Q
-        return ok, witnesses, first_failure
+                failures.append(Q)
+        return not failures, witnesses, (failures or [None])[0]
 

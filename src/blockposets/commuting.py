@@ -36,21 +36,21 @@ kappa are consecutive, so an element is found from the index of the first
 element of its kappa and the position of its pair among the pairs at the
 product of kappa.  The up-set of (kappa, e) is "elements at a pair above
 e" ANDed with "elements whose kappa contains v" over v in kappa; each such
-mask is yielded to the poset, which reads it into its row table, so no
-two of these |K|-bit masks exist together.  A generator acts on kappa
-through the image bits of its vertices, read once from G's conjugation
-tables, and the action is held as one array('i') per generator.
+mask is yielded to the poset, which reads it into its row table.  A
+generator acts on kappa through the image bits of its vertices, read once
+from G's conjugation tables, and is held as one array('i').  Both come off
+the clique walk: kappa is its parent clique plus its last vertex v, so its
+image is the parent's OR v's image bit, and its mask the parent's AND v's.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
 from operator import itemgetter
 
 from .errors import SizeLimitExceeded, TheoryViolation
 from .perms import PermGroup
-from .topology import Poset, iter_bits
+from .topology import Labels, Poset, iter_bits
 
 MAX_POSET_ELEMENTS = 100_000
 
@@ -210,27 +210,6 @@ class BlockGeometry:
         return self.apairs.poset
 
 
-class CommutingLabels(Sequence):
-    """The labels of the commuting poset, each formatted when it is read:
-    the generators of kappa's members, sorted, then the pair's label."""
-
-    __slots__ = ("elements", "names", "pair_labels")
-
-    def __init__(self, elements, names, pair_labels):
-        self.elements = elements
-        self.names = names            # vertex id -> its generator's cycles
-        self.pair_labels = pair_labels
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __getitem__(self, i):
-        kmask, pid = self.elements[i]
-        names = self.names
-        return ("{" + ",".join(sorted([names[v] for v in iter_bits(kmask)]))
-                + "}|" + self.pair_labels[pid])
-
-
 def block_geometry(ctx):
     """Build the pair poset, the commuting poset, and the two maps."""
     apairs = elementary_abelian_poset(ctx)
@@ -238,10 +217,15 @@ def block_geometry(ctx):
     # up yields K's masks one at a time; its build tables die with it
     vertices, elements, up, action, expand_map = _commuting_elements(
         ctx, apairs)
-    labels = CommutingLabels(
-        elements, [V.generators[0].cycle_string() for V in vertices],
-        aposet.labels)
-    kposet = Poset(labels, up, action)
+    names = [V.generators[0].cycle_string() for V in vertices]
+
+    def label(i):
+        # the generators of kappa's members, sorted, then the pair's label
+        kmask, pid = elements[i]
+        return ("{" + ",".join(sorted([names[v] for v in iter_bits(kmask)]))
+                + "}|" + aposet.labels[pid])
+
+    kposet = Poset(Labels(len(elements), label), up, action)
     # collapse: (kappa, e) -> (product of kappa, e)
     collapse_map = [pid for _kmask, pid in elements]
     return BlockGeometry(ctx, apairs, vertices, elements, kposet, expand_map,
@@ -282,17 +266,16 @@ def _commuting_elements(ctx, apairs):
     vimage = [[1 << vindex[frozenset(gindex.conj_image(gi, V.elements))]
                for V in vertices]
               for gi in range(len(ctx.G.generators))]
-    # action: kappa's image from its vertices' image bits, the pair's image
-    # from the pair poset's action, which must lie at the product of the
-    # image
+    # action: kappa's image from its parent's, on a stack by clique size,
+    # the pair's from the pair poset's, which must lie at the image's product
     action = [array("i") for _ in vimage]
+    stacks = [[0] * (len(vertices) + 1) for _ in vimage]
     for kmask, first in first_of.items():
-        members = iter_bits(kmask)
+        depth, v = kmask.bit_count(), kmask.bit_length() - 1
         pids = pairs_at[family_of_pair[elements[first][1]]]
-        for bits, pair_image, perm in zip(vimage, aposet.action, action):
-            image = 0
-            for v in members:
-                image |= bits[v]
+        for bits, stack, pair_image, perm in zip(vimage, stacks,
+                                                 aposet.action, action):
+            image = stack[depth] = stack[depth - 1] | bits[v]
             target = first_of[image]
             product = family_of_pair[elements[target][1]]
             for pid in pids:
@@ -315,13 +298,13 @@ def _commuting_elements(ctx, apairs):
     def up():
         # order: subset on kappa, pair containment on the decorations
         above_pair = _above_pair_masks(aposet, elements)
+        stack = [-1] * (len(vertices) + 1)
         for kmask, first in first_of.items():
-            members = iter_bits(kmask)
+            depth = kmask.bit_count()
+            holding = stack[depth] = \
+                stack[depth - 1] & containing[kmask.bit_length() - 1]
             for pid in pairs_at[family_of_pair[elements[first][1]]]:
-                mask = above_pair[pid]
-                for v in members:
-                    mask &= containing[v]
-                yield mask
+                yield above_pair[pid] & holding
 
     return vertices, elements, up(), action, expand_map
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 
 from .errors import SizeLimitExceeded
@@ -489,10 +489,10 @@ def _lcm(a, b):
 
 class OrbitWalk(namedtuple("OrbitWalk", "order parent via orbit_of")):
     """The orbits of a group on 0..n-1 as Schreier vectors: order lists the
-    points as visited, each orbit breadth first from its least point along
+    points as visited, each orbit breadth first from its first point along
     the generators in turn; order[k] is the via[k]-th generator applied to
     order[parent[k]], both -1 at an orbit's first point; orbit_of[x]
-    numbers x's orbit, in order of least point."""
+    numbers x's orbit, in the order of the orbits' first points."""
 
     __slots__ = ()
 
@@ -504,14 +504,15 @@ class OrbitWalk(namedtuple("OrbitWalk", "order parent via orbit_of")):
         return out
 
 
-def orbit_walk(action, n):
+def orbit_walk(action, n, first=()):
     """The OrbitWalk of the group generated by action, a list of the
-    generators' image lists on 0..n-1, its four fields plain lists."""
+    generators' image lists on 0..n-1, its four fields plain lists; an
+    orbit starts at its first point in first, else at its least."""
     order, parent, via = [], [], []
     orbit_of = [-1] * n
     steps = list(enumerate(action))
     orbits = 0
-    for start in range(n):
+    for start in chain(first, range(n)):
         if orbit_of[start] < 0:
             orbit_of[start] = orbits
             k = len(order)

@@ -57,6 +57,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from functools import cached_property, partial
 from itertools import islice
 
@@ -73,6 +74,22 @@ def iter_bits(mask):
         mask ^= 1 << top
     out.reverse()
     return out
+
+
+class Labels(Sequence):
+    """n labels, the i-th formatted by label(i) when it is read."""
+
+    __slots__ = ("n", "label")
+
+    def __init__(self, n, label):
+        self.n = n
+        self.label = label
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return self.label(i)
 
 
 class Poset:

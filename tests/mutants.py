@@ -15,13 +15,14 @@ MUTANTS = [
     Mutant(
         "subset test on the first generator only",
         "brauer.py",
-        "if inside.issuperset(gens[q])))",
-        "if inside.issuperset(gens[q][:1])))",
+        "if inside.issuperset(gens[q]))",
+        "if inside.issuperset(gens[q][:1]))",
         ["tests/test_tuple_kernel.py::TestSubsetPairPoset"]),
     Mutant(
         "trivial subgroup left out of filed",
         "brauer.py",
-        "filed.setdefault(key[1] if len(key) > 1 else root, []).append(q)",
+        "filed.setdefault(key[1] if len(key) > 1 else gindex.root,\n"
+        "                             []).append(q)",
         "if len(key) > 1:\n"
         "                filed.setdefault(key[1], []).append(q)",
         ["tests/test_tuple_kernel.py::TestSubsetPairPoset"]),
@@ -80,12 +81,30 @@ MUTANTS = [
         "if all(kmasks[u] & mask == mask for u in row):",
         ["tests/test_principal_clique.py::test_covering_relation_dropped"]),
     Mutant(
-        "carried site's key not checked against the child's",
+        "carried generators not checked against the child's key",
         "brauer.py",
-        "if key_of(site.subgroup) != child:",
+        "if not set(key).issuperset(map(index.pos.__getitem__, gens)):",
         "if False:",
         ["tests/test_group_context.py::TestSitesOnTheOrbitTree"
          "::test_wrong_recorded_generator_is_caught",
          "tests/test_group_context.py::TestSitesOnTheOrbitTree"
          "::test_wrong_parent_link_is_caught"]),
+    Mutant(
+        "one carried edge dropped",
+        "brauer.py",
+        "lower[j] = [action[t][i] for i in lower[walk.order[parent]]]",
+        "lower[j] = [action[t][i] for i in lower[walk.order[parent]]]"
+        "[j == 269:]",
+        ["tests/test_tuple_kernel.py::TestSubsetPairPoset"
+         "::test_elementary_abelian_family_s6_p2"]),
+    Mutant(
+        "centrality of Br_R0(e) not asserted, its class vector read off "
+        "the first members",
+        "brauer.py",
+        "        br = _class_vector(e, site.members, offsets)\n"
+        "        if br is None:",
+        "        br = [e.support.get(site.members[k], self.F.zero)\n"
+        "              for k in offsets[:-1]]\n"
+        "        if False:",
+        ["tests/test_orbit_build.py::test_non_central_truncation_is_refused"]),
 ]

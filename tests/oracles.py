@@ -55,7 +55,10 @@
   Brauer
   homomorphism, cyclic groups, the idempotent test, a poset from its
   relation pairs and the Euler characteristics of a complex and of its
-  homology.
+  homology;
+* group-algebra products term by term, a fixed-point test term by term,
+  and normal containment of pairs from its definition by them, against
+  the class-coordinate test of the library.
 """
 
 import itertools
@@ -537,7 +540,7 @@ def _walk_chain(ctx, top, chain):
     pair = top
     for S in reversed(chain[:-1]):
         site = ctx.site(S)
-        candidates = [BrauerPair(S, e, site.centralizer) for e in site.blocks]
+        candidates = [BrauerPair(S, e, s) for s, e in enumerate(site.blocks)]
         candidates = [lo for lo in candidates
                       if ctx.normal_containment(lo, pair)]
         if len(candidates) != 1:
@@ -865,7 +868,7 @@ def brauer_hom(Q, a):
 
     Raises ValueError when a is not fixed by Q-conjugation.
     """
-    if not a.is_fixed_by(Q.generators):
+    if not is_fixed_by(a, Q.generators):
         raise ValueError("element is not Q-stable")
     return a.truncate(perms_centralizer(a.group, Q).elements)
 
@@ -878,7 +881,43 @@ def cyclic_group(n, label=None):
 
 
 def is_idempotent(a):
-    return bool(a) and a * a == a
+    return bool(a) and algebra_product(a, a) == a
+
+
+def algebra_product(a, b):
+    """a b in kG, term by term: every product of a term of a with a term
+    of b, the coefficients added."""
+    F = a.field
+    out = {}
+    for x, cx in a.support.items():
+        for y, cy in b.support.items():
+            z = x * y
+            out[z] = F.add(out.get(z, F.zero), F.mul(cx, cy))
+    return GroupAlgebraElement(a.group, F, out)
+
+
+def is_fixed_by(a, gens):
+    """Is a fixed by conjugation by every g in gens, term by term?"""
+    return all(a.conjugates_to(g, g.inverse(), a) for g in gens)
+
+
+def normal_containment_by_products(lo, hi, C):
+    """(Q, e) normal-in (R, f) from the definition, C = C_G(R): Q inside R
+    and normal in it by conjugating Q's generators by R's, e fixed by R's
+    generators term by term, and Br_R(e) f = f as a product in kC_G(R)
+    over permutations."""
+    Q, R = lo.subgroup, hi.subgroup
+    qset = Q.element_set
+    if not qset <= R.element_set:
+        return False
+    if any(x.conjugate(r) not in qset for r in R.generators
+           for x in Q.generators):
+        return False
+    e = lo.idempotent
+    if not is_fixed_by(e, R.generators):
+        return False
+    f = hi.idempotent
+    return algebra_product(e.truncate(C.elements), f) == f
 
 
 def poset_from_leq_pairs(labels, pairs):

@@ -19,6 +19,7 @@ from blockposets.perms import (
 
 from oracles import (
     algebra_one,
+    algebra_product,
     brauer_hom,
     every_conjugate,
     subpair_by_chain,
@@ -79,8 +80,9 @@ class TestBrauerHom:
             u = [rng.randrange(2) for _ in range(A.dim)]
             v = [rng.randrange(2) for _ in range(A.dim)]
             a, b = A.expand(u), A.expand(v)
-            lhs = (a * b).truncate(C.element_set)
-            rhs = a.truncate(C.element_set) * b.truncate(C.element_set)
+            lhs = algebra_product(a, b).truncate(C.element_set)
+            rhs = algebra_product(a.truncate(C.element_set),
+                                  b.truncate(C.element_set))
             assert lhs == rhs
 
 
@@ -121,7 +123,7 @@ class TestNormalContainment:
         ctx = BlockContext(group, principal)
         Q = PermGroup.from_generators(3, [cyc(3, [1, 2])])
         top = ctx.pairs_at(Q)[0]
-        fake_bottom = BrauerPair(PermGroup.trivial(3), other.element, G)
+        fake_bottom = BrauerPair(PermGroup.trivial(3), other.element)
         assert not ctx.normal_containment(fake_bottom, top)
 
 

@@ -24,6 +24,7 @@ from blockposets.topology import (
 )
 
 from oracles import (
+    algebra_product,
     complex_from_faces,
     entries_of,
     invariant_factors_by_minors,
@@ -54,7 +55,8 @@ def slots_by_kg_filter(ctx, site):
     br = ctx.brauer_image(site.subgroup)
     if not br:
         return []
-    return [i for i, e in enumerate(site.blocks) if e * br == e]
+    return [i for i, e in enumerate(site.blocks)
+            if algebra_product(e, br) == e]
 
 
 class TestPairSlots:
@@ -84,7 +86,8 @@ class TestPairSlots:
             site = ctx.site(trivial)
             assert site.centralizer is G
             assert site.blocks == computed
-            want = [e for e in computed if e * b.element == e]
+            want = [e for e in computed
+                    if algebra_product(e, b.element) == e]
             assert want == [b.element]
             assert [pr.idempotent for pr in ctx.pairs_at(trivial)] == want
 

@@ -339,8 +339,9 @@ def test_k_export_never_rebuilds_masks(tmp_path):
 
 def test_theorem2_carries_inverses_along_the_walk(monkeypatch):
     """check_theorem2 on S6 p=2 principal inverts one g per scanned coset
-    and per orbit, and each generator once: 716 inversions, 4,203 when
-    the idempotent test inverted g at every call."""
+    and per orbit, and each generator once: 392 inversions, 716 while
+    normal containment inverted R's generators to test normality, 4,203
+    when the idempotent test inverted g at every call."""
     group = GroupContext(symmetric_group(6), field_context(2, 1))
     (principal,) = [b for b in group.blocks if b.principal]
     ctx = BlockContext(group, principal)
@@ -354,4 +355,4 @@ def test_theorem2_carries_inverses_along_the_walk(monkeypatch):
 
     monkeypatch.setattr(Permutation, "inverse", counting)
     assert check_theorem2(ctx, geom).status == "pass"
-    assert calls[0] == 716
+    assert calls[0] == 392

@@ -29,7 +29,7 @@ from blockposets.perms import (
 from blockposets.topology import iter_bits, orbit_poset
 from blockposets.verify import _theorem2_maps, check_theorem2
 
-from oracles import conjugate_element, key_of
+from oracles import algebra_product, conjugate_element, key_of
 
 GF2 = field_context(2)
 
@@ -105,7 +105,7 @@ def pairs_by_filter(ctx, Q):
     br = ctx.brauer_image(Q)
     if not br:
         return []
-    return [e for e in ctx.site(Q).blocks if e * br == e]
+    return [e for e in ctx.site(Q).blocks if algebra_product(e, br) == e]
 
 
 def homs_by_scan(fs, Q):

@@ -6,12 +6,16 @@ poset and the direct Sylow search against the paths they replaced.
   and order.
 * BlockContext.pair_poset tests normal containment only on strictly
   contained subgroups, found on position keys: R holds Q iff R's key holds
-  the positions of Q's generators.  The oracle is the all-pairs build it
-  replaced; both must give the same pairs, normal edges, up masks and
-  G-action, on the elementary abelian family, every p-subgroup, and F's
-  family (every subgroup of the defect representative, usually not
-  closed under conjugation), and over GF(4) on an order-24 group with
-  two pairs at one subgroup.
+  the positions of Q's generators; on a family closed under conjugation,
+  only below the first pair at a class representative of each G-orbit,
+  carrying those edges along the orbit walk.  The oracle is an all-pairs
+  build that decides every strictly contained pair from the definition,
+  by products over permutations; both must give the same pairs, normal
+  edges, up masks and G-action, on the elementary abelian family, every
+  p-subgroup, and F's family (every subgroup of the defect
+  representative, usually not closed under conjugation), on both S7 p=2
+  blocks, and over GF(4) on an order-24 group with two pairs at one
+  subgroup.
 * sylow_p walks N_G(H) straight off the element index; the oracle finds
   each normalizer by conjugating H's generators by every element of G.
 """
@@ -29,6 +33,7 @@ from blockposets.perms import (
     Permutation,
     _power,
     all_subgroups,
+    centralizer,
     symmetric_group,
     sylow_p,
 )
@@ -38,6 +43,7 @@ from oracles import (
     conjugate_element,
     conjugate_subgroup,
     every_conjugate,
+    normal_containment_by_products,
     up_masks,
 )
 from test_subpairs import order_24_group
@@ -116,17 +122,22 @@ class TestPermutationKernel:
 
 
 def pair_poset_all_pairs(ctx, family):
-    """(pairs, normal edges, up masks, action) from every ordered pair."""
+    """(pairs, normal edges, up masks, action) from every ordered pair,
+    normal containment decided by products (C_G(R) by perms.centralizer)."""
     pairs = []
     for Q in family:
         pairs.extend(ctx.pairs_at(Q))
     pairs.sort(key=BrauerPair.key)
     edges = []
-    for i, lo in enumerate(pairs):
-        for j, hi in enumerate(pairs):
-            if i != j and lo.subgroup.order < hi.subgroup.order \
-                    and ctx.normal_containment(lo, hi):
-                edges.append((i, j))
+    for j, hi in enumerate(pairs):
+        R = hi.subgroup.element_set
+        C = None
+        for i, lo in enumerate(pairs):
+            if lo.subgroup.element_set < R:
+                C = C or centralizer(ctx.G, hi.subgroup)
+                if normal_containment_by_products(lo, hi, C):
+                    edges.append((i, j))
+    edges.sort()
     up = closure_masks(len(pairs), edges)
     index = {pr.ident(): i for i, pr in enumerate(pairs)}
     action = []
@@ -160,7 +171,32 @@ def block_contexts(entries):
 SMALL = [(e.name, build_group(e.spec), field_context(e.p, e.d))
          for e in CORPUS if not e.slow]
 S6_P2 = [("S6_p2", build_group(PRESETS["S6"]), field_context(2, 1))]
+S7_P2 = [("S7_p2", build_group(PRESETS["S7"]), field_context(2, 1))]
 G24_GF4 = [("G24_GF4", order_24_group(), field_context(2, 2))]
+
+
+def pairs_tested_below(ctx, pairs, action):
+    """The pairs below which pair_poset tests normal containment: every
+    pair, or, when G acts, the first pair at a class representative in
+    each G-orbit of pairs."""
+    if action is None:
+        return list(range(len(pairs)))
+    reps = {R.element_set for R, _orbit in ctx.group.classes}
+    orbit_of = [None] * len(pairs)
+    for start in range(len(pairs)):
+        if orbit_of[start] is None:
+            orbit_of[start] = start
+            todo = [start]
+            for x in todo:
+                for perm in action:
+                    if orbit_of[perm[x]] is None:
+                        orbit_of[perm[x]] = start
+                        todo.append(perm[x])
+    first = {}
+    for j, pr in enumerate(pairs):
+        if pr.subgroup.element_set in reps:
+            first.setdefault(orbit_of[j], j)
+    return sorted(first.values())
 
 
 def assert_same_as_all_pairs(name, ctx, family):
@@ -193,10 +229,13 @@ def assert_same_as_all_pairs(name, ctx, family):
         assert pp.poset.action == [], name
     else:
         assert [a.tolist() for a in pp.poset.action] == action, name
-    # each strictly contained pair was tested once
-    strict = sum(1 for lo in pairs for hi in pairs
-                 if lo.subgroup.element_set < hi.subgroup.element_set)
-    assert len(calls) == strict, name
+    # below each tested pair, each strictly contained pair was tested once
+    position = {id(pr): i for i, pr in enumerate(pp.pairs)}
+    expect = [(i, j) for j in pairs_tested_below(ctx, pairs, action)
+              for i, lo in enumerate(pairs)
+              if lo.subgroup.element_set < pairs[j].subgroup.element_set]
+    assert sorted((position[id(lo)], position[id(hi)]) for lo, hi in calls) \
+        == sorted(expect), name
     return pp
 
 
@@ -221,6 +260,13 @@ class TestSubsetPairPoset:
             seen.append(assert_same_as_all_pairs(
                 name, ctx, elementary_abelian_family(ctx)).n)
         assert len(seen) == 2 and max(seen) == 270
+
+    def test_elementary_abelian_family_s7_p2(self):
+        seen = []
+        for name, _group, ctx in block_contexts(S7_P2):
+            seen.append(assert_same_as_all_pairs(
+                name, ctx, elementary_abelian_family(ctx)).n)
+        assert sorted(seen) == [266, 1316]
 
     def test_defect_subgroups_small_corpus_and_s6_p2(self):
         seen = 0
