@@ -15,7 +15,9 @@ closed under conjugation the order is decided below one pair per G-orbit.
 
 C_G(Q), the blocks of kC_G(Q) and the G-orbit of Q depend only on G and Q:
 a GroupContext holds them once per (G, F), shared by every block of a run;
-a BlockContext decides b's pairs at each class representative.  A block e
+a BlockContext decides b's pairs at each class representative.  Br_R(b) is
+read on C_G(R) alone, and the algebra Z(kC_G(R)) and its blocks are built
+only at the classes where some block's image is nonzero.  A block e
 of kC_G(Q) is a sum of C_G(Q)-class sums, so e^(cg) = e^g for c in C_G(Q):
 eta and the fusion maps scan one g per coset C_G(Q) g, and normal
 containment tests stability only under generators outside C_G(Q).
@@ -159,9 +161,11 @@ class GroupContext:
     * the class-sum algebra of G and the blocks of kG;
     * the G-classes of p-subgroups, as (R, orbit) with orbit a SubgroupOrbit
       on the position keys of the conjugates (perms);
-    * per class representative R, on first request, its site: C_G(R), the
-      algebra Z(kC_G(R)) and the blocks of kC_G(R), each of which must be
-      constant on the classes of C_G(R) (else TheoryViolation).
+    * per class representative R, on first request, C_G(R), all that a
+      Brauer image Br_R(b) reads, and, requested only where some Br_R(b)
+      is nonzero, its site: C_G(R), the algebra Z(kC_G(R)) and the blocks
+      of kC_G(R), each of which must be constant on the classes of C_G(R)
+      (else TheoryViolation).
     * the site of any other Q = R^g in the class, carried down the orbit
       tree one generator t at a time through t's conjugation table, and
       memoised under Q's key: the i-th block at Q is the i-th at R
@@ -177,6 +181,7 @@ class GroupContext:
         self.blocks = blocks(G, F, algebra=self.algebra)
         self._classes = None
         self._sites = {}
+        self._centralizers = {}     # class index -> C_G(R)
         # class index -> (Z(kC_G(R)), blocks of kC_G(R), class offsets)
         self._centers = {}
 
@@ -226,6 +231,15 @@ class GroupContext:
                 R, out[orbit.links[key]], key, t)
         return list(out.values())
 
+    def centralizer(self, i):
+        """C_G(R) for the representative R of class i, built once."""
+        C = self._centralizers.get(i)
+        if C is None:
+            R = self.classes[i][0]
+            C = self._centralizers[i] = self.G if R.order == 1 else \
+                centralizer(self.G, R, label=f"C({R.label})")
+        return C
+
     def _site(self, Q):
         key = self._key(Q)
         return self._sites.get(key) or self._site_at(self.locate(Q), key)
@@ -255,7 +269,7 @@ class GroupContext:
         if R.order == 1:
             A, block_list = self.algebra, self.blocks
         else:
-            C = centralizer(self.G, R, label=f"C({R.label})")
+            C = self.centralizer(i)
             A = class_sum_algebra(C, self.F)
             block_list = blocks(C, self.F, algebra=A)
         members, offsets = [], [0]
@@ -283,7 +297,8 @@ class GroupContext:
 class BlockContext:
     """The pairs of one block b, over a GroupContext of its group.
 
-    b's pairs at a class representative R are decided in A = Z(kC_G(R)):
+    b's pairs at a class representative R are decided in A = Z(kC_G(R)),
+    built only when Br_R(b), read on C_G(R) first, is nonzero.
     Br_R(b) must be constant on the classes of C_G(R) (else
     TheoryViolation), and block i of kC_G(R) is a pair iff
     e_i * Br_R(b) == e_i as class vectors.  Any other Q = R^g reads R's
@@ -324,13 +339,24 @@ class BlockContext:
         return site
 
     def brauer_image(self, Q):
-        """Br_Q(b); the block is central hence fixed by every subgroup."""
+        """Br_Q(b); the block is central hence fixed by every subgroup.
+
+        At a class representative R it is b truncated to C_G(R), with no
+        site built.  Br_{R^g}(b) = Br_R(b)^g, so at any other Q of the
+        class it is zero with Br_R(b), else truncated at Q's site.
+        """
         key = Q.element_set
         hit = self._brauer.get(key)
         if hit is None:
-            C = self.site(Q).centralizer
-            hit = self.block.element.truncate(C.elements)
-            self._brauer[key] = hit
+            i = self.group.locate(Q)
+            R = self.group.classes[i][0]
+            if key == R.element_set:
+                members = self.group.centralizer(i).elements
+            elif self.brauer_nonzero(R):
+                members = self.site(Q).centralizer.elements
+            else:
+                members = ()
+            hit = self._brauer[key] = self.block.element.truncate(members)
         return hit
 
     def brauer_nonzero(self, Q):
@@ -342,10 +368,10 @@ class BlockContext:
         hit = self._pairs.get(key)
         if hit is not None:
             return hit
-        site = self.site(Q)
         br = self.brauer_image(Q)
         out = []
         if br:
+            site = self.site(Q)
             total = GroupAlgebraElement.zero(self.G, self.F)
             for s in self._slots[site.index]:
                 e = site.blocks[s]

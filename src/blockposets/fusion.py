@@ -71,6 +71,9 @@ class FusionSystem:
         key = ctx.G.element_index().key
         self.sub_pair = {key(pr.subgroup): pr
                          for i, pr in enumerate(pp.pairs) if pp.poset.leq(i, t)}
+        # the keys of the subgroups that hold two or more pairs
+        self._shared = {key(S) for S, at in zip(pp.family, pp.at)
+                        if len(at) > 1}
         self._fusions = {}
 
     @classmethod
@@ -95,15 +98,18 @@ class FusionSystem:
                       key=lambda m: tuple(m[0].values()))
 
     def target(self, pair, image, g, ginv):
-        """The pair below top at Q^g if e^g is its idempotent, else None.
+        """The pair below top at Q^g if it is (Q, e)^g, else None.
 
-        pair is (Q, e); image maps the position of each x in Q, in G's
-        element index, to that of x^g; ginv is g's inverse.  None also when
-        Q^g is not a subgroup of P.
+        pair is a pair (Q, e) of the block; image maps the position of each
+        x in Q, in G's element index, to that of x^g; ginv is g's inverse.
+        None also when Q^g is not a subgroup of P.  (Q, e)^g is a pair at
+        Q^g, so where Q^g holds one pair it is the one below top and e is
+        not read; where Q^g holds more, e^g must be its idempotent.
         """
-        below = self.sub_pair.get(tuple(sorted(image.values())))
-        if below is None or not pair.idempotent.conjugates_to(
-                g, ginv, below.idempotent):
+        key = tuple(sorted(image.values()))
+        below = self.sub_pair.get(key)
+        if below is None or key in self._shared and not \
+                pair.idempotent.conjugates_to(g, ginv, below.idempotent):
             return None
         return below
 

@@ -229,7 +229,9 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     forward: an object kappa (a mask of the category's vertices) decorates,
     through the unique pair below the maximal pair at its product, to a
     commuting-poset element; the orbit must not depend on the member chosen
-    in the class (asserted).
+    in the class (asserted).  That pair is found in A by its subgroup's
+    position key and its slot at the subgroup's site, which A's pairs and
+    F's subpairs both carry, so no block is read to find it.
 
     eta: a commuting-poset element conjugates into P by some g aligning its
     pair (Q, e) with the one below the maximal pair; the class of the image
@@ -247,19 +249,24 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
     image_y[z^t] = image_x[z], with the one candidate g_y = t^-1 g_x.  On
     y's own data the carried map must be defined on Q, pass target and
     give an object of the orbit's class, else TheoryViolation is raised,
-    whatever the action says.  g's inverse is carried beside it, g_y^-1 =
-    g_x^-1 t, one product per step.  Carried maps are kept only for the
-    walk's queue.
+    whatever the action says.  target reads y's block only where the image
+    subgroup holds two or more pairs, so a carried step reads no site
+    there.  g's inverse is carried beside it, g_y^-1 = g_x^-1 t, one
+    product per step.  Carried maps are kept only for the walk's queue.
     """
+    index = ctx.G.element_index()
+    pairs, at = geom.apairs.pairs, geom.apairs.at
+    keys = [index.key(Q) for Q in geom.apairs.family]
+    aindex = {(keys[q], pairs[i].slot): i
+              for q, ids in enumerate(at) for i in ids}
     vindex = {Q.element_set: i for i, Q in enumerate(geom.vertices)}
-    aindex = {pr.ident(): i for i, pr in enumerate(geom.apairs.pairs)}
     kindex = {ke: i for i, ke in enumerate(geom.elements)}
     forward = [None] * icp.n
     for obj_idx, obj in enumerate(cat.objects):
         kmask = sum(1 << vindex[cat.vertices[v].element_set]
                     for v in iter_bits(obj))
-        pair = fs.sub_pair[cat.products[obj_idx]]
-        orbit = orbit_of[kindex[kmask, aindex[pair.ident()]]]
+        a = cat.products[obj_idx]
+        orbit = orbit_of[kindex[kmask, aindex[a, fs.sub_pair[a].slot]]]
         cls = icp.class_of[obj_idx]
         if forward[cls] is None:
             forward[cls] = orbit
@@ -269,11 +276,9 @@ def _theorem2_maps(ctx, geom, fs, cat, icp, orbit_of):
 
     class_at = _class_lookup(ctx, geom, cat, icp)
     walk = geom.kposet.orbit_walk
-    pairs = geom.apairs.pairs
-    index = ctx.G.element_index()
     conj = index.conj
     # each pair's Q on positions, for the domain test of a carried map
-    domains = [frozenset(index.key(pr.subgroup)) for pr in pairs]
+    domains = [frozenset(keys[q]) for q, ids in enumerate(at) for _i in ids]
     generators = ctx.G.generators
     inverses = [t.inverse() for t in generators]
     eta = [None] * (max(orbit_of) + 1) if orbit_of else []

@@ -107,4 +107,22 @@ MUTANTS = [
         "              for k in offsets[:-1]]\n"
         "        if False:",
         ["tests/test_orbit_build.py::test_non_central_truncation_is_refused"]),
+    Mutant(
+        "one-pair shortcut of the fusion test taken without its pair count",
+        "fusion.py",
+        "if below is None or key in self._shared and not \\",
+        "if below is None or False and not \\",
+        ["tests/test_lazy_sites.py"
+         "::test_one_pair_shortcut_matches_the_idempotent_test",
+         "tests/test_subpairs.py::TestTargetMutation"
+         "::test_dropping_the_idempotent_test_is_caught",
+         "tests/test_verify.py::TestReportDrift"
+         "::test_order_24_principal_type_witness_matches_recorded"]),
+    Mutant(
+        "Br_R(b) truncated to the centralizer of R's first generator only",
+        "brauer.py",
+        "members = self.group.centralizer(i).elements",
+        "members = centralizer(self.G, R.generators[:1]).elements",
+        ["tests/test_lazy_sites.py"
+         "::test_brauer_image_on_the_centralizer_matches_the_site"]),
 ]

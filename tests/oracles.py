@@ -39,6 +39,10 @@
   chain and a centre-seeded chain with a unique normally contained block
   at each step, against the fusion system's subpairs read off the pair
   poset, and its maps out of a subgroup by a scan of every g in G;
+* the fusion system's test of a conjugation with the idempotents compared
+  at every image subgroup, against the test that reads no idempotent where
+  the image holds one pair, and the Brauer image of a block truncated at a
+  subgroup's full site, against the one read on C_G(R) alone;
 * the hom sets of the commuting category, filtered from each object's
   maps out of its product;
 * the equivalence certificate with every test run at every element, and
@@ -603,6 +607,23 @@ def maps_from_by_products(fs, Q):
                 fs.sub_pair[key_of(pos, mapping.values())].idempotent:
             found[mkey] = ({pos[x]: pos[y] for x, y in mapping.items()}, g)
     return [found[k] for k in sorted(found)]
+
+
+def target_by_idempotents(fs, pair, image, g, ginv):
+    """FusionSystem.target with the idempotents compared at every image:
+    the pair below the top at Q^g if e^g is its idempotent, else None,
+    also where Q^g holds a single pair."""
+    below = fs.sub_pair.get(tuple(sorted(image.values())))
+    if below is None or not pair.idempotent.conjugates_to(
+            g, ginv, below.idempotent):
+        return None
+    return below
+
+
+def brauer_image_at_site(ctx, Q):
+    """Br_Q(b) truncated at Q's full site, its centralizer algebra and
+    blocks built even where the image is zero."""
+    return ctx.block.element.truncate(ctx.site(Q).centralizer.elements)
 
 
 def key_of(pos, elements):
